@@ -1,8 +1,15 @@
 """Sparse diagonal reduction against a dense elimination oracle."""
 
+import hashlib
 import random
 
+import pytest
+
+from ovc.acceptance import TATE
+from ovc.cohomology import _to_int_entries, mw_complex
 from ovc.linalg import _val, sparse_snf
+from ovc.modules import SeriesMatrix, SigmaNablaModule
+from ovc.series import RingDescriptor, Series
 
 
 def dense_divisors(A, p, N):
@@ -48,6 +55,20 @@ def random_matrix(rng, p, N):
                if A[i][j] % p ** N}
 
 
+def sparse_matrix(rng, p, N, m, n, density):
+    """A seeded sparse m x n matrix whose entries carry valuations 0..3, so
+    that elimination fills in and re-queues columns at several levels."""
+    mod = p ** N
+    A = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                A[i][j] = (rng.randint(1, mod - 1)
+                           * p ** rng.choice([0, 0, 0, 1, 1, 2, 3])) % mod
+    return A, {(i, j): A[i][j] for i in range(m) for j in range(n)
+               if A[i][j]}
+
+
 def test_divisors_match_dense_oracle():
     rng = random.Random(2)
     p, N = 3, 6
@@ -55,6 +76,13 @@ def test_divisors_match_dense_oracle():
         A, ent = random_matrix(rng, p, N)
         res = sparse_snf(len(A), len(A[0]), ent, p, N)
         assert res.divisors() == dense_divisors(A, p, N)
+    for p, N in ((2, 8), (3, 6), (5, 5)):
+        for _ in range(60):
+            A, ent = sparse_matrix(rng, p, N, rng.randint(1, 20),
+                                   rng.randint(1, 20),
+                                   rng.choice([0.1, 0.2, 0.3]))
+            res = sparse_snf(len(A), len(A[0]), ent, p, N)
+            assert res.divisors() == dense_divisors(A, p, N)
 
 
 def test_kernel_and_solve():
@@ -111,3 +139,87 @@ def test_certification_gap():
     res = sparse_snf(2, 2, {(0, 0): 1, (1, 1): 3 ** 4}, p, N)
     assert res.rank() == 2
     assert res.certification_gap() == N - 4
+
+
+# -- pinned output ---------------------------------------------------------------
+#
+# Generators, reports and their golden digests are read off the pivots and op
+# logs, so a change to the elimination must leave every SnfResult field
+# unchanged, not just the divisors.  The digests below pin the exact output.
+
+def _snf_digest(res) -> str:
+    return hashlib.sha256(repr((res.pivots, res.row_ops, res.col_ops,
+                                res.free_cols, res.free_rows)).encode()
+                          ).hexdigest()
+
+
+def _pinned_matrices():
+    rng = random.Random(11)
+    out = []
+    for p, N in ((2, 10), (3, 8), (5, 6)):
+        for m, n, density in ((12, 15, 0.3), (25, 20, 0.15), (40, 40, 0.06),
+                              (40, 36, 0.12)):
+            A, ent = sparse_matrix(rng, p, N, m, n, density)
+            out.append((len(A), len(A[0]), ent, p, N))
+    return out
+
+
+def _plane_differentials(seed=5, window=8, p=3, M=20):
+    """Both differentials of a seeded f(x)dx + g(y)dy plane module, as the
+    cohomology engine hands them to sparse_snf."""
+    rng = random.Random(seed)
+    ring = RingDescriptor(TATE, ("x", "y"), ((0, window),) * 2, p, M)
+    f = {(i, 0): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
+    g = {(0, i): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
+    module = SigmaNablaModule(ring, 1, gammas=tuple(
+        (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
+        for v, c in (("x", f), ("y", g))))
+    cdata = mw_complex(module)
+    out = []
+    for idx, entries in enumerate(cdata.matrices):
+        ints, N, _, _ = _to_int_entries(entries, p, M)
+        out.append((cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim, ints,
+                    p, N))
+    return out
+
+
+PINNED_MATRIX_DIGESTS = [
+    "ac5a7c71d89de045aed939dfa27b277279dd83a7257556e36f652702eea639f3",
+    "3aec73fdb951744e02571123136e50b4aa152cb256e35f2794a37d492bb21f3d",
+    "7fb18f71a99cf3278c5ee8d6f816a72f998277ccb7f7e58f8bdcbe3634bc3f7b",
+    "c9cd14c36af286d6ad79689683b3bc0801ecc6046f4b83ce58ddb3e54a43f2b4",
+    "333ee1e8615989adea8738ef188f9517b94f8180199c7790a5c636eb0ccbca06",
+    "795a1172308c826bd4d5fcb23e0a583e8f715d4512205c181864c69d43dac519",
+    "f2c7674b31e3396a53d8ef0054bbd868fa76b60a87ad733fd5ac69d3e71204c3",
+    "6de5a689a21fe60bfa79c9d4d5ec82cd709fe65e598ac84a85478db44efaae26",
+    "b7fddb6d7fb3613f7e22cbe9e988656edab6ef6ab8c9e6c2f26a85154640fc99",
+    "28e37df79da3dfa04497ae0f395551a909e1aa187462373790ca7cd9b0937da1",
+    "dc302ee33b0b1da27ca6b392e644588fbe2aec71ce7c142a18d02e337445d48d",
+    "80480ff9e0bcbf47965dbdbafb2741cab8a94dcf40f0b12feba2724e9142f0aa",
+]
+
+PINNED_PLANE_DIGESTS = [
+    "71d8411add2a4b4563a677b2ef7ab02f2ff2e98b24c7e49b9bd3ea85817117df",
+    "1821240a2b2538cb675c373084507648f7676d9bf7e8c8e474510ca9b198cfc7",
+]
+
+
+def test_pinned_matrix_output():
+    got = [_snf_digest(sparse_snf(*args)) for args in _pinned_matrices()]
+    assert got == PINNED_MATRIX_DIGESTS
+
+
+def test_pinned_plane_output():
+    got = [_snf_digest(sparse_snf(*args)) for args in _plane_differentials()]
+    assert got == PINNED_PLANE_DIGESTS
+
+
+@pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials(),
+                         ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
+def test_untracked_matches_tracked(args):
+    full = sparse_snf(*args)
+    bare = sparse_snf(*args, track=False)
+    assert bare.pivots == full.pivots
+    assert bare.free_cols == full.free_cols
+    assert bare.free_rows == full.free_rows
+    assert bare.row_ops == [] and bare.col_ops == []
