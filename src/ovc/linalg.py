@@ -187,6 +187,16 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     ``entries``: {(row, col): int}.  Row/column indices are ints; the
     pivoting order prefers small indices, so callers should pre-order their
     bases (lowest total exponent first, deglex tiebreak).
+
+    Levels run from 0 to N-1.  At level e every active entry has valuation
+    >= e, and row operations never lower a column's minimum valuation: a
+    column's new entries are combinations of its own entries.  So the
+    columns pivoted at level e are those whose minimum is e when the level
+    starts, taken in increasing order and skipped once their minimum has
+    risen; each pivots on its lowest row of valuation e.  The pivots, the
+    free lists and the row and column op logs are a function of the input
+    alone, which keeps generators and reports byte-identical.  With
+    ``track=False`` the op logs stay empty and everything else is unchanged.
     """
     mod = p ** N
     by_row: dict[int, dict[int, int]] = {}
@@ -199,84 +209,56 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
 
     active_rows = set(range(nrows))
     active_cols = set(range(ncols))
-    colmin: dict[int, int] = {}
-    touched: set[int] = set()
-
-    def col_min(c: int) -> int:
-        m = colmin.get(c)
-        if m is None:
-            d = by_col.get(c)
-            m = min((_val(x, p, N) for x in d.values()), default=N) if d else N
-            colmin[c] = m
-        return m
-
-    def set_entry(r: int, c: int, x: int):
-        x %= mod
-        if x:
-            by_row.setdefault(r, {})[c] = x
-            by_col.setdefault(c, {})[r] = x
-        else:
-            by_row.get(r, {}).pop(c, None)
-            by_col.get(c, {}).pop(r, None)
-        colmin.pop(c, None)
-        touched.add(c)
-
-    def pivot_at(c: int, level: int):
-        col = by_col.get(c, {})
-        r = min(rr for rr, x in col.items() if _val(x, p, N) == level)
-        e = level
-        # normalize the pivot row so the pivot becomes exactly p^e
-        u = col[r] // p ** e % mod
-        if u != 1:
-            uinv = pow(u, -1, mod)
-            for cc, x in list(by_row.get(r, {}).items()):
-                set_entry(r, cc, x * uinv)
-            if track:
-                row_ops.append(("rs", r, uinv))
-        # clear the pivot column with row operations
-        for rr, x in list(by_col.get(c, {}).items()):
-            if rr == r:
-                continue
-            m = x // p ** e % mod
-            for cc, y in list(by_row.get(r, {}).items()):
-                set_entry(rr, cc, by_row.get(rr, {}).get(cc, 0) - m * y)
-            if track:
-                row_ops.append(("ra", r, rr, (-m) % mod))
-        # clear the pivot row with column operations
-        for cc, x in list(by_row.get(r, {}).items()):
-            if cc == c:
-                continue
-            m = x // p ** e % mod
-            set_entry(r, cc, 0)
-            if track:
-                col_ops.append(("ca", c, cc, (-m) % mod))
-        for cc in list(by_row.get(r, {})):
-            set_entry(r, cc, 0)
-        by_row.pop(r, None)
-        active_rows.discard(r)
-        active_cols.discard(c)
-        by_col.pop(c, None)
-        pivots.append((r, c, e))
-
     row_ops, col_ops, pivots = [], [], []
 
     for level in range(N):
-        queue = sorted(c for c in active_cols if col_min(c) == level)
-        pending: set[int] = set()
-        qi = 0
-        while qi < len(queue) or pending:
-            if qi >= len(queue):
-                queue = sorted(pending)
-                pending.clear()
-                qi = 0
+        pe = p ** level
+        above = pe * p      # x % above is nonzero iff x has valuation level
+        queue = sorted(c for c, col in by_col.items() if c in active_cols
+                       and any(x % above for x in col.values()))
+        for c in queue:
+            col = by_col[c]
+            if not any(x % above for x in col.values()):
                 continue
-            c = queue[qi]
-            qi += 1
-            if c not in active_cols or col_min(c) != level:
-                continue
-            touched.clear()
-            pivot_at(c, level)
-            pending.update(t for t in touched if t in active_cols)
+            r = min(rr for rr, x in col.items() if x % above)
+            # normalize the pivot row so the pivot becomes exactly p^level,
+            # log the column ops that clear it and take it out of its columns
+            u = col[r] // pe
+            uinv = pow(u, -1, mod) if u != 1 else 1
+            if uinv != 1 and track:
+                row_ops.append(("rs", r, uinv))
+            prow = []
+            for cc, y in by_row.pop(r).items():
+                if cc == c:
+                    continue
+                if uinv != 1:
+                    y = y * uinv % mod
+                ccol = by_col[cc]
+                del ccol[r]
+                prow.append((cc, y, ccol))
+                if track:
+                    col_ops.append(("ca", c, cc, -(y // pe) % mod))
+            # clear the pivot column: row rr -= m * (pivot row)
+            for rr, x in col.items():
+                if rr == r:
+                    continue
+                m = x // pe
+                row = by_row[rr]
+                del row[c]
+                for cc, y, ccol in prow:
+                    v = (row.get(cc, 0) - m * y) % mod
+                    if v:
+                        row[cc] = v
+                        ccol[rr] = v
+                    elif cc in row:
+                        del row[cc]
+                        del ccol[rr]
+                if track:
+                    row_ops.append(("ra", r, rr, -m % mod))
+            del by_col[c]
+            active_rows.discard(r)
+            active_cols.discard(c)
+            pivots.append((r, c, level))
 
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
                      sorted(active_cols), sorted(active_rows))
