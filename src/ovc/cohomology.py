@@ -26,7 +26,7 @@ from .errors import DescriptorMismatchError
 from .groebner import deglex_key
 from .linalg import SnfResult, sparse_snf
 from .modules import SigmaNablaModule
-from .padics import PadicApprox
+from .padics import PadicApprox, int_valuation
 from .report import CohomologyReport, DegreeData
 from .series import coeff_value
 
@@ -345,11 +345,8 @@ def _slope_edge_limited(vec: dict, space: ChainSpace, cdata: ComplexData,
     for idx in sorted(vec):
         x = vec[idx]
         _, _, I = space.labels[idx]
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        key = Fraction(v) + sum(Fraction(cdata.slope) * e for e in I)
+        key = (Fraction(int_valuation(x, p))
+               + sum(Fraction(cdata.slope) * e for e in I))
         if best is None or key < best:
             best, argmin = key, [I]
         elif key == best:
@@ -375,10 +372,8 @@ def _int_vec_to_chain(vec: dict, space: ChainSpace, p: int, N: int,
         x %= p ** N
         if not x:
             continue
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
+        v = int_valuation(x, p)
+        x //= p ** v
         val = v - shift
         prec = min(N - v, M - val) if M - val > 0 else N - v
         prec = max(prec, 1)
@@ -527,15 +522,8 @@ def twisted_diagonal_cohomology(a: Fraction, n: int, window_hi: int,
         if any(l != 0 for l in lam):
             for l in lam:
                 if l != 0:
-                    num, den = l.numerator, l.denominator
-                    v = 0
-                    while num % p == 0:
-                        num //= p
-                        v += 1
-                    while den % p == 0:
-                        den //= p
-                        v -= 1
-                    worst = max(worst, v)
+                    worst = max(worst, int_valuation(l.numerator, p)
+                                - int_valuation(l.denominator, p))
             continue
         zero_modes.append(I)
         for j in range(n + 1):

@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .padics import int_valuation
+
 
 def _val(x: int, p: int, N: int) -> int:
     """Valuation of a residue mod p^N (N if zero)."""
-    if x == 0:
-        return N
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return min(v, N)
+    return N if x == 0 else min(int_valuation(x, p), N)
 
 
 @dataclass

@@ -383,10 +383,6 @@ def _matrix_rank(cols, p, M) -> int:
     return sparse_snf(nrows, len(cols), entries, p, M).rank()
 
 
-def _matrix_kernel_dim(cols, dim_src, p, M) -> int:
-    return dim_src - _matrix_rank(cols, p, M)
-
-
 def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:
     """Negative control: inject a spurious generator into the middle node
     (the top-edge one-form class, never a boundary on the window), padding
@@ -438,7 +434,7 @@ def snake_check(bundle: PushforwardBundle) -> list[SnakeVerdict]:
         names[0], ranks[0] == dims[0],
         f"rank {ranks[0]} of {dims[0]}"))
     for k in range(1, 5):
-        ker = _matrix_kernel_dim(mats[k], dims[k], p, M)
+        ker = dims[k] - _matrix_rank(mats[k], p, M)
         verdicts.append(SnakeVerdict(
             names[k], ker == ranks[k - 1],
             f"ker(out) {ker} vs im(in) {ranks[k - 1]}"))
@@ -543,17 +539,14 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     h0M, h1M, h2M = dims_M.get(0, 0), dims_M.get(1, 0), dims_M.get(2, 0)
     verdicts.append(("H0(P)->H0(M) iso", h0P == h0M,
                      f"{h0P} vs {h0M}"))
-    # exactness of H1(P) -> H1(M) -> H0(Q) -> 0 -> H2(M) -> H1(Q) -> 0
-    verdicts.append(("H1 block", h1M == h1P + h0Q - (h0Q - (h1M - h1P))
-                     if h1M - h1P >= 0 else False,
+    # exactness of H1(P) -> H1(M) -> H0(Q) -> 0 -> H2(M) -> H1(Q) -> 0:
+    # rank arithmetic forces h1M = h1P + rank(edge) and h0Q = rank(edge) +
+    # dim ker(delta2) with delta2 landing in H2(P) = 0, so h0Q - (h1M - h1P)
+    # must vanish.
+    mid_ok = (h1M - h1P >= 0) and (h0Q == h1M - h1P)
+    verdicts.append(("H1 block", mid_ok,
                      f"H1(M)={h1M}, H1(P)={h1P}, H0(Q)={h0Q}"))
     verdicts.append(("H2(M) ~ H1(Q)", h2M == h1Q, f"{h2M} vs {h1Q}"))
-    # tighten the middle verdict: rank arithmetic forces
-    #   h1M = h1P + rank(edge) and h0Q = rank(edge) + dim ker(delta2) with
-    #   delta2 landing in H2(P) = 0, so h0Q - (h1M - h1P) must vanish.
-    mid_ok = (h1M - h1P >= 0) and (h0Q == h1M - h1P)
-    verdicts[1] = ("H1 block", mid_ok,
-                   f"H1(M)={h1M}, H1(P)={h1P}, H0(Q)={h0Q}")
 
     return LerayReport(len(P_gens), len(Q_gens), dims_P, dims_Q, dims_M,
                        euler_ok, tuple(verdicts))
@@ -645,15 +638,11 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
         row = []
         for k in range(rank_g):
             row.append(Series.make(base_ring, {
-                e: _int_to_scalar(x, p, M) for e, x in conn_terms[l][k].items()}))
+                e: make_scalar(x, p, M) for e, x in conn_terms[l][k].items()}))
         rows.append(tuple(row))
     return SigmaNablaModule(base_ring, rank_g,
                             gammas=((base_ring.variables[0],
                                      SeriesMatrix.make(base_ring, rows)),))
-
-
-def _int_to_scalar(x, p, M):
-    return make_scalar(x, p, M)
 
 
 def _line_class_solver(fib, gens, kernel_side):

@@ -284,10 +284,8 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
             for i in range(n):
                 x = v.get(i, 0)
                 if x:
-                    val = 0
-                    while x % p == 0:
-                        x //= p
-                        val += 1
+                    val = int_valuation(x, p)
+                    x //= p ** val
                     const.append(PadicApprox(p, x % p ** max(N - val, 1), val,
                                              max(N - val, 1)))
                 else:
