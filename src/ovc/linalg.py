@@ -189,9 +189,11 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     column's new entries are combinations of its own entries.  So the
     columns pivoted at level e are those whose minimum is e when the level
     starts, taken in increasing order and skipped once their minimum has
-    risen; each pivots on its lowest row of valuation e.  The pivots, the
-    free lists and the row and column op logs are a function of the input
-    alone, which keeps generators and reports byte-identical.  With
+    risen; each pivots on its lowest row of valuation e.
+
+    The pivots, the free lists and the row and column op logs, order
+    included, are part of the contract: generators and report digests are
+    read off them, and tests/test_linalg.py pins them exactly.  With
     ``track=False`` the op logs stay empty and everything else is unchanged.
     """
     mod = p ** N
@@ -220,15 +222,14 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
             # normalize the pivot row so the pivot becomes exactly p^level,
             # log the column ops that clear it and take it out of its columns
             u = col[r] // pe
-            uinv = pow(u, -1, mod) if u != 1 else 1
-            if uinv != 1 and track:
+            uinv = pow(u, -1, mod)
+            if u != 1 and track:
                 row_ops.append(("rs", r, uinv))
             prow = []
             for cc, y in by_row.pop(r).items():
                 if cc == c:
                     continue
-                if uinv != 1:
-                    y = y * uinv % mod
+                y = y * uinv % mod
                 ccol = by_col[cc]
                 del ccol[r]
                 prow.append((cc, y, ccol))
