@@ -1,12 +1,15 @@
 """The windowed cohomology engines against dense oracles and known answers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 from ovc.cohomology import (
+    ChainVector,
     compact_complex,
     compact_support_cohomology,
     local_cohomology,
+    local_complex,
     mw_cohomology,
     mw_complex,
     twisted_diagonal_cohomology,
@@ -15,7 +18,14 @@ from ovc.cohomology import (
 from ovc.acceptance import dwork_module, kummer_module, trivial_module
 from ovc.linalg import _val
 from ovc.modules import SeriesMatrix, SigmaNablaModule
-from ovc.series import ROBBA, RingDescriptor, Series
+from ovc.padics import make_scalar, parse_scalar
+from ovc.pairing import apply_complex_map
+from ovc.pushforward import (
+    _vertical_ranks,
+    quotient_complex,
+    robba_side_module,
+)
+from ovc.series import ROBBA, TATE, RingDescriptor, Series
 
 P = 3
 
@@ -159,3 +169,224 @@ def test_truncation_loss_recorded():
     mod = SigmaNablaModule(ring, 1, gammas=(("x", gam),))
     cdata = mw_complex(mod)
     assert cdata.loss is not None
+
+
+# -- pinned builder output ----------------------------------------------------
+#
+# The SNF inputs, and through them every pivot, generator and report, are read
+# off the assembled complexes.  The digests below pin the exact output of every
+# complex builder: labels in order, the integer entries mod p^N in insertion
+# order, (N, shift), the precision floor, the loss and the window data.
+
+PM = 8
+
+
+def _tok(text):
+    return parse_scalar(str(text), P, PM)
+
+
+PLAIN = (1, 2, 4, 5, 7, 8, 3, 6, 9, -1, -2)
+NEGVAL = PLAIN + ("1/3", "2*p^-1")
+LIMITED = PLAIN + ("5*p^0@3", "O(p^2)")
+
+
+def _poly(ring, rng, pool, nterms, lo, hi, forced=()):
+    terms = {tuple(rng.randint(lo, hi) for _ in ring.variables):
+             _tok(rng.choice(pool)) for _ in range(nterms)}
+    for tok in forced:
+        terms[tuple(rng.randint(lo, hi) for _ in ring.variables)] = _tok(tok)
+    return Series.make(ring, terms)
+
+
+def _tate_module(seed, window, rank, pool, forced=()):
+    rng = random.Random(seed)
+    names = "xyz"[:len(window)]
+    ring = RingDescriptor(TATE, tuple(names), tuple((0, h) for h in window),
+                          P, PM)
+    gammas = []
+    for v, h in zip(names, window):
+        rows = [[_poly(ring, rng, pool, 2, 0, h,
+                       forced if (a, b, v) == (0, rank - 1, names[0]) else ())
+                 for b in range(rank)] for a in range(rank)]
+        gammas.append((v, SeriesMatrix.make(ring, rows)))
+    return SigmaNablaModule(ring, rank, gammas=tuple(gammas))
+
+
+def _robba_module(seed, window, rank, pool, forced=(), slope=1, lo=-3):
+    rng = random.Random(seed)
+    ring = RingDescriptor(ROBBA, ("t",), (window,), P, PM,
+                          slope=Fraction(slope))
+    rows = [[_poly(ring, rng, pool, 3, lo, 3,
+                   forced if (a, b) == (0, rank - 1) else ())
+             for b in range(rank)] for a in range(rank)]
+    return SigmaNablaModule(ring, rank,
+                            connection=SeriesMatrix.make(ring, rows))
+
+
+def _constant_robba(coeff, window=(-5, 5)):
+    ring = RingDescriptor(ROBBA, ("t",), (window,), P, PM, slope=Fraction(1))
+    conn = SeriesMatrix.make(ring, [[Series.make(ring, {(0,): _tok(coeff)})]])
+    return SigmaNablaModule(ring, 1, connection=conn)
+
+
+def _tate_modules():
+    return [
+        _tate_module(1, (4, 3), 2, PLAIN),              # off-diagonal Gamma
+        _tate_module(2, (2, 3, 2), 1, PLAIN),           # three variables
+        _tate_module(3, (3, 3), 2, NEGVAL, ("1/3", "2*p^-1")),
+        _tate_module(4, (3, 4), 2, LIMITED, ("5*p^0@3", "O(p^2)")),
+        _tate_module(5, (5,), 2, NEGVAL, ("1/3", "2*p^-1")),
+        _tate_module(6, (5,), 2, LIMITED, ("5*p^0@3", "O(p^2)")),
+    ]
+
+
+def _robba_modules():
+    return [
+        _robba_module(7, (-5, 5), 2, PLAIN),
+        _robba_module(8, (-4, 6), 2, NEGVAL, ("1/3", "2*p^-1"),
+                      Fraction(1, 2)),
+        _robba_module(9, (-5, 5), 2, LIMITED, ("5*p^0@3", "O(p^2)")),
+        _constant_robba(-1),            # cancels against t d/dt at t^1
+        _constant_robba("-3/2"),
+        _constant_robba("5*p^0@3"),
+        _constant_robba("O(p^2)"),
+        _constant_robba("1/3"),
+    ]
+
+
+def _line_side_modules():
+    """Annulus-side transports of line modules, as the pushforward builds
+    them; the narrow annulus drops the high line exponents."""
+    out = []
+    for mod in _tate_modules()[4:]:
+        for window in ((-7, 7), (-6, 2)):
+            ring = RingDescriptor(ROBBA, ("t",), (window,), P, PM,
+                                  slope=Fraction(1))
+            out.append(robba_side_module(mod, ring))
+    line = _tate_module(10, (5,), 2, PLAIN)
+    out.append(robba_side_module(line, RingDescriptor(
+        ROBBA, ("t",), ((-6, 6),), P, PM, slope=Fraction(1))))
+    # a negative-valuation term that never lands leaves the shift at 0
+    ring = RingDescriptor(TATE, ("x",), ((0, 5),), P, PM)
+    gam = SeriesMatrix.make(ring, [[Series.make(
+        ring, {(0,): _tok(2), (5,): _tok("1/3")})]])
+    out.append(robba_side_module(
+        SigmaNablaModule(ring, 1, gammas=(("x", gam),)),
+        RingDescriptor(ROBBA, ("t",), ((-6, 2),), P, PM, slope=Fraction(1))))
+    # positive exponents reach above the window and record loss
+    out += [_robba_module(11, (-5, 5), 2, PLAIN, lo=1),
+            _robba_module(12, (-5, 4), 2, NEGVAL, ("1/3", "2*p^-1"), lo=1)]
+    return out
+
+
+def _emitted(cdata):
+    """(integer entries in order, N, shift, floor) of each differential."""
+    out = []
+    for entries in cdata.matrices:
+        ints, N, shift, floor = _to_int_entries(entries, cdata.p, cdata.M)
+        out.append((list(ints.items()), N, shift, floor))
+    return out
+
+
+def _complex_digest(cdata) -> str:
+    payload = ([s.labels for s in cdata.spaces], _emitted(cdata),
+               str(cdata.loss), cdata.band, cdata.window_hi, cdata.window_lo,
+               cdata.two_sided, str(cdata.slope), cdata.p, cdata.M)
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+PINNED_BUILDER_DIGESTS = {
+    "mw": [
+        "ca30a8b79240b98398c00379d7b6bc8d7b4d246189987a59c7175812dbe03c4f",
+        "d25cebdb818b98435a12422f104a60ffeca3a9c0254c4904554e9c75d895ddfc",
+        "57dcc7e8f9cd86ac9c63efe5196feb895bd4c65c8892a91aa2c3e93a323d0936",
+        "e5afda0b8fbb4abdc3a0b7f3db6aa88dc6761bd6fa9a83c8c282621b1b4ad5cb",
+        "0fa5600fc1360269d71fbd508466d67bc314039a466ee51410238aa1de4b931a",
+        "c3578975354d7031c9cd43af99078222bc87c5cf861caac2a613ac202995df35",
+    ],
+    "compact": [
+        "8556d6d2fa1d9fc14abf8b60eccfdcdbda918fa71322c2743e0c98222637faaa",
+        "c04deb1773a2b73ed7bd3d130d7a264c3b6a2853fb2f751746baf9f110b4e928",
+        "8b91af2836f5ff5516c6f3740256e3feaa1513b7ce1a31877ce8376ffd1b1e37",
+        "7bbd28df202412a13f175eadfb7c44a9fcf8baf6e32ab180083a306301e80b3e",
+        "08b46e7055f6371faa6ea82637984f023192ad8bc12f84a675e4e3f5b83950fc",
+        "c5e4906d80937b7f98490efb8c1e3c6593ac0918aee814f3c3e1ac21f74ff930",
+    ],
+    "local": [
+        "ce85bc97fa8f9444ab3a035c03fdf082b499966a704e80caa5c0eb0aee6b5f50",
+        "e9297ee80bbee20fc8897d6cb87114229071ed670bd42cceec86e2b0d00fbd53",
+        "fc4db83984731a89c705bb2f8c6cf8b41dff3710648adb02516660888db45bd1",
+        "f1ddea56ecee357e9ebabecb95d0218146de1967b62a18ddb947a9a56e9380fe",
+        "0fba587715f017ff98e6752fe78257d8109e456a352c011a2ab93614767f2687",
+        "9b6f7e0dc4bee6d8a99848e34c733a7c3f75a1b7662983b01ab730352f38bf63",
+        "4ab11dcf81968c65da72939e800c3f5749d9f652eb67c42ddad2a4d29f92be30",
+        "0b293bd6444c50ff289f695d6eeccedce15f8f6aa47b0488d0a45d4750fcea1f",
+    ],
+    "quotient": [
+        "c81a64d5d7d60a9b4aa9b4a25608e51597054907ae31295c05c84cf0751b9ee7",
+        "4aa82f6f9d7b3cafa1fa958fce8b584705cbc7dfc7e4136213473cede7ee436a",
+        "2482dd258e2f6da3f8b8c162a9909aab20bdb0fe17e100af4d6404207284efca",
+        "bd1c5fa80641769f27728c33c5528130ed2dcd5cbd8622ea317d93e3068a1ece",
+        "e7b0cb77d9a3b0243ca555b24e095b15b9cf3d14c2a7503b6b08c181265edae9",
+        "90c02a1dd30fa1c5bc540288bec529516729dcc1d9fcf5c0c8a89e9a84d89a1f",
+        "585a23116dc4139c91898505be582337653ab0f6baae55eecc9436c06d3b7602",
+        "0114e2a23de169516f3099e2e86cb67515fd976e02f2b3053450a20ef6fa7ee6",
+    ],
+    "vertical":
+        "12bad3ea03c2342a35aa45809e7a3746ea932fed2d7d79138413a0782ae2a07e",
+}
+
+
+def _builder_digests():
+    tate, robba, line = _tate_modules(), _robba_modules(), _line_side_modules()
+    return {
+        "mw": [_complex_digest(mw_complex(m)) for m in tate],
+        "compact": [_complex_digest(compact_complex(m)) for m in tate],
+        "local": [_complex_digest(local_complex(m)) for m in robba],
+        "quotient": [_complex_digest(quotient_complex(m)) for m in line],
+        "vertical": _digest([_vertical_ranks(m, fi) for m in tate
+                             if len(m.ring.variables) == 2 for fi in (0, 1)]),
+    }
+
+
+def test_pinned_builder_output():
+    assert _builder_digests() == PINNED_BUILDER_DIGESTS
+
+
+def _criterion_4_images():
+    """apply_complex_map on the inputs of acceptance criterion 4."""
+    rng = random.Random(20240)
+    out = []
+    for n, window in ((1, 10), (2, 6)):
+        mod = trivial_module(n, 3, 14, window)
+        cc = compact_support_cohomology(mod)
+        mwd = mw_cohomology(mod.dual())
+        his = (window,) * n
+        for i in range(n):
+            csp, wsp = cc.cdata.spaces[i], mwd.cdata.spaces[n - i - 1]
+            cl = [l for l in csp.labels
+                  if all(1 <= x <= h - 1 for x, h in zip(l[2], his))]
+            wl = [l for l in wsp.labels
+                  if all(x <= h - 1 for x, h in zip(l[2], his))]
+            for _ in range(334 if n == 1 else 167):
+                v = ChainVector(csp, {
+                    lbl: make_scalar(rng.randint(1, 50), 3, 14)
+                    for lbl in rng.sample(cl, k=min(4, len(cl)))})
+                w = ChainVector(wsp, {
+                    lbl: make_scalar(rng.randint(1, 50), 3, 14)
+                    for lbl in rng.sample(wl, k=min(4, len(wl)))})
+                out.append(apply_complex_map(mwd, n - i - 1, w).records())
+                out.append(apply_complex_map(cc, i, v).records())
+    return out
+
+
+PINNED_PAIRING_DIGEST = (
+    "83709e5e79739aaa3118a290aad2ce96713f5b6698ca23c14bdaa1d2209e3159")
+
+
+def test_pinned_apply_complex_map():
+    assert _digest(_criterion_4_images()) == PINNED_PAIRING_DIGEST
