@@ -1,12 +1,17 @@
 """Windowed de Rham complexes and their certified cohomology.
 
-Three complex builders share one engine:
+One builder, ``_assemble``, makes every complex the engine reduces.  It lays
+out the labels (a, J, I) of each degree in order and emits each differential
+once, as integers mod p^N with its scaling (N, shift).  Its callers differ
+only in the exponent box of each degree, the derivative action, the sign of
+the connection's exponent shift and what happens at the box edge:
 
 * ``mw_complex``       - a module over a Tate/dagger window, dx gauge;
 * ``compact_complex``  - the quotient complex on strictly positive annulus
                          exponents computing compact supports of affine space
                          (written in inverted coordinates, dx gauge);
-* ``local_complex``    - the dlog operator D on a one-variable Robba window.
+* ``local_complex``    - the dlog operator D on a one-variable Robba window;
+* ``pushforward.quotient_complex`` and ``pushforward._vertical_ranks``.
 
 Dimensions come from p-adic Smith normal form ranks.  Hard windows create
 boundary artifacts (classes that exist only because the window cut the
@@ -20,40 +25,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import DescriptorMismatchError
-from .groebner import deglex_key
 from .linalg import SnfResult, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import PadicApprox, int_valuation
 from .report import CohomologyReport, DegreeData
-from .series import coeff_value
+from .series import _loss_min
 
 Label = tuple  # (component, forms J as sorted tuple of var indices, exponent I)
 
 
 @dataclass(frozen=True)
 class ChainSpace:
+    """Labels (a, J, I) ordered by exponent I (in the order of ``exps``),
+    then by form J (in combinations order), then by component a."""
     degree: int
-    labels: tuple
-    pos: dict
-
-    @staticmethod
-    def build(rank: int, nvars: int, degree: int, exp_range) -> "ChainSpace":
-        """exp_range(J) yields the exponent iterator for a form subset J."""
-        labels = []
-        for J in combinations(range(nvars), degree):
-            for I in exp_range(J):
-                for a in range(rank):
-                    labels.append((a, J, tuple(I)))
-        labels.sort(key=lambda l: (sum(l[2]), deglex_key(l[2]), l[1], l[0]))
-        return ChainSpace(degree, tuple(labels),
-                          {l: i for i, l in enumerate(labels)})
+    exps: tuple
+    forms: tuple
+    rank: int
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return len(self.exps) * len(self.forms) * self.rank
+
+    def label(self, idx: int) -> Label:
+        e, rest = divmod(idx, len(self.forms) * self.rank)
+        f, a = divmod(rest, self.rank)
+        return (a, self.forms[f], self.exps[e])
+
+    def index(self, label: Label) -> int:
+        a, J, I = label
+        return ((self._exp_index[I] * len(self.forms) + self._form_index[J])
+                * self.rank + a)
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple((a, J, I) for I in self.exps for J in self.forms
+                     for a in range(self.rank))
+
+    @cached_property
+    def _exp_index(self) -> dict:
+        return {I: e for e, I in enumerate(self.exps)}
+
+    @cached_property
+    def _form_index(self) -> dict:
+        return {J: f for f, J in enumerate(self.forms)}
 
 
 @dataclass(frozen=True)
@@ -64,7 +83,7 @@ class ChainVector:
 
     def records(self):
         return tuple((l, self.data[l].serialize())
-                     for l in sorted(self.data, key=lambda l: self.space.pos[l]))
+                     for l in sorted(self.data, key=self.space.index))
 
     def support_exponents(self):
         return [l[2] for l in self.data]
@@ -73,36 +92,17 @@ class ChainVector:
 @dataclass
 class ComplexData:
     spaces: list            # ChainSpace per degree
-    matrices: list          # entries {(row,col): PadicApprox} per map
+    matrices: list          # {(row, col): int mod p^N} per map
+    scalings: list          # (N, shift) per map: entries are values * p^shift
+    floors: list            # per map: least precision of a vanished entry
+    loss: Fraction | None   # least value of the terms the window dropped
     p: int
     M: int
     band: tuple             # per-variable edge-band width
     window_hi: tuple        # per-variable top (for edge detection)
     window_lo: tuple
     two_sided: bool         # robba windows get bands at both ends
-    loss: Fraction | None = None
     slope: Fraction | None = None   # annulus slope; enables divergence checks
-
-
-def _acc(entries: dict, key, val):
-    """Accumulate an entry; plain ints are kept as ints until conversion."""
-    if key in entries:
-        old = entries[key]
-        if isinstance(old, int) and isinstance(val, int):
-            entries[key] = old + val
-        else:
-            if isinstance(old, int):
-                old = _promote(old, val.prime, val.prec)
-            if isinstance(val, int):
-                val = _promote(val, old.prime, old.prec)
-            entries[key] = old.add(val)
-    else:
-        entries[key] = val
-
-
-def _promote(k: int, p: int, M: int) -> PadicApprox:
-    from .padics import make_scalar
-    return make_scalar(k, p, M)
 
 
 def _insert_sign(i: int, J: tuple) -> int:
@@ -110,15 +110,10 @@ def _insert_sign(i: int, J: tuple) -> int:
     return -1 if sum(1 for k in J if k < i) % 2 else 1
 
 
-def _gamma_terms(module: SigmaNablaModule, var: str):
-    """[(b, a, E, coeff)] for the dx_var connection matrix."""
-    g = module.gamma(var)
-    out = []
-    for b in range(module.rank):
-        for a in range(module.rank):
-            for E, c in g.rows[b][a].terms:
-                out.append((b, a, E, c))
-    return out
+def _terms(matrix):
+    """[(b, a, E, coeff)] for a connection matrix."""
+    return [(b, a, E, c) for b, row in enumerate(matrix.rows)
+            for a, s in enumerate(row) for E, c in s.terms]
 
 
 def _shift_bound(terms, nvars: int) -> tuple:
@@ -129,54 +124,222 @@ def _shift_bound(terms, nvars: int) -> tuple:
     return tuple(bound)
 
 
-# -- complex builders ----------------------------------------------------------
+# -- the complex builder ---------------------------------------------------------
+
+# Derivative actions, as (sign of the coefficient I_i, step of the exponent).
+D_X = (1, -1)       # d/dx_i x^I = I_i x^(I - e_i)
+D_INV = (-1, 1)     # the same in t_i = 1/x_i: -I_i t^(I + e_i)
+D_LOG = (1, 0)      # t_i d/dt_i t^I = I_i t^I
+
+_LOSS, _KILL = -1, -2   # cells outside a box: dropped with loss, or killed
+
+
+def _box_layout(lo, hi, frame_lo, widths, strides, kill_below, deglex):
+    """A box's exponents in label order, their frame codes, and the map from
+    frame code to exponent rank (_LOSS or _KILL outside the box)."""
+    exps = list(product(*(range(l, h + 1) for l, h in zip(lo, hi))))
+    codes = [0]
+    for l, h, f, s in zip(lo, hi, frame_lo, strides):
+        codes = [c + (x - f) * s for c in codes for x in range(l, h + 1)]
+    if deglex:
+        # ascending total degree, then descending lexicographic: deglex_key
+        order = sorted(zip(map(sum, exps), range(len(exps), 0, -1),
+                           exps, codes))
+        exps = [t[2] for t in order]
+        codes = [t[3] for t in order]
+    where = [_LOSS] * (strides[0] * widths[0])
+    if kill_below:
+        frame = product(*(range(f, f + w) for f, w in zip(frame_lo, widths)))
+        for code, X in enumerate(frame):
+            if any(x < l for x, l in zip(X, lo)):
+                where[code] = _KILL
+    for r, c in enumerate(codes):
+        where[c] = r
+    return tuple(exps), codes, where
+
+
+def _lands(E, exp_sign, src, dst) -> bool:
+    """Whether some exponent of the src box moves by exp_sign * E into the
+    dst box."""
+    return all(max(sl + exp_sign * e, dl) <= min(sh + exp_sign * e, dh)
+               for e, sl, sh, dl, dh in zip(E, *src, *dst))
+
+
+def _merged(k: int, c: PadicApprox, x, ps: int, shift: int, N: int, p: int):
+    """The exact integer k plus the coefficient c on one entry, truncated as
+    PadicApprox addition truncates it: to min(abs_prec(c), v_p(k) + prec(c))
+    digits.  Returns the scaled integer (0 when the sum vanishes there) and
+    that digit count, the floor of a vanished sum."""
+    digits = min(c.abs_prec(), int_valuation(k, p) + c.prec)
+    return (k * ps + (x or 0)) % p ** min(digits + shift, N), digits
+
+
+def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
+              deriv: tuple, exp_sign: int, kill_below: bool,
+              deglex: bool = True) -> tuple:
+    """Chain spaces and differentials of nabla = d + sum Gamma_i dx_i.
+
+    ``boxes[j]`` is the exponent box (lo, hi) of degree j; the forms of
+    degree j are the j-subsets of the ``acting`` variables.  ``terms[i]``
+    lists (b, a, E, c): a connection term of variable i sends component a
+    at exponent I to component b at I + exp_sign * E with coefficient c.
+    ``deriv`` is D_X, D_INV or D_LOG.  A target outside the box is dropped
+    and its coefficient's value (plus slope times its degree) recorded as
+    loss, except that with ``kill_below`` a target below the box in any
+    variable is killed exactly.  Exponents run in deglex order, or in
+    ``product`` order when ``deglex`` is false.
+
+    Each map is emitted once as {(row, col): int mod p^N} with N = M + shift,
+    shift undoing the most negative valuation among the terms that land.
+    Entries, their insertion order, the scaling, the floor (least precision
+    of an entry that vanished at precision) and the loss are those of
+    summing PadicApprox entries and scaling them to integers afterwards.
+
+    Returns (spaces, matrices, scalings, floors, loss).
+    """
+    p, M = ring.prime, ring.precision
+    slope = Fraction(ring.slope or 0)
+    coeff_sign, step = deriv
+    n = len(boxes[0][0])
+    all_terms = [t for ts in terms.values() for t in ts]
+    # One mixed-radix frame holds every box, padded so that each target has
+    # a cell.  A shift wider than the frame is clamped: its target is then
+    # outside every box, on the same side.
+    frame_lo, pad, widths = [], [], []
+    for v in range(n):
+        lo = min(b[0][v] for b in boxes)
+        hi = max(b[1][v] for b in boxes)
+        reach = max([abs(step) if v in acting else 0]
+                    + [abs(E[v]) for _, _, E, _ in all_terms])
+        pad.append(min(reach, hi - lo + 1))
+        frame_lo.append(lo - pad[v])
+        widths.append(hi - lo + 1 + 2 * pad[v])
+    strides = [1] * n
+    for v in range(n - 2, -1, -1):
+        strides[v] = strides[v + 1] * widths[v + 1]
+
+    def offset(E):
+        return sum(max(-d, min(d, exp_sign * e)) * s
+                   for e, d, s in zip(E, pad, strides))
+
+    layouts = {}
+    for box in boxes:
+        if box not in layouts:
+            layouts[box] = _box_layout(box[0], box[1], frame_lo, widths,
+                                       strides, kill_below, deglex)
+    spaces = [ChainSpace(j, layouts[box][0], tuple(combinations(acting, j)),
+                         rank) for j, box in enumerate(boxes)]
+
+    matrices, scalings, floors, loss = [], [], [], None
+    for j in range(len(boxes) - 1):
+        src, dst = spaces[j], spaces[j + 1]
+        codes = layouts[boxes[j]][1]
+        where = layouts[boxes[j + 1]][2]
+        vals = [c.val for _, _, E, c in all_terms if c.val is not None
+                and _lands(E, exp_sign, boxes[j], boxes[j + 1])]
+        shift = max(0, -min(vals)) if vals else 0
+        N = M + shift
+        mod, ps = p ** N, p ** shift
+
+        # per source form, per acting variable outside it: the derivative's
+        # scaled sign, frame offset and row offset, then per source
+        # component the connection terms with their integers and the term
+        # (if any) that lands on the derivative's entry
+        dst_form = {J: f for f, J in enumerate(dst.forms)}
+        plan = []
+        for J in src.forms:
+            fplan = []
+            for i in acting:
+                if i in J:
+                    continue
+                sign = _insert_sign(i, J)
+                roff = dst_form[tuple(sorted(J + (i,)))] * rank
+                by_a = [[] for _ in range(rank)]
+                merge = [None] * rank
+                for b, a, E, c in terms.get(i, ()):
+                    # a term whose valuation the shift does not cover never
+                    # lands; a limited zero has no integer
+                    cc = c if sign > 0 else c.neg()
+                    x = None
+                    if c.val is not None and c.val + shift >= 0:
+                        x = cc.unit * p ** (c.val + shift) % mod
+                    t = (offset(E), roff + b, x, cc, exp_sign * sum(E))
+                    by_a[a].append(t)
+                    if b == a and all(exp_sign * e == (step if v == i else 0)
+                                      for v, e in enumerate(E)):
+                        merge[a] = t
+                ds = sign * coeff_sign
+                fplan.append((i, ds, ds * ps, step * strides[i], roff, by_a,
+                              merge))
+            plan.append(fplan)
+
+        entries: dict = {}
+        floor = None
+        W2 = len(dst.forms) * rank
+        col = 0
+        for I, code in zip(src.exps, codes):
+            for fplan in plan:
+                for a in range(rank):
+                    for i, ds, dk, doff, roff, by_a, merge in fplan:
+                        skip = None
+                        k = I[i]
+                        if k:
+                            r = where[code + doff]
+                            if r >= 0:
+                                t = merge[a]
+                                key = (r * W2 + roff + a, col)
+                                if t is None:
+                                    x = dk * k % mod
+                                    if x:
+                                        entries[key] = x
+                                else:
+                                    skip = t
+                                    x, digits = _merged(ds * k, t[3], t[2],
+                                                        ps, shift, N, p)
+                                    if x:
+                                        entries[key] = x
+                                    else:
+                                        floor = _loss_min(floor, digits)
+                            elif r == _LOSS:
+                                loss = _loss_min(loss, Fraction(0))
+                        for t in by_a[a]:
+                            if t is skip:
+                                continue
+                            off, radd, x, c, esum = t
+                            r = where[code + off]
+                            if r >= 0:
+                                if x is None:
+                                    floor = _loss_min(floor, c.prec)
+                                else:
+                                    entries[(r * W2 + radd, col)] = x
+                            elif r == _LOSS and c.val is not None:
+                                loss = _loss_min(
+                                    loss, c.val + slope * (sum(I) + esum))
+                    col += 1
+        matrices.append(entries)
+        scalings.append((N, shift))
+        floors.append(floor)
+    return spaces, matrices, scalings, floors, loss
+
+
+def _tate_complex(module, name, low, deriv, exp_sign, kill_below):
+    ring = module.ring
+    if ring.is_robba():
+        raise DescriptorMismatchError(f"{name} needs a tate/dagger module")
+    n = len(ring.variables)
+    his = tuple(hi for _, hi in ring.window)
+    terms = {v: _terms(module.gamma(ring.variables[v])) for v in range(n)}
+    band = tuple(1 + b for b in _shift_bound(
+        [t for ts in terms.values() for t in ts], n))
+    built = _assemble(ring, module.rank, [((low,) * n, his)] * (n + 1),
+                      tuple(range(n)), terms, deriv, exp_sign, kill_below)
+    return ComplexData(*built, ring.prime, ring.precision, band, his,
+                       (low,) * n, False, Fraction(0))
 
 
 def mw_complex(module: SigmaNablaModule) -> ComplexData:
     """The de Rham complex of a module over a Tate/dagger window, dx gauge."""
-    ring = module.ring
-    if ring.is_robba():
-        raise DescriptorMismatchError("mw_complex needs a tate/dagger module")
-    n = len(ring.variables)
-    his = tuple(hi for _, hi in ring.window)
-    rank = module.rank
-
-    def exp_range(_J):
-        return product(*(range(0, h + 1) for h in his))
-
-    spaces = [ChainSpace.build(rank, n, j, exp_range) for j in range(n + 1)]
-    gterms = {v: _gamma_terms(module, ring.variables[v]) for v in range(n)}
-    band = tuple(1 + b for b in _shift_bound(
-        [t for ts in gterms.values() for t in ts], n))
-
-    loss = None
-    matrices = []
-    for j in range(n):
-        src, dst = spaces[j], spaces[j + 1]
-        entries: dict = {}
-        for col, (a, J, I) in enumerate(src.labels):
-            for i in range(n):
-                if i in J:
-                    continue
-                sign = _insert_sign(i, J)
-                J2 = tuple(sorted(J + (i,)))
-                if I[i] > 0:
-                    I2 = I[:i] + (I[i] - 1,) + I[i + 1:]
-                    _acc(entries, (dst.pos[(a, J2, I2)], col), I[i] * sign)
-                for (b, aa, E, c) in gterms[i]:
-                    if aa != a:
-                        continue
-                    I2 = tuple(x + e for x, e in zip(I, E))
-                    cc = c if sign > 0 else c.neg()
-                    if all(0 <= x <= h for x, h in zip(I2, his)):
-                        _acc(entries, (dst.pos[(b, J2, I2)], col), cc)
-                    else:
-                        v = coeff_value(c)
-                        if v is not None:
-                            loss = v if loss is None else min(loss, Fraction(v))
-        matrices.append(entries)
-    return ComplexData(spaces, matrices, ring.prime, ring.precision,
-                       band, his, (0,) * n, False, loss, Fraction(0))
+    return _tate_complex(module, "mw_complex", 0, D_X, 1, False)
 
 
 def compact_complex(module: SigmaNablaModule) -> ComplexData:
@@ -186,55 +349,7 @@ def compact_complex(module: SigmaNablaModule) -> ComplexData:
     connection entries act through negated exponents.  Exponents leaving the
     strictly positive region are killed by the quotient (exactly), exponents
     above the window top are tracked loss."""
-    ring = module.ring
-    if ring.is_robba():
-        raise DescriptorMismatchError("compact_complex needs a tate/dagger module")
-    n = len(ring.variables)
-    his = tuple(hi for _, hi in ring.window)
-    rank = module.rank
-
-    def exp_range(_J):
-        return product(*(range(1, h + 1) for h in his))
-
-    spaces = [ChainSpace.build(rank, n, j, exp_range) for j in range(n + 1)]
-    gterms = {v: _gamma_terms(module, ring.variables[v]) for v in range(n)}
-    band = tuple(1 + b for b in _shift_bound(
-        [t for ts in gterms.values() for t in ts], n))
-
-    loss = None
-    matrices = []
-    for j in range(n):
-        src, dst = spaces[j], spaces[j + 1]
-        entries: dict = {}
-        for col, (a, J, I) in enumerate(src.labels):
-            for i in range(n):
-                if i in J:
-                    continue
-                sign = _insert_sign(i, J)
-                J2 = tuple(sorted(J + (i,)))
-                # d/dx on t^I: -I_i t^(I+e_i)
-                I2 = I[:i] + (I[i] + 1,) + I[i + 1:]
-                if I2[i] <= his[i]:
-                    _acc(entries, (dst.pos[(a, J2, I2)], col), -I[i] * sign)
-                else:
-                    loss = Fraction(0) if loss is None else min(loss, Fraction(0))
-                for (b, aa, E, c) in gterms[i]:
-                    if aa != a:
-                        continue
-                    # x^E multiplies as t^(-E)
-                    I3 = tuple(x - e for x, e in zip(I, E))
-                    if any(x < 1 for x in I3):
-                        continue          # exact quotient projection
-                    cc = c if sign > 0 else c.neg()
-                    if all(x <= h for x, h in zip(I3, his)):
-                        _acc(entries, (dst.pos[(b, J2, I3)], col), cc)
-                    else:
-                        v = coeff_value(c)
-                        if v is not None:
-                            loss = v if loss is None else min(loss, Fraction(v))
-        matrices.append(entries)
-    return ComplexData(spaces, matrices, ring.prime, ring.precision,
-                       band, his, (1,) * n, False, loss, Fraction(0))
+    return _tate_complex(module, "compact_complex", 1, D_INV, -1, True)
 
 
 def local_complex(module: SigmaNablaModule) -> ComplexData:
@@ -244,72 +359,22 @@ def local_complex(module: SigmaNablaModule) -> ComplexData:
     if not ring.is_robba() or len(ring.variables) != 1:
         raise DescriptorMismatchError("local_complex needs a one-variable robba module")
     lo, hi = ring.window[0]
-    rank = module.rank
-
-    def exp_range(_J):
-        return ((i,) for i in range(lo, hi + 1))
-
-    spaces = [ChainSpace.build(rank, 1, j, exp_range) for j in range(2)]
-    nterms = []
-    for b in range(rank):
-        for a in range(rank):
-            for E, c in module.connection.rows[b][a].terms:
-                nterms.append((b, a, E, c))
-    shifts = _shift_bound(nterms, 1)
+    terms = _terms(module.connection)
+    shifts = _shift_bound(terms, 1)
     band = (0,) if shifts == (0,) else (1 + shifts[0],)
-
-    src, dst = spaces
-    entries: dict = {}
-    loss = None
-    for col, (a, J, I) in enumerate(src.labels):
-        if I[0] != 0:
-            _acc(entries, (dst.pos[(a, (0,), I)], col), I[0])
-        for (b, aa, E, c) in nterms:
-            if aa != a:
-                continue
-            i2 = I[0] + E[0]
-            if lo <= i2 <= hi:
-                _acc(entries, (dst.pos[(b, (0,), (i2,))], col), c)
-            else:
-                v = coeff_value(c)
-                if v is not None:
-                    vv = Fraction(v) + Fraction(ring.slope) * i2
-                    loss = vv if loss is None else min(loss, vv)
-    return ComplexData(spaces, [entries], ring.prime, ring.precision,
-                       band, (hi,), (lo,), True, loss, ring.slope)
+    built = _assemble(ring, module.rank, [((lo,), (hi,))] * 2, (0,),
+                      {0: terms}, D_LOG, 1, False)
+    return ComplexData(*built, ring.prime, ring.precision, band, (hi,),
+                       (lo,), True, ring.slope)
 
 
 # -- the engine -----------------------------------------------------------------
-
-def _to_int_entries(entries: dict, p: int, M: int):
-    """Entries (ints or PadicApprox) -> integers mod p^N with a global shift."""
-    vals = [c.val for c in entries.values()
-            if not isinstance(c, int) and c.val is not None]
-    shift = -min(vals) if vals and min(vals) < 0 else 0
-    N = M + shift
-    mod = p ** N
-    out = {}
-    floor = None
-    for key, c in entries.items():
-        if isinstance(c, int):
-            x = c * p ** shift % mod
-            if x:
-                out[key] = x
-            continue
-        if c.val is None:
-            if c.limited:
-                floor = c.prec if floor is None else min(floor, c.prec)
-            continue
-        out[key] = c.unit * p ** (c.val + shift) % mod
-    return out, N, shift, floor
-
 
 @dataclass
 class ComplexCohomology:
     report: CohomologyReport
     cdata: ComplexData
-    snfs: list              # SnfResult per map (same scaling data attached)
-    scalings: list          # (N, shift) per map
+    snfs: list              # SnfResult per map, at the map's scaling
 
     def boundary_solver(self, degree: int):
         """SNF of the incoming map at a degree (None at the bottom)."""
@@ -322,7 +387,7 @@ def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
     if all(b == 0 for b in cdata.band):
         return False
     for idx in vec:
-        a, J, I = space.labels[idx]
+        a, J, I = space.label(idx)
         near = False
         for v, x in enumerate(I):
             if x > cdata.window_hi[v] - cdata.band[v]:
@@ -344,7 +409,7 @@ def _slope_edge_limited(vec: dict, space: ChainSpace, cdata: ComplexData,
     best, argmin = None, []
     for idx in sorted(vec):
         x = vec[idx]
-        _, _, I = space.labels[idx]
+        _, _, I = space.label(idx)
         key = (Fraction(int_valuation(x, p))
                + sum(Fraction(cdata.slope) * e for e in I))
         if best is None or key < best:
@@ -377,19 +442,18 @@ def _int_vec_to_chain(vec: dict, space: ChainSpace, p: int, N: int,
         val = v - shift
         prec = min(N - v, M - val) if M - val > 0 else N - v
         prec = max(prec, 1)
-        data[space.labels[idx]] = PadicApprox(p, x % p ** prec, val, prec)
+        data[space.label(idx)] = PadicApprox(p, x % p ** prec, val, prec)
     return ChainVector(space, data)
 
 
 def complex_cohomology(cdata: ComplexData, label: str,
                        want_generators: bool = True) -> ComplexCohomology:
     p, M = cdata.p, cdata.M
-    snfs, scalings = [], []
-    for idx, entries in enumerate(cdata.matrices):
-        ints, N, shift, floor = _to_int_entries(entries, p, M)
-        snfs.append(sparse_snf(cdata.spaces[idx + 1].dim,
-                               cdata.spaces[idx].dim, ints, p, N))
-        scalings.append((N, shift))
+    scalings = cdata.scalings
+    snfs = [sparse_snf(cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim,
+                       entries, p, N)
+            for idx, (entries, (N, _)) in enumerate(zip(cdata.matrices,
+                                                        scalings))]
 
     degrees = {}
     gap = min((s.certification_gap() - sc[1] for s, sc in zip(snfs, scalings)),
@@ -413,7 +477,7 @@ def complex_cohomology(cdata: ComplexData, label: str,
             gens = tuple(kept)
         degrees[j] = DegreeData(raw - excluded, gens, raw, excluded)
     report = CohomologyReport(label, degrees, gap, cdata.loss)
-    return ComplexCohomology(report, cdata, snfs, scalings)
+    return ComplexCohomology(report, cdata, snfs)
 
 
 def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
@@ -435,10 +499,9 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
                     uinv_cols.setdefault(c, {})[r] = x
         if j < top:
             # induced map on the quotient: d_j composed with Uinv columns
-            dints, N2, shift2, _ = _to_int_entries(cdata.matrices[j],
-                                                   cdata.p, cdata.M)
+            N2 = cdata.scalings[j][0]
             by_col: dict[int, dict[int, int]] = {}
-            for (r, c), x in dints.items():
+            for (r, c), x in cdata.matrices[j].items():
                 by_col.setdefault(c, {})[r] = x
             mod2 = cdata.p ** N2
             bent = {}
@@ -481,9 +544,8 @@ def compact_support_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     n = len(module.ring.variables)
     shifted = {n + j: dd for j, dd in cc.report.degrees.items()}
     rep = CohomologyReport(cc.report.label, shifted, cc.report.precision_gap,
-                           cc.report.truncation, cc.report.reliable,
-                           cc.report.notes)
-    return ComplexCohomology(rep, cc.cdata, cc.snfs, cc.scalings)
+                           cc.report.truncation, cc.report.notes)
+    return ComplexCohomology(rep, cc.cdata, cc.snfs)
 
 
 def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:

@@ -23,7 +23,7 @@ from .cohomology import (
 from .errors import DescriptorMismatchError
 from .linalg import sparse_snf
 from .modules import SigmaNablaModule
-from .padics import PadicApprox
+from .padics import PadicApprox, make_scalar
 
 
 def _shuffle_sign(J: tuple, Jp: tuple) -> int:
@@ -64,21 +64,23 @@ def residue_pairing(v: ChainVector, w: ChainVector, n: int) -> PadicApprox:
 def apply_complex_map(cc: ComplexCohomology, degree: int,
                       v: ChainVector) -> ChainVector:
     """The complex differential applied to a chain vector (exact on the
-    stored window; dropped terms were already recorded as loss)."""
-    entries = cc.cdata.matrices[degree]
-    src = cc.cdata.spaces[degree]
-    dst = cc.cdata.spaces[degree + 1]
-    p, M = cc.cdata.p, cc.cdata.M
-    cols: dict[int, dict[int, object]] = {}
-    for (r, c), x in entries.items():
+    stored window; dropped terms were already recorded as loss).  Each
+    stored entry x is read as the exact rational x / p^shift, x taken as
+    its least-absolute residue mod p^N."""
+    cdata = cc.cdata
+    src, dst = cdata.spaces[degree], cdata.spaces[degree + 1]
+    p, M = cdata.p, cdata.M
+    N, shift = cdata.scalings[degree]
+    mod = p ** N
+    cols: dict[int, dict[int, int]] = {}
+    for (r, c), x in cdata.matrices[degree].items():
         cols.setdefault(c, {})[r] = x
     out: dict = {}
-    from .padics import make_scalar
     for label, coeff in v.data.items():
-        for r, x in cols.get(src.pos[label], {}).items():
-            xs = make_scalar(x, p, M) if isinstance(x, int) else x
-            t = coeff.mul(xs)
-            lbl = dst.labels[r]
+        for r, x in cols.get(src.index(label), {}).items():
+            t = coeff.mul(make_scalar(
+                Fraction(x if 2 * x < mod else x - mod, p ** shift), p, M))
+            lbl = dst.label(r)
             out[lbl] = out[lbl].add(t) if lbl in out else t
     return ChainVector(dst, {l: c for l, c in out.items() if not c.is_exact_zero()})
 

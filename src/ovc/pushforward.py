@@ -14,16 +14,17 @@ cokernel instead, which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cohomology import (
-    ChainSpace,
+    D_LOG,
+    D_X,
     ChainVector,
-    ComplexCohomology,
-    _int_vec_to_chain,
-    _to_int_entries,
-    complex_cohomology,
     ComplexData,
+    _assemble,
+    _int_vec_to_chain,
+    _shift_bound,
+    _terms,
+    complex_cohomology,
     local_complex,
     mw_complex,
     mw_cohomology,
@@ -93,16 +94,16 @@ def _chain_to_int(vec: ChainVector, shift: int, N: int, p: int) -> dict:
     for label, c in vec.data.items():
         if c.val is None:
             continue
-        out[vec.space.pos[label]] = c.unit * p ** (c.val + shift) % p ** N
+        out[vec.space.index(label)] = c.unit * p ** (c.val + shift) % p ** N
     return out
 
 
-def _boundary_cols(matrix_entries, p, M):
-    ints, N, shift, _ = _to_int_entries(matrix_entries, p, M)
+def _boundary_cols(cdata: ComplexData):
+    """Columns of the complex's first map, with its scaling (N, shift)."""
     cols: dict[int, dict[int, int]] = {}
-    for (r, c), x in ints.items():
+    for (r, c), x in cdata.matrices[0].items():
         cols.setdefault(c, {})[r] = x
-    return list(cols.values()), N, shift
+    return (list(cols.values()),) + cdata.scalings[0]
 
 
 # -- the bundle --------------------------------------------------------------------
@@ -148,45 +149,14 @@ def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
     exponents, target on nonnegative dlog exponents; components falling to
     the line side are killed by the quotient (exactly)."""
     ring = loc_module.ring
-    lo, hi = ring.window[0]
-    rank = loc_module.rank
-
-    src = ChainSpace.build(rank, 1, 0, lambda J: ((i,) for i in range(1, hi + 1)))
-    dst = ChainSpace.build(rank, 1, 1, lambda J: ((i,) for i in range(0, hi + 1)))
-    nterms = []
-    for b in range(rank):
-        for a in range(rank):
-            for E, c in loc_module.connection.rows[b][a].terms:
-                nterms.append((b, a, E[0], c))
-    loss = None
-    entries: dict = {}
-    for col, (a, J, I) in enumerate(src.labels):
-        i = I[0]
-        entries[(dst.pos[(a, (0,), (i,))], col)] = i
-        for (b, aa, e, c) in nterms:
-            if aa != a:
-                continue
-            i2 = i + e
-            if i2 < 0:
-                continue                  # exact quotient projection
-            if i2 > hi:
-                v = c.val
-                if v is not None:
-                    vv = Fraction(v) + Fraction(ring.slope) * i2
-                    loss = vv if loss is None else min(loss, vv)
-                continue
-            key = (dst.pos[(b, (0,), (i2,))], col)
-            if key in entries:
-                prev = entries[key]
-                if isinstance(prev, int):
-                    prev = make_scalar(prev, ring.prime, ring.precision)
-                entries[key] = prev.add(c)
-            else:
-                entries[key] = c
-    shifts = max((abs(e) for _, _, e, _ in nterms), default=0)
-    band = (0,) if shifts == 0 else (1 + shifts,)
-    return ComplexData([src, dst], [entries], ring.prime, ring.precision,
-                       band, (hi,), (0,), False, loss, ring.slope)
+    hi = ring.window[0][1]
+    terms = _terms(loc_module.connection)
+    shifts = _shift_bound(terms, 1)
+    band = (0,) if shifts == (0,) else (1 + shifts[0],)
+    built = _assemble(ring, loc_module.rank, [((1,), (hi,)), ((0,), (hi,))],
+                      (0,), {0: terms}, D_LOG, 1, True)
+    return ComplexData(*built, ring.prime, ring.precision, band, (hi,), (0,),
+                       False, ring.slope)
 
 
 def pushforward_complex(module: SigmaNablaModule,
@@ -229,9 +199,9 @@ def pushforward_complex(module: SigmaNablaModule,
     nodes = {}
     reports = {}
 
-    def node(name, gens_cv, ambient_space, boundary_entries):
-        if boundary_entries is not None:
-            bcols, N, shift = _boundary_cols(boundary_entries, p, M)
+    def node(name, gens_cv, ambient_space, boundary=None):
+        if boundary is not None:
+            bcols, N, shift = _boundary_cols(boundary)
         else:
             bcols, N, shift = [], M, 0
         ints = [_chain_to_int(g, shift, N, p) for g in gens_cv]
@@ -241,14 +211,14 @@ def pushforward_complex(module: SigmaNablaModule,
         reports[name] = CohomologyReport(name, degree_map, M)
         return cs
 
-    node("r0f", list(mwc.report.generators(0)), mwc.cdata.spaces[0], None)
+    node("r0f", list(mwc.report.generators(0)), mwc.cdata.spaces[0])
     node("r1f", list(mwc.report.generators(1)), mwc.cdata.spaces[1],
-         mwc.cdata.matrices[0])
-    node("r0loc", loc_gens[0], locc.cdata.spaces[0], None)
-    node("r1loc", loc_gens[1], locc.cdata.spaces[1], locc.cdata.matrices[0])
-    node("r1shriek", list(quc.report.generators(0)), quc.cdata.spaces[0], None)
+         mwc.cdata)
+    node("r0loc", loc_gens[0], locc.cdata.spaces[0])
+    node("r1loc", loc_gens[1], locc.cdata.spaces[1], locc.cdata)
+    node("r1shriek", list(quc.report.generators(0)), quc.cdata.spaces[0])
     node("r2shriek", list(quc.report.generators(1)), quc.cdata.spaces[1],
-         quc.cdata.matrices[0])
+         quc.cdata)
 
     maps = _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes)
     r1prim = _matrix_rank(maps["delta"], p, M)
@@ -292,7 +262,7 @@ def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
         out = {}
         for (a, J, (k,)), c in g.data.items():
             if c.val is not None:
-                out[loc0.pos[(a, (), (-k,))]] = c.unit * p ** c.val % p ** N
+                out[loc0.index((a, (), (-k,)))] = c.unit * p ** c.val % p ** N
         return out
 
     # pi0: annulus functions onto strictly positive exponents
@@ -301,14 +271,14 @@ def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
         out = {}
         for (a, J, (i,)), c in g.data.items():
             if i >= 1 and c.val is not None:
-                out[qu0.pos[(a, (), (i,))]] = c.unit * p ** c.val % p ** N
+                out[qu0.index((a, (), (i,)))] = c.unit * p ** c.val % p ** N
         return out
 
     # delta: lift a quotient kernel class, apply the local operator, read the
     # result on the line side (t^j dt/t = -x^(-j-1) dx for j <= -1)
-    lints, Nl, shiftl, _ = _to_int_entries(locc.cdata.matrices[0], p, M)
+    Nl, shiftl = locc.cdata.scalings[0]
     lcols: dict[int, dict[int, int]] = {}
-    for (r, c), x in lints.items():
+    for (r, c), x in locc.cdata.matrices[0].items():
         lcols.setdefault(c, {})[r] = x
 
     def delta(g: ChainVector):
@@ -316,7 +286,7 @@ def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
         lifted = {}
         for (a, J, (i,)), c in g.data.items():
             if c.val is not None:
-                lifted[loc0.pos[(a, (), (i,))]] = (
+                lifted[loc0.index((a, (), (i,)))] = (
                     c.unit * p ** (c.val + shiftl) % p ** Nl)
         image: dict[int, int] = {}
         for idx, x in lifted.items():
@@ -326,12 +296,12 @@ def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
         for idx, x in image.items():
             if not x:
                 continue
-            a, J, (j,) = loc1.labels[idx]
+            a, J, (j,) = loc1.label(idx)
             if j >= 0:
                 continue   # vanishes in the quotient at precision
             v = (-x) % p ** N
             if v:
-                out[x1.pos[(a, (0,), (-j - 1,))]] = v
+                out[x1.index((a, (0,), (-j - 1,)))] = v
         return out
 
     # iota1: line-side one-forms into dlog forms, x^k dx = -t^(-k-1) dt/t
@@ -340,7 +310,7 @@ def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
         out = {}
         for (a, J, (k,)), c in g.data.items():
             if c.val is not None:
-                out[loc1.pos[(a, (0,), (-k - 1,))]] = (
+                out[loc1.index((a, (0,), (-k - 1,)))] = (
                     (-c.unit) * p ** c.val % p ** N)
         return out
 
@@ -350,7 +320,7 @@ def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
         out = {}
         for (a, J, (i,)), c in g.data.items():
             if i >= 0 and c.val is not None:
-                out[qu1.pos[(a, (0,), (i,))]] = c.unit * p ** c.val % p ** N
+                out[qu1.index((a, (0,), (i,)))] = c.unit * p ** c.val % p ** N
         return out
 
     return {
@@ -555,41 +525,14 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
 def _vertical_ranks(module, fi):
     """Certified rank data of the vertical connection on the plane window."""
     ring = module.ring
-    p, M = ring.prime, ring.precision
-    n = 2
     his = tuple(hi for _, hi in ring.window)
-    rank = module.rank
-    from itertools import product as iproduct
-
-    labels0 = [(a, (), I) for I in iproduct(*(range(h + 1) for h in his))
-               for a in range(rank)]
-    pos0 = {l: i for i, l in enumerate(labels0)}
-    labels1 = [(a, (fi,), I) for I in iproduct(*(range(h + 1) for h in his))
-               for a in range(rank)]
-    pos1 = {l: i for i, l in enumerate(labels1)}
-    gam = module.gamma(ring.variables[fi])
-    entries = {}
-    for (a, J, I), col in pos0.items():
-        if I[fi] > 0:
-            I2 = list(I)
-            I2[fi] -= 1
-            entries[(pos1[(a, (fi,), tuple(I2))], col)] = I[fi]
-        for b in range(rank):
-            for E, c in gam.rows[b][a].terms:
-                I3 = tuple(x + e for x, e in zip(I, E))
-                if all(0 <= x <= h for x, h in zip(I3, his)):
-                    key = (pos1[(b, (fi,), I3)], col)
-                    if key in entries:
-                        prev = entries[key]
-                        if isinstance(prev, int):
-                            prev = make_scalar(prev, p, M)
-                        entries[key] = prev.add(c)
-                    else:
-                        entries[key] = c
-    ints, N, shift, _ = _to_int_entries(entries, p, M)
-    snf = sparse_snf(len(labels1), len(labels0), ints, p, N)
-    r = snf.rank()
-    return r, len(labels0) - r, len(labels0), len(labels1)
+    box = ((0,) * len(his), his)
+    (src, dst), (entries,), ((N, _),), _, _ = _assemble(
+        ring, module.rank, [box, box], (fi,),
+        {fi: _terms(module.gamma(ring.variables[fi]))}, D_X, 1, False,
+        deglex=False)
+    r = sparse_snf(dst.dim, src.dim, entries, ring.prime, N).rank()
+    return r, src.dim - r, src.dim, dst.dim
 
 
 def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
@@ -649,11 +592,10 @@ def _line_class_solver(fib, gens, kernel_side):
     """Solve ambient fiber vectors against the generator classes."""
     p, M = fib.cdata.p, fib.cdata.M
     space = fib.cdata.spaces[0 if kernel_side else 1]
-    boundary = None if kernel_side else fib.cdata.matrices[0]
-    if boundary is not None:
-        bcols, N, shift = _boundary_cols(boundary, p, M)
-    else:
+    if kernel_side:
         bcols, N, shift = [], M, 0
+    else:
+        bcols, N, shift = _boundary_cols(fib.cdata)
     ints = [_chain_to_int(g, shift, N, p) for g in gens]
     cs = ClassSpace("line", space.dim, ints, p, N, bcols)
 
@@ -664,7 +606,7 @@ def _line_class_solver(fib, gens, kernel_side):
                 continue
             if c.val < 0:
                 return None
-            vec[space.pos[lbl]] = c.unit * p ** c.val % p ** N
+            vec[space.index(lbl)] = c.unit * p ** c.val % p ** N
         return cs.class_coords(vec)
 
     return solve

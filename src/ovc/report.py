@@ -20,7 +20,6 @@ class CohomologyReport:
     degrees: dict            # degree -> DegreeData
     precision_gap: int       # distance of the largest divisor to the ceiling
     truncation: Fraction | None = None
-    reliable: bool = True
     notes: tuple = ()
 
     def dims(self) -> dict:

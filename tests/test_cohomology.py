@@ -13,7 +13,6 @@ from ovc.cohomology import (
     mw_cohomology,
     mw_complex,
     twisted_diagonal_cohomology,
-    _to_int_entries,
 )
 from ovc.acceptance import dwork_module, kummer_module, trivial_module
 from ovc.linalg import _val
@@ -75,8 +74,7 @@ def test_mw_dims_match_dense_oracle_small():
         cdata = mw_complex(mod)
         dims = mw_cohomology(mod).report
         ranks = []
-        for entries in cdata.matrices:
-            ints, N, _, _ = _to_int_entries(entries, P, 8)
+        for ints, (N, _) in zip(cdata.matrices, cdata.scalings):
             ranks.append(dense_rank(ints, P, N))
         for j, space in enumerate(cdata.spaces):
             r_out = ranks[j] if j < len(ranks) else 0
@@ -281,11 +279,8 @@ def _line_side_modules():
 
 def _emitted(cdata):
     """(integer entries in order, N, shift, floor) of each differential."""
-    out = []
-    for entries in cdata.matrices:
-        ints, N, shift, floor = _to_int_entries(entries, cdata.p, cdata.M)
-        out.append((list(ints.items()), N, shift, floor))
-    return out
+    return [(list(ints.items()), N, shift, floor) for ints, (N, shift), floor
+            in zip(cdata.matrices, cdata.scalings, cdata.floors)]
 
 
 def _complex_digest(cdata) -> str:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ovc.acceptance import TATE
-from ovc.cohomology import _to_int_entries, mw_complex
+from ovc.cohomology import mw_complex
 from ovc.linalg import _val, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.series import RingDescriptor, Series
@@ -175,12 +175,9 @@ def _plane_differentials(seed=5, window=8, p=3, M=20):
         (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
         for v, c in (("x", f), ("y", g))))
     cdata = mw_complex(module)
-    out = []
-    for idx, entries in enumerate(cdata.matrices):
-        ints, N, _, _ = _to_int_entries(entries, p, M)
-        out.append((cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim, ints,
-                    p, N))
-    return out
+    return [(cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim, ints, p, N)
+            for idx, (ints, (N, _)) in enumerate(zip(cdata.matrices,
+                                                     cdata.scalings))]
 
 
 PINNED_MATRIX_DIGESTS = [
