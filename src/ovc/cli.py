@@ -6,14 +6,12 @@ deterministic report.
 The command must match the problem file's command block.  Reports are
 byte-identical for identical inputs and version; wall time goes to stderr so
 it never breaks that guarantee.  Exit codes: 0 success, 1 engine error,
-2 parse error.  OVC_THREADS caps internal parallelism (all current kernels
-are deterministic and single-threaded, so any cap is honored trivially).
+2 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -137,6 +135,8 @@ def run_command(pf: ProblemFile) -> RunReport:
             report.add("note", note)
         report.add("precision-floor", pf.M)
     elif name == "leray":
+        if len(args) != 3:
+            raise ParseError("leray needs '<module> <fiber> <base>'")
         module = _module(pf, args[0])
         rep = leray_assemble(module, args[1], args[2])
         report.add("fiber-kernel-rank", rep.fiber_kernel_rank)
@@ -198,8 +198,12 @@ def run_command(pf: ProblemFile) -> RunReport:
         report.add("nondegenerate", "pass" if rep.nondegenerate else "FAIL")
     elif name == "groebner-reduce":
         opts = dict(zip(args[0::2], args[1::2]))
-        gens = [pf.series[g] for g in opts["basis"].split(",")]
-        y, z = pf.series[opts["y"]], pf.series[opts["z"]]
+        for key in ("basis", "y", "z"):
+            if key not in opts:
+                raise ParseError(f"groebner-reduce needs '{key} <series>'")
+        gens = [_named(pf.series, "series", g)
+                for g in opts["basis"].split(",")]
+        y, z = (_named(pf.series, "series", opts[k]) for k in ("y", "z"))
         basis = complete_leading_basis(gens)
         u = reduce_element(y, z, basis)
         _series_records(report, "u", u)
@@ -208,7 +212,7 @@ def run_command(pf: ProblemFile) -> RunReport:
         report.add("leading-decay", basis[0].rho_D)
     elif name == "selftest":
         from .acceptance import run_all
-        results = run_all(fast="fast" in args)
+        results = run_all()
         failed = 0
         for r in results:
             report.add(f"criterion.{r.number:02d}",
@@ -223,10 +227,13 @@ def run_command(pf: ProblemFile) -> RunReport:
 
 
 def _module(pf: ProblemFile, name: str):
-    mod = pf.modules.get(name)
-    if mod is None:
-        raise ParseError(f"module {name!r} not defined")
-    return mod
+    return _named(pf.modules, "module", name)
+
+
+def _named(table: dict, kind: str, name: str):
+    if name not in table:
+        raise ParseError(f"{kind} {name!r} not defined")
+    return table[name]
 
 
 def main(argv=None) -> int:
@@ -240,15 +247,6 @@ def main(argv=None) -> int:
                         default="text")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
-
-    threads = os.environ.get("OVC_THREADS", "1")
-    try:
-        if int(threads) < 1:
-            raise ValueError
-    except ValueError:
-        print(f"error: OVC_THREADS={threads!r} is not a positive integer",
-              file=sys.stderr)
-        return 2
 
     t0 = time.monotonic()
     try:

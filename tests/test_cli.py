@@ -1,6 +1,5 @@
 """Problem-file parsing, dispatch, determinism, and exit codes."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -147,19 +146,36 @@ def test_cli_output_file(tmp_path):
     assert out.read_bytes().startswith(b"command=cohomology")
 
 
-def test_cli_threads_env(tmp_path):
+def test_cli_runs_byte_identical(tmp_path):
     good = tmp_path / "ok.ovc"
     good.write_text(MINIMAL)
     outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, OVC_THREADS=threads)
-        proc = _run(["cohomology", str(good), "--format", "structured"],
-                    env=env)
+    for _ in range(2):
+        proc = _run(["cohomology", str(good), "--format", "structured"])
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-    env = dict(os.environ, OVC_THREADS="zero")
-    assert _run(["cohomology", str(good)], env=env).returncode == 2
+
+
+@pytest.mark.parametrize("command, name, block", [
+    # the z option is missing
+    ("groebner-reduce", "groebner_reduce.ovc",
+     "command groebner-reduce basis g1 y yv"),
+    # the base variable is missing
+    ("leray", "leray_plane.ovc", "command leray M1 x"),
+])
+def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
+                                                    block):
+    text = (PROBLEMS / name).read_text()
+    text = text[:text.index("command ")] + block + "\n"
+    with pytest.raises(ParseError):
+        run_command(parse_problem(text))
+    prob = tmp_path / name
+    prob.write_text(text)
+    proc = _run([command, str(prob)])
+    assert proc.returncode == 2
+    assert b"parse error" in proc.stderr
+    assert b"engine.internal" not in proc.stderr
 
 
 def test_shipped_problems_run():

@@ -385,3 +385,16 @@ PINNED_PAIRING_DIGEST = (
 
 def test_pinned_apply_complex_map():
     assert _digest(_criterion_4_images()) == PINNED_PAIRING_DIGEST
+
+
+def test_quotient_and_local_sum_alike():
+    # t d/dt t^I and a constant connection term land on one entry; the
+    # quotient and local complexes truncate that sum by the same rule
+    for coeff in ("-3/2", "6", "5*p^0@3", "O(p^2)", "1/3", -1):
+        mod = _constant_robba(coeff)
+        loc, quo = local_complex(mod), quotient_complex(mod)
+        assert loc.scalings == quo.scalings
+        (lsrc, _), (qsrc, _) = loc.spaces, quo.spaces
+        lent = {lsrc.label(c): x for (_, c), x in loc.matrices[0].items()}
+        qent = {qsrc.label(c): x for (_, c), x in quo.matrices[0].items()}
+        assert qent == {l: x for l, x in lent.items() if l[2][0] >= 1}
