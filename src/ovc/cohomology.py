@@ -58,7 +58,7 @@ class ChainSpace:
 
     def index(self, label: Label) -> int:
         a, J, I = label
-        return ((self._exp_index[I] * len(self.forms) + self._form_index[J])
+        return ((self._exp_index[I] * len(self.forms) + self.forms.index(J))
                 * self.rank + a)
 
     @cached_property
@@ -69,10 +69,6 @@ class ChainSpace:
     @cached_property
     def _exp_index(self) -> dict:
         return {I: e for e, I in enumerate(self.exps)}
-
-    @cached_property
-    def _form_index(self) -> dict:
-        return {J: f for f, J in enumerate(self.forms)}
 
 
 @dataclass(frozen=True)
@@ -131,12 +127,10 @@ D_X = (1, -1)       # d/dx_i x^I = I_i x^(I - e_i)
 D_INV = (-1, 1)     # the same in t_i = 1/x_i: -I_i t^(I + e_i)
 D_LOG = (1, 0)      # t_i d/dt_i t^I = I_i t^I
 
-_LOSS, _KILL = -1, -2   # cells outside a box: dropped with loss, or killed
 
-
-def _box_layout(lo, hi, frame_lo, widths, strides, kill_below, deglex):
+def _box_layout(lo, hi, frame_lo, widths, strides, deglex):
     """A box's exponents in label order, their frame codes, and the map from
-    frame code to exponent rank (_LOSS or _KILL outside the box)."""
+    frame code to exponent rank (-1 outside the box)."""
     exps = list(product(*(range(l, h + 1) for l, h in zip(lo, hi))))
     codes = [0]
     for l, h, f, s in zip(lo, hi, frame_lo, strides):
@@ -147,12 +141,7 @@ def _box_layout(lo, hi, frame_lo, widths, strides, kill_below, deglex):
                            exps, codes))
         exps = [t[2] for t in order]
         codes = [t[3] for t in order]
-    where = [_LOSS] * (strides[0] * widths[0])
-    if kill_below:
-        frame = product(*(range(f, f + w) for f, w in zip(frame_lo, widths)))
-        for code, X in enumerate(frame):
-            if any(x < l for x, l in zip(X, lo)):
-                where[code] = _KILL
+    where = [-1] * (strides[0] * widths[0])
     for r, c in enumerate(codes):
         where[c] = r
     return tuple(exps), codes, where
@@ -163,15 +152,6 @@ def _lands(E, exp_sign, src, dst) -> bool:
     dst box."""
     return all(max(sl + exp_sign * e, dl) <= min(sh + exp_sign * e, dh)
                for e, sl, sh, dl, dh in zip(E, *src, *dst))
-
-
-def _merged(k: int, c: PadicApprox, x, ps: int, shift: int, N: int, p: int):
-    """The exact integer k plus the coefficient c on one entry, truncated as
-    PadicApprox addition truncates it: to min(abs_prec(c), v_p(k) + prec(c))
-    digits.  Returns the scaled integer (0 when the sum vanishes there) and
-    that digit count, the floor of a vanished sum."""
-    digits = min(c.abs_prec(), int_valuation(k, p) + c.prec)
-    return (k * ps + (x or 0)) % p ** min(digits + shift, N), digits
 
 
 def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
@@ -226,7 +206,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     for box in boxes:
         if box not in layouts:
             layouts[box] = _box_layout(box[0], box[1], frame_lo, widths,
-                                       strides, kill_below, deglex)
+                                       strides, deglex)
     spaces = [ChainSpace(j, layouts[box][0], tuple(combinations(acting, j)),
                          rank) for j, box in enumerate(boxes)]
 
@@ -235,6 +215,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         src, dst = spaces[j], spaces[j + 1]
         codes = layouts[boxes[j]][1]
         where = layouts[boxes[j + 1]][2]
+        dst_lo = boxes[j + 1][0]
         vals = [c.val for _, _, E, c in all_terms if c.val is not None
                 and _lands(E, exp_sign, boxes[j], boxes[j + 1])]
         shift = max(0, -min(vals)) if vals else 0
@@ -263,7 +244,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                     x = None
                     if c.val is not None and c.val + shift >= 0:
                         x = cc.unit * p ** (c.val + shift) % mod
-                    t = (offset(E), roff + b, x, cc, exp_sign * sum(E))
+                    t = (offset(E), roff + b, x, cc, E)
                     by_a[a].append(t)
                     if b == a and all(exp_sign * e == (step if v == i else 0)
                                       for v, e in enumerate(E)):
@@ -293,28 +274,35 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                                     if x:
                                         entries[key] = x
                                 else:
-                                    skip = t
-                                    x, digits = _merged(ds * k, t[3], t[2],
-                                                        ps, shift, N, p)
+                                    # the sum truncates as PadicApprox
+                                    # addition does; it may vanish there
+                                    skip, c, x = t, t[3], t[2] or 0
+                                    digits = min(c.abs_prec(), c.prec
+                                                 + int_valuation(k, p))
+                                    x = (ds * k * ps + x) % p ** min(
+                                        digits + shift, N)
                                     if x:
                                         entries[key] = x
                                     else:
                                         floor = _loss_min(floor, digits)
-                            elif r == _LOSS:
+                            else:   # above the box: dropped at value 0
                                 loss = _loss_min(loss, Fraction(0))
                         for t in by_a[a]:
                             if t is skip:
                                 continue
-                            off, radd, x, c, esum = t
+                            off, radd, x, c, E = t
                             r = where[code + off]
                             if r >= 0:
                                 if x is None:
                                     floor = _loss_min(floor, c.prec)
                                 else:
                                     entries[(r * W2 + radd, col)] = x
-                            elif r == _LOSS and c.val is not None:
-                                loss = _loss_min(
-                                    loss, c.val + slope * (sum(I) + esum))
+                                continue
+                            I2 = [x + exp_sign * e for x, e in zip(I, E)]
+                            killed = kill_below and any(
+                                x < l for x, l in zip(I2, dst_lo))
+                            if not killed and c.val is not None:
+                                loss = _loss_min(loss, c.val + slope * sum(I2))
                     col += 1
         matrices.append(entries)
         scalings.append((N, shift))

@@ -241,7 +241,6 @@ def _unipotent_chain_gens(urep, degree, space):
 def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
     """The five maps of the six-term sequence as small class matrices."""
     p = module.ring.prime
-    M = module.ring.precision
 
     loc0, loc1 = locc.cdata.spaces
     x1 = mwc.cdata.spaces[1]
