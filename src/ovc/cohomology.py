@@ -136,7 +136,7 @@ def _box_layout(lo, hi, frame_lo, widths, strides, deglex):
     for l, h, f, s in zip(lo, hi, frame_lo, strides):
         codes = [c + (x - f) * s for c in codes for x in range(l, h + 1)]
     if deglex:
-        # ascending total degree, then descending lexicographic: deglex_key
+        # the order of groebner.deglex_key: total degree, then descending lex
         order = sorted(zip(map(sum, exps), range(len(exps), 0, -1),
                            exps, codes))
         exps = [t[2] for t in order]
@@ -438,10 +438,9 @@ def complex_cohomology(cdata: ComplexData, label: str,
                        want_generators: bool = True) -> ComplexCohomology:
     p, M = cdata.p, cdata.M
     scalings = cdata.scalings
-    snfs = [sparse_snf(cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim,
-                       entries, p, N)
-            for idx, (entries, (N, _)) in enumerate(zip(cdata.matrices,
-                                                        scalings))]
+    snfs = [sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
+                       cdata.matrices[j], p, scalings[j][0])
+            for j in range(len(cdata.matrices))]
 
     degrees = {}
     gap = min((s.certification_gap() - sc[1] for s, sc in zip(snfs, scalings)),
