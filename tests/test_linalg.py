@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +11,7 @@ from ovc.acceptance import TATE
 from ovc.cohomology import mw_complex
 from ovc.linalg import _val, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
+from ovc.padics import int_valuation
 from ovc.series import RingDescriptor, Series
 
 
@@ -67,6 +70,36 @@ def sparse_matrix(rng, p, N, m, n, density):
                            * p ** rng.choice([0, 0, 0, 1, 1, 2, 3])) % mod
     return A, {(i, j): A[i][j] for i in range(m) for j in range(n)
                if A[i][j]}
+
+
+def repeating_matrix(rng, p, N, m, n, density):
+    """A seeded sparse m x n matrix whose columns often repeat earlier ones.
+    A unit multiple of an earlier column cancels entirely once that column
+    pivots; an earlier column plus p^(v+1) times noise, v its minimum
+    valuation, loses its lowest entries then and pivots at a later level."""
+    mod = p ** N
+    cols = []
+    for _ in range(n):
+        kind = rng.random() if cols else 1.0
+        if kind < 0.25:
+            u = rng.choice([x for x in range(1, 4 * p) if x % p])
+            cols.append({i: u * x % mod for i, x in rng.choice(cols).items()})
+        elif kind < 0.5:
+            col = dict(rng.choice(cols))
+            step = p ** (int_valuation(gcd(*col.values()), p) + 1)
+            for i in rng.sample(range(m), 2):
+                col[i] = (col.get(i, 0) + step * rng.randint(1, mod)) % mod
+            cols.append({i: x for i, x in col.items() if x})
+        else:
+            col = {}
+            while not col:
+                for i in range(m):
+                    x = (rng.randint(1, mod - 1)
+                         * p ** rng.choice([0, 0, 1, 1, 2, 3])) % mod
+                    if x and rng.random() < density:
+                        col[i] = x
+            cols.append(col)
+    return {(i, j): x for j, col in enumerate(cols) for i, x in col.items()}
 
 
 def test_divisors_match_dense_oracle():
@@ -164,13 +197,16 @@ def _pinned_matrices():
     return out
 
 
-def _plane_differentials(seed=5, window=8, p=3, M=20):
+def _plane_differentials(seed=5, window=8, p=3, M=20, g1=None):
     """Both differentials of a seeded f(x)dx + g(y)dy plane module, as the
-    cohomology engine hands them to sparse_snf."""
+    cohomology engine hands them to sparse_snf; ``g1``, when given, is the
+    coefficient of y in g."""
     rng = random.Random(seed)
     ring = RingDescriptor(TATE, ("x", "y"), ((0, window),) * 2, p, M)
     f = {(i, 0): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
     g = {(0, i): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
+    if g1 is not None:
+        g[(0, 1)] = g1
     module = SigmaNablaModule(ring, 1, gammas=tuple(
         (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
         for v, c in (("x", f), ("y", g))))
@@ -178,6 +214,20 @@ def _plane_differentials(seed=5, window=8, p=3, M=20):
     return [(cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim, ints, p, N)
             for idx, (ints, (N, _)) in enumerate(zip(cdata.matrices,
                                                      cdata.scalings))]
+
+
+def _path_inputs():
+    """Inputs that take every branch of the level loop: at p = 2 and 3,
+    queued columns whose minimum rises during their level, columns that
+    cancel entirely and single-entry columns that pivot at level >= 1; and
+    plane differentials with a coefficient 1/p, so N = M + 1."""
+    rng = random.Random(13)
+    out = [(m, n, repeating_matrix(rng, p, N, m, n, density), p, N)
+           for p, N, m, n, density in ((2, 8, 16, 20, 0.15),
+                                       (3, 6, 24, 30, 0.12))]
+    for p, M in ((3, 12), (2, 10)):
+        out += _plane_differentials(9, 6, p, M, Fraction(1, p))
+    return out
 
 
 PINNED_MATRIX_DIGESTS = [
@@ -201,6 +251,16 @@ PINNED_PLANE_DIGESTS = [
 ]
 
 
+PINNED_PATH_DIGESTS = [
+    "25f68e319c50563278ef2fad4582265d623af0fbc22acf23b1cf288eae88206f",
+    "9e290e62040062ebbd6635f01b5d9e64b3f2144f557dd97f402d9eeab601aea3",
+    "36d091265f9074104c086ee2bafbd6cbe1b184b96af79b287f2ddc5a096e2119",
+    "593bd221695cff1dbe302b5929730671c9e04af328cba83bc171ac25bb9ddad1",
+    "821874bb232ea22a9902e5b8c1b03b13b7561dd79eabfbf0acc92de3979f6569",
+    "b8ef18b868a091ceae97302c487608071f466f5f5cb1754cc586d0e8dd70b120",
+]
+
+
 def test_pinned_matrix_output():
     got = [_snf_digest(sparse_snf(*args)) for args in _pinned_matrices()]
     assert got == PINNED_MATRIX_DIGESTS
@@ -211,7 +271,15 @@ def test_pinned_plane_output():
     assert got == PINNED_PLANE_DIGESTS
 
 
-@pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials(),
+def test_pinned_path_output():
+    inputs = _path_inputs()
+    assert [N for *_, N in inputs] == [8, 6, 13, 13, 11, 11]
+    assert [_snf_digest(sparse_snf(*args)) for args in inputs] \
+        == PINNED_PATH_DIGESTS
+
+
+@pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials()
+                         + _path_inputs(),
                          ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
 def test_untracked_matches_tracked(args):
     full = sparse_snf(*args)
