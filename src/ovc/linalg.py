@@ -12,6 +12,7 @@ precision ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .padics import int_valuation
 
@@ -186,10 +187,16 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
 
     Levels run from 0 to N-1.  At level e every active entry has valuation
     >= e, and row operations never lower a column's minimum valuation: a
-    column's new entries are combinations of its own entries.  So the
-    columns pivoted at level e are those whose minimum is e when the level
-    starts, taken in increasing order and skipped once their minimum has
-    risen; each pivots on its lowest row of valuation e.
+    column's new entries are combinations of its own entries.  So a column
+    filed in the bucket of its minimum valuation (the valuation of the gcd
+    of its entries) stays at or above that bucket's level.  At level e the
+    columns of bucket e are taken in increasing order.  Each checks its gcd
+    at its turn: a column whose minimum is still e pivots on its lowest row
+    of valuation e, one whose minimum has risen moves to the bucket of its
+    new minimum, and one whose entries all cancelled is dropped, since fill
+    enters a column only through its entry in a pivot row.  This pivots
+    exactly the columns whose minimum is e when the level starts, in
+    increasing order, skipping those whose minimum rises before their turn.
 
     The pivots, the free lists and the row and column op logs, order
     included, are part of the contract: generators and report digests are
@@ -205,24 +212,34 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
             by_row.setdefault(r, {})[c] = x
             by_col.setdefault(c, {})[r] = x
 
-    active_rows = set(range(nrows))
-    active_cols = set(range(ncols))
+    buckets = [[] for _ in range(N)]
+    for c, col in by_col.items():
+        buckets[int_valuation(gcd(*col.values()), p)].append(c)
+    inverses: dict[int, int] = {}
     row_ops, col_ops, pivots = [], [], []
 
-    for level in range(N):
+    for level, bucket in enumerate(buckets):
+        if not bucket:
+            continue
         pe = p ** level
         above = pe * p      # x % above is nonzero iff x has valuation level
-        queue = sorted(c for c, col in by_col.items() if c in active_cols
-                       and any(x % above for x in col.values()))
-        for c in queue:
+        for c in sorted(bucket):
             col = by_col[c]
-            if not any(x % above for x in col.values()):
+            g = gcd(*col.values())
+            if not g % above:
+                if g:
+                    buckets[int_valuation(g, p)].append(c)
                 continue
-            r = min(rr for rr, x in col.items() if x % above)
+            if len(col) == 1:
+                r, = col
+            else:
+                r = min(rr for rr, x in col.items() if x % above)
             # normalize the pivot row so the pivot becomes exactly p^level,
             # log the column ops that clear it and take it out of its columns
             u = col[r] // pe
-            uinv = pow(u, -1, mod)
+            uinv = inverses.get(u)
+            if uinv is None:
+                uinv = inverses[u] = pow(u, -1, mod)
             if u != 1 and track:
                 row_ops.append(("rs", r, uinv))
             prow = []
@@ -253,9 +270,10 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
                 if track:
                     row_ops.append(("ra", r, rr, -m % mod))
             del by_col[c]
-            active_rows.discard(r)
-            active_cols.discard(c)
             pivots.append((r, c, level))
 
+    pivot_rows = {r for r, _, _ in pivots}
+    pivot_cols = {c for _, c, _ in pivots}
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
-                     sorted(active_cols), sorted(active_rows))
+                     [c for c in range(ncols) if c not in pivot_cols],
+                     [r for r in range(nrows) if r not in pivot_rows])
