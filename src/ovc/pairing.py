@@ -126,8 +126,8 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
                 if val.val is not None:
                     entries[(r, c)] = val.unit * p ** val.val % p ** M
             ser.append(tuple(row))
-        rank = sparse_snf(len(cgens), len(wgens), entries, p, M).rank() \
-            if entries else 0
+        rank = sparse_snf(len(cgens), len(wgens), entries, p, M,
+                          track=False).rank() if entries else 0
         left = rank == len(cgens)
         right = rank == len(wgens)
         ok = ok and left and right

@@ -349,7 +349,7 @@ def _matrix_rank(cols, p, M) -> int:
     if not entries:
         return 0
     nrows = 1 + max(r for r, _ in entries)
-    return sparse_snf(nrows, len(cols), entries, p, M).rank()
+    return sparse_snf(nrows, len(cols), entries, p, M, track=False).rank()
 
 
 def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:
@@ -530,7 +530,8 @@ def _vertical_ranks(module, fi):
         ring, module.rank, [box, box], (fi,),
         {fi: _terms(module.gamma(ring.variables[fi]))}, D_X, 1, False,
         deglex=False)
-    r = sparse_snf(dst.dim, src.dim, entries, ring.prime, N).rank()
+    r = sparse_snf(dst.dim, src.dim, entries, ring.prime, N,
+                   track=False).rank()
     return r, src.dim - r, src.dim, dst.dim
 
 
