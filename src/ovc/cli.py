@@ -138,7 +138,11 @@ def run_command(pf: ProblemFile) -> RunReport:
         if len(args) != 3:
             raise ParseError("leray needs '<module> <fiber> <base>'")
         module = _module(pf, args[0])
-        rep = leray_assemble(module, args[1], args[2])
+        fiber, base = args[1], args[2]
+        if fiber == base or not {fiber, base} <= set(module.ring.variables):
+            raise ParseError("leray needs a fiber and a base that are two "
+                             "different variables of the module's ring")
+        rep = leray_assemble(module, fiber, base)
         report.add("fiber-kernel-rank", rep.fiber_kernel_rank)
         report.add("fiber-coker-rank", rep.fiber_coker_rank)
         for d, v in sorted(rep.dims_P.items()):

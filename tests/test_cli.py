@@ -163,6 +163,10 @@ def test_cli_runs_byte_identical(tmp_path):
      "command groebner-reduce basis g1 y yv"),
     # the base variable is missing
     ("leray", "leray_plane.ovc", "command leray M1 x"),
+    # the base is not a variable of the ring
+    ("leray", "leray_plane.ovc", "command leray M1 x q"),
+    # fiber and base are the same variable
+    ("leray", "leray_plane.ovc", "command leray M1 x x"),
 ])
 def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
                                                     block):
