@@ -364,10 +364,6 @@ class ComplexCohomology:
     cdata: ComplexData
     snfs: list              # SnfResult per map, at the map's scaling
 
-    def boundary_solver(self, degree: int):
-        """SNF of the incoming map at a degree (None at the bottom)."""
-        return self.snfs[degree - 1] if degree >= 1 else None
-
 
 def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
     """True when every term of the vector sits within the band of the window
