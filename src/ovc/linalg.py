@@ -219,8 +219,6 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     row_ops, col_ops, pivots = [], [], []
 
     for level, bucket in enumerate(buckets):
-        if not bucket:
-            continue
         pe = p ** level
         above = pe * p      # x % above is nonzero iff x has valuation level
         for c in sorted(bucket):
