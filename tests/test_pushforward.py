@@ -1,5 +1,6 @@
 """Pushforward bundles, the six-term sequence, and the Leray assembly."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,16 @@ from ovc.acceptance import dwork_module, trivial_module
 from ovc.cohomology import mw_cohomology
 from ovc.errors import BadCertificateError, WindowError
 from ovc.modules import SeriesMatrix, SigmaNablaModule
+from ovc.padics import make_scalar
 from ovc.pushforward import (
+    LerayReport,
     leray_assemble,
     perturb_r1f,
     pushforward_complex,
     robba_side_module,
     snake_check,
 )
-from ovc.series import ROBBA, RingDescriptor, Series
+from ovc.series import ROBBA, TATE, RingDescriptor, Series
 
 P, M = 3, 12
 R = RingDescriptor(ROBBA, ("t",), ((-16, 16),), P, M, slope=Fraction(1))
@@ -113,3 +116,150 @@ def test_leray_euler_identity_values():
     chi_P = sum((-1) ** i * d for i, d in rep.dims_P.items())
     chi_Q = sum((-1) ** i * d for i, d in rep.dims_Q.items())
     assert chi_M == chi_P - chi_Q == 1
+
+
+# -- pinned bundle and Leray output -------------------------------------------
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _line_rank2(M, entries):
+    """A rank-2 module on the line window [0, 12]: entries maps (i, j) to
+    {exponent: rational} terms of Gamma_x."""
+    ring = RingDescriptor(TATE, ("x",), ((0, 12),), P, M)
+    rows = [[Series.make(ring, {(k,): make_scalar(c, P, M)
+                                for k, c in entries.get((i, j), {}).items()})
+             for j in range(2)] for i in range(2)]
+    return SigmaNablaModule(ring, 2,
+                            gammas=(("x", SeriesMatrix.make(ring, rows)),))
+
+
+def _bundle_modules(M):
+    third = Fraction(1, 3)
+    return {
+        "trivial": trivial_module(1, P, M, 12),
+        "dwork": dwork_module(P, M, 12),
+        "rank2": _line_rank2(M, {(0, 0): {1: third}, (0, 1): {0: 2}}),
+        "rank2-diag": _line_rank2(M, {(0, 0): {1: third}, (1, 1): {1: third},
+                                      (0, 1): {0: 2}}),
+        "nilpotent": _line_rank2(M, {(0, 1): {0: 2}}),
+    }
+
+
+def _bundle_digest(bundle) -> str:
+    nodes = {name: (cs.ambient_dim, cs.generators, cs.N, cs.boundary_cols)
+             for name, cs in bundle.nodes.items()}
+    verdicts = [tuple((v.node, v.passed, v.detail) for v in snake_check(b))
+                for b in (bundle, perturb_r1f(bundle))]
+    return _digest((nodes, bundle.maps, bundle.r1prim_dim, bundle.notes,
+                    verdicts))
+
+
+PINNED_BUNDLE_DIGESTS = {
+    "trivial-M8":
+        "8d5fa957734b99f6b3d3d70eba8bd68dbbf989e6306ad1bcf7037ac93d8f984e",
+    "trivial-M8-unipotent":
+        "21616d6ef09a9ffe04cce9004b80c7e3da18ba7ee117bffcc79278870958c80f",
+    "dwork-M8":
+        "70fe9eb39fd274a589c061409fb298b1b5a8546c5835e107dd5d79cbc48c10bf",
+    "rank2-M8":
+        "9e433ffd4e51bd13eb92bb51e6cd503f0290b17f3d4a42a57c0c89ca2686d03a",
+    "rank2-diag-M8":
+        "ccf5bb7f933a3d2488df2734637b9db75f9ee8a9372a6dd4af672b6ad78352d2",
+    "nilpotent-M8":
+        "3a37ce63b57d1f41b2489226b4c4c49628b90924cd65e1f440023bc03530f4f3",
+    "nilpotent-M8-unipotent":
+        "ddefb2a6753a9ff72802f79b0fd633a9d21860ed2cc9a9bf858e1cc673697a00",
+    "trivial-M12":
+        "98ca4c2c7cb965ed2cc439faaf262f450e7a2143fc966948b8ec0508c33cfc67",
+    "trivial-M12-unipotent":
+        "d005881a435a6c88686ee4a80dbf9e5e84dddc295d45a72e407bbf36f26dfd64",
+    "dwork-M12":
+        "e02af528fcaf18d53edc6ad9abc1d7eee0e12a84109f28cb4d8b1253fb8971fe",
+    "rank2-M12":
+        "b9a046761891cda4ae050231d3f73d1d2ad680a3248853b7098ffd9a41e5a1fc",
+    "rank2-diag-M12":
+        "76a766578098dbba2581be54a59cce973a1c511d97ca55b446670caac4175184",
+    "nilpotent-M12":
+        "df0109da779ed5e7a7ea6d5f2777b0ef90d1c91e6e8775b779661550b5070079",
+    "nilpotent-M12-unipotent":
+        "1d86f768ae5ca10b4cea0bc20e488f6ed7ed602be54f7bab9fa148fc259a4d39",
+}
+
+
+def _bundle_cases():
+    for M in (8, 12):
+        robba = RingDescriptor(ROBBA, ("t",), ((-16, 16),), P, M,
+                               slope=Fraction(1))
+        for name, mod in _bundle_modules(M).items():
+            yield f"{name}-M{M}", mod, robba, False
+            if name in ("trivial", "nilpotent"):
+                yield f"{name}-M{M}-unipotent", mod, robba, True
+
+
+def test_pinned_bundle_output():
+    got = {key: _bundle_digest(pushforward_complex(mod, robba,
+                                                   unipotent=uni))
+           for key, mod, robba, uni in _bundle_cases()}
+    assert got == PINNED_BUNDLE_DIGESTS
+
+
+def test_rank2_bundle_delta_has_image():
+    robba = RingDescriptor(ROBBA, ("t",), ((-16, 16),), P, 8,
+                           slope=Fraction(1))
+    bundle = pushforward_complex(_bundle_modules(8)["rank2-diag"], robba)
+    assert bundle.r1prim_dim == 2 and len(bundle.maps["delta"]) == 2
+
+
+def _plane(gx, gy):
+    """A rank-one module on [0, 8]^2 with Gamma_x = gx and Gamma_y = gy,
+    each a monomial (exponent, rational) or None."""
+    ring = RingDescriptor(TATE, ("x", "y"), ((0, 8), (0, 8)), P, M)
+
+    def mat(term):
+        if term is None:
+            return SeriesMatrix.zero(ring, 1)
+        return SeriesMatrix.make(ring, [[Series.monomial(ring, *term)]])
+
+    return SigmaNablaModule(ring, 1, gammas=(("x", mat(gx)), ("y", mat(gy))))
+
+
+# every case has a fiber cokernel, so Q's connection is solved against the
+# cokernel classes; the last one leaves the generator span
+LERAY_PLANES = {
+    "x": (((1, 0), 1), None),
+    "x-1": (((1, 0), 1), ((0, 0), 1)),
+    "x-y": (((1, 0), 1), ((0, 1), 1)),
+    "x/3": (((1, 0), Fraction(1, 3)), None),
+    "x/3-y": (((1, 0), Fraction(1, 3)), ((0, 1), 1)),
+}
+
+PINNED_LERAY_DIGESTS = {
+    "x":
+        "375d6e72fed89dec6ac9f612142faeaaaaacfdb51f66fb6021b330a114c92ff8",
+    "x-1":
+        "1fce344bb9f0aec4f962e32d02f8e4c3d41c9f57d1ead048d2da2680278176a9",
+    "x-y":
+        "8e28c13bc38fcc48b40fed77908eb217b791b64ceeef018e6149d1b33af61217",
+    "x/3":
+        "340e66d8316b3edb1fcecb7e56ad7a3b2472206035939a54359c44b9e2884d8c",
+    "x/3-y":
+        "018ba9658e37e7abb40be2ec96d822ec9d621c65869cd5b3eaa17abf99395dda",
+}
+
+
+def _leray_outcome(module):
+    try:
+        return leray_assemble(module, "x", "y")
+    except BadCertificateError as ex:
+        return ("BadCertificateError", str(ex))
+
+
+def test_pinned_leray_output():
+    outcomes = {key: _leray_outcome(_plane(*spec))
+                for key, spec in LERAY_PLANES.items()}
+    assert all(rep.fiber_coker_rank == 1 for rep in outcomes.values()
+               if isinstance(rep, LerayReport))
+    assert {key: _digest(rep) for key, rep in outcomes.items()} \
+        == PINNED_LERAY_DIGESTS
