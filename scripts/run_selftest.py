@@ -10,12 +10,13 @@ from ovc.acceptance import run_all
 
 def main():
     t0 = time.monotonic()
+    results = run_all()
     failed = 0
-    for r in run_all():
+    for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.number:02d} [{status}] {r.name}: {r.detail}")
         failed += not r.passed
-    print(f"-- {14 - failed}/14 criteria passed in "
+    print(f"-- {len(results) - failed}/{len(results)} criteria passed in "
           f"{time.monotonic() - t0:.1f}s")
     return 1 if failed else 0
 

@@ -119,12 +119,13 @@ def run_command(pf: ProblemFile) -> RunReport:
         _cohomology_records(report, cc)
     elif name == "pushforward":
         module = _module(pf, args[0])
-        opts = dict(zip(args[1::2], args[2::2]))
+        opts = _options(name, args[1:], {
+            "robba": str, "unipotent": {"yes": True, "no": False}.__getitem__})
         ring = pf.rings.get(opts.get("robba", ""))
         if ring is None:
             raise ParseError("pushforward needs 'robba <ring>'")
         bundle = pushforward_complex(module, ring,
-                                     unipotent="unipotent" in args)
+                                     unipotent=opts.get("unipotent", False))
         for k, v in bundle.dims().items():
             report.add(f"{k}.dim", v)
         report.add("r1prim.dim", bundle.r1prim_dim)
@@ -158,9 +159,8 @@ def run_command(pf: ProblemFile) -> RunReport:
         mat = pf.matrices.get(args[0])
         if mat is None:
             raise ParseError(f"matrix {args[0]!r} not defined")
-        opts = dict(zip(args[1::2], args[2::2]))
-        bound = int(opts["bound"]) if "bound" in opts else None
-        res = factor_plus(mat, bound)
+        opts = _options(name, args[1:], {"bound": int})
+        res = factor_plus(mat, opts.get("bound"))
         _matrix_records(report, "V", res.V)
         _matrix_records(report, "W", res.W)
         report.add("det-valuations", ",".join(str(d) for d in res.det_valuations))
@@ -179,13 +179,12 @@ def run_command(pf: ProblemFile) -> RunReport:
         _cohomology_records(report, rep)
     elif name == "horizontal":
         module = _module(pf, args[0])
-        opts = dict(zip(args[1::2], args[2::2]))
+        opts = _options(name, args[1:], {"w": str, "L": int})
         w = pf.vectors.get(opts.get("w", ""))
         if w is None:
             raise ParseError("horizontal needs 'w <vector>'")
-        L = int(opts.get("L", "8"))
         data = strongly_unipotent_basis(module)
-        log = horizontal_iterate(data, w, L)
+        log = horizontal_iterate(data, w, opts.get("L", 8))
         for i, c in enumerate(log.result.coords):
             _series_records(report, f"result.c{i}", c)
         report.add("headroom-used", log.headroom_used)
@@ -201,7 +200,7 @@ def run_command(pf: ProblemFile) -> RunReport:
                        "pass" if (b.left_injects and b.right_injects) else "FAIL")
         report.add("nondegenerate", "pass" if rep.nondegenerate else "FAIL")
     elif name == "groebner-reduce":
-        opts = dict(zip(args[0::2], args[1::2]))
+        opts = _options(name, args, {"basis": str, "y": str, "z": str})
         for key in ("basis", "y", "z"):
             if key not in opts:
                 raise ParseError(f"groebner-reduce needs '{key} <series>'")
@@ -228,6 +227,24 @@ def run_command(pf: ProblemFile) -> RunReport:
     else:
         raise ParseError(f"unknown command {name!r}")
     return report
+
+
+def _options(command: str, args: tuple, table: dict) -> dict:
+    """The 'key value' pairs of a command block, each value converted by
+    ``table[key]``.  An unknown or repeated key, a key without a value and a
+    value its converter rejects are parse errors."""
+    if len(args) % 2:
+        raise ParseError(f"{command}: option {args[-1]!r} needs a value")
+    opts = {}
+    for key, text in zip(args[0::2], args[1::2]):
+        if key not in table or key in opts:
+            raise ParseError(f"{command}: unknown or repeated option {key!r}")
+        try:
+            opts[key] = table[key](text)
+        except (KeyError, ValueError):
+            raise ParseError(f"{command}: bad value {text!r} for option "
+                             f"{key!r}") from None
+    return opts
 
 
 def _module(pf: ProblemFile, name: str):

@@ -31,7 +31,7 @@ from itertools import combinations, product
 from .errors import DescriptorMismatchError
 from .linalg import SnfResult, sparse_snf
 from .modules import SigmaNablaModule
-from .padics import PadicApprox, int_valuation
+from .padics import from_residue, int_valuation
 from .report import CohomologyReport, DegreeData
 from .series import _loss_min
 
@@ -81,9 +81,6 @@ class ChainVector:
         return tuple((l, self.data[l].serialize())
                      for l in sorted(self.data, key=self.space.index))
 
-    def support_exponents(self):
-        return [l[2] for l in self.data]
-
 
 @dataclass
 class ComplexData:
@@ -99,6 +96,13 @@ class ComplexData:
     window_lo: tuple
     two_sided: bool         # robba windows get bands at both ends
     slope: Fraction | None = None   # annulus slope; enables divergence checks
+
+    def columns(self, j: int) -> dict:
+        """Map j as {col: {row: int}}, columns in the order of its entries."""
+        cols: dict[int, dict[int, int]] = {}
+        for (r, c), x in self.matrices[j].items():
+            cols.setdefault(c, {})[r] = x
+        return cols
 
 
 def _insert_sign(i: int, J: tuple) -> int:
@@ -243,7 +247,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                     cc = c if sign > 0 else c.neg()
                     x = None
                     if c.val is not None and c.val + shift >= 0:
-                        x = cc.unit * p ** (c.val + shift) % mod
+                        x = cc.residue(N, shift)
                     t = (offset(E), roff + b, x, cc, E)
                     by_a[a].append(t)
                     if b == a and all(exp_sign * e == (step if v == i else 0)
@@ -418,15 +422,9 @@ def _int_vec_to_chain(vec: dict, space: ChainSpace, p: int, N: int,
                       shift: int, M: int) -> ChainVector:
     data = {}
     for idx, x in vec.items():
-        x %= p ** N
-        if not x:
-            continue
-        v = int_valuation(x, p)
-        x //= p ** v
-        val = v - shift
-        prec = min(N - v, M - val) if M - val > 0 else N - v
-        prec = max(prec, 1)
-        data[space.label(idx)] = PadicApprox(p, x % p ** prec, val, prec)
+        c = from_residue(x, p, N, shift, M)
+        if c.val is not None:
+            data[space.label(idx)] = c
     return ChainVector(space, data)
 
 
@@ -483,9 +481,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
         if j < top:
             # induced map on the quotient: d_j composed with Uinv columns
             N2 = cdata.scalings[j][0]
-            by_col: dict[int, dict[int, int]] = {}
-            for (r, c), x in cdata.matrices[j].items():
-                by_col.setdefault(c, {})[r] = x
+            by_col = cdata.columns(j)
             mod2 = cdata.p ** N2
             bent = {}
             for qi, q in enumerate(nonpivot):

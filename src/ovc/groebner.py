@@ -49,10 +49,6 @@ def deglex_key(I) -> tuple:
 class OrderedMonomial:
     index: Exp
 
-    @property
-    def order_key(self):
-        return deglex_key(self.index)
-
     def divides(self, other: "OrderedMonomial") -> bool:
         return all(a <= b for a, b in zip(self.index, other.index))
 

@@ -161,9 +161,6 @@ class PadicApprox:
         m = self.prime ** self.prec
         return PadicApprox(self.prime, pow(self.unit, -1, m), -self.val, self.prec)
 
-    def mul_int(self, n: int) -> "PadicApprox":
-        return self.mul(make_scalar(n, self.prime, max(self.prec, 1)))
-
     def with_abs_prec(self, abs_prec: int) -> "PadicApprox":
         """Restrict to absolute precision p^abs_prec (never gains precision)."""
         if self.is_zero():
@@ -174,6 +171,15 @@ class PadicApprox:
             return PadicApprox.limited_zero(self.prime, abs_prec)
         prec = min(self.prec, abs_prec - self.val)
         return PadicApprox(self.prime, self.unit % self.prime ** prec, self.val, prec)
+
+    # -- integer residues --------------------------------------------------
+
+    def residue(self, N: int, shift: int = 0) -> int:
+        """The value times p^shift as an integer mod p^N (0 for a zero);
+        ``val + shift`` must be nonnegative."""
+        if self.val is None:
+            return 0
+        return self.unit * self.prime ** (self.val + shift) % self.prime ** N
 
     # -- comparisons -------------------------------------------------------
 
@@ -214,6 +220,22 @@ def make_scalar(n: int | Fraction, p: int, M: int) -> PadicApprox:
     m = p ** M
     unit = (num // p ** vn) * pow(den // p ** vd, -1, m) % m
     return PadicApprox(p, unit, vn - vd, M)
+
+
+def from_residue(x: int, p: int, N: int, shift: int = 0,
+                 M: int | None = None) -> PadicApprox:
+    """Inverse of ``PadicApprox.residue``: the scalar x / p^shift for an
+    integer x mod p^N.  The unit keeps the N - v_p(x) digits the residue
+    carries, capped at absolute precision M when M is above the value."""
+    x %= p ** N
+    if not x:
+        return PadicApprox.zero(p)
+    v = int_valuation(x, p)
+    val = v - shift
+    prec = N - v
+    if M is not None and M > val:
+        prec = min(prec, M - val)
+    return PadicApprox(p, x // p ** v % p ** prec, val, prec)
 
 
 def vp(x: PadicApprox) -> int | None:

@@ -72,9 +72,7 @@ def apply_complex_map(cc: ComplexCohomology, degree: int,
     p, M = cdata.p, cdata.M
     N, shift = cdata.scalings[degree]
     mod = p ** N
-    cols: dict[int, dict[int, int]] = {}
-    for (r, c), x in cdata.matrices[degree].items():
-        cols.setdefault(c, {})[r] = x
+    cols = cdata.columns(degree)
     out: dict = {}
     for label, coeff in v.data.items():
         for r, x in cols.get(src.index(label), {}).items():
@@ -124,7 +122,7 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
                 val = residue_pairing(cg, wg, n)
                 row.append(val.serialize())
                 if val.val is not None:
-                    entries[(r, c)] = val.unit * p ** val.val % p ** M
+                    entries[(r, c)] = val.residue(M)
             ser.append(tuple(row))
         rank = sparse_snf(len(cgens), len(wgens), entries, p, M,
                           track=False).rank() if entries else 0

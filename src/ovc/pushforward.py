@@ -6,9 +6,14 @@ The line embeds into the annulus by inverting the coordinate, so the module's
 chain spaces sit inside the local (Robba-window) chain spaces at nonpositive
 exponents; the quotient complex lives on strictly positive exponents (and on
 nonnegative dlog exponents for one-forms).  All six kernels/cokernels are
-computed by the windowed engine; when a unipotent filtration for the local
-module is supplied, the local terms come from the constant-matrix kernel and
-cokernel instead, which is exact.
+computed by the windowed engine; with ``unipotent=True`` the local terms come
+from the constant-matrix kernel and cokernel of a unipotent certificate
+instead, which is exact.
+
+Each of the six nodes is a class space: its generators are stored once as
+integers mod p^N at the scaling of its incoming boundary map.  The five snake
+maps act on those integers directly, relabelling each coordinate into the
+target node and reducing mod the target's p^N.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .cohomology import (
     ChainVector,
     ComplexData,
     _assemble,
-    _int_vec_to_chain,
     _shift_bound,
     _terms,
     complex_cohomology,
@@ -33,7 +37,6 @@ from .errors import BadCertificateError, DescriptorMismatchError, WindowError
 from .linalg import sparse_snf
 from .modules import SeriesMatrix, SigmaNablaModule
 from .padics import make_scalar
-from .report import CohomologyReport, DegreeData
 from .series import RingDescriptor, Series
 from .unipotent import h0_h1_unipotent, strongly_unipotent_basis
 
@@ -45,7 +48,6 @@ class ClassSpace:
     """A computed cohomology node: generator vectors in ambient coordinates
     plus the incoming boundary matrix, packaged so that arbitrary ambient
     vectors can be expressed as classes."""
-    name: str
     ambient_dim: int
     generators: list          # sparse int vectors {row: int}
     p: int
@@ -83,27 +85,21 @@ class ClassSpace:
         return len(self.generators)
 
 
-def _chain_to_int(vec: ChainVector, shift: int, N: int, p: int) -> dict:
-    """Integer coordinates of a chain vector, normalized so a negative-
-    valuation class representative is rescaled to integral (classes are only
-    defined up to a scalar)."""
-    vals = [c.val for c in vec.data.values() if c.val is not None]
-    if vals and min(vals) + shift < 0:
-        shift = -min(vals)
-    out = {}
-    for label, c in vec.data.items():
-        if c.val is None:
-            continue
-        out[vec.space.index(label)] = c.unit * p ** (c.val + shift) % p ** N
-    return out
-
-
-def _boundary_cols(cdata: ComplexData):
-    """Columns of the complex's first map, with its scaling (N, shift)."""
-    cols: dict[int, dict[int, int]] = {}
-    for (r, c), x in cdata.matrices[0].items():
-        cols.setdefault(c, {})[r] = x
-    return (list(cols.values()),) + cdata.scalings[0]
+def _class_space(gens: list, space, p: int, M: int,
+                 boundary: ComplexData | None = None) -> ClassSpace:
+    """The classes of chain vectors modulo the first map of ``boundary``
+    (none when omitted), stored as integers at that map's scaling (N, shift).
+    A generator of negative valuation is rescaled to integral (classes are
+    only defined up to a scalar)."""
+    N, shift = boundary.scalings[0] if boundary else (M, 0)
+    ints = []
+    for g in gens:
+        vals = [c.val for c in g.data.values() if c.val is not None]
+        s = max(shift, -min(vals)) if vals else shift
+        ints.append({space.index(label): c.residue(N, s)
+                     for label, c in g.data.items() if c.val is not None})
+    cols = list(boundary.columns(0).values()) if boundary else []
+    return ClassSpace(space.dim, ints, p, N, cols)
 
 
 # -- the bundle --------------------------------------------------------------------
@@ -111,8 +107,6 @@ def _boundary_cols(cdata: ComplexData):
 @dataclass
 class PushforwardBundle:
     module: SigmaNablaModule
-    robba_ring: RingDescriptor
-    reports: dict             # name -> CohomologyReport
     nodes: dict               # name -> ClassSpace
     maps: dict                # name -> small int matrix as list of columns
     r1prim_dim: int
@@ -161,15 +155,14 @@ def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
 
 def pushforward_complex(module: SigmaNablaModule,
                         robba_ring: RingDescriptor,
-                        local_filtration: SeriesMatrix | None = None,
                         unipotent: bool = False) -> PushforwardBundle:
     """All six kernels/cokernels of the vertical connection on the module,
     its annulus extension, and the quotient, with the class-space plumbing
     the snake check needs.
 
-    ``unipotent=True`` (optionally with a filtration matrix) certifies the
-    local terms through the constant-matrix route; otherwise they come from
-    window linear algebra and the report carries a reliability note.
+    ``unipotent=True`` certifies the local terms through the constant-matrix
+    route; otherwise they come from window linear algebra and the report
+    carries a reliability note.
     """
     ring = module.ring
     p, M = ring.prime, ring.precision
@@ -178,164 +171,103 @@ def pushforward_complex(module: SigmaNablaModule,
     if lo > -hx or hi < 1:
         raise WindowError("annulus window must cover the inverted line window")
 
-    notes = []
     mwc = complex_cohomology(mw_complex(module), "line-side")
     loc_mod = robba_side_module(module, robba_ring)
     locc = complex_cohomology(local_complex(loc_mod), "local")
     quc = complex_cohomology(quotient_complex(loc_mod), "quotient")
 
-    if unipotent or local_filtration is not None:
-        uni = strongly_unipotent_basis(loc_mod, local_filtration)
-        urep = h0_h1_unipotent(uni)
-        notes.append("local terms from a unipotent certificate")
-        loc_gens = {0: _unipotent_chain_gens(urep, 0, locc.cdata.spaces[0]),
-                    1: _unipotent_chain_gens(urep, 1, locc.cdata.spaces[1])}
+    if unipotent:
+        urep = h0_h1_unipotent(strongly_unipotent_basis(loc_mod))
+        note = "local terms from a unipotent certificate"
+        loc_gens = [_unipotent_chain_gens(urep, j, locc.cdata.spaces[j])
+                    for j in (0, 1)]
     else:
-        notes.append("local terms from window linear algebra (no certificate)")
-        loc_gens = {0: list(locc.report.generators(0)),
-                    1: list(locc.report.generators(1))}
+        note = "local terms from window linear algebra (no certificate)"
+        loc_gens = [list(locc.report.generators(j)) for j in (0, 1)]
 
-    # ambient integer coordinates for every node
+    # degree 1 of each complex is taken modulo the image of degree 0
     nodes = {}
-    reports = {}
-
-    def node(name, gens_cv, ambient_space, boundary=None):
-        if boundary is not None:
-            bcols, N, shift = _boundary_cols(boundary)
-        else:
-            bcols, N, shift = [], M, 0
-        ints = [_chain_to_int(g, shift, N, p) for g in gens_cv]
-        cs = ClassSpace(name, ambient_space.dim, ints, p, N, bcols)
-        nodes[name] = cs
-        degree_map = {0: DegreeData(len(ints), tuple(gens_cv), len(ints))}
-        reports[name] = CohomologyReport(name, degree_map, M)
-        return cs
-
-    node("r0f", list(mwc.report.generators(0)), mwc.cdata.spaces[0])
-    node("r1f", list(mwc.report.generators(1)), mwc.cdata.spaces[1],
-         mwc.cdata)
-    node("r0loc", loc_gens[0], locc.cdata.spaces[0])
-    node("r1loc", loc_gens[1], locc.cdata.spaces[1], locc.cdata)
-    node("r1shriek", list(quc.report.generators(0)), quc.cdata.spaces[0])
-    node("r2shriek", list(quc.report.generators(1)), quc.cdata.spaces[1],
-         quc.cdata)
-
-    maps = _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes)
+    for cc, gens, names in (
+            (mwc, [mwc.report.generators(j) for j in (0, 1)], ("r0f", "r1f")),
+            (locc, loc_gens, ("r0loc", "r1loc")),
+            (quc, [quc.report.generators(j) for j in (0, 1)],
+             ("r1shriek", "r2shriek"))):
+        for j in (0, 1):
+            nodes[names[j]] = _class_space(gens[j], cc.cdata.spaces[j], p, M,
+                                           cc.cdata if j else None)
+    maps = _snake_maps(mwc, locc, quc, nodes)
     r1prim = _matrix_rank(maps["delta"], p, M)
-    return PushforwardBundle(module, robba_ring, reports, nodes, maps,
-                             r1prim, tuple(notes))
+    return PushforwardBundle(module, nodes, maps, r1prim, (note,))
 
 
 def _unipotent_chain_gens(urep, degree, space):
-    out = []
-    for mv in urep.generators(degree):
-        data = {}
-        for a, c in enumerate(mv.coords):
-            for I, coeff in c.terms:
-                J = (0,) if degree == 1 else ()
-                data[(a, J, I)] = coeff
-        out.append(ChainVector(space, data))
-    return out
+    J = (0,) if degree == 1 else ()
+    return [ChainVector(space, {(a, J, I): coeff
+                                for a, c in enumerate(mv.coords)
+                                for I, coeff in c.terms})
+            for mv in urep.generators(degree)]
 
 
-def _snake_maps(module, robba_ring, loc_mod, mwc, locc, quc, nodes):
-    """The five maps of the six-term sequence as small class matrices."""
-    p = module.ring.prime
-
+def _snake_maps(mwc, locc, quc, nodes):
+    """The five maps of the six-term sequence as small class matrices.  Each
+    sends the integer coordinates of its source node's generators to target
+    labels, times a sign (and p^shift for the local lift), mod p^N."""
+    p = mwc.cdata.p
+    x0, x1 = mwc.cdata.spaces
     loc0, loc1 = locc.cdata.spaces
-    x1 = mwc.cdata.spaces[1]
     qu0, qu1 = quc.cdata.spaces
 
-    def chain_map(src_name, src_space, fn, target_node):
-        cols = []
-        for g in _gens_cv(nodes, src_name, src_space):
-            coords = nodes[target_node].class_coords(fn(g))
-            if coords is None:
-                return None
-            cols.append(coords)
-        return cols
-
-    # iota0: line-side functions into the annulus, x^k = t^(-k)
-    def iota0(g: ChainVector):
-        N = nodes["r0loc"].N
-        out = {}
-        for (a, J, (k,)), c in g.data.items():
-            if c.val is not None:
-                out[loc0.index((a, (), (-k,)))] = c.unit * p ** c.val % p ** N
-        return out
-
-    # pi0: annulus functions onto strictly positive exponents
-    def pi0(g: ChainVector):
-        N = nodes["r1shriek"].N
-        out = {}
-        for (a, J, (i,)), c in g.data.items():
-            if i >= 1 and c.val is not None:
-                out[qu0.index((a, (), (i,)))] = c.unit * p ** c.val % p ** N
-        return out
+    def relabel(src, dst, to, scale=1):
+        """Coordinate at (a, J, (i,)) of src goes to label to(a, i) of dst,
+        or is dropped when that is None."""
+        def apply(vec, N):
+            out = {}
+            for idx, x in vec.items():
+                a, _, (i,) = src.label(idx)
+                label = to(a, i)
+                if x and label is not None:
+                    out[dst.index(label)] = scale * x % p ** N
+            return out
+        return apply
 
     # delta: lift a quotient kernel class, apply the local operator, read the
     # result on the line side (t^j dt/t = -x^(-j-1) dx for j <= -1)
     Nl, shiftl = locc.cdata.scalings[0]
-    lcols: dict[int, dict[int, int]] = {}
-    for (r, c), x in locc.cdata.matrices[0].items():
-        lcols.setdefault(c, {})[r] = x
+    lcols = locc.cdata.columns(0)
+    lift = relabel(qu0, loc0, lambda a, i: (a, (), (i,)), p ** shiftl)
+    read = relabel(loc1, x1, lambda a, j: (a, (0,), (-j - 1,)) if j < 0
+                   else None, -1)
 
-    def delta(g: ChainVector):
-        N = nodes["r1f"].N
-        lifted = {}
-        for (a, J, (i,)), c in g.data.items():
-            if c.val is not None:
-                lifted[loc0.index((a, (), (i,)))] = (
-                    c.unit * p ** (c.val + shiftl) % p ** Nl)
+    def delta(vec, N):
         image: dict[int, int] = {}
-        for idx, x in lifted.items():
+        for idx, x in lift(vec, Nl).items():
             for r, y in lcols.get(idx, {}).items():
                 image[r] = (image.get(r, 0) + x * y) % p ** Nl
-        out = {}
-        for idx, x in image.items():
-            if not x:
-                continue
-            a, J, (j,) = loc1.label(idx)
-            if j >= 0:
-                continue   # vanishes in the quotient at precision
-            v = (-x) % p ** N
-            if v:
-                out[x1.index((a, (0,), (-j - 1,)))] = v
-        return out
+        return read(image, N)
 
-    # iota1: line-side one-forms into dlog forms, x^k dx = -t^(-k-1) dt/t
-    def iota1(g: ChainVector):
-        N = nodes["r1loc"].N
-        out = {}
-        for (a, J, (k,)), c in g.data.items():
-            if c.val is not None:
-                out[loc1.index((a, (0,), (-k - 1,)))] = (
-                    (-c.unit) * p ** c.val % p ** N)
-        return out
-
-    # pi1: annulus dlog forms onto nonnegative exponents
-    def pi1(g: ChainVector):
-        N = nodes["r2shriek"].N
-        out = {}
-        for (a, J, (i,)), c in g.data.items():
-            if i >= 0 and c.val is not None:
-                out[qu1.index((a, (0,), (i,)))] = c.unit * p ** c.val % p ** N
-        return out
-
-    return {
-        "incl_loc": chain_map("r0f", mwc.cdata.spaces[0], iota0, "r0loc"),
-        "to_shriek": chain_map("r0loc", loc0, pi0, "r1shriek"),
-        "delta": chain_map("r1shriek", qu0, delta, "r1f"),
-        "to_loc1": chain_map("r1f", x1, iota1, "r1loc"),
-        "to_shriek2": chain_map("r1loc", loc1, pi1, "r2shriek"),
-    }
-
-
-def _gens_cv(nodes, name, space):
-    """Reconstruct ChainVectors from the stored integer generators."""
-    cs = nodes[name]
-    return [_int_vec_to_chain(dict(g), space, cs.p, cs.N, 0, cs.N)
-            for g in cs.generators]
+    table = (
+        # iota0: line-side functions into the annulus, x^k = t^(-k)
+        ("incl_loc", "r0f", "r0loc",
+         relabel(x0, loc0, lambda a, k: (a, (), (-k,)))),
+        # pi0: annulus functions onto strictly positive exponents
+        ("to_shriek", "r0loc", "r1shriek",
+         relabel(loc0, qu0, lambda a, i: (a, (), (i,)) if i >= 1 else None)),
+        ("delta", "r1shriek", "r1f", delta),
+        # iota1: line-side one-forms into dlog forms, x^k dx = -t^(-k-1) dt/t
+        ("to_loc1", "r1f", "r1loc",
+         relabel(x1, loc1, lambda a, k: (a, (0,), (-k - 1,)), -1)),
+        # pi1: annulus dlog forms onto nonnegative exponents
+        ("to_shriek2", "r1loc", "r2shriek",
+         relabel(loc1, qu1, lambda a, i: (a, (0,), (i,)) if i >= 0
+                 else None)),
+    )
+    maps = {}
+    for name, src, tgt, fn in table:
+        target = nodes[tgt]
+        cols = [target.class_coords(fn(g, target.N))
+                for g in nodes[src].generators]
+        maps[name] = None if None in cols else cols
+    return maps
 
 
 def _matrix_rank(cols, p, M) -> int:
@@ -361,8 +293,6 @@ def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:
 
     bad = copy.deepcopy(bundle)
     cs = bad.nodes["r1f"]
-    rank = bundle.module.rank
-    hx = bundle.module.ring.window[0][1]
     # ambient index of the top-degree monomial form on the last component
     fake_row = cs.ambient_dim - 1
     cs.generators = list(cs.generators) + [{fake_row: 1}]
@@ -590,14 +520,10 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
 
 def _line_class_solver(fib, gens, kernel_side):
     """Solve ambient fiber vectors against the generator classes."""
-    p, M = fib.cdata.p, fib.cdata.M
-    space = fib.cdata.spaces[0 if kernel_side else 1]
-    if kernel_side:
-        bcols, N, shift = [], M, 0
-    else:
-        bcols, N, shift = _boundary_cols(fib.cdata)
-    ints = [_chain_to_int(g, shift, N, p) for g in gens]
-    cs = ClassSpace("line", space.dim, ints, p, N, bcols)
+    cdata = fib.cdata
+    space = cdata.spaces[0 if kernel_side else 1]
+    cs = _class_space(gens, space, cdata.p, cdata.M,
+                      None if kernel_side else cdata)
 
     def solve(vec_labels: dict):
         vec = {}
@@ -606,7 +532,7 @@ def _line_class_solver(fib, gens, kernel_side):
                 continue
             if c.val < 0:
                 return None
-            vec[space.index(lbl)] = c.unit * p ** c.val % p ** N
+            vec[space.index(lbl)] = c.residue(cs.N)
         return cs.class_coords(vec)
 
     return solve

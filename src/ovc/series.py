@@ -18,7 +18,6 @@ from .errors import (
     DescriptorMismatchError,
     NotARecognizedUnitError,
     ResidueObstructionError,
-    WindowError,
 )
 from .padics import PadicApprox, is_prime, make_scalar
 
@@ -52,7 +51,6 @@ class RingDescriptor:
     decay: int | None = None        # fringe decay D, rho = p^(1/D)
     slope: Fraction | None = None   # robba kinds
     coeff: "RingDescriptor | None" = None
-    integral: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -195,9 +193,6 @@ class Series:
 
     # -- queries -----------------------------------------------------------
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def coeff(self, exp) -> object:
         exp = tuple(exp)
         for e, c in self.terms:
@@ -335,25 +330,6 @@ def _term_value(descriptor, exp, c) -> Fraction | None:
     if descriptor.is_robba():
         return Fraction(v) + sum(Fraction(descriptor.slope) * e for e in exp)
     return Fraction(v)
-
-
-# -- factories matching the two element flavors -----------------------------
-
-def dagger_series(descriptor: RingDescriptor, entries) -> Series:
-    if descriptor.kind not in (TATE, DAGGER):
-        raise DescriptorMismatchError("dagger_series needs a tate/dagger descriptor")
-    return Series.make(descriptor, entries)
-
-
-def robba_element(descriptor: RingDescriptor, entries) -> Series:
-    if not descriptor.is_robba():
-        raise DescriptorMismatchError("robba_element needs a robba descriptor")
-    s = Series.make(descriptor, entries)
-    if descriptor.integral:
-        g = s.gauss_value()
-        if g is not None and g < 0:
-            raise WindowError("integral-subring element with negative valuation")
-    return s
 
 
 # -- norms -------------------------------------------------------------------

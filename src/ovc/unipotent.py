@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import BadCertificateError, PrecisionError
 from .linalg import sparse_snf
 from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
-from .padics import PadicApprox, int_valuation, make_scalar
+from .padics import PadicApprox, from_residue, int_valuation, make_scalar
 from .report import CohomologyReport, DegreeData
 from .series import Series, dlog_antiderivative, t_d_dt, w_slope
 
@@ -39,15 +39,6 @@ class UnipotentData:
             for row in self.nilpotent_X))
         lhs = mod.connection.mul(U).add(U.map(lambda s: t_d_dt(s)))
         return lhs.sub(U.mul(X)).is_zero_at_precision(digits)
-
-    def denominator_height(self) -> int:
-        """h = max(0, -min vp(X)) over the constant matrix."""
-        h = 0
-        for row in self.nilpotent_X:
-            for c in row:
-                if c.val is not None:
-                    h = max(h, -c.val)
-        return h
 
 
 def _constant_part(s: Series) -> PadicApprox:
@@ -257,13 +248,8 @@ def _scalar_matrix_snf(X, p, M):
     vals = [c.val for row in X for c in row if c.val is not None]
     shift = -min(vals) if vals and min(vals) < 0 else 0
     N = M + shift
-    mod = p ** N
-    entries = {}
-    for i in range(n):
-        for j, c in enumerate(X[i]):
-            if c.val is None:
-                continue
-            entries[(i, j)] = c.unit * p ** (c.val + shift) % mod
+    entries = {(i, j): c.residue(N, shift) for i in range(n)
+               for j, c in enumerate(X[i]) if c.val is not None}
     return sparse_snf(n, n, entries, p, N), shift, N
 
 
@@ -280,18 +266,9 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     def to_vectors(int_vecs):
         out = []
         for v in int_vecs:
-            const = []
-            for i in range(n):
-                x = v.get(i, 0)
-                if x:
-                    val = int_valuation(x, p)
-                    x //= p ** val
-                    const.append(PadicApprox(p, x % p ** max(N - val, 1), val,
-                                             max(N - val, 1)))
-                else:
-                    const.append(PadicApprox.zero(p))
             coords = U.apply(tuple(
-                Series.make(ring, {ring.zero_exp(): c}) for c in const))
+                Series.make(ring, {ring.zero_exp(): from_residue(
+                    v.get(i, 0), p, N)}) for i in range(n)))
             out.append(ModuleVector(module, coords))
         return out
 

@@ -167,6 +167,18 @@ def test_cli_runs_byte_identical(tmp_path):
     ("leray", "leray_plane.ovc", "command leray M1 x q"),
     # fiber and base are the same variable
     ("leray", "leray_plane.ovc", "command leray M1 x x"),
+    # option values the option does not take
+    ("pushforward", "pushforward_trivial.ovc",
+     "command pushforward M1 robba R unipotent maybe"),
+    ("factor", "factor_diag.ovc", "command factor U bound x"),
+    ("horizontal", "horizontal_rank2.ovc", "command horizontal M1 w w L abc"),
+    # an option the command does not know
+    ("pushforward", "pushforward_trivial.ovc",
+     "command pushforward M1 robba R window 3"),
+    ("factor", "factor_diag.ovc", "command factor U scale 2"),
+    # an option without a value, and a repeated option
+    ("horizontal", "horizontal_rank2.ovc", "command horizontal M1 w w L"),
+    ("factor", "factor_diag.ovc", "command factor U bound 4 bound 5"),
 ])
 def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
                                                     block):
@@ -180,6 +192,18 @@ def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
     assert proc.returncode == 2
     assert b"parse error" in proc.stderr
     assert b"engine.internal" not in proc.stderr
+
+
+def test_pushforward_unipotent_no_uses_window_linear_algebra():
+    text = (PROBLEMS / "pushforward_trivial.ovc").read_text()
+    assert "unipotent yes" in text
+    notes = {}
+    for flag in ("yes", "no"):
+        pf = parse_problem(text.replace("unipotent yes", f"unipotent {flag}"))
+        notes[flag] = [v for k, v in run_command(pf).records if k == "note"]
+    assert notes == {
+        "yes": ["local terms from a unipotent certificate"],
+        "no": ["local terms from window linear algebra (no certificate)"]}
 
 
 def test_shipped_problems_run():
