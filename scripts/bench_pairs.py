@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Paired before/after runs of one benchmark workload on two checkouts.
+
+    python3 scripts/bench_pairs.py --base ../ovc-parent --head . \\
+        --workload plane-fillin --seeds 7 8 9 10 11 12 13 14 15 16 \\
+        --seconds 25 --label plane-fillin
+
+Each pair runs ``perfbench/run.py --trace 0`` of each checkout, one after the
+other, on one seed; which side goes first alternates from pair to pair, so a
+drift of the host's speed favours neither.  Any checkout works as the base,
+for example a ``git clone`` of the parent commit.  The script writes
+``BENCH_<label>.json`` into the head checkout: each run's final JSON object,
+and per end-to-end metric of BENCHMARK.json each side's median and quartiles,
+the per-pair ratios head/base, their median and the number of pairs the head
+won (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def revision(checkout: Path) -> str | None:
+    """The checkout's commit, marked ``-dirty`` when its tracked files
+    differ from it; None outside a git repository."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=checkout, capture_output=True, text=True,
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def spread(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list, metrics: list) -> dict:
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        base = [p["base"]["metrics"][name]["value"] for p in pairs]
+        head = [p["head"]["metrics"][name]["value"] for p in pairs]
+        won = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
+        ratios = [h / b if b else None for b, h in zip(base, head)]
+        known = [r for r in ratios if r is not None]
+        out[name] = {"better": m["better"], "base": spread(base),
+                     "head": spread(head), "ratios": ratios,
+                     "median_ratio": statistics.median(known) if known
+                     else None,
+                     "pairs_won": won, "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, required=True)
+    ap.add_argument("--head", type=Path, default=Path("."))
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True,
+                    help="one pair per seed")
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--label", required=True)
+    args = ap.parse_args(argv)
+    base, head = args.base.resolve(), args.head.resolve()
+    bench = json.loads((head / "BENCHMARK.json").read_text())
+
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        first = "base" if i % 2 == 0 else "head"
+        order = [("base", base), ("head", head)]
+        if first == "head":
+            order.reverse()
+        pair = {"seed": seed, "first": first}
+        for side, checkout in order:
+            pair[side] = run_once(checkout, args.workload, seed, args.seconds)
+        pairs.append(pair)
+        walls = {s: pair[s]["metrics"]["wall_s"]["value"]
+                 for s in ("base", "head")}
+        print(f"pair {i + 1}/{len(args.seeds)} seed {seed} ({first} first): "
+              f"wall_s base {walls['base']:.4f} head {walls['head']:.4f}",
+              file=sys.stderr)
+
+    result = {
+        "label": args.label, "workload": args.workload,
+        "seconds": args.seconds,
+        "base": revision(base), "head": revision(head),
+        "host": {"python": platform.python_version(),
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "summary": summarize(pairs, bench["end_to_end"]),
+        "pairs": pairs,
+    }
+    out = head / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    for name, s in result["summary"].items():
+        print(f"{name:12s} base {s['base']['median']:.6g} "
+              f"[{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]  "
+              f"head {s['head']['median']:.6g} "
+              f"[{s['head']['q1']:.6g}, {s['head']['q3']:.6g}]  "
+              f"median ratio {s['median_ratio']}  "
+              f"won {s['pairs_won']}/{s['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

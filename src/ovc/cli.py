@@ -38,6 +38,12 @@ COMMANDS = ("cohomology", "compact-supports", "pushforward", "factor",
             "unipotent-basis", "horizontal", "pairing", "groebner-reduce",
             "selftest", "leray")
 
+# commands whose first argument names what they run on
+SUBJECT = {"cohomology": "module", "compact-supports": "module",
+           "pushforward": "module", "factor": "matrix",
+           "unipotent-basis": "module", "horizontal": "module",
+           "pairing": "module"}
+
 
 @dataclass
 class RunReport:
@@ -108,6 +114,8 @@ def _cohomology_records(report: RunReport, cc: ComplexCohomology | CohomologyRep
 
 def run_command(pf: ProblemFile) -> RunReport:
     name, args = pf.command
+    if name in SUBJECT and not args:
+        raise ParseError(f"{name} needs a {SUBJECT[name]} name")
     report = RunReport(name, [])
     if name == "cohomology":
         module = _module(pf, args[0])

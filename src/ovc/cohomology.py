@@ -364,6 +364,11 @@ def local_complex(module: SigmaNablaModule) -> ComplexData:
 
 @dataclass
 class ComplexCohomology:
+    """The report of a complex with the SNF of each of its maps, at the
+    map's scaling.  When some degree certainly has a class (see
+    ``_has_structural_class``) every SNF is tracked.  Otherwise every SNF is
+    rank-only (``tracked`` false), except that of a map some degree reads
+    its generators from (see ``_generator_source``)."""
     report: CohomologyReport
     cdata: ComplexData
     snfs: list              # SnfResult per map, at the map's scaling
@@ -428,13 +433,46 @@ def _int_vec_to_chain(vec: dict, space: ChainSpace, p: int, N: int,
     return ChainVector(space, data)
 
 
+def _has_structural_class(cdata: ComplexData) -> bool:
+    """Whether some degree has a class whatever the entries' values: its
+    dimension exceeds the nonzero columns of the outgoing map plus the
+    nonzero rows of the incoming map, which bound the two ranks."""
+    maps = cdata.matrices
+    for j, space in enumerate(cdata.spaces):
+        cols = len({c for _, c in maps[j]}) if j < len(maps) else 0
+        rows = len({r for r, _ in maps[j - 1]}) if j >= 1 else 0
+        if space.dim > cols + rows:
+            return True
+    return False
+
+
+def _generator_source(snfs, j: int):
+    """The map whose SNF the generators of degree j are read from: the
+    incoming one when its rank is positive, else the outgoing one; None in
+    a top degree without boundaries, whose generators are unit vectors."""
+    if j >= 1 and snfs[j - 1].rank() > 0:
+        return j - 1
+    return j if j < len(snfs) else None
+
+
 def complex_cohomology(cdata: ComplexData, label: str,
                        want_generators: bool = True) -> ComplexCohomology:
+    """Certified dimensions, with generators read from tracked SNFs.
+
+    Dimensions need only SNF ranks, so when no degree has a structural class
+    the maps are first reduced rank-only, and a map is reduced again,
+    tracked, only when a degree with raw classes reads its generators from
+    it.  Generators always come from a tracked reduction, so the report is
+    the same either way."""
     p, M = cdata.p, cdata.M
     scalings = cdata.scalings
-    snfs = [sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                       cdata.matrices[j], p, scalings[j][0])
-            for j in range(len(cdata.matrices))]
+
+    def snf(j, track):
+        return sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
+                          cdata.matrices[j], p, scalings[j][0], track=track)
+
+    track = _has_structural_class(cdata)
+    snfs = [snf(j, track) for j in range(len(cdata.matrices))]
 
     degrees = {}
     gap = min((s.certification_gap() - sc[1] for s, sc in zip(snfs, scalings)),
@@ -446,6 +484,9 @@ def complex_cohomology(cdata: ComplexData, label: str,
         raw = space.dim - rank_out - rank_in
         gens, excluded = (), 0
         if want_generators and raw > 0:
+            src = _generator_source(snfs, j)
+            if src is not None and not snfs[src].tracked:
+                snfs[src] = snf(src, True)
             vecs, sidx = _extract_generators(cdata, snfs, j, raw)
             N, shift = scalings[sidx] if scalings else (M, 0)
             kept = []
@@ -466,7 +507,8 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     plus the index of the scaling they are expressed under."""
     top = len(cdata.spaces) - 1
     dim_j = cdata.spaces[j].dim
-    if j >= 1 and snfs[j - 1].rank() > 0:
+    src = _generator_source(snfs, j)
+    if src == j - 1:
         prev = snfs[j - 1]
         uinv_rows = prev.materialize_Uinv()
         # columns of Uinv at non-pivot coordinates span the quotient
@@ -503,7 +545,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
         # top degree: the quotient itself is the cohomology
         return [uinv_cols.get(q, {q: 1}) for q in nonpivot][: count], j - 1
     # no incoming boundaries: kernel of the outgoing map (or everything)
-    if j < top:
+    if src == j:
         return snfs[j].kernel_basis()[: count], j
     return [{i: 1} for i in range(dim_j)][: count], max(j - 1, 0)
 

@@ -2,10 +2,14 @@
 
 Kernel and cokernel computations throughout the engine reduce to this module.
 Pivots are chosen at minimal valuation (so elimination never loses absolute
-precision), preferring the lowest-ordered row/column so that reported
-generators pivot on the lowest total exponent.  Elementary divisors at or
-above the working precision are reported as "zero at precision"; a dimension
-claim is certified by the gap between the largest surviving divisor and the
+precision).  A tracked reduction, which logs the transforms that generators
+are read from, takes the lowest-ordered column and then its lowest-ordered
+row, so that reported generators pivot on the lowest total exponent.  A
+rank-only (untracked) reduction takes the same columns but the row with the
+fewest entries, which keeps fill-in down; its divisors, ranks and gap are
+those of the tracked one.  Elementary divisors at or above the working
+precision are reported as "zero at precision"; a dimension claim is
+certified by the gap between the largest surviving divisor and the
 precision ceiling.
 """
 
@@ -33,6 +37,7 @@ class SnfResult:
     col_ops: list          # applied right, in order
     free_cols: list        # columns never pivoted (divisor N)
     free_rows: list        # rows never pivoted
+    tracked: bool          # op logs kept; the transforms below need them
 
     # -- certified quantities ---------------------------------------------
 
@@ -40,7 +45,8 @@ class SnfResult:
         return sorted(e for _, _, e in self.pivots) + [self.N] * len(self.free_cols)
 
     def rank(self, cutoff: int | None = None) -> int:
-        cutoff = self.N if cutoff is None else cutoff
+        if cutoff is None or cutoff >= self.N:
+            return len(self.pivots)     # every pivot sits below the ceiling
         return sum(1 for _, _, e in self.pivots if e < cutoff)
 
     def certification_gap(self) -> int:
@@ -51,8 +57,14 @@ class SnfResult:
 
     # -- transform application ---------------------------------------------
 
+    def _require_tracked(self):
+        if not self.tracked:
+            raise ValueError("a rank-only SnfResult has no transforms; "
+                             "reduce with track=True to read vectors")
+
     def apply_U(self, vec: dict) -> dict:
         """U @ vec for the accumulated row transform (D = U A V)."""
+        self._require_tracked()
         v = dict(vec)
         mod = self.p ** self.N
         for op in self.row_ops:
@@ -67,6 +79,7 @@ class SnfResult:
         return {k: x for k, x in v.items() if x}
 
     def apply_Uinv(self, vec: dict) -> dict:
+        self._require_tracked()
         v = dict(vec)
         mod = self.p ** self.N
         for op in reversed(self.row_ops):
@@ -82,6 +95,7 @@ class SnfResult:
 
     def apply_V(self, vec: dict) -> dict:
         """V @ vec; feed unit vectors to read off kernel combinations."""
+        self._require_tracked()
         v = dict(vec)
         mod = self.p ** self.N
         for op in reversed(self.col_ops):
@@ -99,6 +113,7 @@ class SnfResult:
 
     def materialize_Uinv(self) -> dict:
         """Uinv as {row: {col: value}}; built by replaying inverse row ops."""
+        self._require_tracked()
         mod = self.p ** self.N
         rows: dict[int, dict[int, int]] = {}
 
@@ -120,6 +135,7 @@ class SnfResult:
 
     def materialize_V_cols(self) -> dict:
         """V as {col: {row: value}} (column-major), replaying column ops."""
+        self._require_tracked()
         mod = self.p ** self.N
         cols: dict[int, dict[int, int]] = {}
 
@@ -142,12 +158,14 @@ class SnfResult:
 
     def kernel_basis(self, cutoff: int | None = None) -> list[dict]:
         """Columns of V above the zero (at precision) divisors."""
+        self._require_tracked()
         cutoff = self.N if cutoff is None else cutoff
         cols = [c for _, c, e in self.pivots if e >= cutoff] + self.free_cols
         return [self.apply_V({c: 1}) for c in sorted(cols)]
 
     def coker_reps(self, cutoff: int | None = None) -> list[dict]:
         """Uinv images of the non-pivot rows: representatives of the cokernel."""
+        self._require_tracked()
         cutoff = self.N if cutoff is None else cutoff
         rows = [r for r, _, e in self.pivots if e >= cutoff] + self.free_rows
         return [self.apply_Uinv({r: 1}) for r in sorted(rows)]
@@ -191,17 +209,23 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     filed in the bucket of its minimum valuation (the valuation of the gcd
     of its entries) stays at or above that bucket's level.  At level e the
     columns of bucket e are taken in increasing order.  Each checks its gcd
-    at its turn: a column whose minimum is still e pivots on its lowest row
-    of valuation e, one whose minimum has risen moves to the bucket of its
-    new minimum, and one whose entries all cancelled is dropped, since fill
+    at its turn: a column whose minimum is still e pivots on a row of
+    valuation e, one whose minimum has risen moves to the bucket of its new
+    minimum, and one whose entries all cancelled is dropped, since fill
     enters a column only through its entry in a pivot row.  This pivots
     exactly the columns whose minimum is e when the level starts, in
     increasing order, skipping those whose minimum rises before their turn.
 
-    The pivots, the free lists and the row and column op logs, order
-    included, are part of the contract: generators and report digests are
-    read off them, and tests/test_linalg.py pins them exactly.  With
-    ``track=False`` the op logs stay empty and everything else is unchanged.
+    Tracked, the pivot row is the lowest row of valuation e.  Its pivots,
+    free lists and row and column op logs, order included, are part of the
+    contract: generators and report digests are read off them, and
+    tests/test_linalg.py pins them exactly.  With ``track=False`` the op
+    logs stay empty and the pivot row is the row of valuation e with the
+    fewest entries (the lowest of those on a tie), since the pivot row's
+    length is the fill it spreads into every other row of its column.  Only
+    the SNF invariants are then promised: the divisors, the rank at every
+    cutoff, the gap and the sizes of the free lists; the pivots themselves
+    may differ.
     """
     mod = p ** N
     by_row: dict[int, dict[int, int]] = {}
@@ -230,8 +254,11 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
                 continue
             if len(col) == 1:
                 r, = col
-            else:
+            elif track:
                 r = min(rr for rr, x in col.items() if x % above)
+            else:
+                r = min((len(by_row[rr]), rr) for rr, x in col.items()
+                        if x % above)[1]
             # normalize the pivot row so the pivot becomes exactly p^level,
             # log the column ops that clear it and take it out of its columns
             u = col[r] // pe
@@ -274,4 +301,4 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     pivot_cols = {c for _, c, _ in pivots}
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
                      [c for c in range(ncols) if c not in pivot_cols],
-                     [r for r in range(nrows) if r not in pivot_rows])
+                     [r for r in range(nrows) if r not in pivot_rows], track)

@@ -179,6 +179,15 @@ def test_cli_runs_byte_identical(tmp_path):
     # an option without a value, and a repeated option
     ("horizontal", "horizontal_rank2.ovc", "command horizontal M1 w w L"),
     ("factor", "factor_diag.ovc", "command factor U bound 4 bound 5"),
+    # the module or matrix the command runs on is missing
+    ("cohomology", "mw_line_trivial.ovc", "command cohomology"),
+    ("compact-supports", "compact_plane_trivial.ovc",
+     "command compact-supports"),
+    ("pushforward", "pushforward_trivial.ovc", "command pushforward"),
+    ("factor", "factor_diag.ovc", "command factor"),
+    ("unipotent-basis", "unipotent_rank2.ovc", "command unipotent-basis"),
+    ("horizontal", "horizontal_rank2.ovc", "command horizontal"),
+    ("pairing", "pairing_plane.ovc", "command pairing"),
 ])
 def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
                                                     block):

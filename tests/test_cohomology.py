@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+from ovc import cohomology
 from ovc.cohomology import (
     ChainVector,
     compact_complex,
@@ -95,6 +96,57 @@ def test_mw_h0_generator_is_constant():
     cc = mw_cohomology(trivial_module(1, P, 10, 30))
     ((lbl, val),) = cc.report.generators(0)[0].records()
     assert lbl == (0, (), (0,)) and val == "1*p^0@10"
+
+
+def _snf_calls(monkeypatch, force_track=False):
+    """Record the track flag of every SNF the engine runs; with
+    ``force_track`` every one of them runs tracked."""
+    calls, snf = [], cohomology.sparse_snf
+
+    def spy(*args, track=True):
+        calls.append(track)
+        return snf(*args, track=track or force_track)
+
+    monkeypatch.setattr(cohomology, "sparse_snf", spy)
+    return calls
+
+
+def _line_with_precision_class():
+    # d + 3 dx on the line window [0, 12] at p = 3, M = 8: both maps' rank
+    # bounds leave no class, yet one degree-0 class survives at precision
+    ring = trivial_module(1, P, 8, 12).ring
+    gam = SeriesMatrix.make(ring, [[Series.from_ints(ring, {(0,): 3})]])
+    return SigmaNablaModule(ring, 1, gammas=(("x", gam),))
+
+
+def test_rank_only_pass_reruns_the_generator_source(monkeypatch):
+    mod = _line_with_precision_class()
+    calls = _snf_calls(monkeypatch)
+    cc = mw_cohomology(mod)
+    assert calls == [False, True]
+    assert cc.report.degrees[0].raw_dim == 1
+    assert [s.tracked for s in cc.snfs] == [True]
+    monkeypatch.undo()
+    _snf_calls(monkeypatch, force_track=True)
+    assert repr(mw_cohomology(mod).report) == repr(cc.report)
+
+
+def test_rank_only_plane_without_classes(monkeypatch):
+    rng = random.Random(7)
+    ring = RingDescriptor(TATE, ("x", "y"), ((0, 10),) * 2, P, 20)
+    f = {(i, 0): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
+    g = {(0, i): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
+    mod = SigmaNablaModule(ring, 1, gammas=tuple(
+        (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
+        for v, c in (("x", f), ("y", g))))
+    calls = _snf_calls(monkeypatch)
+    cc = mw_cohomology(mod)
+    assert calls == [False, False]
+    assert cc.report.dims() == {0: 0, 1: 0, 2: 0}
+    assert not any(s.tracked for s in cc.snfs)
+    monkeypatch.undo()
+    _snf_calls(monkeypatch, force_track=True)
+    assert repr(mw_cohomology(mod).report) == repr(cc.report)
 
 
 def test_compact_known_answers():

@@ -102,20 +102,32 @@ def repeating_matrix(rng, p, N, m, n, density):
     return {(i, j): x for j, col in enumerate(cols) for i, x in col.items()}
 
 
-def test_divisors_match_dense_oracle():
+def _oracle_matrices():
+    """250 small dense-ish matrices at p = 3, then 180 sparse ones up to
+    20 x 20 at p = 2, 3 and 5: (A, entries, p, N)."""
     rng = random.Random(2)
     p, N = 3, 6
     for _ in range(250):
         A, ent = random_matrix(rng, p, N)
-        res = sparse_snf(len(A), len(A[0]), ent, p, N)
-        assert res.divisors() == dense_divisors(A, p, N)
+        yield A, ent, p, N
     for p, N in ((2, 8), (3, 6), (5, 5)):
         for _ in range(60):
             A, ent = sparse_matrix(rng, p, N, rng.randint(1, 20),
                                    rng.randint(1, 20),
                                    rng.choice([0.1, 0.2, 0.3]))
-            res = sparse_snf(len(A), len(A[0]), ent, p, N)
-            assert res.divisors() == dense_divisors(A, p, N)
+            yield A, ent, p, N
+
+
+def test_divisors_match_dense_oracle():
+    for A, ent, p, N in _oracle_matrices():
+        res = sparse_snf(len(A), len(A[0]), ent, p, N)
+        assert res.divisors() == dense_divisors(A, p, N)
+
+
+def test_untracked_divisors_match_dense_oracle():
+    for A, ent, p, N in _oracle_matrices():
+        res = sparse_snf(len(A), len(A[0]), ent, p, N, track=False)
+        assert res.divisors() == dense_divisors(A, p, N)
 
 
 def test_kernel_and_solve():
@@ -165,6 +177,23 @@ def test_transforms_materialize_consistently():
                       if v % mod}
             mat = {k: v % mod for k, v in vc.get(j, {j: 1}).items() if v % mod}
             assert direct == mat
+
+
+def test_untracked_result_has_no_transforms():
+    # the untracked pivots are those of a different elimination, so vectors
+    # read through the (empty) op logs would be wrong: [{1: 1}] here is not
+    # in the kernel
+    p, N = 3, 4
+    A = {(0, 0): 1, (0, 1): 1}
+    assert sparse_snf(1, 2, A, p, N).kernel_basis() == [{1: 1, 0: 80}]
+    bare = sparse_snf(1, 2, A, p, N, track=False)
+    assert not bare.tracked and bare.rank() == 1
+    for read in (lambda: bare.apply_U({0: 1}), lambda: bare.apply_Uinv({0: 1}),
+                 lambda: bare.apply_V({0: 1}), bare.materialize_Uinv,
+                 bare.materialize_V_cols, bare.kernel_basis, bare.coker_reps,
+                 lambda: bare.solve({0: 1})):
+        with pytest.raises(ValueError, match="track=True"):
+            read()
 
 
 def test_certification_gap():
@@ -282,9 +311,15 @@ def test_pinned_path_output():
                          + _path_inputs(),
                          ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
 def test_untracked_matches_tracked(args):
+    # the untracked pivot rows are chosen for fill, not order, so only the
+    # SNF invariants agree with the tracked run
     full = sparse_snf(*args)
     bare = sparse_snf(*args, track=False)
-    assert bare.pivots == full.pivots
-    assert bare.free_cols == full.free_cols
-    assert bare.free_rows == full.free_rows
+    N = args[4]
+    assert bare.divisors() == full.divisors()
+    assert [bare.rank(c) for c in range(N + 1)] \
+        == [full.rank(c) for c in range(N + 1)]
+    assert bare.certification_gap() == full.certification_gap()
+    assert len(bare.free_cols) == len(full.free_cols)
+    assert len(bare.free_rows) == len(full.free_rows)
     assert bare.row_ops == [] and bare.col_ops == []
