@@ -13,12 +13,18 @@ the connection's exponent shift and what happens at the box edge:
 * ``local_complex``    - the dlog operator D on a one-variable Robba window;
 * ``pushforward.quotient_complex`` and ``pushforward._vertical_ranks``.
 
-Dimensions come from p-adic Smith normal form ranks.  Hard windows create
-boundary artifacts (classes that exist only because the window cut the
-complex); every reported generator is therefore reduced to a representative
-and discarded as uncertified when its entire support hugs the window edge
-within the operator's shift reach.  Certified dimensions exclude those
-classes; raw counts and the exclusion tally stay in the report.
+Dimensions come from p-adic Smith normal form ranks.  Generators of degree j
+come from tracked reductions.  With incoming boundaries they are read off
+the free rows of d_(j-1): every logged row op reads a pivot row, so U^-1
+fixes the unit vectors of the free rows, and those unit vectors span the
+quotient by the image of d_(j-1) up to torsion.  The classes are the kernel
+of d_j on those coordinates; no transform is materialized.
+
+Hard windows create boundary artifacts (classes that exist only because the
+window cut the complex); every reported generator is therefore reduced to a
+representative and discarded as uncertified when its entire support hugs the
+window edge within the operator's shift reach.  Certified dimensions exclude
+those classes; raw counts and the exclusion tally stay in the report.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .errors import DescriptorMismatchError
-from .linalg import SnfResult, sparse_snf
+from .linalg import sparse_snf
 from .modules import SigmaNablaModule
 from .padics import from_residue, int_valuation
 from .report import CohomologyReport, DegreeData
@@ -364,14 +370,9 @@ def local_complex(module: SigmaNablaModule) -> ComplexData:
 
 @dataclass
 class ComplexCohomology:
-    """The report of a complex with the SNF of each of its maps, at the
-    map's scaling.  When some degree certainly has a class (see
-    ``_has_structural_class``) every SNF is tracked.  Otherwise every SNF is
-    rank-only (``tracked`` false), except that of a map some degree reads
-    its generators from (see ``_generator_source``)."""
+    """The report of a complex together with the complex it was read from."""
     report: CohomologyReport
     cdata: ComplexData
-    snfs: list              # SnfResult per map, at the map's scaling
 
 
 def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
@@ -455,15 +456,16 @@ def _generator_source(snfs, j: int):
     return j if j < len(snfs) else None
 
 
-def complex_cohomology(cdata: ComplexData, label: str,
-                       want_generators: bool = True) -> ComplexCohomology:
+def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
     """Certified dimensions, with generators read from tracked SNFs.
 
     Dimensions need only SNF ranks, so when no degree has a structural class
     the maps are first reduced rank-only, and a map is reduced again,
     tracked, only when a degree with raw classes reads its generators from
-    it.  Generators always come from a tracked reduction, so the report is
-    the same either way."""
+    it (see ``_generator_source``); when some degree certainly has a class
+    (see ``_has_structural_class``) every map is reduced tracked at once.
+    Generators always come from a tracked reduction, so the report is the
+    same either way."""
     p, M = cdata.p, cdata.M
     scalings = cdata.scalings
 
@@ -483,7 +485,7 @@ def complex_cohomology(cdata: ComplexData, label: str,
         rank_in = snfs[j - 1].rank() if j >= 1 else 0
         raw = space.dim - rank_out - rank_in
         gens, excluded = (), 0
-        if want_generators and raw > 0:
+        if raw > 0:
             src = _generator_source(snfs, j)
             if src is not None and not snfs[src].tracked:
                 snfs[src] = snf(src, True)
@@ -499,51 +501,35 @@ def complex_cohomology(cdata: ComplexData, label: str,
             gens = tuple(kept)
         degrees[j] = DegreeData(raw - excluded, gens, raw, excluded)
     report = CohomologyReport(label, degrees, gap, cdata.loss)
-    return ComplexCohomology(report, cdata, snfs)
+    return ComplexCohomology(report, cdata)
 
 
 def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     """Representatives of ker(d_j)/im(d_(j-1)) as sparse integer vectors,
-    plus the index of the scaling they are expressed under."""
+    plus the index of the scaling they are expressed under.
+
+    With incoming boundaries, the quotient is spanned by the columns of
+    U^-1 (from U d_(j-1) V = D) at the free rows of d_(j-1).  Every logged
+    row op has a pivot row as its source, so U^-1 fixes the unit vector of
+    each free row: those columns are the unit vectors e_q themselves.  The
+    induced map on the quotient is then d_j restricted to the free rows'
+    columns, and its kernel vectors are read back coordinate by
+    coordinate."""
     top = len(cdata.spaces) - 1
     dim_j = cdata.spaces[j].dim
     src = _generator_source(snfs, j)
     if src == j - 1:
-        prev = snfs[j - 1]
-        uinv_rows = prev.materialize_Uinv()
-        # columns of Uinv at non-pivot coordinates span the quotient
-        pivot_rows = {r for r, _, e in prev.pivots if e < prev.N}
-        nonpivot = [r for r in range(dim_j) if r not in pivot_rows]
-        uinv_cols: dict[int, dict[int, int]] = {}
-        for r in range(dim_j):
-            row = uinv_rows.get(r, {r: 1})
-            for c, x in row.items():
-                if x:
-                    uinv_cols.setdefault(c, {})[r] = x
-        if j < top:
-            # induced map on the quotient: d_j composed with Uinv columns
-            N2 = cdata.scalings[j][0]
-            by_col = cdata.columns(j)
-            mod2 = cdata.p ** N2
-            bent = {}
-            for qi, q in enumerate(nonpivot):
-                for mid, xm in uinv_cols.get(q, {q: 1}).items():
-                    for r, x in by_col.get(mid, {}).items():
-                        key = (r, qi)
-                        bent[key] = (bent.get(key, 0) + x * xm) % mod2
-            bent = {k: v for k, v in bent.items() if v}
-            bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(nonpivot),
-                              bent, cdata.p, N2)
-            out = []
-            for k in bsnf.kernel_basis()[: count]:
-                vec: dict[int, int] = {}
-                for qi, x in k.items():
-                    for r, y in uinv_cols.get(nonpivot[qi], {nonpivot[qi]: 1}).items():
-                        vec[r] = vec.get(r, 0) + x * y
-                out.append({r: v for r, v in vec.items() if v})
-            return out, j - 1
-        # top degree: the quotient itself is the cohomology
-        return [uinv_cols.get(q, {q: 1}) for q in nonpivot][: count], j - 1
+        free = snfs[j - 1].free_rows
+        if j == top:
+            # top degree: the quotient itself is the cohomology
+            return [{q: 1} for q in free[: count]], j - 1
+        by_col = cdata.columns(j)
+        bent = {(r, qi): x for qi, q in enumerate(free)
+                for r, x in by_col.get(q, {}).items() if x}
+        bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(free), bent, cdata.p,
+                          cdata.scalings[j][0])
+        return [{free[qi]: x for qi, x in k.items()}
+                for k in bsnf.kernel_basis()[: count]], j - 1
     # no incoming boundaries: kernel of the outgoing map (or everything)
     if src == j:
         return snfs[j].kernel_basis()[: count], j
@@ -566,7 +552,7 @@ def compact_support_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     shifted = {n + j: dd for j, dd in cc.report.degrees.items()}
     rep = CohomologyReport(cc.report.label, shifted, cc.report.precision_gap,
                            cc.report.truncation, cc.report.notes)
-    return ComplexCohomology(rep, cc.cdata, cc.snfs)
+    return ComplexCohomology(rep, cc.cdata)
 
 
 def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:

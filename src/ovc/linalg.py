@@ -109,50 +109,22 @@ class SnfResult:
                     v[src] = (v.get(src, 0) + m * v[dst]) % mod
         return {k: x for k, x in v.items() if x}
 
-    # -- materialized transforms (dict-of-rows sparse matrices) --------------
+    # -- materialized transforms ---------------------------------------------
+    # Nothing in ovc reads these; perfbench/tracer.py wraps both by name.
 
     def materialize_Uinv(self) -> dict:
-        """Uinv as {row: {col: value}}; built by replaying inverse row ops."""
+        """Uinv as {row: {col: value}}, read off its columns."""
         self._require_tracked()
-        mod = self.p ** self.N
         rows: dict[int, dict[int, int]] = {}
-
-        def row(r):
-            return rows.setdefault(r, {r: 1})
-
-        for op in reversed(self.row_ops):
-            if op[0] == "rs":
-                _, r, u = op
-                uinv = pow(u, -1, mod)
-                rows[r] = {c: x * uinv % mod for c, x in row(r).items()}
-            else:
-                _, src, dst, m = op
-                dd = dict(row(dst))
-                for c, x in row(src).items():
-                    dd[c] = (dd.get(c, 0) - m * x) % mod
-                rows[dst] = {c: x for c, x in dd.items() if x}
+        for c in range(self.nrows):
+            for r, x in self.apply_Uinv({c: 1}).items():
+                rows.setdefault(r, {})[c] = x
         return rows
 
     def materialize_V_cols(self) -> dict:
-        """V as {col: {row: value}} (column-major), replaying column ops."""
+        """V as {col: {row: value}} (column-major)."""
         self._require_tracked()
-        mod = self.p ** self.N
-        cols: dict[int, dict[int, int]] = {}
-
-        def col(c):
-            return cols.setdefault(c, {c: 1})
-
-        for op in self.col_ops:
-            if op[0] == "cs":
-                _, c, u = op
-                cols[c] = {r: x * u % mod for r, x in col(c).items()}
-            else:
-                _, src, dst, m = op
-                dd = dict(col(dst))
-                for r, x in col(src).items():
-                    dd[r] = (dd.get(r, 0) + m * x) % mod
-                cols[dst] = {r: x for r, x in dd.items() if x}
-        return cols
+        return {c: self.apply_V({c: 1}) for c in range(self.ncols)}
 
     # -- derived spaces ------------------------------------------------------
 
@@ -219,7 +191,9 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     Tracked, the pivot row is the lowest row of valuation e.  Its pivots,
     free lists and row and column op logs, order included, are part of the
     contract: generators and report digests are read off them, and
-    tests/test_linalg.py pins them exactly.  With ``track=False`` the op
+    tests/test_linalg.py pins them exactly.  Every logged row op reads a
+    pivot row (it scales one, or adds a multiple of one to another row), so
+    U^-1 fixes the unit vector of every free row.  With ``track=False`` the op
     logs stay empty and the pivot row is the row of valuation e with the
     fewest entries (the lowest of those on a tie), since the pivot row's
     length is the fill it spreads into every other row of its column.  Only

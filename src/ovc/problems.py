@@ -64,6 +64,15 @@ def _tokens(line: str) -> list[str]:
     return line.split()
 
 
+def _int(tok: str, what: str, ln: int) -> int:
+    """An integer token; anything else is a parse error on line ``ln``."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, not {tok!r}", ln) \
+            from None
+
+
 def parse_problem(text: str) -> ProblemFile:
     lines = text.splitlines()
     header = {"version": None, "p": None, "M": None, "q": None}
@@ -163,15 +172,14 @@ def _parse_ring(pf: ProblemFile, toks: list[str], ln: int):
     variables = tuple(opts["vars"].split(","))
     windows = []
     for piece in opts["window"].split(","):
-        try:
-            lo, hi = piece.split(":")
-            lo, hi = int(lo), int(hi)
-        except ValueError:
+        bounds = piece.split(":")
+        if len(bounds) != 2:
             raise ParseError(f"malformed window {piece!r}", ln)
+        lo, hi = (_int(b, "window bound", ln) for b in bounds)
         if hi - lo > MAX_WINDOW:
             raise RangeError(f"window size {hi - lo} exceeds {MAX_WINDOW}", ln)
         windows.append((lo, hi))
-    decay = int(opts["decay"]) if "decay" in opts else None
+    decay = _int(opts["decay"], "decay", ln) if "decay" in opts else None
     slope = Fraction(opts["slope"]) if "slope" in opts else None
     coeff = None
     if "coeff" in opts:
@@ -208,7 +216,7 @@ def _parse_series(pf: ProblemFile, lines: list[str], i: int):
             return j + 1
         if toks[0] != "term" or len(toks) != 2 + nvars:
             raise ParseError("expected 'term <exponents...> <scalar>'", j + 1)
-        exp = tuple(int(t) for t in toks[1:1 + nvars])
+        exp = tuple(_int(t, "exponent", j + 1) for t in toks[1:1 + nvars])
         scalar = parse_scalar(toks[-1], pf.p, pf.M)
         terms[exp] = terms[exp].add(scalar) if exp in terms else scalar
         j += 1
@@ -223,7 +231,7 @@ def _parse_matrix(pf: ProblemFile, lines: list[str], i: int):
     if ring not in pf.rings:
         raise UndefinedNameError(f"ring {ring!r}", i + 1)
     desc = pf.rings[ring]
-    nrows, ncols = int(toks[3]), int(toks[4])
+    nrows, ncols = (_int(t, "matrix size", i + 1) for t in toks[3:5])
     rows = [[Series.zero(desc) for _ in range(ncols)] for _ in range(nrows)]
     j = i + 1
     while j < len(lines):
@@ -238,7 +246,7 @@ def _parse_matrix(pf: ProblemFile, lines: list[str], i: int):
         if toks[0] != "entry" or len(toks) != 4:
             raise ParseError("expected 'entry <row> <col> <series-or-scalar>'",
                              j + 1)
-        r, c = int(toks[1]) - 1, int(toks[2]) - 1
+        r, c = (_int(t, "entry index", j + 1) - 1 for t in toks[1:3])
         if not (0 <= r < nrows and 0 <= c < ncols):
             raise RangeError("entry indices out of range", j + 1)
         ref = toks[3]
@@ -279,7 +287,7 @@ def _parse_vector(pf: ProblemFile, lines: list[str], i: int):
             return j + 1
         if toks[0] != "comp" or len(toks) != 3:
             raise ParseError("expected 'comp <index> <series-or-scalar>'", j + 1)
-        k = int(toks[1]) - 1
+        k = _int(toks[1], "component index", j + 1) - 1
         if not 0 <= k < module.rank:
             raise RangeError("component index out of range", j + 1)
         ref = toks[2]
@@ -319,7 +327,7 @@ def _parse_module(pf: ProblemFile, toks: list[str], ln: int):
                 raise UndefinedNameError(f"ring {val!r}", ln)
             ring = pf.rings[val]
         elif key == "rank":
-            rank = int(val)
+            rank = _int(val, "rank", ln)
         elif key == "connection":
             if val not in pf.matrices:
                 raise UndefinedNameError(f"matrix {val!r}", ln)

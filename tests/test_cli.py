@@ -52,6 +52,37 @@ def test_parse_syntax_error_carries_line():
     assert "line 4" in str(exc.value)
 
 
+@pytest.mark.parametrize("name, old, new, line", [
+    ("annulus_dlog_half.ovc", "window -30:30", "window -30:3O", 5),
+    ("groebner_reduce.ovc", "decay 1", "decay one", 5),
+    ("annulus_dlog_half.ovc", "term 0 1/2", "term 0.5 1/2", 7),
+    ("annulus_dlog_half.ovc", "matrix N R 1 1", "matrix N R x 1", 9),
+    ("annulus_dlog_half.ovc", "entry 1 1 a", "entry 1 i a", 10),
+    ("horizontal_rank2.ovc", "comp 2 1", "comp two 1", 11),
+    ("annulus_dlog_half.ovc", "rank 1", "rank 1.0", 12),
+])
+def test_bad_integer_tokens_are_parse_errors(name, old, new, line):
+    text = (PROBLEMS / name).read_text()
+    assert old in text
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text.replace(old, new, 1))
+    assert exc.value.line == line
+
+
+def test_cli_bad_integer_token_exits_2(tmp_path):
+    # a matrix size that is not an integer used to end in a ValueError
+    # traceback with exit 1
+    lines = (PROBLEMS / "annulus_dlog_half.ovc").read_text().splitlines()
+    assert lines[8] == "matrix N R 1 1"
+    lines[8] = "matrix N R x 1"
+    prob = tmp_path / "bad.ovc"
+    prob.write_text("\n".join(lines) + "\n")
+    proc = _run(["cohomology", str(prob)])
+    assert proc.returncode == 2
+    assert b"parse error [cli.parse]: line 9:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_series_and_scalars():
     text = """version 1
 p 3

@@ -16,7 +16,7 @@ from ovc.cohomology import (
     twisted_diagonal_cohomology,
 )
 from ovc.acceptance import dwork_module, kummer_module, trivial_module
-from ovc.linalg import _val
+from ovc.linalg import _val, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import make_scalar, parse_scalar
 from ovc.pairing import apply_complex_map
@@ -123,9 +123,9 @@ def test_rank_only_pass_reruns_the_generator_source(monkeypatch):
     mod = _line_with_precision_class()
     calls = _snf_calls(monkeypatch)
     cc = mw_cohomology(mod)
+    # map 0 runs rank-only, then again tracked for degree 0's generators
     assert calls == [False, True]
     assert cc.report.degrees[0].raw_dim == 1
-    assert [s.tracked for s in cc.snfs] == [True]
     monkeypatch.undo()
     _snf_calls(monkeypatch, force_track=True)
     assert repr(mw_cohomology(mod).report) == repr(cc.report)
@@ -141,9 +141,8 @@ def test_rank_only_plane_without_classes(monkeypatch):
         for v, c in (("x", f), ("y", g))))
     calls = _snf_calls(monkeypatch)
     cc = mw_cohomology(mod)
-    assert calls == [False, False]
+    assert calls == [False, False]     # no map is ever reduced tracked
     assert cc.report.dims() == {0: 0, 1: 0, 2: 0}
-    assert not any(s.tracked for s in cc.snfs)
     monkeypatch.undo()
     _snf_calls(monkeypatch, force_track=True)
     assert repr(mw_cohomology(mod).report) == repr(cc.report)
@@ -402,6 +401,75 @@ def _builder_digests():
 
 def test_pinned_builder_output():
     assert _builder_digests() == PINNED_BUILDER_DIGESTS
+
+
+# -- generator extraction ----------------------------------------------------
+
+SMALL = (3, 6, 9, 27, -3, "1/3")
+DEEP = (9, 27, 18, 81, -9, 3)
+
+
+def _extraction_oracle(cdata, snfs, j, count):
+    """Degree-j generators read through U^-1 of d_(j-1), replayed column by
+    column: the quotient is spanned by the U^-1 columns at the non-pivot
+    rows, and d_j composed with those columns is reduced for its kernel."""
+    prev = snfs[j - 1]
+    pivot_rows = {r for r, _, e in prev.pivots if e < prev.N}
+    nonpivot = [r for r in range(cdata.spaces[j].dim) if r not in pivot_rows]
+    uinv = {q: prev.apply_Uinv({q: 1}) for q in nonpivot}
+    if j == len(cdata.spaces) - 1:
+        return [uinv[q] for q in nonpivot][: count]
+    N2 = cdata.scalings[j][0]
+    by_col = cdata.columns(j)
+    bent = {}
+    for qi, q in enumerate(nonpivot):
+        for mid, xm in uinv[q].items():
+            for r, x in by_col.get(mid, {}).items():
+                bent[(r, qi)] = (bent.get((r, qi), 0) + x * xm) % P ** N2
+    bent = {k: v for k, v in bent.items() if v}
+    bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(nonpivot), bent, P, N2)
+    out = []
+    for k in bsnf.kernel_basis()[: count]:
+        vec = {}
+        for qi, x in k.items():
+            for r, y in uinv[nonpivot[qi]].items():
+                vec[r] = vec.get(r, 0) + x * y
+        out.append({r: v for r, v in vec.items() if v})
+    return out
+
+
+def test_extraction_matches_uinv_oracle():
+    complexes = [
+        ("mw", _tate_module(21, (6,), 2, SMALL)),
+        ("mw", trivial_module(1, P, 8, 12)),
+        ("mw", trivial_module(2, P, 8, 6)),
+        ("mw", trivial_module(3, P, 8, 3)),
+        ("compact", _tate_module(20, (6,), 2, SMALL)),
+        ("compact", _tate_module(37, (4, 3), 1, SMALL)),
+        ("compact", _tate_module(40, (2, 2, 2), 1, DEEP)),
+    ]
+    seen = set()
+    for kind, mod in complexes:
+        cdata = (mw_complex if kind == "mw" else compact_complex)(mod)
+        snfs = [sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
+                           ints, P, N)
+                for j, (ints, (N, _)) in enumerate(zip(cdata.matrices,
+                                                       cdata.scalings))]
+        top = len(cdata.spaces) - 1
+        for j in range(1, top + 1):
+            raw = (cdata.spaces[j].dim - snfs[j - 1].rank()
+                   - (snfs[j].rank() if j < top else 0))
+            if raw <= 0 or snfs[j - 1].rank() == 0:
+                continue
+            vecs, sidx = cohomology._extract_generators(cdata, snfs, j, raw)
+            want = _extraction_oracle(cdata, snfs, j, raw)
+            assert sidx == j - 1
+            assert [list(v.items()) for v in vecs] \
+                == [list(v.items()) for v in want]
+            seen.add((kind, len(mod.ring.variables), j == top))
+    assert seen == {(kind, n, at_top) for kind in ("mw", "compact")
+                    for n in (1, 2, 3) for at_top in (False, True)
+                    if n > 1 or at_top}
 
 
 def _criterion_4_images():

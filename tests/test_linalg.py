@@ -156,7 +156,7 @@ def test_solve_rejects_outside_image():
     assert res.solve({1: 1}) is None
 
 
-def test_transforms_materialize_consistently():
+def test_transforms_invert_and_reach_the_kernel():
     rng = random.Random(4)
     p, N = 3, 5
     mod = p ** N
@@ -164,19 +164,11 @@ def test_transforms_materialize_consistently():
         A, ent = random_matrix(rng, p, N)
         m, n = len(A), len(A[0])
         res = sparse_snf(m, n, ent, p, N)
-        uinv = res.materialize_Uinv()
-        b = {i: rng.randint(0, mod - 1) for i in range(m)}
-        ub = res.apply_U(b)
-        for r in range(m):
-            row = uinv.get(r, {r: 1})
-            s = sum(v * ub.get(c, 0) for c, v in row.items()) % mod
-            assert s == b[r] % mod
-        vc = res.materialize_V_cols()
-        for j in range(n):
-            direct = {k: v % mod for k, v in res.apply_V({j: 1}).items()
-                      if v % mod}
-            mat = {k: v % mod for k, v in vc.get(j, {j: 1}).items() if v % mod}
-            assert direct == mat
+        b = {i: x for i in range(m) if (x := rng.randint(0, mod - 1))}
+        assert res.apply_Uinv(res.apply_U(b)) == b
+        for k in res.kernel_basis():
+            for i in range(m):
+                assert sum(A[i][c] * x for c, x in k.items()) % mod == 0
 
 
 def test_untracked_result_has_no_transforms():
@@ -305,6 +297,17 @@ def test_pinned_path_output():
     assert [N for *_, N in inputs] == [8, 6, 13, 13, 11, 11]
     assert [_snf_digest(sparse_snf(*args)) for args in inputs] \
         == PINNED_PATH_DIGESTS
+
+
+def test_row_ops_read_only_pivot_rows():
+    # generator extraction takes the columns of Uinv at the free rows to be
+    # unit vectors; that holds because every row op reads a pivot row
+    for args in _pinned_matrices() + _plane_differentials():
+        res = sparse_snf(*args)
+        pivot_rows = {r for r, _, _ in res.pivots}
+        assert all(op[1] in pivot_rows for op in res.row_ops)
+        for q in res.free_rows:
+            assert res.apply_Uinv({q: 1}) == {q: 1}
 
 
 @pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials()
