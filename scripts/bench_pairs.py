@@ -36,15 +36,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def revision(checkout: Path) -> str | None:
-    """The checkout's commit, marked ``-dirty`` when its tracked files
-    differ from it; None outside a git repository."""
+    """The checkout's commit, marked ``-dirty`` when its tracked files other
+    than ``BENCH_*.json`` differ from it, so that the file an earlier run
+    wrote does not count; None outside a git repository."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
     try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-            cwd=checkout, capture_output=True, text=True,
-            check=True).stdout.strip()
+        rev = git("describe", "--always", "--abbrev=12")
+        dirty = git("status", "--porcelain", "--untracked-files=no", "--",
+                    ".", ":(exclude)BENCH_*.json")
     except (OSError, subprocess.CalledProcessError):
         return None
+    return f"{rev}-dirty" if dirty else rev
 
 
 def spread(values: list) -> dict:

@@ -27,23 +27,12 @@ from .cohomology import (
 from .factor import factor_plus
 from .groebner import complete_leading_basis, reduce_element
 from .pairing import pairing_nondegeneracy_check
-from .problems import ProblemFile, parse_problem
+from .problems import COMMANDS, ProblemFile, parse_problem
 from .pushforward import leray_assemble, pushforward_complex, snake_check
 from .report import CohomologyReport
 from .series import gauss_norm
 from .unipotent import h0_h1_unipotent, horizontal_iterate, \
     strongly_unipotent_basis
-
-COMMANDS = ("cohomology", "compact-supports", "pushforward", "factor",
-            "unipotent-basis", "horizontal", "pairing", "groebner-reduce",
-            "selftest", "leray")
-
-# commands whose first argument names what they run on
-SUBJECT = {"cohomology": "module", "compact-supports": "module",
-           "pushforward": "module", "factor": "matrix",
-           "unipotent-basis": "module", "horizontal": "module",
-           "pairing": "module"}
-
 
 @dataclass
 class RunReport:
@@ -113,26 +102,20 @@ def _cohomology_records(report: RunReport, cc: ComplexCohomology | CohomologyRep
 
 
 def run_command(pf: ProblemFile) -> RunReport:
-    name, args = pf.command
-    if name in SUBJECT and not args:
-        raise ParseError(f"{name} needs a {SUBJECT[name]} name")
+    """The report of the problem's command; ``parse_problem`` has already
+    resolved and checked its arguments against ``problems.COMMANDS``."""
+    name, args, opts = pf.command
     report = RunReport(name, [])
     if name == "cohomology":
-        module = _module(pf, args[0])
+        module = args[0]
         cc = local_cohomology(module) if module.ring.is_robba() \
             else mw_cohomology(module)
         _cohomology_records(report, cc)
     elif name == "compact-supports":
-        cc = compact_support_cohomology(_module(pf, args[0]))
+        cc = compact_support_cohomology(args[0])
         _cohomology_records(report, cc)
     elif name == "pushforward":
-        module = _module(pf, args[0])
-        opts = _options(name, args[1:], {
-            "robba": str, "unipotent": {"yes": True, "no": False}.__getitem__})
-        ring = pf.rings.get(opts.get("robba", ""))
-        if ring is None:
-            raise ParseError("pushforward needs 'robba <ring>'")
-        bundle = pushforward_complex(module, ring,
+        bundle = pushforward_complex(args[0], opts["robba"],
                                      unipotent=opts.get("unipotent", False))
         for k, v in bundle.dims().items():
             report.add(f"{k}.dim", v)
@@ -144,14 +127,7 @@ def run_command(pf: ProblemFile) -> RunReport:
             report.add("note", note)
         report.add("precision-floor", pf.M)
     elif name == "leray":
-        if len(args) != 3:
-            raise ParseError("leray needs '<module> <fiber> <base>'")
-        module = _module(pf, args[0])
-        fiber, base = args[1], args[2]
-        if fiber == base or not {fiber, base} <= set(module.ring.variables):
-            raise ParseError("leray needs a fiber and a base that are two "
-                             "different variables of the module's ring")
-        rep = leray_assemble(module, fiber, base)
+        rep = leray_assemble(*args)
         report.add("fiber-kernel-rank", rep.fiber_kernel_rank)
         report.add("fiber-coker-rank", rep.fiber_coker_rank)
         for d, v in sorted(rep.dims_P.items()):
@@ -164,19 +140,13 @@ def run_command(pf: ProblemFile) -> RunReport:
         for node, ok, detail in rep.node_verdicts:
             report.add(f"node.{node}", "exact" if ok else f"FAIL ({detail})")
     elif name == "factor":
-        mat = pf.matrices.get(args[0])
-        if mat is None:
-            raise ParseError(f"matrix {args[0]!r} not defined")
-        opts = _options(name, args[1:], {"bound": int})
-        res = factor_plus(mat, opts.get("bound"))
+        res = factor_plus(args[0], opts.get("bound"))
         _matrix_records(report, "V", res.V)
         _matrix_records(report, "W", res.W)
         report.add("det-valuations", ",".join(str(d) for d in res.det_valuations))
         report.add("certificate-ops", len(res.certificate))
     elif name == "unipotent-basis":
-        module = _module(pf, args[0])
-        filt = pf.matrices.get(args[1]) if len(args) > 1 else None
-        data = strongly_unipotent_basis(module, filt)
+        data = strongly_unipotent_basis(*args)
         for i, row in enumerate(data.nilpotent_X):
             for j, c in enumerate(row):
                 report.add(f"X[{i + 1},{j + 1}]", c.serialize())
@@ -186,20 +156,15 @@ def run_command(pf: ProblemFile) -> RunReport:
         rep = h0_h1_unipotent(data)
         _cohomology_records(report, rep)
     elif name == "horizontal":
-        module = _module(pf, args[0])
-        opts = _options(name, args[1:], {"w": str, "L": int})
-        w = pf.vectors.get(opts.get("w", ""))
-        if w is None:
-            raise ParseError("horizontal needs 'w <vector>'")
-        data = strongly_unipotent_basis(module)
-        log = horizontal_iterate(data, w, opts.get("L", 8))
+        data = strongly_unipotent_basis(args[0])
+        log = horizontal_iterate(data, opts["w"], opts.get("L", 8))
         for i, c in enumerate(log.result.coords):
             _series_records(report, f"result.c{i}", c)
         report.add("headroom-used", log.headroom_used)
         report.add("slope-log", ",".join(
             "inf" if v is None else str(v) for v in log.steps))
     elif name == "pairing":
-        rep = pairing_nondegeneracy_check(_module(pf, args[0]))
+        rep = pairing_nondegeneracy_check(args[0])
         for b in rep.blocks:
             key = f"block.c{b.degree_c}.w{b.degree_mw}"
             report.add(f"{key}.dims", f"{b.dim_c}x{b.dim_mw}")
@@ -208,14 +173,8 @@ def run_command(pf: ProblemFile) -> RunReport:
                        "pass" if (b.left_injects and b.right_injects) else "FAIL")
         report.add("nondegenerate", "pass" if rep.nondegenerate else "FAIL")
     elif name == "groebner-reduce":
-        opts = _options(name, args, {"basis": str, "y": str, "z": str})
-        for key in ("basis", "y", "z"):
-            if key not in opts:
-                raise ParseError(f"groebner-reduce needs '{key} <series>'")
-        gens = [_named(pf.series, "series", g)
-                for g in opts["basis"].split(",")]
-        y, z = (_named(pf.series, "series", opts[k]) for k in ("y", "z"))
-        basis = complete_leading_basis(gens)
+        y, z = opts["y"], opts["z"]
+        basis = complete_leading_basis(opts["basis"])
         u = reduce_element(y, z, basis)
         _series_records(report, "u", u)
         report.add("gauss-value.u", gauss_norm(u).value)
@@ -232,37 +191,7 @@ def run_command(pf: ProblemFile) -> RunReport:
         report.add("failures", failed)
         if failed:
             raise OvcError(f"{failed} acceptance criteria failed")
-    else:
-        raise ParseError(f"unknown command {name!r}")
     return report
-
-
-def _options(command: str, args: tuple, table: dict) -> dict:
-    """The 'key value' pairs of a command block, each value converted by
-    ``table[key]``.  An unknown or repeated key, a key without a value and a
-    value its converter rejects are parse errors."""
-    if len(args) % 2:
-        raise ParseError(f"{command}: option {args[-1]!r} needs a value")
-    opts = {}
-    for key, text in zip(args[0::2], args[1::2]):
-        if key not in table or key in opts:
-            raise ParseError(f"{command}: unknown or repeated option {key!r}")
-        try:
-            opts[key] = table[key](text)
-        except (KeyError, ValueError):
-            raise ParseError(f"{command}: bad value {text!r} for option "
-                             f"{key!r}") from None
-    return opts
-
-
-def _module(pf: ProblemFile, name: str):
-    return _named(pf.modules, "module", name)
-
-
-def _named(table: dict, kind: str, name: str):
-    if name not in table:
-        raise ParseError(f"{kind} {name!r} not defined")
-    return table[name]
 
 
 def main(argv=None) -> int:
@@ -279,7 +208,13 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     try:
-        text = open(args.problem, encoding="utf-8").read()
+        with open(args.problem, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as ex:
+            raise ParseError(f"not UTF-8: {ex.reason}",
+                             raw.count(b"\n", 0, ex.start) + 1) from None
         pf = parse_problem(text)
         if pf.command[0] != args.command:
             raise ParseError(
@@ -294,9 +229,6 @@ def main(argv=None) -> int:
 
     try:
         report = run_command(pf)
-    except ParseError as ex:
-        print(f"parse error [{ex.code}]: {ex}", file=sys.stderr)
-        return 2
     except OvcError as ex:
         print(f"engine error [{ex.code}]: {ex}", file=sys.stderr)
         return 1

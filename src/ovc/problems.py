@@ -15,19 +15,30 @@
     module M1 ring R rank 1 connection N
     command cohomology M1
 
+After the header every line is a directive: a keyword, its positional
+operands, then ``key value`` options in any order.  Ring, module and command
+lines read their options by one rule: an unknown or repeated key, a key
+without its value, a missing required key and a value the key does not take
+are parse errors.  ``gamma <var> <matrix>`` is the one key that takes two
+operands and may repeat.  ``series``, ``matrix`` and ``vector`` open a block
+of records closed by ``end``.
+
 Scalars serialize as "u*p^v@M" (plain integers and fractions n/d accepted);
 a series is a list of term records (exponents then the scalar).  Every name
-must be defined before use; header parameters are range-checked so reports
-stay reproducible.
+must be defined before use, command arguments included, and an undefined one
+is reported with its line number; ``COMMANDS`` holds each command's
+arguments.  Header parameters are range-checked so reports stay
+reproducible.  Malformed input raises ParseError carrying the line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ParseError, RangeError, UndefinedNameError
-from .modules import SeriesMatrix, SigmaNablaModule
+from .errors import OvcError, ParseError, RangeError, UndefinedNameError
+from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule
 from .padics import is_prime, parse_scalar
 from .series import (
     DAGGER,
@@ -45,6 +56,52 @@ _KINDS = {"tate": TATE, "dagger": DAGGER, "dagger-fringe": DAGGER,
 MAX_PRECISION = 256
 MAX_WINDOW = 10 ** 4
 
+# name kind -> the ProblemFile table its names resolve in
+_TABLES = {"ring": "rings", "series": "series", "matrix": "matrices",
+           "module": "modules", "vector": "vectors"}
+
+
+def _window(tok: str) -> tuple:
+    lo, hi = map(int, tok.split(":"))       # ValueError unless "lo:hi"
+    return lo, hi
+
+
+# Option tables map a key to how its value is read (see ``_value``); a tuple
+# marks a key with several operands that may repeat.
+_RING = {"vars": [str], "window": [_window], "decay": int, "slope": Fraction,
+         "coeff": "ring"}
+_MODULE = {"ring": "ring", "rank": int, "connection": "matrix",
+           "frobenius": "matrix", "gamma": (str, "matrix")}
+
+
+class Command(NamedTuple):
+    """A command block's schema: how each positional argument is read (the
+    last ``optional`` of them may be left out), its option table and the
+    options it cannot do without."""
+
+    args: tuple = ()
+    options: dict = {}
+    required: tuple = ()
+    optional: int = 0
+
+
+COMMANDS = {
+    "cohomology": Command(("module",)),
+    "compact-supports": Command(("module",)),
+    "pushforward": Command(("module",), {
+        "robba": "ring", "unipotent": {"yes": True, "no": False}.__getitem__},
+        ("robba",)),
+    "factor": Command(("matrix",), {"bound": int}),
+    "unipotent-basis": Command(("module", "matrix"), optional=1),
+    "horizontal": Command(("module",), {"w": "vector", "L": int}, ("w",)),
+    "pairing": Command(("module",)),
+    "groebner-reduce": Command((), {
+        "basis": ["series"], "y": "series", "z": "series"},
+        ("basis", "y", "z")),
+    "selftest": Command(),
+    "leray": Command(("module", str, str)),
+}
+
 
 @dataclass
 class ProblemFile:
@@ -57,12 +114,10 @@ class ProblemFile:
     matrices: dict = field(default_factory=dict)
     modules: dict = field(default_factory=dict)
     vectors: dict = field(default_factory=dict)
-    command: tuple = ()          # (name, args dict)
+    command: tuple = ()          # (name, resolved args, resolved options)
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
+# -- token readers ------------------------------------------------------------
 
 def _int(tok: str, what: str, ln: int) -> int:
     """An integer token; anything else is a parse error on line ``ln``."""
@@ -73,279 +128,254 @@ def _int(tok: str, what: str, ln: int) -> int:
             from None
 
 
+def _scalar(pf: ProblemFile, tok: str, ln: int):
+    try:
+        return parse_scalar(tok, pf.p, pf.M)
+    except (ArithmeticError, ValueError, OvcError):
+        raise ParseError(f"malformed scalar {tok!r}", ln) from None
+
+
+def _named(pf: ProblemFile, kind: str, name: str, ln: int):
+    table = getattr(pf, _TABLES[kind])
+    if name not in table:
+        raise UndefinedNameError(f"{kind} {name!r}", ln)
+    return table[name]
+
+
+def _element(pf: ProblemFile, ring: RingDescriptor, tok: str, ln: int):
+    """A series of ``ring`` named by ``tok``, or a constant scalar."""
+    if tok in pf.series:
+        if pf.series[tok].descriptor != ring:
+            raise ParseError(f"series {tok!r} lives in another ring", ln)
+        return pf.series[tok]
+    try:
+        return Series.make(ring, {ring.zero_exp(): _scalar(pf, tok, ln)})
+    except ParseError:
+        raise UndefinedNameError(f"series {tok!r}", ln) from None
+
+
+def _value(pf: ProblemFile, kind, tok: str, what: str, ln: int):
+    """``tok`` read as ``kind``: a name kind of ``_TABLES`` resolves in
+    ``pf``, ``[kind]`` reads a comma-separated list, and any other kind is a
+    converter whose ArithmeticError, KeyError or ValueError is a parse
+    error."""
+    if isinstance(kind, str):
+        return _named(pf, kind, tok, ln)
+    if isinstance(kind, list):
+        return [_value(pf, kind[0], t, what, ln) for t in tok.split(",")]
+    try:
+        return kind(tok)
+    except (ArithmeticError, KeyError, ValueError):
+        raise ParseError(f"{what}: bad value {tok!r}", ln) from None
+
+
+# -- line readers -------------------------------------------------------------
+
+def _options(pf: ProblemFile, what: str, toks: list, table: dict, ln: int,
+             required: tuple = ()) -> dict:
+    """The ``key value`` options in ``toks``, each value read by
+    ``table[key]``.  A key whose entry is a tuple reads one operand per
+    element, may repeat, and collects its operand tuples in a list.  An
+    unknown or repeated key, a missing operand or required key and a value
+    its reader rejects are parse errors on line ``ln``."""
+    opts: dict = {}
+    k = 0
+    while k < len(toks):
+        key = toks[k]
+        kinds = table.get(key)
+        many = isinstance(kinds, tuple)
+        if kinds is None or (key in opts and not many):
+            raise ParseError(f"{what}: unknown or repeated option {key!r}", ln)
+        kinds = kinds if many else (kinds,)
+        operands = toks[k + 1:k + 1 + len(kinds)]
+        if len(operands) < len(kinds):
+            raise ParseError(f"{what}: option {key!r} needs "
+                             f"{len(kinds)} value(s)", ln)
+        vals = tuple(_value(pf, kind, tok, f"{what} {key}", ln)
+                     for kind, tok in zip(kinds, operands))
+        if many:
+            opts.setdefault(key, []).append(vals)
+        else:
+            opts[key] = vals[0]
+        k += 1 + len(kinds)
+    for key in required:
+        if key not in opts:
+            raise ParseError(f"{what} needs '{key} <value>'", ln)
+    return opts
+
+
+def _fields(pf: ProblemFile, what: str, toks: list, kinds: tuple,
+            table: dict, ln: int, required: tuple = (),
+            optional: int = 0) -> tuple:
+    """A directive's operands: one positional value per entry of ``kinds``
+    (the last ``optional`` of them may be left out and read as None), then
+    its options."""
+    n = min(len(toks), len(kinds))
+    if n < len(kinds) - optional:
+        raise ParseError(f"{what} needs {len(kinds) - optional} operand(s), "
+                         f"got {n}", ln)
+    args = tuple(_value(pf, kind, tok, what, ln)
+                 for kind, tok in zip(kinds, toks))
+    return (args + (None,) * (len(kinds) - n),
+            _options(pf, what, toks[n:], table, ln, required))
+
+
+def _block(recs: list, k: int, record: str, width: int) -> tuple:
+    """The records of the block opened at ``recs[k]``, as (line, operands)
+    pairs, and the index of its ``end``.  Every record is ``record`` and
+    ``width`` operands."""
+    for j in range(k + 1, len(recs)):
+        ln, toks = recs[j]
+        if toks == ["end"]:
+            return [(r, t[1:]) for r, t in recs[k + 1:j]], j
+        if toks[0] != record or len(toks) != 1 + width:
+            raise ParseError(f"expected 'end' or '{record}' with {width} "
+                             f"operands", ln)
+    raise ParseError(f"{recs[k][1][0]} block missing 'end'", recs[k][0])
+
+
+# -- the file -----------------------------------------------------------------
+
 def parse_problem(text: str) -> ProblemFile:
     lines = text.splitlines()
-    header = {"version": None, "p": None, "M": None, "q": None}
-    pf = None
-    i = 0
-
-    def err(msg, ln):
-        raise ParseError(msg, ln + 1)
-
-    # header pass
-    while i < len(lines):
-        raw = lines[i]
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            i += 1
-            continue
-        toks = _tokens(line)
-        if toks[0] in header and header[toks[0]] is None and pf is None:
-            try:
-                header[toks[0]] = int(toks[1])
-            except (IndexError, ValueError):
-                err(f"malformed header line {raw!r}", i)
-            i += 1
-            continue
-        if pf is None:
-            for key in ("version", "p", "M"):
-                if header[key] is None:
-                    err(f"missing header field {key}", i)
-            if header["version"] != 1:
-                raise RangeError(f"unsupported version {header['version']}", i + 1)
-            if not is_prime(header["p"]):
-                raise RangeError(f"p = {header['p']} is not prime", i + 1)
-            if not 1 <= header["M"] <= MAX_PRECISION:
-                raise RangeError(f"M = {header['M']} out of [1, {MAX_PRECISION}]",
-                                 i + 1)
-            q = header["q"] if header["q"] else header["p"]
-            qq = q
-            while qq > 1 and qq % header["p"] == 0:
-                qq //= header["p"]
-            if qq != 1:
-                raise RangeError(f"q = {q} is not a power of p", i + 1)
-            pf = ProblemFile(1, header["p"], header["M"], q)
-        i = _parse_body_line(pf, lines, i)
-    if pf is None:
+    recs = [(ln, toks) for ln, raw in enumerate(lines, 1)
+            if (toks := raw.split("#", 1)[0].split())]
+    if not recs:
         raise ParseError("empty problem file", 1)
-    if not pf.command:
+    header: dict = {}
+    k = 0
+    while k < len(recs) and recs[k][1][0] in ("version", "p", "M", "q") \
+            and recs[k][1][0] not in header:
+        ln, toks = recs[k]
+        if len(toks) != 2:
+            raise ParseError(f"malformed header line {' '.join(toks)!r}", ln)
+        header[toks[0]] = _int(toks[1], toks[0], ln)
+        k += 1
+    pf = _problem_file(header, recs[k][0] if k < len(recs) else len(lines))
+    command = None
+    while k < len(recs):
+        ln, toks = recs[k]
+        kw, ops = toks[0], toks[1:]
+        if kw == "ring":
+            _parse_ring(pf, ops, ln)
+        elif kw == "module":
+            _parse_module(pf, ops, ln)
+        elif kw == "series":
+            (name, ring), _ = _fields(pf, kw, ops, (str, "ring"), {}, ln)
+            body, k = _block(recs, k, "term", len(ring.variables) + 1)
+            pf.series[name] = _series(pf, ring, body)
+        elif kw == "matrix":
+            (name, ring, nrows, ncols), _ = _fields(
+                pf, kw, ops, (str, "ring", int, int), {}, ln)
+            if nrows < 1 or ncols < 1:
+                raise RangeError(f"matrix size {nrows}x{ncols}", ln)
+            body, k = _block(recs, k, "entry", 3)
+            pf.matrices[name] = _matrix(pf, ring, nrows, ncols, body)
+        elif kw == "vector":
+            (name, module), _ = _fields(pf, kw, ops, (str, "module"), {}, ln)
+            body, k = _block(recs, k, "comp", 2)
+            pf.vectors[name] = _vector(pf, module, body)
+        elif kw == "command":
+            if command:
+                raise ParseError("multiple command blocks", ln)
+            command = (ops, ln)
+        else:
+            raise ParseError(f"unknown directive {kw!r}", ln)
+        k += 1
+    if command is None:
         raise ParseError("no command block", len(lines))
+    pf.command = _command(pf, *command)
     return pf
 
 
-def _parse_body_line(pf: ProblemFile, lines: list[str], i: int) -> int:
-    raw = lines[i]
-    line = raw.split("#", 1)[0].strip()
-    toks = _tokens(line)
-    kw = toks[0]
-    ln = i + 1
-    if kw == "ring":
-        _parse_ring(pf, toks, ln)
-        return i + 1
-    if kw == "series":
-        return _parse_series(pf, lines, i)
-    if kw == "matrix":
-        return _parse_matrix(pf, lines, i)
-    if kw == "vector":
-        return _parse_vector(pf, lines, i)
-    if kw == "module":
-        _parse_module(pf, toks, ln)
-        return i + 1
-    if kw == "command":
-        if pf.command:
-            raise ParseError("multiple command blocks", ln)
-        pf.command = (toks[1], tuple(toks[2:]))
-        return i + 1
-    raise ParseError(f"unknown directive {kw!r}", ln)
+def _problem_file(header: dict, ln: int) -> ProblemFile:
+    for key in ("version", "p", "M"):
+        if key not in header:
+            raise ParseError(f"missing header field {key}", ln)
+    p, M = header["p"], header["M"]
+    if header["version"] != 1:
+        raise RangeError(f"unsupported version {header['version']}", ln)
+    if not is_prime(p):
+        raise RangeError(f"p = {p} is not prime", ln)
+    if not 1 <= M <= MAX_PRECISION:
+        raise RangeError(f"M = {M} out of [1, {MAX_PRECISION}]", ln)
+    q = header.get("q") or p
+    qq = q
+    while qq > 1 and qq % p == 0:
+        qq //= p
+    if qq != 1:
+        raise RangeError(f"q = {q} is not a power of p", ln)
+    return ProblemFile(1, p, M, q)
 
 
-def _keyed(toks: list[str], ln: int) -> dict:
-    out = {}
-    k = 0
-    while k + 1 < len(toks):
-        out[toks[k]] = toks[k + 1]
-        k += 2
-    if k < len(toks):
-        out[toks[k]] = ""
-    return out
-
-
-def _parse_ring(pf: ProblemFile, toks: list[str], ln: int):
-    if len(toks) < 3:
-        raise ParseError("ring needs a name and kind", ln)
-    name, kind = toks[1], toks[2]
-    if kind not in _KINDS:
-        raise ParseError(f"unknown ring kind {kind!r}", ln)
-    opts = _keyed(toks[3:], ln)
-    if "vars" not in opts or "window" not in opts:
-        raise ParseError("ring needs vars and window", ln)
-    variables = tuple(opts["vars"].split(","))
-    windows = []
-    for piece in opts["window"].split(","):
-        bounds = piece.split(":")
-        if len(bounds) != 2:
-            raise ParseError(f"malformed window {piece!r}", ln)
-        lo, hi = (_int(b, "window bound", ln) for b in bounds)
+def _parse_ring(pf: ProblemFile, ops: list, ln: int):
+    (name, kind), opts = _fields(pf, "ring", ops, (str, _KINDS.__getitem__),
+                                 _RING, ln, ("vars", "window"))
+    for lo, hi in opts["window"]:
         if hi - lo > MAX_WINDOW:
             raise RangeError(f"window size {hi - lo} exceeds {MAX_WINDOW}", ln)
-        windows.append((lo, hi))
-    decay = _int(opts["decay"], "decay", ln) if "decay" in opts else None
-    slope = Fraction(opts["slope"]) if "slope" in opts else None
-    coeff = None
-    if "coeff" in opts:
-        if opts["coeff"] not in pf.rings:
-            raise UndefinedNameError(f"coefficient ring {opts['coeff']!r}", ln)
-        coeff = pf.rings[opts["coeff"]]
     try:
         pf.rings[name] = RingDescriptor(
-            _KINDS[kind], variables, tuple(windows), pf.p, pf.M, q=pf.q,
-            decay=decay, slope=slope, coeff=coeff)
+            kind, tuple(opts["vars"]), tuple(opts["window"]), pf.p, pf.M,
+            q=pf.q, decay=opts.get("decay"), slope=opts.get("slope"),
+            coeff=opts.get("coeff"))
     except ValueError as ex:
-        raise ParseError(str(ex), ln)
+        raise ParseError(str(ex), ln) from None
 
 
-def _parse_series(pf: ProblemFile, lines: list[str], i: int):
-    toks = _tokens(lines[i].split("#", 1)[0])
-    if len(toks) != 3:
-        raise ParseError("series needs a name and a ring", i + 1)
-    name, ring = toks[1], toks[2]
-    if ring not in pf.rings:
-        raise UndefinedNameError(f"ring {ring!r}", i + 1)
-    desc = pf.rings[ring]
-    nvars = len(desc.variables)
-    terms = {}
-    j = i + 1
-    while j < len(lines):
-        line = lines[j].split("#", 1)[0].strip()
-        if not line:
-            j += 1
-            continue
-        toks = _tokens(line)
-        if toks[0] == "end":
-            pf.series[name] = Series.make(desc, terms)
-            return j + 1
-        if toks[0] != "term" or len(toks) != 2 + nvars:
-            raise ParseError("expected 'term <exponents...> <scalar>'", j + 1)
-        exp = tuple(_int(t, "exponent", j + 1) for t in toks[1:1 + nvars])
-        scalar = parse_scalar(toks[-1], pf.p, pf.M)
-        terms[exp] = terms[exp].add(scalar) if exp in terms else scalar
-        j += 1
-    raise ParseError("series block missing 'end'", i + 1)
-
-
-def _parse_matrix(pf: ProblemFile, lines: list[str], i: int):
-    toks = _tokens(lines[i].split("#", 1)[0])
-    if len(toks) != 5:
-        raise ParseError("matrix needs name, ring, rows, cols", i + 1)
-    name, ring = toks[1], toks[2]
-    if ring not in pf.rings:
-        raise UndefinedNameError(f"ring {ring!r}", i + 1)
-    desc = pf.rings[ring]
-    nrows, ncols = (_int(t, "matrix size", i + 1) for t in toks[3:5])
-    rows = [[Series.zero(desc) for _ in range(ncols)] for _ in range(nrows)]
-    j = i + 1
-    while j < len(lines):
-        line = lines[j].split("#", 1)[0].strip()
-        if not line:
-            j += 1
-            continue
-        toks = _tokens(line)
-        if toks[0] == "end":
-            pf.matrices[name] = SeriesMatrix.make(desc, rows)
-            return j + 1
-        if toks[0] != "entry" or len(toks) != 4:
-            raise ParseError("expected 'entry <row> <col> <series-or-scalar>'",
-                             j + 1)
-        r, c = (_int(t, "entry index", j + 1) - 1 for t in toks[1:3])
-        if not (0 <= r < nrows and 0 <= c < ncols):
-            raise RangeError("entry indices out of range", j + 1)
-        ref = toks[3]
-        if ref in pf.series:
-            val = pf.series[ref]
-            if val.descriptor != desc:
-                raise ParseError(f"series {ref!r} lives in another ring", j + 1)
-        else:
-            try:
-                val = Series.make(desc, {desc.zero_exp():
-                                         parse_scalar(ref, pf.p, pf.M)})
-            except (ValueError, ParseError):
-                raise UndefinedNameError(f"series {ref!r}", j + 1)
-        rows[r][c] = val
-        j += 1
-    raise ParseError("matrix block missing 'end'", i + 1)
-
-
-def _parse_vector(pf: ProblemFile, lines: list[str], i: int):
-    toks = _tokens(lines[i].split("#", 1)[0])
-    if len(toks) != 3:
-        raise ParseError("vector needs a name and a module", i + 1)
-    name, modname = toks[1], toks[2]
-    if modname not in pf.modules:
-        raise UndefinedNameError(f"module {modname!r}", i + 1)
-    module = pf.modules[modname]
-    comps = [Series.zero(module.ring) for _ in range(module.rank)]
-    j = i + 1
-    while j < len(lines):
-        line = lines[j].split("#", 1)[0].strip()
-        if not line:
-            j += 1
-            continue
-        toks = _tokens(line)
-        if toks[0] == "end":
-            from .modules import ModuleVector
-            pf.vectors[name] = ModuleVector(module, tuple(comps))
-            return j + 1
-        if toks[0] != "comp" or len(toks) != 3:
-            raise ParseError("expected 'comp <index> <series-or-scalar>'", j + 1)
-        k = _int(toks[1], "component index", j + 1) - 1
-        if not 0 <= k < module.rank:
-            raise RangeError("component index out of range", j + 1)
-        ref = toks[2]
-        if ref in pf.series:
-            comps[k] = pf.series[ref]
-        else:
-            comps[k] = Series.make(module.ring,
-                                   {module.ring.zero_exp():
-                                    parse_scalar(ref, pf.p, pf.M)})
-        j += 1
-    raise ParseError("vector block missing 'end'", i + 1)
-
-
-def _parse_module(pf: ProblemFile, toks: list[str], ln: int):
-    if len(toks) < 2:
-        raise ParseError("module needs a name", ln)
-    name = toks[1]
-    opts_list = toks[2:]
-    ring = None
-    rank = None
-    connection = None
-    frobenius = None
-    gammas = []
-    k = 0
-    while k < len(opts_list):
-        key = opts_list[k]
-        if key == "gamma":
-            var, mat = opts_list[k + 1], opts_list[k + 2]
-            if mat not in pf.matrices:
-                raise UndefinedNameError(f"matrix {mat!r}", ln)
-            gammas.append((var, pf.matrices[mat]))
-            k += 3
-            continue
-        val = opts_list[k + 1]
-        if key == "ring":
-            if val not in pf.rings:
-                raise UndefinedNameError(f"ring {val!r}", ln)
-            ring = pf.rings[val]
-        elif key == "rank":
-            rank = _int(val, "rank", ln)
-        elif key == "connection":
-            if val not in pf.matrices:
-                raise UndefinedNameError(f"matrix {val!r}", ln)
-            connection = pf.matrices[val]
-        elif key == "frobenius":
-            if val not in pf.matrices:
-                raise UndefinedNameError(f"matrix {val!r}", ln)
-            frobenius = pf.matrices[val]
-        else:
-            raise ParseError(f"unknown module option {key!r}", ln)
-        k += 2
-    if ring is None or rank is None:
-        raise ParseError("module needs ring and rank", ln)
+def _parse_module(pf: ProblemFile, ops: list, ln: int):
+    (name,), opts = _fields(pf, "module", ops, (str,), _MODULE, ln,
+                            ("ring", "rank"))
     try:
         pf.modules[name] = SigmaNablaModule(
-            ring, rank, connection=connection, gammas=tuple(gammas),
-            frobenius=frobenius)
-    except (ValueError, Exception) as ex:
-        if isinstance(ex, (ParseError,)):
-            raise
-        raise ParseError(f"module construction failed: {ex}", ln)
+            opts["ring"], opts["rank"], connection=opts.get("connection"),
+            gammas=tuple(opts.get("gamma", ())),
+            frobenius=opts.get("frobenius"))
+    except Exception as ex:  # noqa: BLE001 - any failure is the line's fault
+        raise ParseError(f"module construction failed: {ex}", ln) from None
+
+
+def _series(pf: ProblemFile, ring: RingDescriptor, body: list) -> Series:
+    terms: dict = {}
+    for ln, ops in body:
+        exp = tuple(_int(t, "exponent", ln) for t in ops[:-1])
+        scalar = _scalar(pf, ops[-1], ln)
+        terms[exp] = terms[exp].add(scalar) if exp in terms else scalar
+    return Series.make(ring, terms)
+
+
+def _matrix(pf: ProblemFile, ring: RingDescriptor, nrows: int, ncols: int,
+            body: list) -> SeriesMatrix:
+    rows = [[Series.zero(ring) for _ in range(ncols)] for _ in range(nrows)]
+    for ln, (r, c, ref) in body:
+        r, c = (_int(t, "entry index", ln) - 1 for t in (r, c))
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            raise RangeError("entry indices out of range", ln)
+        rows[r][c] = _element(pf, ring, ref, ln)
+    return SeriesMatrix.make(ring, rows)
+
+
+def _vector(pf: ProblemFile, module: SigmaNablaModule,
+            body: list) -> ModuleVector:
+    comps = [Series.zero(module.ring) for _ in range(module.rank)]
+    for ln, (k, ref) in body:
+        k = _int(k, "component index", ln) - 1
+        if not 0 <= k < module.rank:
+            raise RangeError("component index out of range", ln)
+        comps[k] = _element(pf, module.ring, ref, ln)
+    return ModuleVector(module, tuple(comps))
+
+
+def _command(pf: ProblemFile, ops: list, ln: int) -> tuple:
+    """The command block checked against its schema in ``COMMANDS``."""
+    name = ops[0] if ops else ""
+    if name not in COMMANDS:
+        raise ParseError(f"unknown command {name!r}", ln)
+    spec = COMMANDS[name]
+    args, opts = _fields(pf, name, ops[1:], spec.args, spec.options, ln,
+                         spec.required, spec.optional)
+    if name == "leray" and (args[1] == args[2] or not
+                            {args[1], args[2]} <= set(args[0].ring.variables)):
+        raise ParseError("leray needs a fiber and a base that are two "
+                         "different variables of the module's ring", ln)
+    return name, args, opts

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ovc.cli import emit_report, run_command
 from ovc.errors import ParseError, RangeError, UndefinedNameError
@@ -224,8 +225,9 @@ def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
                                                     block):
     text = (PROBLEMS / name).read_text()
     text = text[:text.index("command ")] + block + "\n"
-    with pytest.raises(ParseError):
-        run_command(parse_problem(text))
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert exc.value.line == len(text.splitlines())
     prob = tmp_path / name
     prob.write_text(text)
     proc = _run([command, str(prob)])
@@ -288,3 +290,83 @@ command unipotent-basis M1
     assert proc2.returncode == 1
     assert b"Traceback" not in proc2.stderr
     assert b"engine error" in proc2.stderr
+
+
+@pytest.mark.parametrize("command, name, old, new, line", [
+    # values their reader rejects
+    ("cohomology", "annulus_dlog_half.ovc", "slope 1", "slope 1/0", 5),
+    ("cohomology", "annulus_dlog_half.ovc", "slope 1", "slope abc", 5),
+    ("cohomology", "annulus_dlog_half.ovc", "term 0 1/2", "term 0 1/0", 7),
+    ("cohomology", "annulus_dlog_half.ovc", "entry 1 1 a", "entry 1 1 1/0",
+     10),
+    ("horizontal", "horizontal_rank2.ovc", "comp 2 1", "comp 1 abc", 11),
+    # options without their value
+    ("cohomology", "annulus_dlog_half.ovc", "connection N", "connection",
+     12),
+    ("cohomology", "mw_line_trivial.ovc", "gamma x Z", "gamma x", 8),
+    # a command line without its command
+    ("cohomology", "mw_line_trivial.ovc", "command cohomology M1", "command",
+     9),
+    # an unknown and a repeated ring option, an overlong header line
+    ("cohomology", "mw_line_trivial.ovc", "window 0:60", "window 0:60 bogus 3",
+     5),
+    ("cohomology", "mw_line_trivial.ovc", "window 0:60",
+     "window 0:60 window 0:30", 5),
+    ("cohomology", "mw_line_trivial.ovc", "p 3", "p 3 5", 3),
+    # extra positionals, an undefined filtration matrix
+    ("cohomology", "mw_line_trivial.ovc", "command cohomology M1",
+     "command cohomology M1 junk 3", 9),
+    ("unipotent-basis", "unipotent_rank2.ovc", "command unipotent-basis M1",
+     "command unipotent-basis M1 NOPE", 13),
+])
+def test_cli_malformed_lines_exit_2_with_line(tmp_path, command, name, old,
+                                              new, line):
+    text = (PROBLEMS / name).read_text()
+    assert old in text
+    prob = tmp_path / name
+    prob.write_text(text.replace(old, new, 1))
+    proc = _run([command, str(prob)])
+    assert proc.returncode == 2
+    assert b"parse error" in proc.stderr
+    assert f"line {line}:".encode() in proc.stderr
+    assert b"engine.internal" not in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path):
+    prob = tmp_path / "latin1.ovc"
+    prob.write_bytes(MINIMAL.encode().replace(b"tate", b"t\xe2te"))
+    proc = _run(["cohomology", str(prob)])
+    assert proc.returncode == 2
+    assert b"parse error" in proc.stderr
+    assert b"line 4:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+SHIPPED = tuple(p.read_text() for p in sorted(PROBLEMS.glob("*.ovc")))
+POOL = ("1/0", "abc", "0", "-1", "2", "0:5", "1:2:3", "M1", "R", "W", "N",
+        "Z", "x", "t", "end", "term", "entry", "comp", "gamma", "ring", "rank",
+        "vars", "window", "slope", "connection", "command", "module", "series",
+        "matrix", "vector", "cohomology", "robba", "tate", "w", "L", "p", "M")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_problems_parse_or_raise_parse_error(data):
+    # parsing only: a mutated window can make a run arbitrarily slow
+    lines = [raw.split() for raw in data.draw(st.sampled_from(SHIPPED))
+             .splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        toks = lines[data.draw(st.integers(0, len(lines) - 1))]
+        at = data.draw(st.integers(0, len(toks)))
+        op = data.draw(st.sampled_from(("delete", "replace", "insert")))
+        if op == "insert" or not toks:
+            toks.insert(at, data.draw(st.sampled_from(POOL)))
+        elif op == "replace":
+            toks[min(at, len(toks) - 1)] = data.draw(st.sampled_from(POOL))
+        else:
+            del toks[min(at, len(toks) - 1)]
+    try:
+        parse_problem("\n".join(" ".join(toks) for toks in lines) + "\n")
+    except ParseError as ex:
+        assert ex.line is not None
