@@ -2,14 +2,19 @@
 """Drive the CLI over every shipped problem file and print the reports.
 
 Usage: python scripts/run_problems.py [--format text|structured]
+
+The CLI runs from this checkout's ``src``, put first on the children's
+PYTHONPATH, so no install is needed.
 """
 
 import argparse
+import os
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def main():
@@ -18,6 +23,8 @@ def main():
                     choices=("text", "structured"))
     args = ap.parse_args()
 
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     failures = 0
     for path in sorted((ROOT / "problems").glob("*.ovc")):
         command = None
@@ -30,7 +37,7 @@ def main():
         print(f"== {path.name} ({command})")
         proc = subprocess.run(
             [sys.executable, "-m", "ovc.cli", command, str(path),
-             "--format", args.format])
+             "--format", args.format], env=env)
         failures += proc.returncode != 0
         print()
     return 1 if failures else 0

@@ -1,11 +1,23 @@
 #!/usr/bin/env python3
 """Run the acceptance battery directly (same checks as `ovc selftest`),
-printing one line per criterion and exiting nonzero on any failure."""
+printing one line per criterion and exiting nonzero on any failure.
 
+Usage: python scripts/run_selftest.py
+
+It imports ovc from this checkout's ``src``, and puts that directory first on
+PYTHONPATH for the CLI runs the battery starts, so no install is needed."""
+
+import os
+import pathlib
 import sys
 import time
 
-from ovc.acceptance import run_all
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+
+from ovc.acceptance import run_all  # noqa: E402
 
 
 def main():

@@ -5,12 +5,15 @@ Pivots are chosen at minimal valuation (so elimination never loses absolute
 precision).  A tracked reduction, which logs the transforms that generators
 are read from, takes the lowest-ordered column and then its lowest-ordered
 row, so that reported generators pivot on the lowest total exponent.  A
-rank-only (untracked) reduction takes the same columns but the row with the
-fewest entries, which keeps fill-in down; its divisors, ranks and gap are
-those of the tracked one.  Elementary divisors at or above the working
-precision are reported as "zero at precision"; a dimension claim is
-certified by the gap between the largest surviving divisor and the
-precision ceiling.
+rank-only (untracked) reduction takes the row with the fewest entries, which
+keeps fill-in down, and eliminates a matrix with more rows than columns as
+its transpose: each pivot clears every other row of its column, so the
+orientation with fewer entries per column does less work.  A and A^T have the
+same divisors, so the ranks and gap are those of the tracked reduction, and
+its pivots and free lists are reported in the caller's orientation.
+Elementary divisors at or above the working precision are reported as "zero
+at precision"; a dimension claim is certified by the gap between the largest
+surviving divisor and the precision ceiling.
 """
 
 from __future__ import annotations
@@ -196,10 +199,15 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     U^-1 fixes the unit vector of every free row.  With ``track=False`` the op
     logs stay empty and the pivot row is the row of valuation e with the
     fewest entries (the lowest of those on a tie), since the pivot row's
-    length is the fill it spreads into every other row of its column.  Only
-    the SNF invariants are then promised: the divisors, the rank at every
-    cutoff, the gap and the sizes of the free lists; the pivots themselves
-    may differ.
+    length is the fill it spreads into every other row of its column.  A
+    matrix with more rows than columns is then reduced as its transpose
+    (``by_row`` and ``by_col`` trade places), since a tall matrix has more
+    entries per column, and each is a row to clear; the pivots are turned
+    back to (row, col, e) at the end, so they and the free lists are in the
+    caller's orientation.  A and A^T have the same Smith divisors, so only
+    the SNF invariants are promised: the divisors, the rank at every cutoff,
+    the gap and the sizes of the free lists; the pivots themselves may
+    differ from the tracked ones.
     """
     mod = p ** N
     by_row: dict[int, dict[int, int]] = {}
@@ -209,6 +217,10 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
         if x:
             by_row.setdefault(r, {})[c] = x
             by_col.setdefault(c, {})[r] = x
+    # untracked, a tall matrix is eliminated as its transpose
+    flip = not track and nrows > ncols
+    if flip:
+        by_row, by_col = by_col, by_row
 
     buckets = [[] for _ in range(N)]
     for c, col in by_col.items():
@@ -271,6 +283,8 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
             del by_col[c]
             pivots.append((r, c, level))
 
+    if flip:
+        pivots = [(r, c, e) for c, r, e in pivots]
     pivot_rows = {r for r, _, _ in pivots}
     pivot_cols = {c for _, c, _ in pivots}
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,

@@ -182,6 +182,13 @@ class SigmaNablaModule:
     frobenius: SeriesMatrix | None = None
 
     def __post_init__(self):
+        named = [("connection", self.connection),
+                 ("frobenius", self.frobenius)]
+        named += [(f"gamma {v}", g) for v, g in self.gammas]
+        for what, m in named:
+            if m is not None and (m.nrows, m.ncols) != (self.rank, self.rank):
+                raise ValueError(f"{what} is {m.nrows}x{m.ncols}, "
+                                 f"not {self.rank}x{self.rank}")
         if self.ring.is_robba():
             if self.connection is None:
                 raise ValueError("robba-kind module needs the dlog matrix N")

@@ -318,6 +318,8 @@ command unipotent-basis M1
      "command cohomology M1 junk 3", 9),
     ("unipotent-basis", "unipotent_rank2.ovc", "command unipotent-basis M1",
      "command unipotent-basis M1 NOPE", 13),
+    # a connection matrix that is not rank x rank
+    ("cohomology", "annulus_dlog_half.ovc", "rank 1", "rank 2", 12),
 ])
 def test_cli_malformed_lines_exit_2_with_line(tmp_path, command, name, old,
                                               new, line):

@@ -314,15 +314,25 @@ def test_row_ops_read_only_pivot_rows():
                          + _path_inputs(),
                          ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
 def test_untracked_matches_tracked(args):
-    # the untracked pivot rows are chosen for fill, not order, so only the
-    # SNF invariants agree with the tracked run
-    full = sparse_snf(*args)
-    bare = sparse_snf(*args, track=False)
-    N = args[4]
-    assert bare.divisors() == full.divisors()
-    assert [bare.rank(c) for c in range(N + 1)] \
-        == [full.rank(c) for c in range(N + 1)]
-    assert bare.certification_gap() == full.certification_gap()
-    assert len(bare.free_cols) == len(full.free_cols)
-    assert len(bare.free_rows) == len(full.free_rows)
-    assert bare.row_ops == [] and bare.col_ops == []
+    # the untracked pivot rows are chosen for fill, not order, and a tall
+    # matrix is reduced as its transpose, so only the SNF invariants agree
+    # with the tracked run; each input is also taken transposed, so both
+    # orientations meet both the wide and the tall path
+    nrows, ncols, entries, p, N = args
+    transposed = (ncols, nrows, {(c, r): x for (r, c), x in entries.items()},
+                  p, N)
+    for case in (args, transposed):
+        full = sparse_snf(*case)
+        bare = sparse_snf(*case, track=False)
+        assert bare.divisors() == full.divisors()
+        assert [bare.rank(c) for c in range(N + 1)] \
+            == [full.rank(c) for c in range(N + 1)]
+        assert bare.certification_gap() == full.certification_gap()
+        assert len(bare.free_cols) == len(full.free_cols)
+        assert len(bare.free_rows) == len(full.free_rows)
+        assert bare.row_ops == [] and bare.col_ops == []
+        # the pivots and free lists are in the caller's orientation
+        assert sorted([r for r, _, _ in bare.pivots] + bare.free_rows) \
+            == list(range(case[0]))
+        assert sorted([c for _, c, _ in bare.pivots] + bare.free_cols) \
+            == list(range(case[1]))
