@@ -9,8 +9,8 @@ rank-only (untracked) reduction takes the row with the fewest entries, which
 keeps fill-in down, and eliminates a matrix with more rows than columns as
 its transpose: each pivot clears every other row of its column, so the
 orientation with fewer entries per column does less work.  A and A^T have the
-same divisors, so the ranks and gap are those of the tracked reduction, and
-its pivots and free lists are reported in the caller's orientation.
+same divisors, so the ranks and gap are those of the tracked reduction; the
+rank-only pivots and free lists are reported in the caller's orientation.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
