@@ -37,7 +37,7 @@ from itertools import combinations, product
 from .errors import DescriptorMismatchError
 from .linalg import sparse_snf
 from .modules import SigmaNablaModule
-from .padics import from_residue, int_valuation
+from .padics import from_residue, int_valuation, integral_shift
 from .report import CohomologyReport, DegreeData
 from .series import _loss_min
 
@@ -180,7 +180,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     ``product`` order when ``deglex`` is false.
 
     Each map is emitted once as {(row, col): int mod p^N} with N = M + shift,
-    shift undoing the most negative valuation among the terms that land.
+    shift the ``integral_shift`` of the terms that land.
     Entries, their insertion order, the scaling, the floor (least precision
     of an entry that vanished at precision) and the loss are those of
     summing PadicApprox entries and scaling them to integers afterwards.
@@ -226,9 +226,8 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         codes = layouts[boxes[j]][1]
         where = layouts[boxes[j + 1]][2]
         dst_lo = boxes[j + 1][0]
-        vals = [c.val for _, _, E, c in all_terms if c.val is not None
-                and _lands(E, exp_sign, boxes[j], boxes[j + 1])]
-        shift = max(0, -min(vals)) if vals else 0
+        shift = integral_shift(c for _, _, E, c in all_terms
+                               if _lands(E, exp_sign, boxes[j], boxes[j + 1]))
         N = M + shift
         mod, ps = p ** N, p ** shift
 

@@ -176,9 +176,12 @@ class PadicApprox:
 
     def residue(self, N: int, shift: int = 0) -> int:
         """The value times p^shift as an integer mod p^N (0 for a zero);
-        ``val + shift`` must be nonnegative."""
+        raises ValueError when ``val + shift`` is negative."""
         if self.val is None:
             return 0
+        if self.val + shift < 0:
+            raise ValueError(f"p^{shift} does not make {self.serialize()} "
+                             "integral")
         return self.unit * self.prime ** (self.val + shift) % self.prime ** N
 
     # -- comparisons -------------------------------------------------------
@@ -220,6 +223,12 @@ def make_scalar(n: int | Fraction, p: int, M: int) -> PadicApprox:
     m = p ** M
     unit = (num // p ** vn) * pow(den // p ** vd, -1, m) % m
     return PadicApprox(p, unit, vn - vd, M)
+
+
+def integral_shift(values, least: int = 0) -> int:
+    """The least s >= ``least`` making every nonzero value times p^s
+    integral."""
+    return max([least] + [-c.val for c in values if c.val is not None])
 
 
 def from_residue(x: int, p: int, N: int, shift: int = 0,

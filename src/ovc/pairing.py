@@ -23,7 +23,7 @@ from .cohomology import (
 from .errors import DescriptorMismatchError
 from .linalg import sparse_snf
 from .modules import SigmaNablaModule
-from .padics import PadicApprox, make_scalar
+from .padics import PadicApprox, from_residue, integral_shift
 
 
 def _shuffle_sign(J: tuple, Jp: tuple) -> int:
@@ -65,19 +65,16 @@ def apply_complex_map(cc: ComplexCohomology, degree: int,
                       v: ChainVector) -> ChainVector:
     """The complex differential applied to a chain vector (exact on the
     stored window; dropped terms were already recorded as loss).  Each
-    stored entry x is read as the exact rational x / p^shift, x taken as
-    its least-absolute residue mod p^N."""
+    stored entry is decoded at its map's scaling, with the digits it holds."""
     cdata = cc.cdata
     src, dst = cdata.spaces[degree], cdata.spaces[degree + 1]
     p, M = cdata.p, cdata.M
     N, shift = cdata.scalings[degree]
-    mod = p ** N
     cols = cdata.columns(degree)
     out: dict = {}
     for label, coeff in v.data.items():
         for r, x in cols.get(src.index(label), {}).items():
-            t = coeff.mul(make_scalar(
-                Fraction(x if 2 * x < mod else x - mod, p ** shift), p, M))
+            t = coeff.mul(from_residue(x, p, N, shift, M))
             lbl = dst.label(r)
             out[lbl] = out[lbl].add(t) if lbl in out else t
     return ChainVector(dst, {l: c for l, c in out.items() if not c.is_exact_zero()})
@@ -114,23 +111,20 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
     for i in range(0, n + 1):
         cgens = cc.report.generators(n + i)
         wgens = mw.report.generators(n - i)
-        entries = {}
-        ser = []
-        for r, cg in enumerate(cgens):
-            row = []
-            for c, wg in enumerate(wgens):
-                val = residue_pairing(cg, wg, n)
-                row.append(val.serialize())
-                if val.val is not None:
-                    entries[(r, c)] = val.residue(M)
-            ser.append(tuple(row))
-        rank = sparse_snf(len(cgens), len(wgens), entries, p, M,
+        vals = {(r, c): residue_pairing(cg, wg, n)
+                for r, cg in enumerate(cgens) for c, wg in enumerate(wgens)}
+        ser = tuple(tuple(vals[(r, c)].serialize() for c in range(len(wgens)))
+                    for r in range(len(cgens)))
+        shift = integral_shift(vals.values())
+        entries = {k: x.residue(M + shift, shift) for k, x in vals.items()
+                   if not x.is_zero()}
+        rank = sparse_snf(len(cgens), len(wgens), entries, p, M + shift,
                           track=False).rank() if entries else 0
         left = rank == len(cgens)
         right = rank == len(wgens)
         ok = ok and left and right
         blocks.append(PairingBlock(n + i, n - i, len(cgens), len(wgens),
-                                   tuple(ser), rank, left, right))
+                                   ser, rank, left, right))
     return NondegeneracyReport(tuple(blocks), ok)
 
 

@@ -36,7 +36,7 @@ from .cohomology import (
 from .errors import BadCertificateError, DescriptorMismatchError, WindowError
 from .linalg import sparse_snf
 from .modules import SeriesMatrix, SigmaNablaModule
-from .padics import make_scalar
+from .padics import from_residue, integral_shift
 from .series import RingDescriptor, Series
 from .unipotent import h0_h1_unipotent, strongly_unipotent_basis
 
@@ -49,9 +49,10 @@ class ClassSpace:
     plus the incoming boundary matrix, packaged so that arbitrary ambient
     vectors can be expressed as classes."""
     ambient_dim: int
-    generators: list          # sparse int vectors {row: int}
+    generators: list          # sparse int vectors {row: value * p^shift}
     p: int
     N: int
+    shift: int
     boundary_cols: list
     _snf: object = None
     _ncols: int = 0
@@ -88,18 +89,15 @@ class ClassSpace:
 def _class_space(gens: list, space, p: int, M: int,
                  boundary: ComplexData | None = None) -> ClassSpace:
     """The classes of chain vectors modulo the first map of ``boundary``
-    (none when omitted), stored as integers at that map's scaling (N, shift).
-    A generator of negative valuation is rescaled to integral (classes are
-    only defined up to a scalar)."""
-    N, shift = boundary.scalings[0] if boundary else (M, 0)
-    ints = []
-    for g in gens:
-        vals = [c.val for c in g.data.values() if c.val is not None]
-        s = max(shift, -min(vals)) if vals else shift
-        ints.append({space.index(label): c.residue(N, s)
-                     for label, c in g.data.items() if c.val is not None})
+    (none when omitted), as integers mod that map's p^N.  The generators
+    are stored times p^shift, the map's shift or more when they need it to
+    be integral (classes are only defined up to a scalar)."""
+    N, least = boundary.scalings[0] if boundary else (M, 0)
+    shift = integral_shift((c for g in gens for c in g.data.values()), least)
+    ints = [{space.index(label): c.residue(N, shift)
+             for label, c in g.data.items() if not c.is_zero()} for g in gens]
     cols = list(boundary.columns(0).values()) if boundary else []
-    return ClassSpace(space.dim, ints, p, N, cols)
+    return ClassSpace(space.dim, ints, p, N, shift, cols)
 
 
 # -- the bundle --------------------------------------------------------------------
@@ -333,7 +331,7 @@ def snake_check(bundle: PushforwardBundle) -> list[SnakeVerdict]:
         names[0], ranks[0] == dims[0],
         f"rank {ranks[0]} of {dims[0]}"))
     for k in range(1, 5):
-        ker = dims[k] - _matrix_rank(mats[k], p, M)
+        ker = dims[k] - ranks[k]
         verdicts.append(SnakeVerdict(
             names[k], ker == ranks[k - 1],
             f"ker(out) {ker} vs im(in) {ranks[k - 1]}"))
@@ -471,7 +469,6 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
     if not gens:
         return None
     ring = module.ring
-    p, M = ring.prime, ring.precision
     gam_b = module.gamma(ring.variables[bi])
     J_target = () if kernel_side else (0,)
 
@@ -504,35 +501,31 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
                 raise BadCertificateError(
                     "horizontal action leaves the generator span at precision")
             for l, x in enumerate(coords):
-                if x:
-                    conn_terms[l][k][(j,)] = x
-    rows = []
-    for l in range(rank_g):
-        row = []
-        for k in range(rank_g):
-            row.append(Series.make(base_ring, {
-                e: make_scalar(x, p, M) for e, x in conn_terms[l][k].items()}))
-        rows.append(tuple(row))
+                conn_terms[l][k][(j,)] = x
+    rows = [tuple(Series.make(base_ring, conn_terms[l][k])
+                  for k in range(rank_g)) for l in range(rank_g)]
     return SigmaNablaModule(base_ring, rank_g,
                             gammas=((base_ring.variables[0],
                                      SeriesMatrix.make(base_ring, rows)),))
 
 
 def _line_class_solver(fib, gens, kernel_side):
-    """Solve ambient fiber vectors against the generator classes."""
+    """Solve ambient fiber vectors against the generator classes: the
+    scalar coordinates of a vector's class, or None."""
     cdata = fib.cdata
+    p, M = cdata.p, cdata.M
     space = cdata.spaces[0 if kernel_side else 1]
-    cs = _class_space(gens, space, cdata.p, cdata.M,
-                      None if kernel_side else cdata)
+    cs = _class_space(gens, space, p, M, None if kernel_side else cdata)
 
     def solve(vec_labels: dict):
-        vec = {}
-        for lbl, c in vec_labels.items():
-            if c.val is None:
-                continue
-            if c.val < 0:
-                return None
-            vec[space.index(lbl)] = c.residue(cs.N)
-        return cs.class_coords(vec)
+        # the image is encoded at t >= shift: a coordinate x then stands
+        # for x / p^(t - shift) against the generators
+        t = integral_shift(vec_labels.values(), cs.shift)
+        coords = cs.class_coords({space.index(lbl): c.residue(cs.N, t)
+                                  for lbl, c in vec_labels.items()
+                                  if not c.is_zero()})
+        if coords is None:
+            return None
+        return [from_residue(x, p, cs.N, t - cs.shift, M) for x in coords]
 
     return solve

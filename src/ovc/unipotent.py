@@ -16,7 +16,8 @@ from fractions import Fraction
 from .errors import BadCertificateError, PrecisionError
 from .linalg import sparse_snf
 from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
-from .padics import PadicApprox, from_residue, int_valuation, make_scalar
+from .padics import PadicApprox, from_residue, int_valuation, \
+    integral_shift, make_scalar
 from .report import CohomologyReport, DegreeData
 from .series import Series, dlog_antiderivative, t_d_dt, w_slope
 
@@ -46,6 +47,13 @@ def _constant_part(s: Series) -> PadicApprox:
     if isinstance(c, Series):
         raise BadCertificateError("relative coefficients not supported here")
     return c
+
+
+def _nonconstant_part(s: Series) -> Series:
+    """The terms other than t^0, with the entry's loss."""
+    zero = s.descriptor.zero_exp()
+    return Series(s.descriptor, tuple(t for t in s.terms if t[0] != zero),
+                  s.loss)
 
 
 def _is_strictly_upper(N: SeriesMatrix, digits: int) -> bool:
@@ -91,9 +99,7 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
     urows = [list(r) for r in U.rows]
     for i in range(n):
         for l in range(i - 1, -1, -1):
-            a = rows[l][i]
-            b = _constant_part(a)
-            rest = a.sub(Series.make(ring, {ring.zero_exp(): b}))
+            rest = _nonconstant_part(rows[l][i])
             if rest.is_zero():
                 continue
             e = dlog_antiderivative(rest)
@@ -110,14 +116,11 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
     for i in range(n):
         xrow = []
         for j in range(n):
-            s = rows[i][j]
-            c = _constant_part(s)
-            nonconst = s.sub(Series.make(ring, {ring.zero_exp(): c}))
-            g = nonconst.gauss_value()
+            g = _nonconstant_part(rows[i][j]).gauss_value()
             if g is not None and g < M:
                 raise PrecisionError(
                     "non-constant residue survived basis extraction")
-            xrow.append(c)
+            xrow.append(_constant_part(rows[i][j]))
         X.append(tuple(xrow))
     X = tuple(X)
 
@@ -245,8 +248,7 @@ def horizontal_iterate(data: UnipotentData, w: ModuleVector, L: int
 def _scalar_matrix_snf(X, p, M):
     """SNF of a constant matrix given as PadicApprox entries."""
     n = len(X)
-    vals = [c.val for row in X for c in row if c.val is not None]
-    shift = -min(vals) if vals and min(vals) < 0 else 0
+    shift = integral_shift(c for row in X for c in row)
     N = M + shift
     entries = {(i, j): c.residue(N, shift) for i in range(n)
                for j, c in enumerate(X[i]) if c.val is not None}
@@ -278,7 +280,8 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
         0: DegreeData(len(kernel), tuple(kernel), len(kernel)),
         1: DegreeData(len(coker), tuple(coker), len(coker)),
     }
-    return CohomologyReport("unipotent-h0-h1", degrees, snf.certification_gap())
+    return CohomologyReport("unipotent-h0-h1", degrees,
+                            snf.certification_gap() - shift)
 
 
 @dataclass(frozen=True)

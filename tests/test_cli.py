@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovc.cli import emit_report, run_command
-from ovc.errors import ParseError, RangeError, UndefinedNameError
+from ovc.errors import OvcError, ParseError, RangeError, UndefinedNameError
 from ovc.problems import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -372,3 +372,74 @@ def test_mutated_problems_parse_or_raise_parse_error(data):
         parse_problem("\n".join(" ".join(toks) for toks in lines) + "\n")
     except ParseError as ex:
         assert ex.line is not None
+
+
+# -- engine commands on coefficients with p in the denominator ------------------
+
+SWEEP_COEFFS = ("1/3", "1/9", "2/3")
+
+# rank-2 connection shapes: (row, col, exponent, coefficient or "c")
+LINE_SHAPES = {
+    "nilpotent": ((1, 2, 0, "c"),),
+    "nilpotent-x": ((1, 2, 1, "c"), (1, 2, 0, "1")),
+    "triangular": ((1, 1, 1, "c"), (1, 2, 0, "2")),
+    "diagonal": ((1, 1, 0, "c"), (2, 2, 1, "c")),
+}
+
+
+def _rank2_matrix(name, ring, shape, c, nvars=1):
+    """A 2x2 matrix block with one single-term series per entry record."""
+    lines, entries = [], []
+    for k, (i, j, e, coeff) in enumerate(shape):
+        exps = " ".join([str(e)] + ["0"] * (nvars - 1))
+        lines += [f"series {name}s{k} {ring}",
+                  f"  term {exps} {c if coeff == 'c' else coeff}", "end"]
+        entries.append(f"  entry {i} {j} {name}s{k}")
+    return lines + [f"matrix {name} {ring} 2 2", *entries, "end"]
+
+
+def _sweep_problems():
+    head = ["version 1", "p 3", "M 8"]
+    for c in SWEEP_COEFFS:
+        for shape_name, shape in LINE_SHAPES.items():
+            body = head + ["ring W tate vars x window 0:6",
+                           "ring R robba vars t window -8:8 slope 1",
+                           *_rank2_matrix("G", "W", shape, c),
+                           "module M1 ring W rank 2 gamma x G"]
+            for label, command in (
+                    ("cohomology", "cohomology M1"),
+                    ("compact-supports", "compact-supports M1"),
+                    ("pairing", "pairing M1"),
+                    ("pushforward", "pushforward M1 robba R"),
+                    ("pushforward-unipotent",
+                     "pushforward M1 robba R unipotent yes")):
+                yield f"{label}-{shape_name}-{c}", body + [
+                    f"command {command}"]
+            robba = head + ["ring R robba vars t window -8:8 slope 1",
+                            *_rank2_matrix("N", "R", shape, c),
+                            "module M1 ring R rank 2 connection N"]
+            yield f"unipotent-basis-{shape_name}-{c}", robba + [
+                "command unipotent-basis M1"]
+        for gy in ("1", "3", c):
+            yield f"leray-{c}-{gy}", head + [
+                "ring W tate vars x,y window 0:5,0:5",
+                "series fx W", f"  term 1 0 {c}", "end",
+                "series fy W", f"  term 0 1 {gy}", "end",
+                "matrix Gx W 1 1", "  entry 1 1 fx", "end",
+                "matrix Gy W 1 1", "  entry 1 1 fy", "end",
+                "module M1 ring W rank 1 gamma x Gx gamma y Gy",
+                "command leray M1 x y"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("\n".join(lines) + "\n", id=key)
+    for key, lines in _sweep_problems()])
+def test_engine_commands_report_or_raise_ovc_error(text):
+    # what escapes run_command other than an OvcError is what the CLI
+    # prints as engine.internal
+    pf = parse_problem(text)
+    try:
+        report = run_command(pf)
+    except OvcError:
+        return
+    assert report.records

@@ -500,7 +500,7 @@ def _criterion_4_images():
 
 
 PINNED_PAIRING_DIGEST = (
-    "83709e5e79739aaa3118a290aad2ce96713f5b6698ca23c14bdaa1d2209e3159")
+    "c74ac45ca841a5fef5fe8d8bf6d7c920d869314d9524da5a40be3061f685fa1b")
 
 
 def test_pinned_apply_complex_map():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc.errors import NonUnitError, PrimeError
-from ovc.padics import PadicApprox, int_valuation, make_scalar, parse_scalar, vp
+from ovc.padics import (PadicApprox, from_residue, int_valuation, integral_shift,
+                        make_scalar, parse_scalar, vp)
 
 
 def xgcd(a, b):
@@ -121,3 +122,44 @@ def test_int_valuation():
     assert int_valuation(54, 3) == 3
     with pytest.raises(ValueError):
         int_valuation(0, 3)
+
+
+def test_integral_shift_examples():
+    p, M = 3, 8
+    vals = [make_scalar(Fraction(2, 9), p, M), make_scalar(6, p, M),
+            PadicApprox.limited_zero(p, 4), PadicApprox.zero(p)]
+    assert integral_shift(vals) == 2
+    assert integral_shift(vals, least=5) == 5
+    assert integral_shift([make_scalar(3, p, M)]) == 0
+    assert integral_shift([]) == 0
+
+
+def test_residue_below_integral_raises():
+    c = make_scalar(Fraction(1, 3), 3, 8)
+    with pytest.raises(ValueError):
+        c.residue(8)
+    assert c.residue(9, 1) == 1
+    assert PadicApprox.limited_zero(3, 2).residue(8) == 0
+
+
+@st.composite
+def padic_values(draw, p=3):
+    kind = draw(st.sampled_from(("unit", "unit", "unit", "zero", "limited")))
+    if kind == "zero":
+        return PadicApprox.zero(p)
+    if kind == "limited":
+        return PadicApprox.limited_zero(p, draw(st.integers(-3, 16)))
+    prec = draw(st.integers(1, 16))
+    unit = draw(st.integers(1, p ** prec - 1).filter(lambda u: u % p))
+    return PadicApprox(p, unit, draw(st.integers(-3, 3)), prec)
+
+
+@given(padic_values(), st.integers(1, 12))
+@settings(max_examples=300, derandomize=True)
+def test_residue_round_trip(c, M):
+    p = c.prime
+    s = integral_shift([c])
+    back = from_residue(c.residue(M + s, s), p, M + s, s, M)
+    cap = M if c.abs_prec() is None else min(c.abs_prec(), M)
+    assert back.with_abs_prec(cap) == c.with_abs_prec(cap)
+    assert back.abs_prec() is None or back.abs_prec() <= M

@@ -103,3 +103,20 @@ def test_top_pairing_value_is_unit():
         gen_w = mw.report.generators(0)[0]
         val = residue_pairing(gen_c, gen_w, n)
         assert val.val == 0
+
+
+def test_nondegeneracy_with_denominators_reports():
+    # the pairing values of this module carry p in their denominators; they
+    # are scaled to integers by the shared rule instead of ending in a crash
+    from ovc.modules import SeriesMatrix, SigmaNablaModule
+    from ovc.series import TATE, RingDescriptor, Series
+
+    ring = RingDescriptor(TATE, ("x",), ((0, 8),), P, M)
+    third = Series.monomial(ring, (0,), Fraction(1, 3))
+    zero = Series.zero(ring)
+    mod = SigmaNablaModule(ring, 2, gammas=(("x", SeriesMatrix.make(
+        ring, [[zero, third], [zero, zero]])),))
+    rep = pairing_nondegeneracy_check(mod)
+    top = [b for b in rep.blocks if b.degree_c == 2][0]
+    assert (top.dim_c, top.dim_mw, top.rank) == (2, 2, 2)
+    assert all(b.rank <= min(b.dim_c, b.dim_mw) for b in rep.blocks)

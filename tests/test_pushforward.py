@@ -226,7 +226,7 @@ def _plane(gx, gy):
 
 
 # every case has a fiber cokernel, so Q's connection is solved against the
-# cokernel classes; the last one leaves the generator span
+# cokernel classes
 LERAY_PLANES = {
     "x": (((1, 0), 1), None),
     "x-1": (((1, 0), 1), ((0, 0), 1)),
@@ -245,7 +245,7 @@ PINNED_LERAY_DIGESTS = {
     "x/3":
         "340e66d8316b3edb1fcecb7e56ad7a3b2472206035939a54359c44b9e2884d8c",
     "x/3-y":
-        "018ba9658e37e7abb40be2ec96d822ec9d621c65869cd5b3eaa17abf99395dda",
+        "f837efae9a84367bd390c8ab805ae402ddd6d5533fa967ab68eabf3d066aa588",
 }
 
 
@@ -263,3 +263,34 @@ def test_pinned_leray_output():
                if isinstance(rep, LerayReport))
     assert {key: _digest(rep) for key, rep in outcomes.items()} \
         == PINNED_LERAY_DIGESTS
+
+
+def _induced_Q_connection(monkeypatch, module):
+    """The connection leray_assemble induces on the fiber cokernel Q, as
+    {exponent: serialized coefficient}."""
+    from ovc import pushforward
+
+    induced = {}
+    real = pushforward._induced_base_module
+
+    def spy(*args, kernel_side):
+        out = real(*args, kernel_side=kernel_side)
+        induced[kernel_side] = out
+        return out
+
+    monkeypatch.setattr(pushforward, "_induced_base_module", spy)
+    leray_assemble(module, "x", "y")
+    Q = induced[False]
+    assert Q.rank == 1
+    return {E: c.serialize() for E, c in Q.gamma("y").rows[0][0].terms}
+
+
+def test_leray_reads_coordinates_at_the_generator_scale(monkeypatch):
+    # Gamma_y = 3y acts on the cokernel class by 3y whatever the fiber
+    # connection's denominators; with Gamma_x = x/3 the cokernel generator
+    # is stored at p^1, which the solved coordinates must undo
+    plain = _induced_Q_connection(monkeypatch,
+                                  _plane(((1, 0), 1), ((0, 1), 3)))
+    third = _induced_Q_connection(
+        monkeypatch, _plane(((1, 0), Fraction(1, 3)), ((0, 1), 3)))
+    assert plain == third == {(1,): "1*p^1@11"}

@@ -175,3 +175,22 @@ def test_strongspan_different_filtrations():
             for exp, c in s.terms:
                 if any(exp):
                     assert c.val is None or c.val >= R.precision - 2
+
+
+@pytest.mark.parametrize("entry, serial", [
+    (Fraction(2, 9), "2*p^-2@12"),
+    (Fraction(1, 3), "1*p^-1@12"),
+])
+def test_constant_entry_of_negative_valuation(entry, serial):
+    # the constant part of a constant connection is X itself; its
+    # non-constant part is empty, not a limited zero at t^0
+    ring = RingDescriptor(ROBBA, ("t",), ((-10, 10),), P, 12,
+                          slope=Fraction(1))
+    mod = SigmaNablaModule(ring, 2, connection=SeriesMatrix.from_scalars(
+        ring, [[0, entry], [0, 0]]))
+    data = strongly_unipotent_basis(mod)
+    assert data.nilpotent_X[0][1].serialize() == serial
+    assert data.verify()
+    rep = h0_h1_unipotent(data)
+    assert rep.dims() == {0: 1, 1: 1}
+    assert rep.precision_gap <= ring.precision
