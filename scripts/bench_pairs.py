@@ -12,7 +12,9 @@ for example a ``git clone`` of the parent commit.  The script writes
 ``BENCH_<label>.json`` into the head checkout: each run's final JSON object,
 and per end-to-end metric of BENCHMARK.json each side's median and quartiles,
 the per-pair ratios head/base, their median and the number of pairs the head
-won (ties count for neither side).
+won (ties count for neither side).  It exits 1, after writing the file, when
+any run of either side reports ``"correct": false``, so a faster but wrong
+head never reads as a clean result.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ def summarize(pairs: list, metrics: list) -> dict:
     return out
 
 
+def wrong_runs(pairs: list) -> list:
+    """(seed, side) of every run whose oracles did not all pass."""
+    return [(p["seed"], side) for p in pairs for side in ("base", "head")
+            if not p[side]["correct"]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=Path, required=True)
@@ -123,7 +131,11 @@ def main(argv=None) -> int:
               f"[{s['head']['q1']:.6g}, {s['head']['q3']:.6g}]  "
               f"median ratio {s['median_ratio']}  "
               f"won {s['pairs_won']}/{s['pairs']}")
-    return 0
+    wrong = wrong_runs(pairs)
+    for seed, side in wrong:
+        print(f"seed {seed}: the {side} run failed its oracles",
+              file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

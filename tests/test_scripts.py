@@ -1,0 +1,52 @@
+"""The command-line scripts, loaded from their files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pair(seed, base_ok=True, head_ok=True):
+    return {"seed": seed, "first": "base",
+            "base": {"correct": base_ok, "metrics": {}},
+            "head": {"correct": head_ok, "metrics": {}}}
+
+
+def test_bench_pairs_names_every_wrong_run():
+    bench = _load("bench_pairs")
+    assert bench.wrong_runs([_pair(7), _pair(8)]) == []
+    assert bench.wrong_runs([_pair(7), _pair(8, head_ok=False)]) \
+        == [(8, "head")]
+    assert bench.wrong_runs([_pair(7, base_ok=False),
+                             _pair(8, base_ok=False, head_ok=False)]) \
+        == [(7, "base"), (8, "base"), (8, "head")]
+
+
+def test_bench_pairs_writes_its_file_then_exits_1_on_a_wrong_run(
+        tmp_path, monkeypatch, capsys):
+    bench = _load("bench_pairs")
+    (tmp_path / "BENCHMARK.json").write_text(
+        (SCRIPTS.parent / "BENCHMARK.json").read_text())
+
+    def run_once(checkout, workload, seed, seconds):
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in
+                   ("wall_s", "setup_s", "peak_rss_mb", "pass_frac")}
+        return {"correct": not (seed == 4 and checkout == tmp_path),
+                "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    argv = ["--base", str(SCRIPTS), "--head", str(tmp_path),
+            "--workload", "w", "--label", "t", "--seeds"]
+    assert bench.main(argv + ["3"]) == 0
+    assert bench.main(argv + ["3", "4"]) == 1
+    assert "seed 4: the head run failed" in capsys.readouterr().err
+    written = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [p["seed"] for p in written["pairs"]] == [3, 4]
