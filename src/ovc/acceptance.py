@@ -62,11 +62,9 @@ class CriterionResult:
     detail: str
 
 
-def trivial_module(nvars: int, p: int, M: int, window: int,
-                   kind: str = TATE) -> SigmaNablaModule:
+def trivial_module(nvars: int, p: int, M: int, window: int) -> SigmaNablaModule:
     names = tuple("xyzw"[:nvars])
-    ring = RingDescriptor(kind, names, ((0, window),) * nvars, p, M,
-                          decay=1 if kind == DAGGER else None)
+    ring = RingDescriptor(TATE, names, ((0, window),) * nvars, p, M)
     z = SeriesMatrix.zero(ring, 1)
     return SigmaNablaModule(ring, 1, gammas=tuple((v, z) for v in names))
 
@@ -80,9 +78,9 @@ def dwork_module(p: int, M: int, window: int, nvars: int = 1) -> SigmaNablaModul
     return SigmaNablaModule(ring, 1, gammas=tuple(gam))
 
 
-def kummer_module(a, p: int, M: int, window: int, slope=1) -> SigmaNablaModule:
+def kummer_module(a, p: int, M: int, window: int) -> SigmaNablaModule:
     ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
-                          slope=Fraction(slope))
+                          slope=Fraction(1))
     conn = SeriesMatrix.make(ring, [[Series.monomial(ring, (0,), Fraction(a))]])
     return SigmaNablaModule(ring, 1, connection=conn)
 

@@ -72,27 +72,26 @@ def _matrix_records(report: RunReport, prefix: str, mat):
                     c.serialize())
 
 
-def _cohomology_records(report: RunReport, cc: ComplexCohomology | CohomologyReport,
-                        prefix: str = "h"):
+def _cohomology_records(report: RunReport, cc: ComplexCohomology | CohomologyReport):
     rep = cc.report if isinstance(cc, ComplexCohomology) else cc
     for deg, dd in sorted(rep.degrees.items()):
-        report.add(f"{prefix}{deg}.dim", dd.dim)
-        report.add(f"{prefix}{deg}.raw-dim", dd.raw_dim)
+        report.add(f"h{deg}.dim", dd.dim)
+        report.add(f"h{deg}.raw-dim", dd.raw_dim)
         if dd.edge_excluded:
-            report.add(f"{prefix}{deg}.window-artifacts", dd.edge_excluded)
+            report.add(f"h{deg}.window-artifacts", dd.edge_excluded)
         for gi, gen in enumerate(dd.generators):
             if hasattr(gen, "records"):
                 for label, val in gen.records():
                     a, J, I = label
                     js = "dx" + "dx".join(str(v + 1) for v in J) if J else "1"
                     report.add(
-                        f"{prefix}{deg}.gen{gi}.c{a}.{js}."
+                        f"h{deg}.gen{gi}.c{a}.{js}."
                         f"{','.join(str(e) for e in I)}", val)
             else:  # module vectors from the unipotent route
                 for a, comp in enumerate(gen.coords):
                     for exp, c in comp.terms:
                         report.add(
-                            f"{prefix}{deg}.gen{gi}.c{a}."
+                            f"h{deg}.gen{gi}.c{a}."
                             f"{','.join(str(e) for e in exp)}", c.serialize())
     report.add("precision-floor", rep.precision_gap)
     report.add("truncation-loss",

@@ -46,14 +46,6 @@ def deglex_key(I) -> tuple:
 
 
 @dataclass(frozen=True)
-class OrderedMonomial:
-    index: Exp
-
-    def divides(self, other: "OrderedMonomial") -> bool:
-        return all(a <= b for a, b in zip(self.index, other.index))
-
-
-@dataclass(frozen=True)
 class LeadingDatum:
     element: Series
     rho_D: int | None       # None encodes the Gauss (1-leading) case
@@ -109,7 +101,6 @@ def _fp_sub_mul(f: dict, coeff: int, mono: Exp, g: dict, p: int) -> dict:
 
 def _fp_divmod(f: dict, basis: list[dict], p: int) -> dict:
     """Remainder of multivariate division by the basis leading terms."""
-    rem = dict(f)
     work = dict(f)
     rem = {}
     while work:
@@ -195,7 +186,7 @@ def _fp_buchberger(gens: list[dict], p: int):
 
 # -- completion and division --------------------------------------------------
 
-def complete_leading_basis(gens: list[Series], D: int | None = None) -> list[LeadingDatum]:
+def complete_leading_basis(gens: list[Series]) -> list[LeadingDatum]:
     """A finite set of ideal elements whose leading terms divide every
     reachable leading term of the ideal.
 
@@ -204,8 +195,7 @@ def complete_leading_basis(gens: list[Series], D: int | None = None) -> list[Lea
     lifted termwise and applied to the original generators.  The lift's
     reduction equals the completed element, so its 1-leading index survives
     the lift.  The returned data carry the decay parameter at which
-    rho-leading and 1-leading terms provably agree on the stored supports,
-    so callers can retry at a larger decay after a failed division.
+    rho-leading and 1-leading terms provably agree on the stored supports.
     """
     if not gens or any(g.is_zero() for g in gens):
         raise ValueError("generators must be nonzero")
@@ -230,7 +220,7 @@ def complete_leading_basis(gens: list[Series], D: int | None = None) -> list[Lea
         if lifted.gauss_value() is None:
             continue
         out.append(lifted)
-    stab = D if D is not None else max(stabilization_decay(g) for g in out)
+    stab = max(stabilization_decay(g) for g in out)
     return [LeadingDatum(g, stab, rho_leading_term(g, None).leading_index,
                          rho_leading_term(g, None).leading_coeff)
             for g in out]
@@ -253,16 +243,14 @@ def stabilization_decay(a: Series) -> int:
     return D0
 
 
-def reduce_element(y: Series, z: Series, basis: list[LeadingDatum],
-                   max_steps: int | None = None) -> Series:
+def reduce_element(y: Series, z: Series, basis: list[LeadingDatum]) -> Series:
     """Norm-controlled division: u with u - z in the ideal, |u| <= |y| and
     |u|_rho <= |z|_rho, by repeatedly cancelling the 1-leading term of
     (u - y) against a basis multiple."""
     desc = z.descriptor
     p, M = desc.prime, desc.precision
     gy = gauss_norm(y).value          # None encodes |y| = 0
-    if max_steps is None:
-        max_steps = 200 * (len(z.terms) + len(y.terms) + 8) + 40 * M
+    max_steps = 200 * (len(z.terms) + len(y.terms) + 8) + 40 * M
     u = z
     for _ in range(max_steps):
         gu = u.gauss_value()
@@ -288,11 +276,10 @@ def reduce_element(y: Series, z: Series, basis: list[LeadingDatum],
     raise PrecisionError("division loop exceeded its step budget")
 
 
-def reduces_to_zero(x: Series, basis: list[LeadingDatum],
-                    max_steps: int = 10000) -> bool:
+def reduces_to_zero(x: Series, basis: list[LeadingDatum]) -> bool:
     """Ideal membership at working precision: full division leaves nothing."""
     work = x
-    for _ in range(max_steps):
+    for _ in range(10000):
         if work.gauss_value() is None:
             return True
         lead = rho_leading_term(work, None)

@@ -129,42 +129,30 @@ class SnfResult:
 
     # -- derived spaces ------------------------------------------------------
 
-    def kernel_basis(self, cutoff: int | None = None) -> list[dict]:
-        """Columns of V above the zero (at precision) divisors."""
+    def kernel_basis(self) -> list[dict]:
+        """Columns of V above the zero (at precision) divisors: every pivot
+        sits below the ceiling, so these are the free columns."""
         self._require_tracked()
-        cutoff = self.N if cutoff is None else cutoff
-        cols = [c for _, c, e in self.pivots if e >= cutoff] + self.free_cols
-        return [self.apply_V({c: 1}) for c in sorted(cols)]
+        return [self.apply_V({c: 1}) for c in self.free_cols]
 
-    def coker_reps(self, cutoff: int | None = None) -> list[dict]:
+    def coker_reps(self) -> list[dict]:
         """Uinv images of the non-pivot rows: representatives of the cokernel."""
         self._require_tracked()
-        cutoff = self.N if cutoff is None else cutoff
-        rows = [r for r, _, e in self.pivots if e >= cutoff] + self.free_rows
-        return [self.apply_Uinv({r: 1}) for r in sorted(rows)]
+        return [self.apply_Uinv({r: 1}) for r in self.free_rows]
 
-    def solve(self, b: dict, residual_cutoff: int | None = None):
-        """Some x with A x = b at precision, or None if inconsistent.
-
-        Residual entries with valuation >= residual_cutoff are tolerated.
-        """
-        cutoff = self.N if residual_cutoff is None else residual_cutoff
+    def solve(self, b: dict):
+        """Some x with A x = b at precision, or None if inconsistent."""
         bp = self.apply_U(b)
         x = {}
         for r, c, e in self.pivots:
             val = bp.pop(r, 0)
             if val == 0:
                 continue
-            if e >= cutoff:
-                if _val(val, self.p, self.N) < cutoff:
-                    return None
-                continue
             if _val(val, self.p, self.N) < e:
                 return None
             x[c] = val // self.p ** e
-        for r, val in bp.items():
-            if _val(val, self.p, self.N) < cutoff:
-                return None
+        if any(_val(val, self.p, self.N) < self.N for val in bp.values()):
+            return None
         return self.apply_V(x)
 
 

@@ -21,7 +21,6 @@ from .series import (
     invert_series,
     kummer_substitute,
     t_d_dt,
-    w_slope,
 )
 
 
@@ -37,10 +36,9 @@ class SeriesMatrix:
         return SeriesMatrix(descriptor, tuple(tuple(r) for r in rows))
 
     @staticmethod
-    def zero(descriptor: RingDescriptor, n: int, m: int | None = None) -> "SeriesMatrix":
-        m = n if m is None else m
+    def zero(descriptor: RingDescriptor, n: int) -> "SeriesMatrix":
         z = Series.zero(descriptor)
-        return SeriesMatrix(descriptor, tuple(tuple(z for _ in range(m)) for _ in range(n)))
+        return SeriesMatrix(descriptor, tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
     @staticmethod
     def identity(descriptor: RingDescriptor, n: int) -> "SeriesMatrix":
@@ -65,9 +63,6 @@ class SeriesMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> Series:
-        return self.rows[i][j]
 
     def add(self, other: "SeriesMatrix") -> "SeriesMatrix":
         return SeriesMatrix(self.descriptor, tuple(
@@ -249,28 +244,17 @@ def apply_D(module: SigmaNablaModule, v: ModuleVector, var: str | int = 0) -> Mo
     return ModuleVector(module, out)
 
 
-def apply_nabla_v(module: SigmaNablaModule, v: ModuleVector,
-                  var: str) -> ModuleVector:
-    """Coefficient of dx_var of nabla(v) over a tate/dagger ring."""
-    if module.ring.is_robba():
-        raise DescriptorMismatchError("apply_nabla_v needs a tate/dagger ring")
-    lin = module.gamma(var).apply(v.coords)
-    out = tuple(d_dt(c, var).add(l) for c, l in zip(v.coords, lin))
-    return ModuleVector(module, out)
-
-
 @dataclass(frozen=True)
 class CompatResult:
     passed: bool
     defect_value: Fraction | int | None   # Gauss value of the defect matrix
 
 
-def check_frobenius_compat(module: SigmaNablaModule,
-                           digits: int | None = None) -> CompatResult:
+def check_frobenius_compat(module: SigmaNablaModule) -> CompatResult:
     """Commuting square for the standard lift: N Phi + t dPhi/dt = q Phi phi(N).
 
     Returns the max defect valuation; pass means the defect vanishes at the
-    working precision (or the requested number of digits).
+    working precision.
     """
     if module.frobenius is None:
         raise ValueError("no Frobenius structure present")
@@ -281,18 +265,15 @@ def check_frobenius_compat(module: SigmaNablaModule,
     lhs = N.mul(Phi).add(tdPhi)
     rhs = Phi.mul(N.map(lambda s: frobenius_substitute(s, q))).scale(q)
     defect = lhs.sub(rhs)
-    digits = ring.precision if digits is None else digits
-    return CompatResult(defect.is_zero_at_precision(digits),
+    return CompatResult(defect.is_zero_at_precision(),
                         defect.max_defect_value())
 
 
-def check_integrability(module: SigmaNablaModule,
-                        digits: int | None = None) -> bool:
+def check_integrability(module: SigmaNablaModule) -> bool:
     """Curvature d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j] = 0."""
     ring = module.ring
     if ring.is_robba():
         return True  # one dlog variable: integrability is automatic
-    digits = ring.precision if digits is None else digits
     vars_ = ring.variables
     for a in range(len(vars_)):
         for b in range(a + 1, len(vars_)):
@@ -300,33 +281,9 @@ def check_integrability(module: SigmaNablaModule,
             curv = (gj.map(lambda s: d_dt(s, vars_[a]))
                     .sub(gi.map(lambda s: d_dt(s, vars_[b])))
                     .add(gi.mul(gj)).sub(gj.mul(gi)))
-            if not curv.is_zero_at_precision(digits):
+            if not curv.is_zero_at_precision():
                 return False
     return True
-
-
-def pullback_module(module: SigmaNablaModule, kind: str, e: int | None = None
-                    ) -> SigmaNablaModule:
-    """Pullback along t -> t^e (kind="kummer") or the standard Frobenius
-    substitution (kind="frobenius"); the dlog-gauge chain rule multiplies the
-    connection by the cover degree."""
-    if not module.ring.is_robba():
-        raise DescriptorMismatchError("pullback implemented over robba kinds")
-    N = module.connection
-    if kind == "kummer":
-        if e is None or e < 1:
-            raise ValueError("kummer pullback needs a degree e >= 1")
-        N2 = N.map(lambda s: kummer_substitute(s, e)).scale(e)
-        Phi2 = (module.frobenius.map(lambda s: kummer_substitute(s, e))
-                if module.frobenius is not None else None)
-    elif kind == "frobenius":
-        q = module.ring.qeff
-        N2 = N.map(lambda s: frobenius_substitute(s, q)).scale(q)
-        Phi2 = (module.frobenius.map(lambda s: frobenius_substitute(s, q))
-                if module.frobenius is not None else None)
-    else:
-        raise ValueError(f"unknown pullback kind {kind!r}")
-    return replace(module, connection=N2, frobenius=Phi2)
 
 
 # -- traces along Kummer covers -------------------------------------------------
@@ -356,52 +313,6 @@ def trace_form(coefficient: Series, e: int, var: str | int = 0) -> Series:
     d = coefficient.descriptor
     inv_e = make_scalar(e, d.prime, d.precision).invert()
     return trace_map(coefficient, e, var).scale(inv_e)
-
-
-def frobenius_on_classes(module: SigmaNablaModule, reps, degree: int):
-    """Matrix of the Frobenius action on computed cohomology representatives.
-
-    F sends sum c_i e_i to Phi sigma(c), and dlog one-forms pick up the
-    factor q; the action is injective at precision iff the returned matrix
-    has a determinant of finite valuation.
-    """
-    if module.frobenius is None:
-        raise ValueError("no Frobenius structure present")
-    ring = module.ring
-    q = ring.qeff
-    out = []
-    for vec in reps:
-        coords = tuple(frobenius_substitute(c, q) for c in vec)
-        image = module.frobenius.apply(coords)
-        if degree == 1:
-            image = tuple(c.scale(q) for c in image)
-        out.append(image)
-    return out
-
-
-def frobenius_injective_on_classes(module: SigmaNablaModule, reps,
-                                   degree: int) -> bool:
-    """The induced Frobenius map on a finite computed basis has trivial
-    kernel at precision: constant coordinates with finite-valuation
-    determinant."""
-    if not reps:
-        return True
-    images = frobenius_on_classes(module, reps, degree)
-    ring = module.ring
-    mat = SeriesMatrix.make(ring, tuple(
-        tuple(img[i] for img in images) for i in range(module.rank)))
-    # express images against the representative matrix: for constant reps the
-    # determinant test on the stacked coordinates suffices at desk scale
-    dets = []
-    n = len(reps)
-    if n == module.rank:
-        d = mat.det().gauss_value()
-        return d is not None
-    # fewer classes than the rank: test the Gram-style pairing of images
-    for img in images:
-        if all(c.gauss_value() is None for c in img):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

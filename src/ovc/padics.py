@@ -247,11 +247,6 @@ def from_residue(x: int, p: int, N: int, shift: int = 0,
     return PadicApprox(p, x // p ** v % p ** prec, val, prec)
 
 
-def vp(x: PadicApprox) -> int | None:
-    """Valuation; None encodes +infinity."""
-    return x.val
-
-
 def parse_scalar(text: str, p: int, default_M: int) -> PadicApprox:
     """Inverse of PadicApprox.serialize for problem files ("u*p^v@M")."""
     text = text.strip()

@@ -12,7 +12,6 @@ factor -t^(-2), so the pairing reduces to matching the exponent vector
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cohomology import (
     ChainVector,
@@ -126,20 +125,3 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
         blocks.append(PairingBlock(n + i, n - i, len(cgens), len(wgens),
                                    ser, rank, left, right))
     return NondegeneracyReport(tuple(blocks), ok)
-
-
-# -- the dlog-twist family ---------------------------------------------------------
-
-def twisted_pairing_matrix(a: Fraction, n: int, window_hi: int, p: int, M: int,
-                           degree_i: int):
-    """Pairing blocks for the rank-one dlog twist: modes pair diagonally, so
-    the matrix between H^(n+i)_c(twist a) and H^(n-i)(twist -a) is the
-    identity on matching zero modes."""
-    from .cohomology import twisted_diagonal_cohomology
-
-    c = twisted_diagonal_cohomology(a, n, window_hi, p, M, True)
-    w = twisted_diagonal_cohomology(-Fraction(a), n, window_hi, p, M, False)
-    dim_c = c.dims.get(degree_i, 0)
-    dim_w = w.dims.get(n - degree_i, 0)
-    shared = min(dim_c, dim_w)
-    return dim_c, dim_w, shared

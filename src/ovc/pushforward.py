@@ -72,11 +72,10 @@ class ClassSpace:
                                    entries, self.p, self.N)
         return self._snf
 
-    def class_coords(self, vec: dict, tolerance: int | None = None):
+    def class_coords(self, vec: dict):
         """Coordinates of a vector's class in the generator basis, or None
         when it is not a combination of generators and boundaries."""
-        snf = self._solver()
-        sol = snf.solve(dict(vec), residual_cutoff=tolerance)
+        sol = self._solver().solve(dict(vec))
         if sol is None:
             return None
         return tuple(sol.get(c, 0) for c in range(self._ncols))

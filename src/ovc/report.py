@@ -25,10 +25,6 @@ class CohomologyReport:
     def dims(self) -> dict:
         return {d: dd.dim for d, dd in sorted(self.degrees.items())}
 
-    def dim(self, degree: int) -> int:
-        dd = self.degrees.get(degree)
-        return dd.dim if dd else 0
-
     def generators(self, degree: int):
         dd = self.degrees.get(degree)
         return dd.generators if dd else ()

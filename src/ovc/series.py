@@ -213,28 +213,6 @@ class Series:
         vals = [v for v in vals if v is not None]
         return min(vals) if vals else None
 
-    def has_limited_coeff(self) -> bool:
-        for _, c in self.terms:
-            if isinstance(c, PadicApprox):
-                if c.is_zero() and c.limited:
-                    return True
-            elif c.has_limited_coeff():
-                return True
-        return False
-
-    def fringe_witness(self, D: int | None = None) -> Fraction:
-        """Least c with vp(a_I) >= |I|/D - c on the support (0 for empty)."""
-        D = D if D is not None else self.descriptor.decay
-        if D is None:
-            raise ValueError("no decay parameter available")
-        worst = Fraction(0)
-        for e, c in self.terms:
-            v = coeff_value(c)
-            if v is None:
-                continue
-            worst = max(worst, Fraction(sum(e), D) - v)
-        return worst
-
     def map_coeffs(self, f) -> "Series":
         return Series.make(self.descriptor,
                            {e: f(c) for e, c in self.terms}, loss=self.loss)
@@ -437,7 +415,7 @@ def _contraction_value(a: Series) -> Fraction | None:
     return best
 
 
-def invert_series(u: Series, max_terms: int | None = None) -> Series:
+def invert_series(u: Series) -> Series:
     """Invert u = c * t^k * (1 - a) by geometric series.
 
     Requires a contraction certificate: after extracting the dominant
@@ -477,9 +455,8 @@ def invert_series(u: Series, max_terms: int | None = None) -> Series:
                 "no contraction certificate: remainder value "
                 f"{cert} is not positive")
     # sum of a^n, truncated by window and precision
-    if max_terms is None:
-        span = sum(hi - lo for lo, hi in d.window)
-        max_terms = 4 * (d.precision + span + 2)
+    span = sum(hi - lo for lo, hi in d.window)
+    max_terms = 4 * (d.precision + span + 2)
     acc = Series.one(d)
     power = a
     steps = 0
@@ -520,31 +497,6 @@ def t_d_dt(x: Series, var: str | int = 0) -> Series:
     return Series.make(d, out, loss=x.loss)
 
 
-def antiderivative(x: Series, var: str | int = 0) -> Series:
-    """y with d_dt(y) = x and zero constant term.
-
-    Obstructed by a nonzero t^(-1) coefficient; a precision-limited t^(-1)
-    coefficient is ambiguous and rejected separately.  Each term loses
-    vp(i+1) digits of absolute precision (tracked in the coefficients).
-    """
-    d = x.descriptor
-    j = d.var_index(var) if isinstance(var, str) else var
-    out = {}
-    for e, c in x.terms:
-        if e[j] == -1:
-            if coeff_is_zero(c):
-                if getattr(c, "limited", False) or (
-                        isinstance(c, Series) and c.has_limited_coeff()):
-                    raise AmbiguousResidueError(
-                        "t^-1 coefficient is zero only at working precision")
-                continue
-            raise ResidueObstructionError("nonzero t^-1 coefficient")
-        ne = e[:j] + (e[j] + 1,) + e[j + 1:]
-        inv = make_scalar(e[j] + 1, d.prime, d.precision).invert()
-        out[ne] = _coeff_scale(c, inv)
-    return Series.make(d, out, loss=x.loss)
-
-
 def dlog_antiderivative(x: Series, var: str | int = 0) -> Series:
     """y with t*dy/dt = x; obstructed by the constant (t^0) term."""
     d = x.descriptor
@@ -561,13 +513,6 @@ def dlog_antiderivative(x: Series, var: str | int = 0) -> Series:
         inv = make_scalar(e[j], d.prime, d.precision).invert()
         out[e] = _coeff_scale(c, inv)
     return Series.make(d, out, loss=x.loss)
-
-
-def residue(x: Series) -> object:
-    """Coefficient of t^-1 (resp. of t_1^-1 ... t_n^-1 for multi kinds)."""
-    d = x.descriptor
-    target = (-1,) * len(d.variables)
-    return x.coeff(target)
 
 
 def frobenius_substitute(x: Series, q: int | None = None) -> Series:

@@ -29,17 +29,16 @@ class UnipotentData:
     nilpotent_X: tuple                # rank x rank PadicApprox constants
     nilpotency_e: int
 
-    def verify(self, digits: int | None = None) -> bool:
+    def verify(self) -> bool:
         """N U + t dU/dt = U X at the working precision."""
         mod = self.module
         ring = mod.ring
-        digits = ring.precision if digits is None else digits
         U = self.change_of_basis
         X = SeriesMatrix.make(ring, tuple(
             tuple(Series.make(ring, {ring.zero_exp(): c}) for c in row)
             for row in self.nilpotent_X))
         lhs = mod.connection.mul(U).add(U.map(lambda s: t_d_dt(s)))
-        return lhs.sub(U.mul(X)).is_zero_at_precision(digits)
+        return lhs.sub(U.mul(X)).is_zero_at_precision()
 
 
 def _constant_part(s: Series) -> PadicApprox:
@@ -245,16 +244,6 @@ def horizontal_iterate(data: UnipotentData, w: ModuleVector, L: int
 
 # -- cohomology of unipotent modules --------------------------------------------
 
-def _scalar_matrix_snf(X, p, M):
-    """SNF of a constant matrix given as PadicApprox entries."""
-    n = len(X)
-    shift = integral_shift(c for row in X for c in row)
-    N = M + shift
-    entries = {(i, j): c.residue(N, shift) for i in range(n)
-               for j, c in enumerate(X[i]) if c.val is not None}
-    return sparse_snf(n, n, entries, p, N), shift, N
-
-
 def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     """H^0 = ker X and H^1 = coker X on constant vectors (tensor dt/t),
     reported in the module's original basis."""
@@ -262,7 +251,12 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     ring = module.ring
     p, M = ring.prime, ring.precision
     n = module.rank
-    snf, shift, N = _scalar_matrix_snf(data.nilpotent_X, p, M)
+    X = data.nilpotent_X
+    shift = integral_shift(c for row in X for c in row)
+    N = M + shift
+    snf = sparse_snf(n, n, {(i, j): c.residue(N, shift) for i in range(n)
+                            for j, c in enumerate(X[i]) if c.val is not None},
+                     p, N)
     U = data.change_of_basis
 
     def to_vectors(int_vecs):
@@ -282,42 +276,3 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     }
     return CohomologyReport("unipotent-h0-h1", degrees,
                             snf.certification_gap() - shift)
-
-
-@dataclass(frozen=True)
-class PlusQuotientResult:
-    passed: bool
-    injective: bool
-    surjective: bool
-    modes_checked: int
-    worst_divisor: int   # digits lost inverting the worst mode block
-
-
-def pluscohom_check(data: UnipotentData) -> PlusQuotientResult:
-    """The quotient map by the plus-part span is bijective at precision.
-
-    In the strongly unipotent basis the map acts per negative mode m through
-    the block m I + X, so bijectivity over K amounts to every block having
-    full certified rank; the worst elementary divisor measures the digits a
-    preimage costs."""
-    module = data.module
-    ring = module.ring
-    p, M = ring.prime, ring.precision
-    n = module.rank
-    lo, _ = ring.window[0]
-    ok = True
-    worst = 0
-    modes = 0
-    for m in range(lo, 0):
-        modes += 1
-        block = tuple(
-            tuple(data.nilpotent_X[i][j].add(
-                make_scalar(m, p, M) if i == j else PadicApprox.zero(p))
-                for j in range(n))
-            for i in range(n))
-        snf, shift, N = _scalar_matrix_snf(block, p, M)
-        if snf.rank() < n:
-            ok = False
-        else:
-            worst = max(worst, max(e for _, _, e in snf.pivots) - shift)
-    return PlusQuotientResult(ok, ok, ok, modes, worst)

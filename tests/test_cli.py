@@ -352,10 +352,9 @@ POOL = ("1/0", "abc", "0", "-1", "2", "0:5", "1:2:3", "M1", "R", "W", "N",
         "matrix", "vector", "cohomology", "robba", "tate", "w", "L", "p", "M")
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.data())
-def test_mutated_problems_parse_or_raise_parse_error(data):
-    # parsing only: a mutated window can make a run arbitrarily slow
+def _mutant(data) -> str:
+    """A shipped problem with one to three tokens deleted, replaced or
+    inserted from ``POOL``."""
     lines = [raw.split() for raw in data.draw(st.sampled_from(SHIPPED))
              .splitlines()]
     for _ in range(data.draw(st.integers(1, 3))):
@@ -368,10 +367,32 @@ def test_mutated_problems_parse_or_raise_parse_error(data):
             toks[min(at, len(toks) - 1)] = data.draw(st.sampled_from(POOL))
         else:
             del toks[min(at, len(toks) - 1)]
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_problems_parse_or_raise_parse_error(data):
     try:
-        parse_problem("\n".join(" ".join(toks) for toks in lines) + "\n")
+        parse_problem(_mutant(data))
     except ParseError as ex:
         assert ex.line is not None
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.data())
+def test_mutated_problems_run_to_a_report_or_an_ovc_error(data):
+    # no token of POOL enlarges a window, so every mutant runs quickly
+    try:
+        pf = parse_problem(_mutant(data))
+    except ParseError:
+        return
+    if pf.command[0] == "selftest":
+        return
+    try:
+        emit_report(run_command(pf))
+    except OvcError:
+        pass
 
 
 # -- engine commands on coefficients with p in the denominator ------------------

@@ -4,6 +4,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from ovc import cohomology
 from ovc.cohomology import (
     ChainVector,
@@ -401,6 +403,73 @@ def _builder_digests():
 
 def test_pinned_builder_output():
     assert _builder_digests() == PINNED_BUILDER_DIGESTS
+
+
+# -- d o d = 0, checked by Freivalds' method ----------------------------------
+
+def _apply(matrix, vec):
+    out = {}
+    for (r, c), x in matrix.items():
+        if c in vec:
+            out[r] = out.get(r, 0) + x * vec[c]
+    return out
+
+
+def _dd_images(cdata, seed):
+    """d_(j+1) d_j of a seeded random integer vector for each j, mod p^M,
+    zeros left out (Freivalds, "Probabilistic machines can use less running
+    time", IFIP Congress 1977).  Each map holds its values times p^shift
+    known modulo p^(M+shift), so a flat complex is only promised a product
+    divisible by p^M: with shifts 2 and 2 at M = 12 it can have valuation
+    13."""
+    rng = random.Random(seed)
+    mod = cdata.p ** cdata.M
+    out = []
+    for j in range(len(cdata.matrices) - 1):
+        vec = {c: rng.randrange(mod) for c in range(cdata.spaces[j].dim)}
+        image = _apply(cdata.matrices[j + 1], _apply(cdata.matrices[j], vec))
+        out.append({r: x % mod for r, x in image.items() if x % mod})
+    return out
+
+
+def _split_plane(f, g, M=12, window=6):
+    """Rank one, Gamma_x = f(x) and Gamma_y = g(y): the curvature
+    d_x g - d_y f + [f, g] vanishes."""
+    ring = RingDescriptor(TATE, ("x", "y"), ((0, window),) * 2, P, M)
+
+    def gamma(terms, exp):
+        return SeriesMatrix.make(ring, [[Series.make(ring, {
+            exp(e): parse_scalar(str(c), P, M) for e, c in terms.items()})]])
+
+    return SigmaNablaModule(ring, 1, gammas=(
+        ("x", gamma(f, lambda e: (e, 0))), ("y", gamma(g, lambda e: (0, e)))))
+
+
+FLAT = (trivial_module(2, P, 20, 8), trivial_module(3, P, 20, 4),
+        dwork_module(P, 20, 8, nvars=2),
+        _split_plane({0: 1, 1: "1/3"}, {0: 2, 2: "1/9"}))
+ONE_VAR = st.dictionaries(st.integers(0, 2),
+                          st.sampled_from((1, 2, -1, 5, "1/3", "-2/3", "1/9")),
+                          max_size=3)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(ONE_VAR, ONE_VAR, st.integers(0, 2 ** 32 - 1))
+def test_d_squared_vanishes_on_flat_modules(f, g, seed):
+    for mod in FLAT + (_split_plane(f, g),):
+        for build in (mw_complex, compact_complex):
+            images = _dd_images(build(mod), seed)
+            assert images == [{}] * len(images)
+
+
+def test_d_squared_detects_curvature():
+    # Gamma_x = y, Gamma_y = 0 has curvature -1
+    ring = RingDescriptor(TATE, ("x", "y"), ((0, 6),) * 2, P, 12)
+    mod = SigmaNablaModule(ring, 1, gammas=(
+        ("x", SeriesMatrix.make(ring, [[Series.monomial(ring, (0, 1))]])),
+        ("y", SeriesMatrix.zero(ring, 1))))
+    for build in (mw_complex, compact_complex):
+        assert any(_dd_images(build(mod), 1))
 
 
 # -- generator extraction ----------------------------------------------------

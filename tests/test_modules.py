@@ -1,5 +1,5 @@
-"""Modules with connection: operator actions, compatibility checks,
-pullbacks, and traces along cyclic covers."""
+"""Modules with connection: operator actions, compatibility checks and
+traces along cyclic covers."""
 
 from fractions import Fraction
 
@@ -12,10 +12,8 @@ from ovc.modules import (
     SeriesMatrix,
     SigmaNablaModule,
     apply_D,
-    apply_nabla_v,
     check_frobenius_compat,
     check_integrability,
-    pullback_module,
     trace_map,
     trace_projector_check,
 )
@@ -46,21 +44,6 @@ def test_apply_D_examples():
     assert const.is_zero_at_precision()
 
 
-def test_apply_nabla_v_examples():
-    z = SeriesMatrix.zero(W2, 1)
-    mod = SigmaNablaModule(W2, 1, gammas=(("x", z), ("y", z)))
-    out = apply_nabla_v(mod, ModuleVector.make(mod, [Series.monomial(W2, (2, 0))]),
-                        "x")
-    ((e, c),) = out.coords[0].terms
-    assert e == (1, 0) and c.unit == 2
-    const = SigmaNablaModule(W2, 1, gammas=(
-        ("x", SeriesMatrix.from_scalars(W2, [[7]])), ("y", z)))
-    out2 = apply_nabla_v(const, ModuleVector.make(const, [1]), "x")
-    assert out2.coords[0].coeff((0, 0)).unit == 7
-    out3 = apply_nabla_v(mod, ModuleVector.make(mod, [4]), "x")
-    assert out3.is_zero_at_precision()
-
-
 def test_frobenius_compat():
     trivial = SigmaNablaModule(R, 1, connection=SeriesMatrix.zero(R, 1),
                                frobenius=SeriesMatrix.identity(R, 1))
@@ -78,6 +61,13 @@ def test_frobenius_compat():
                                R, [[Series.monomial(R, (1,))]]))
     res2 = check_frobenius_compat(bad)
     assert not res2.passed and res2.defect_value == 0
+    # rank-2 nilpotent with the filtration-compatible Frobenius diag(1, q)
+    N = SeriesMatrix.from_scalars(R, [[0, 1], [0, 0]])
+    Phi = SeriesMatrix.make(R, [
+        [Series.one(R), Series.zero(R)],
+        [Series.zero(R), Series.monomial(R, (0,), 3)]])
+    assert check_frobenius_compat(
+        SigmaNablaModule(R, 2, connection=N, frobenius=Phi)).passed
 
 
 def test_integrability_examples():
@@ -91,29 +81,6 @@ def test_integrability_examples():
     gy2 = SeriesMatrix.make(W2, [[Series.monomial(W2, (1, 0))]])
     assert check_integrability(SigmaNablaModule(
         W2, 1, gammas=(("x", gx2), ("y", gy2))))
-
-
-def test_pullback_examples():
-    a = Series.monomial(R, (0,), Fraction(1, 2))
-    mod = SigmaNablaModule(R, 1, connection=SeriesMatrix.make(R, [[a]]))
-    same = pullback_module(mod, "kummer", 1)
-    assert same.connection.rows[0][0].terms == a.terms
-    doubled = pullback_module(mod, "kummer", 2)
-    assert doubled.connection.rows[0][0].coeff((0,)).congruent(
-        make_scalar(1, P, M))
-    z = pullback_module(SigmaNablaModule(R, 1,
-                                         connection=SeriesMatrix.zero(R, 1)),
-                        "frobenius")
-    assert z.connection.rows[0][0].is_zero()
-
-
-def test_pullback_preserves_compat():
-    a = Series.monomial(R, (0,), Fraction(1, 2))
-    mod = SigmaNablaModule(R, 1, connection=SeriesMatrix.make(R, [[a]]),
-                           frobenius=SeriesMatrix.make(
-                               R, [[Series.monomial(R, (1,))]]))
-    pulled = pullback_module(mod, "kummer", 2)
-    assert check_frobenius_compat(pulled).passed
 
 
 def test_trace_examples():
@@ -172,20 +139,3 @@ def test_dual_module():
     dual = mod.dual()
     assert dual.gamma("x").rows[0][0].coeff((0, 0)).congruent(
         make_scalar(-2, P, M))
-
-
-def test_frobenius_injective_on_classes():
-    from ovc.modules import frobenius_injective_on_classes
-    from ovc.unipotent import h0_h1_unipotent, strongly_unipotent_basis
-
-    # rank-2 nilpotent with the filtration-compatible Frobenius diag(1, q)
-    N = SeriesMatrix.from_scalars(R, [[0, 1], [0, 0]])
-    Phi = SeriesMatrix.make(R, [
-        [Series.one(R), Series.zero(R)],
-        [Series.zero(R), Series.monomial(R, (0,), 3)]])
-    mod = SigmaNablaModule(R, 2, connection=N, frobenius=Phi)
-    assert check_frobenius_compat(mod).passed
-    rep = h0_h1_unipotent(strongly_unipotent_basis(mod))
-    for deg in (0, 1):
-        reps = [tuple(v.coords) for v in rep.generators(deg)]
-        assert frobenius_injective_on_classes(mod, reps, deg)

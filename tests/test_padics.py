@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ovc.errors import NonUnitError, PrimeError
 from ovc.padics import (PadicApprox, from_residue, int_valuation, integral_shift,
-                        make_scalar, parse_scalar, vp)
+                        make_scalar, parse_scalar)
 
 
 def xgcd(a, b):
@@ -33,9 +33,9 @@ def test_make_scalar_rejects_composite():
 
 def test_vp_examples():
     p = 3
-    assert vp(make_scalar(9 * 2, p, 5)) == 2
-    assert vp(make_scalar(0, p, 5)) is None
-    assert vp(make_scalar(1 + p, p, 5)) == 0
+    assert make_scalar(9 * 2, p, 5).val == 2
+    assert make_scalar(0, p, 5).val is None
+    assert make_scalar(1 + p, p, 5).val == 0
 
 
 def test_arith_examples():
@@ -82,7 +82,7 @@ nonzero_ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool)
 def test_vp_multiplicative(a, b):
     p, M = 3, 20
     x, y = make_scalar(a, p, M), make_scalar(b, p, M)
-    assert vp(x.mul(y)) == vp(x) + vp(y)
+    assert x.mul(y).val == x.val + y.val
 
 
 @given(nonzero_ints, nonzero_ints)
@@ -92,11 +92,11 @@ def test_ultrametric(a, b):
     x, y = make_scalar(a, p, M), make_scalar(b, p, M)
     s = x.add(y)
     if s.is_zero():
-        assert vp(x) == vp(y)
+        assert x.val == y.val
         return
-    assert vp(s) >= min(vp(x), vp(y))
-    if vp(x) != vp(y):
-        assert vp(s) == min(vp(x), vp(y))
+    assert s.val >= min(x.val, y.val)
+    if x.val != y.val:
+        assert s.val == min(x.val, y.val)
 
 
 @given(nonzero_ints)

@@ -17,7 +17,6 @@ from ovc.pairing import (
     apply_complex_map,
     pairing_nondegeneracy_check,
     residue_pairing,
-    twisted_pairing_matrix,
 )
 from ovc.padics import make_scalar
 
@@ -89,9 +88,9 @@ def test_nondegeneracy_trivial():
 
 def test_nondegeneracy_vacuous_twist():
     for n in (1, 2):
-        dim_c, dim_w, shared = twisted_pairing_matrix(
-            Fraction(1, 2), n, 16, P, M, n)
-        assert dim_c == dim_w == 0
+        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 16, P, M, True)
+        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 16, P, M, False)
+        assert c.dims.get(n, 0) == w.dims.get(0, 0) == 0
 
 
 def test_top_pairing_value_is_unit():

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovc.errors import (
-    AmbiguousResidueError,
-    NotARecognizedUnitError,
-    ResidueObstructionError,
-)
+from ovc.errors import NotARecognizedUnitError, ResidueObstructionError
 from ovc.padics import PadicApprox, make_scalar
 from ovc.series import (
     DAGGER,
@@ -19,14 +15,12 @@ from ovc.series import (
     TATE,
     RingDescriptor,
     Series,
-    antiderivative,
     d_dt,
     dlog_antiderivative,
     frobenius_substitute,
     gauss_norm,
     invert_series,
     kummer_substitute,
-    residue,
     t_d_dt,
     w_slope,
 )
@@ -129,23 +123,11 @@ def test_derivative_examples():
     assert scalars(d_dt(Series.monomial(R, (-1,)))) == {(-2,): (0, P ** M - 1)}
 
 
-def test_antiderivative_examples():
-    assert scalars(antiderivative(Series.one(R))) == {(1,): (0, 1)}
-    y = antiderivative(Series.monomial(R, (P - 1,)))
-    (e, c), = y.terms
-    assert e == (P,) and c.val == -1
-    with pytest.raises(ResidueObstructionError):
-        antiderivative(Series.monomial(R, (-1,)))
-    limited = Series.make(R, {(-1,): PadicApprox.limited_zero(P, 3)})
-    with pytest.raises(AmbiguousResidueError):
-        antiderivative(limited)
-
-
 def test_residue_examples():
-    assert residue(Series.monomial(R, (-1,))).unit == 1
+    assert Series.monomial(R, (-1,)).coeff((-1,)).unit == 1
     y = S(R, {(-3,): 2, (0,): 5, (4,): 1})
-    assert residue(d_dt(y)).is_exact_zero()
-    r = residue(S(R, {(0,): 3, (-1,): 2, (1,): 1}))
+    assert d_dt(y).coeff((-1,)).is_exact_zero()
+    r = S(R, {(0,): 3, (-1,): 2, (1,): 1}).coeff((-1,))
     assert (r.val, r.unit) == (0, 2)
 
 
@@ -201,20 +183,8 @@ def test_gauss_ultrametric_and_w_superadditive(a, b):
 @given(windowed_series())
 @settings(max_examples=60)
 def test_residue_of_derivative_vanishes(a):
-    r = residue(d_dt(a))
+    r = d_dt(a).coeff((-1,))
     assert r.is_zero() or r.val is None
-
-
-@given(windowed_series())
-@settings(max_examples=60)
-def test_antiderivative_sections(a):
-    # remove the obstruction, then d o antiderivative is the identity
-    clean = Series.make(a.descriptor,
-                        {e: c for e, c in a.terms if e != (-1,)})
-    back = d_dt(antiderivative(clean))
-    diff = back.sub(clean)
-    assert diff.is_zero() or all(c.val is None or c.val >= M - 2
-                                 for _, c in diff.terms)
 
 
 @given(windowed_series(), windowed_series())
@@ -237,12 +207,6 @@ def test_dlog_antiderivative():
     assert t_d_dt(y).sub(S(R, {(2,): 4, (-3,): 9})).is_zero()
     with pytest.raises(ResidueObstructionError):
         dlog_antiderivative(Series.one(R))
-
-
-def test_fringe_witness():
-    s = S(W1, {(0,): 1, (4,): 1})
-    assert s.fringe_witness(2) == Fraction(2)
-    assert Series.zero(W1).fringe_witness(1) == 0
 
 
 def test_invert_certificate_tracks_unit_error():
