@@ -1,5 +1,5 @@
-"""Modules with connection: operator actions, compatibility checks and
-traces along cyclic covers."""
+"""Modules with connection: operator actions, compatibility checks,
+pullbacks, and traces along cyclic covers."""
 
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ovc.cohomology import ChainVector, mw_cohomology
 from ovc.modules import (
     ModuleVector,
     SeriesMatrix,
@@ -18,12 +19,15 @@ from ovc.modules import (
     trace_projector_check,
 )
 from ovc.padics import make_scalar
+from ovc.pairing import apply_complex_map
 from ovc.series import (
     DAGGER,
     ROBBA,
     TATE,
     RingDescriptor,
     Series,
+    frobenius_substitute,
+    kummer_substitute,
     t_d_dt,
 )
 
@@ -42,6 +46,26 @@ def test_apply_D_examples():
     assert [not c.is_zero() for c in out2.coords] == [True, False]
     const = apply_D(mod, ModuleVector.make(mod, [5]))
     assert const.is_zero_at_precision()
+
+
+def _nabla_x(mod, exp, c):
+    """The dx coefficient of nabla(c x^exp e_0), read off the first
+    differential of the module's de Rham complex, as {exponent: unit}."""
+    cc = mw_cohomology(mod)
+    v = ChainVector(cc.cdata.spaces[0],
+                    {(0, (), exp): make_scalar(c, P, M)})
+    out = apply_complex_map(cc, 0, v).data
+    return {I: x.unit for (a, J, I), x in out.items() if J == (0,)}
+
+
+def test_apply_nabla_v_examples():
+    z = SeriesMatrix.zero(W2, 1)
+    mod = SigmaNablaModule(W2, 1, gammas=(("x", z), ("y", z)))
+    assert _nabla_x(mod, (2, 0), 1) == {(1, 0): 2}
+    const = SigmaNablaModule(W2, 1, gammas=(
+        ("x", SeriesMatrix.from_scalars(W2, [[7]])), ("y", z)))
+    assert _nabla_x(const, (0, 0), 1) == {(0, 0): 7}
+    assert _nabla_x(mod, (0, 0), 4) == {}
 
 
 def test_frobenius_compat():
@@ -83,6 +107,51 @@ def test_integrability_examples():
         W2, 1, gammas=(("x", gx2), ("y", gy2))))
 
 
+def _kummer_pullback(mod, e):
+    """Pullback along t -> t^e: the dlog chain rule multiplies the
+    connection by the cover degree."""
+    sub = lambda s: kummer_substitute(s, e)
+    return SigmaNablaModule(
+        mod.ring, mod.rank, connection=mod.connection.map(sub).scale(e),
+        frobenius=mod.frobenius.map(sub) if mod.frobenius else None)
+
+
+def test_pullback_examples():
+    a = Series.monomial(R, (0,), Fraction(1, 2))
+    mod = SigmaNablaModule(R, 1, connection=SeriesMatrix.make(R, [[a]]))
+    assert _kummer_pullback(mod, 1).connection.rows[0][0].terms == a.terms
+    doubled = _kummer_pullback(mod, 2)
+    assert doubled.connection.rows[0][0].coeff((0,)).congruent(
+        make_scalar(1, P, M))
+    # D of a pulled-back section is the degree times the pulled-back D,
+    # for the Kummer covers and for the Frobenius lift t -> t^q
+    v = ModuleVector.make(mod, [Series.from_ints(R, {(1,): 1, (-2,): 4})])
+    Dv = apply_D(mod, v)
+    q = R.qeff
+    frob = SigmaNablaModule(R, 1, connection=mod.connection.map(
+        lambda s: frobenius_substitute(s, q)).scale(q))
+    for e, pulled, sub in (
+            (1, _kummer_pullback(mod, 1), lambda s: kummer_substitute(s, 1)),
+            (2, doubled, lambda s: kummer_substitute(s, 2)),
+            (q, frob, lambda s: frobenius_substitute(s, q))):
+        lhs = apply_D(pulled, ModuleVector(pulled, tuple(
+            sub(c) for c in v.coords)))
+        for x, y in zip(lhs.coords, Dv.coords):
+            assert x.sub(sub(y).scale(e)).is_zero()
+
+
+def test_pullback_preserves_compat():
+    a = Series.monomial(R, (0,), Fraction(1, 2))
+    mod = SigmaNablaModule(R, 1, connection=SeriesMatrix.make(R, [[a]]),
+                           frobenius=SeriesMatrix.make(
+                               R, [[Series.monomial(R, (1,))]]))
+    pulled = _kummer_pullback(mod, 2)
+    assert check_frobenius_compat(pulled).passed
+    assert not check_frobenius_compat(SigmaNablaModule(
+        R, 1, connection=mod.connection,
+        frobenius=pulled.frobenius)).passed
+
+
 def test_trace_examples():
     R5 = RingDescriptor(ROBBA, ("t",), ((-12, 12),), 5, 10, slope=Fraction(1))
     w = Series.from_ints(R5, {(2,): 1, (3,): 1})
@@ -98,7 +167,6 @@ def test_trace_examples():
 @given(st.integers(-4, 4), st.integers(1, 9), st.sampled_from([2, 3, 4]))
 @settings(max_examples=60)
 def test_trace_of_pullback_is_degree(k, c, e):
-    from ovc.series import kummer_substitute
     R5 = RingDescriptor(ROBBA, ("t",), ((-20, 20),), 5, 10, slope=Fraction(1))
     if e % 5 == 0:
         return

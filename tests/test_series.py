@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovc.errors import NotARecognizedUnitError, ResidueObstructionError
+from ovc.errors import (
+    AmbiguousResidueError,
+    NotARecognizedUnitError,
+    ResidueObstructionError,
+)
 from ovc.padics import PadicApprox, make_scalar
 from ovc.series import (
     DAGGER,
@@ -123,6 +127,20 @@ def test_derivative_examples():
     assert scalars(d_dt(Series.monomial(R, (-1,)))) == {(-2,): (0, P ** M - 1)}
 
 
+def test_antiderivative_examples():
+    # the dlog antiderivative: y with t dy/dt = x
+    assert scalars(dlog_antiderivative(Series.monomial(R, (1,)))) == {
+        (1,): (0, 1)}
+    y = dlog_antiderivative(Series.monomial(R, (P,)))
+    (e, c), = y.terms
+    assert e == (P,) and c.val == -1
+    with pytest.raises(ResidueObstructionError):
+        dlog_antiderivative(Series.one(R))
+    limited = Series.make(R, {(0,): PadicApprox.limited_zero(P, 3)})
+    with pytest.raises(AmbiguousResidueError):
+        dlog_antiderivative(limited)
+
+
 def test_residue_examples():
     assert Series.monomial(R, (-1,)).coeff((-1,)).unit == 1
     y = S(R, {(-3,): 2, (0,): 5, (4,): 1})
@@ -185,6 +203,19 @@ def test_gauss_ultrametric_and_w_superadditive(a, b):
 def test_residue_of_derivative_vanishes(a):
     r = d_dt(a).coeff((-1,))
     assert r.is_zero() or r.val is None
+
+
+@given(windowed_series())
+@settings(max_examples=60)
+def test_antiderivative_sections(a):
+    # remove the obstruction, then t d/dt o dlog_antiderivative is the
+    # identity up to the digits lost dividing by exponents
+    clean = Series.make(a.descriptor,
+                        {e: c for e, c in a.terms if e != (0,)})
+    back = t_d_dt(dlog_antiderivative(clean))
+    diff = back.sub(clean)
+    assert diff.is_zero() or all(c.val is None or c.val >= M - 2
+                                 for _, c in diff.terms)
 
 
 @given(windowed_series(), windowed_series())
