@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import OvcError, ParseError
 from .cohomology import (
-    ComplexCohomology,
     compact_support_cohomology,
     local_cohomology,
     mw_cohomology,
@@ -72,8 +71,7 @@ def _matrix_records(report: RunReport, prefix: str, mat):
                     c.serialize())
 
 
-def _cohomology_records(report: RunReport, cc: ComplexCohomology | CohomologyReport):
-    rep = cc.report if isinstance(cc, ComplexCohomology) else cc
+def _cohomology_records(report: RunReport, rep: CohomologyReport):
     for deg, dd in sorted(rep.degrees.items()):
         report.add(f"h{deg}.dim", dd.dim)
         report.add(f"h{deg}.raw-dim", dd.raw_dim)
@@ -109,10 +107,9 @@ def run_command(pf: ProblemFile) -> RunReport:
         module = args[0]
         cc = local_cohomology(module) if module.ring.is_robba() \
             else mw_cohomology(module)
-        _cohomology_records(report, cc)
+        _cohomology_records(report, cc.report)
     elif name == "compact-supports":
-        cc = compact_support_cohomology(args[0])
-        _cohomology_records(report, cc)
+        _cohomology_records(report, compact_support_cohomology(args[0]).report)
     elif name == "pushforward":
         bundle = pushforward_complex(args[0], opts["robba"],
                                      unipotent=opts.get("unipotent", False))

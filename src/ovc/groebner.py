@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import MembershipError, PrecisionError
 from .padics import PadicApprox
-from .series import Series, coeff_value, gauss_norm, rho_value
+from .series import Series, gauss_norm, rho_value
 
 Exp = tuple[int, ...]
 
@@ -58,7 +58,7 @@ def rho_leading_term(a: Series, D: int | None = None) -> LeadingDatum:
     deglex-largest index wins.  D=None is the Gauss (rho -> 1) case."""
     best_key, best = None, None
     for e, c in a.terms:
-        v = coeff_value(c)
+        v = c.val
         if v is None:
             continue
         key = Fraction(v) if D is None else Fraction(v) - Fraction(sum(e), D)
@@ -80,7 +80,7 @@ def _modp_reduce(a: Series) -> dict:
     p = a.descriptor.prime
     out = {}
     for e, c in a.terms:
-        if coeff_value(c) == g:
+        if c.val == g:
             out[e] = c.unit % p
     return out
 
@@ -230,10 +230,10 @@ def stabilization_decay(a: Series) -> int:
     """Least integer D0 such that for all D >= D0 the rho-leading index of
     the stored support equals the 1-leading index."""
     lead = rho_leading_term(a, None)
-    vI, I = coeff_value(lead.leading_coeff), lead.leading_index
+    vI, I = lead.leading_coeff.val, lead.leading_index
     D0 = 1
     for e, c in a.terms:
-        v = coeff_value(c)
+        v = c.val
         if v is None or e == I:
             continue
         if v > vI and sum(e) > sum(I):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DescriptorMismatchError
-from .padics import PadicApprox, make_scalar
+from .padics import make_scalar
 from .series import (
     RingDescriptor,
     Series,
@@ -303,7 +303,7 @@ def trace_map(w: Series, e: int, var: str | int = 0) -> Series:
         if exp[j] % e:
             continue
         ne = exp[:j] + (exp[j] // e,) + exp[j + 1:]
-        out[ne] = c.mul(efac) if isinstance(c, PadicApprox) else c.scale(efac)
+        out[ne] = c.mul(efac)
     return Series.make(d, out, loss=w.loss)
 
 

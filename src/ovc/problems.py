@@ -23,6 +23,13 @@ are parse errors.  ``gamma <var> <matrix>`` is the one key that takes two
 operands and may repeat.  ``series``, ``matrix`` and ``vector`` open a block
 of records closed by ``end``.
 
+A ring line reads ``ring <name> <kind> vars <v,...> window <lo:hi,...>``
+plus the options of its kind: ``tate``; ``dagger`` or ``dagger-fringe`` (two
+spellings of one kind) with ``decay D``; ``robba`` or ``multi-robba`` (two
+spellings of one kind) with ``slope r``; ``robba-plus`` with ``slope r`` and a
+window from 0, as for ``tate`` and ``dagger``.  Coefficients are p-adic
+scalars: a ring has no coefficient ring.
+
 Scalars serialize as "u*p^v@M" (plain integers and fractions n/d accepted);
 a series is a list of term records (exponents then the scalar).  Every name
 must be defined before use, command arguments included, and an undefined one
@@ -42,7 +49,6 @@ from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule
 from .padics import is_prime, parse_scalar
 from .series import (
     DAGGER,
-    MULTI_ROBBA,
     ROBBA,
     ROBBA_PLUS,
     TATE,
@@ -51,7 +57,7 @@ from .series import (
 )
 
 _KINDS = {"tate": TATE, "dagger": DAGGER, "dagger-fringe": DAGGER,
-          "robba": ROBBA, "robba-plus": ROBBA_PLUS, "multi-robba": MULTI_ROBBA}
+          "robba": ROBBA, "robba-plus": ROBBA_PLUS, "multi-robba": ROBBA}
 
 MAX_PRECISION = 256
 MAX_WINDOW = 10 ** 4
@@ -68,8 +74,7 @@ def _window(tok: str) -> tuple:
 
 # Option tables map a key to how its value is read (see ``_value``); a tuple
 # marks a key with several operands that may repeat.
-_RING = {"vars": [str], "window": [_window], "decay": int, "slope": Fraction,
-         "coeff": "ring"}
+_RING = {"vars": [str], "window": [_window], "decay": int, "slope": Fraction}
 _MODULE = {"ring": "ring", "rank": int, "connection": "matrix",
            "frobenius": "matrix", "gamma": (str, "matrix")}
 
@@ -317,8 +322,7 @@ def _parse_ring(pf: ProblemFile, ops: list, ln: int):
     try:
         pf.rings[name] = RingDescriptor(
             kind, tuple(opts["vars"]), tuple(opts["window"]), pf.p, pf.M,
-            q=pf.q, decay=opts.get("decay"), slope=opts.get("slope"),
-            coeff=opts.get("coeff"))
+            q=pf.q, decay=opts.get("decay"), slope=opts.get("slope"))
     except ValueError as ex:
         raise ParseError(str(ex), ln) from None
 

@@ -27,10 +27,9 @@ TATE = "tate"
 DAGGER = "dagger-fringe"
 ROBBA = "robba"
 ROBBA_PLUS = "robba-plus"
-MULTI_ROBBA = "multi-robba"
 
-_KINDS = (TATE, DAGGER, ROBBA, ROBBA_PLUS, MULTI_ROBBA)
-_ROBBA_KINDS = (ROBBA, ROBBA_PLUS, MULTI_ROBBA)
+_KINDS = (TATE, DAGGER, ROBBA, ROBBA_PLUS)
+_ROBBA_KINDS = (ROBBA, ROBBA_PLUS)
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,7 @@ class RingDescriptor:
     """Shape of a windowed series ring.
 
     ``variables`` are the ring's own variables (Tate variables for tate /
-    dagger kinds, the annulus variables for robba kinds).  A robba kind over a
-    dagger coefficient ring carries that ring as ``coeff``.
+    dagger kinds, the annulus variables for robba kinds).
     """
 
     kind: str
@@ -50,7 +48,6 @@ class RingDescriptor:
     q: int = 0                      # Frobenius parameter; 0 means "= p"
     decay: int | None = None        # fringe decay D, rho = p^(1/D)
     slope: Fraction | None = None   # robba kinds
-    coeff: "RingDescriptor | None" = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -101,17 +98,6 @@ def _loss_min(a, b):
     return min(a, b)
 
 
-def coeff_value(c) -> Fraction | int | None:
-    """Valuation of a coefficient: vp for scalars, Gauss value for series."""
-    if isinstance(c, PadicApprox):
-        return c.val
-    return c.gauss_value()
-
-
-def coeff_is_zero(c) -> bool:
-    return c.is_zero()
-
-
 @dataclass(frozen=True)
 class NormResult:
     value: Fraction | int | None   # None encodes +infinity
@@ -120,16 +106,15 @@ class NormResult:
 
 @dataclass(frozen=True)
 class Series:
-    """A windowed series: finite map exponent -> coefficient.
+    """A windowed series: finite map exponent -> PadicApprox coefficient.
 
-    Coefficients are PadicApprox for absolute rings and Series (over
-    ``descriptor.coeff``) for relative robba rings.  ``loss`` is the best
-    slope/Gauss value among all terms dropped at the window edge during the
-    history of this element (None: nothing was dropped).
+    ``loss`` is the best slope/Gauss value among all terms dropped at the
+    window edge during the history of this element (None: nothing was
+    dropped).
     """
 
     descriptor: RingDescriptor
-    terms: tuple  # sorted tuple of (Exp, coefficient)
+    terms: tuple  # sorted tuple of (Exp, PadicApprox)
     loss: Fraction | None = None
 
     # -- construction ------------------------------------------------------
@@ -142,29 +127,22 @@ class Series:
         with valuation at or above the working precision are dropped;
         limited zeros within range are kept.
         """
-        acc: dict[Exp, object] = {}
+        acc: dict[Exp, PadicApprox] = {}
         for exp, c in (entries.items() if isinstance(entries, dict) else entries):
             exp = tuple(exp)
-            if descriptor.coeff is not None and isinstance(c, PadicApprox):
-                c = Series.make(descriptor.coeff, {descriptor.coeff.zero_exp(): c})
-            acc[exp] = _coeff_add(acc[exp], c) if exp in acc else c
+            acc[exp] = acc[exp].add(c) if exp in acc else c
         kept = {}
         M = descriptor.precision
         for exp, c in acc.items():
-            if isinstance(c, PadicApprox):
-                if c.is_exact_zero():
+            if c.is_exact_zero():
+                continue
+            if c.val is None:
+                if c.prec >= M:          # limited zero at/above the floor
                     continue
-                if c.val is None:
-                    if c.prec >= M:      # limited zero at/above the floor
-                        continue
-                elif c.val >= M:         # below the working floor
-                    continue
-                elif c.val + c.prec > M:
-                    c = c.with_abs_prec(M)
-            else:
-                if c.is_zero():
-                    loss = _loss_min(loss, c.loss)
-                    continue
+            elif c.val >= M:             # below the working floor
+                continue
+            elif c.val + c.prec > M:
+                c = c.with_abs_prec(M)
             if not descriptor.in_window(exp):
                 loss = _loss_min(loss, _term_value(descriptor, exp, c))
                 continue
@@ -193,13 +171,11 @@ class Series:
 
     # -- queries -----------------------------------------------------------
 
-    def coeff(self, exp) -> object:
+    def coeff(self, exp) -> PadicApprox:
         exp = tuple(exp)
         for e, c in self.terms:
             if e == exp:
                 return c
-        if self.descriptor.coeff is not None:
-            return Series.zero(self.descriptor.coeff)
         return PadicApprox.zero(self.descriptor.prime)
 
     def is_zero(self) -> bool:
@@ -209,7 +185,7 @@ class Series:
         return [e for e, _ in self.terms]
 
     def gauss_value(self) -> Fraction | int | None:
-        vals = [coeff_value(c) for _, c in self.terms]
+        vals = [c.val for _, c in self.terms]
         vals = [v for v in vals if v is not None]
         return min(vals) if vals else None
 
@@ -228,24 +204,24 @@ class Series:
         self._check(other)
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = _coeff_add(acc[e], c) if e in acc else c
+            acc[e] = acc[e].add(c) if e in acc else c
         return Series.make(self.descriptor, acc, loss=_loss_min(self.loss, other.loss))
 
     def neg(self) -> "Series":
         return Series(self.descriptor,
-                      tuple((e, _coeff_neg(c)) for e, c in self.terms), self.loss)
+                      tuple((e, c.neg()) for e, c in self.terms), self.loss)
 
     def sub(self, other: "Series") -> "Series":
         return self.add(other.neg())
 
     def mul(self, other: "Series") -> "Series":
         self._check(other)
-        acc: dict[Exp, object] = {}
+        acc: dict[Exp, PadicApprox] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = _coeff_mul(c1, c2)
-                acc[e] = _coeff_add(acc[e], c) if e in acc else c
+                c = c1.mul(c2)
+                acc[e] = acc[e].add(c) if e in acc else c
         return Series.make(self.descriptor, acc, loss=_loss_min(self.loss, other.loss))
 
     def scale(self, c) -> "Series":
@@ -253,7 +229,7 @@ class Series:
         if isinstance(c, (int, Fraction)):
             c = make_scalar(c, self.descriptor.prime, self.descriptor.precision)
         return Series.make(self.descriptor,
-                           {e: _coeff_scale(x, c) for e, x in self.terms},
+                           {e: x.mul(c) for e, x in self.terms},
                            loss=self.loss)
 
     def shift(self, exp) -> "Series":
@@ -271,38 +247,13 @@ class Series:
 
     def __repr__(self):
         body = " + ".join(
-            f"({c.serialize() if isinstance(c, PadicApprox) else c!r})*t^{list(e)}"
-            for e, c in self.terms) or "0"
+            f"({c.serialize()})*t^{list(e)}" for e, c in self.terms) or "0"
         return f"<{self.descriptor.kind} {body}>"
-
-
-def _coeff_add(a, b):
-    return a.add(b)
-
-
-def _coeff_mul(a, b):
-    if isinstance(a, Series) and isinstance(b, Series):
-        return a.mul(b)
-    if isinstance(a, Series):
-        return a.scale(b)
-    if isinstance(b, Series):
-        return b.scale(a)
-    return a.mul(b)
-
-
-def _coeff_neg(a):
-    return a.neg()
-
-
-def _coeff_scale(a, c):
-    if isinstance(a, Series):
-        return a.scale(c)
-    return a.mul(c)
 
 
 def _term_value(descriptor, exp, c) -> Fraction | None:
     """Slope value (robba kinds, at the stated slope) or Gauss value of one term."""
-    v = coeff_value(c)
+    v = c.val
     if v is None:
         return None
     if descriptor.is_robba():
@@ -321,9 +272,9 @@ def gauss_norm(a: Series) -> NormResult:
     vals = []
     floor = None
     for _, c in a.terms:
-        v = coeff_value(c)
+        v = c.val
         if v is None:
-            if isinstance(c, PadicApprox) and c.limited:
+            if c.limited:
                 floor = c.prec if floor is None else min(floor, c.prec)
         else:
             vals.append(v)
@@ -337,7 +288,7 @@ def rho_value(a: Series, D: int | None) -> Fraction | None:
     """Valuation under |.|_rho with rho = p^(1/D); D=None means Gauss (rho=1)."""
     best = None
     for e, c in a.terms:
-        v = coeff_value(c)
+        v = c.val
         if v is None:
             continue
         key = Fraction(v) if D is None else Fraction(v) - Fraction(sum(e), D)
@@ -352,7 +303,7 @@ class WSlopeResult:
 
 
 def w_slope(x: Series, s) -> WSlopeResult:
-    """w_{A,s}: min over the window of v(x_i) + s.i (componentwise for multi).
+    """w_{A,s}: min over the window of v(x_i) + s.|i|.
 
     Flags window-limited when the minimum sits at a window edge where the
     per-exponent trend is still decreasing, i.e. mass beyond the window could
@@ -361,20 +312,15 @@ def w_slope(x: Series, s) -> WSlopeResult:
     d = x.descriptor
     if not d.is_robba():
         raise DescriptorMismatchError("w_slope is defined on robba kinds")
-    n = len(d.variables)
-    if isinstance(s, (int, Fraction)):
-        svec = (Fraction(s),) * n
-    else:
-        svec = tuple(Fraction(si) for si in s)
-    for si in svec:
-        if not 0 < si <= d.slope:
-            raise ValueError("slope out of range (0, r]")
+    s = Fraction(s)
+    if not 0 < s <= d.slope:
+        raise ValueError("slope out of range (0, r]")
     best, best_exp = None, None
     for e, c in x.terms:
-        v = coeff_value(c)
+        v = c.val
         if v is None:
             continue
-        key = Fraction(v) + sum(si * ei for si, ei in zip(svec, e))
+        key = Fraction(v) + s * sum(e)
         if best is None or key < best:
             best, best_exp = key, e
     if best is None:
@@ -387,17 +333,6 @@ def w_slope(x: Series, s) -> WSlopeResult:
 
 # -- inversion ---------------------------------------------------------------
 
-def _coeff_lower_bound(c) -> Fraction | None:
-    """Guaranteed valuation lower bound: the floor for limited zeros."""
-    if isinstance(c, PadicApprox):
-        if c.val is not None:
-            return Fraction(c.val)
-        return Fraction(c.prec) if c.limited else None
-    vals = [_coeff_lower_bound(x) for _, x in c.terms]
-    vals = [v for v in vals if v is not None]
-    return min(vals, default=None)
-
-
 def _contraction_value(a: Series) -> Fraction | None:
     """min over terms of the guaranteed term value, counting limited zeros
     at their floors; positivity certifies topological nilpotence on the
@@ -405,8 +340,11 @@ def _contraction_value(a: Series) -> Fraction | None:
     d = a.descriptor
     best = None
     for e, c in a.terms:
-        v = _coeff_lower_bound(c)
-        if v is None:
+        if c.val is not None:
+            v = Fraction(c.val)
+        elif c.limited:
+            v = Fraction(c.prec)
+        else:
             return None
         if d.is_robba():
             v = v + sum(Fraction(d.slope) * ei for ei in e)
@@ -441,12 +379,12 @@ def invert_series(u: Series) -> Series:
         # monomial shifts are only invertible when two-sided windows exist
         raise NotARecognizedUnitError(
             "dominant term is a non-constant monomial in a plus ring")
-    c_inv = c.invert() if isinstance(c, PadicApprox) else invert_series(c)
+    c_inv = c.invert()
     neg_k = tuple(-x for x in k)
     if not d.in_window(neg_k):
         raise NotARecognizedUnitError("inverted monomial leaves the window")
     # a = 1 - u / (c t^k)
-    scaled = u.map_coeffs(lambda x: _coeff_mul(x, c_inv)).shift(neg_k)
+    scaled = u.map_coeffs(lambda x: x.mul(c_inv)).shift(neg_k)
     a = Series.one(d).sub(scaled)
     if not a.is_zero():
         cert = _contraction_value(a)
@@ -466,7 +404,7 @@ def invert_series(u: Series) -> Series:
         steps += 1
         if steps > max_terms:
             raise NotARecognizedUnitError("geometric series did not terminate")
-    result = acc.map_coeffs(lambda x: _coeff_mul(x, c_inv)).shift(neg_k)
+    result = acc.map_coeffs(lambda x: x.mul(c_inv)).shift(neg_k)
     return replace(result, loss=_loss_min(result.loss, u.loss))
 
 
@@ -481,7 +419,7 @@ def d_dt(x: Series, var: str | int = 0) -> Series:
         if e[j] == 0:
             continue
         ne = e[:j] + (e[j] - 1,) + e[j + 1:]
-        out[ne] = _coeff_scale(c, make_scalar(e[j], d.prime, d.precision))
+        out[ne] = c.mul(make_scalar(e[j], d.prime, d.precision))
     return Series.make(d, out, loss=x.loss)
 
 
@@ -493,7 +431,7 @@ def t_d_dt(x: Series, var: str | int = 0) -> Series:
     for e, c in x.terms:
         if e[j] == 0:
             continue
-        out[e] = _coeff_scale(c, make_scalar(e[j], d.prime, d.precision))
+        out[e] = c.mul(make_scalar(e[j], d.prime, d.precision))
     return Series.make(d, out, loss=x.loss)
 
 
@@ -504,27 +442,23 @@ def dlog_antiderivative(x: Series, var: str | int = 0) -> Series:
     out = {}
     for e, c in x.terms:
         if e[j] == 0:
-            if coeff_is_zero(c):
-                if getattr(c, "limited", False):
+            if c.is_zero():
+                if c.limited:
                     raise AmbiguousResidueError(
                         "t^0 coefficient is zero only at working precision")
                 continue
             raise ResidueObstructionError("nonzero t^0 coefficient")
         inv = make_scalar(e[j], d.prime, d.precision).invert()
-        out[e] = _coeff_scale(c, inv)
+        out[e] = c.mul(inv)
     return Series.make(d, out, loss=x.loss)
 
 
 def frobenius_substitute(x: Series, q: int | None = None) -> Series:
-    """Standard Frobenius lift: coefficients through sigma recursively and
-    every exponent multiplied by q.  Window overflow becomes tracked loss."""
+    """Standard Frobenius lift: every exponent multiplied by q; sigma fixes
+    the Q_p coefficients.  Window overflow becomes tracked loss."""
     d = x.descriptor
     q = q if q is not None else d.qeff
-    out = {}
-    for e, c in x.terms:
-        if isinstance(c, Series):
-            c = frobenius_substitute(c, q)
-        out[tuple(q * ei for ei in e)] = c
+    out = {tuple(q * ei for ei in e): c for e, c in x.terms}
     return Series.make(d, out, loss=x.loss)
 
 

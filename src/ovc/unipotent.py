@@ -41,13 +41,6 @@ class UnipotentData:
         return lhs.sub(U.mul(X)).is_zero_at_precision()
 
 
-def _constant_part(s: Series) -> PadicApprox:
-    c = s.coeff(s.descriptor.zero_exp())
-    if isinstance(c, Series):
-        raise BadCertificateError("relative coefficients not supported here")
-    return c
-
-
 def _nonconstant_part(s: Series) -> Series:
     """The terms other than t^0, with the entry's loss."""
     zero = s.descriptor.zero_exp()
@@ -119,7 +112,7 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
             if g is not None and g < M:
                 raise PrecisionError(
                     "non-constant residue survived basis extraction")
-            xrow.append(_constant_part(rows[i][j]))
+            xrow.append(rows[i][j].coeff(ring.zero_exp()))
         X.append(tuple(xrow))
     X = tuple(X)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ovc.cli import emit_report, run_command
 from ovc.errors import OvcError, ParseError, RangeError, UndefinedNameError
-from ovc.problems import parse_problem
+from ovc.problems import _KINDS, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -320,6 +320,11 @@ command unipotent-basis M1
      "command unipotent-basis M1 NOPE", 13),
     # a connection matrix that is not rank x rank
     ("cohomology", "annulus_dlog_half.ovc", "rank 1", "rank 2", 12),
+    # a ring has no coefficient ring
+    ("cohomology", "annulus_dlog_half.ovc",
+     "ring R robba vars t window -30:30 slope 1",
+     "ring W tate vars x window 0:4\n"
+     "ring R robba vars t window -30:30 slope 1 coeff W", 6),
 ])
 def test_cli_malformed_lines_exit_2_with_line(tmp_path, command, name, old,
                                               new, line):
@@ -464,3 +469,48 @@ def test_engine_commands_report_or_raise_ovc_error(text):
     except OvcError:
         return
     assert report.records
+
+
+# -- every ring-kind spelling through the engine --------------------------------
+
+KIND_COMMANDS = ("cohomology M1", "unipotent-basis M1", "horizontal M1 w w L 4",
+                 "factor U", "groebner-reduce basis g y y z s")
+
+
+def _kind_problem(kind: str, command: str) -> str:
+    """A rank-2 module D w2 = t w1 (gamma t N off the robba kinds), a factor
+    matrix diag(p, 1) and a division z = t against (t - p) on one ring."""
+    robba = "robba" in kind
+    window = "-6:6" if kind in ("robba", "multi-robba") else "0:6"
+    option = " slope 1" if robba else " decay 1" if "dagger" in kind else ""
+    return "\n".join([
+        "version 1", "p 3", "M 8",
+        f"ring R {kind} vars t window {window}{option}",
+        "series s R", "  term 1 1", "end",
+        "series g R", "  term 1 1", "  term 0 -3", "end",
+        "series y R", "  term 0 3", "end",
+        "matrix N R 2 2", "  entry 1 2 s", "end",
+        "matrix U R 2 2", "  entry 1 1 y", "  entry 2 2 1", "end",
+        "module M1 ring R rank 2 " + ("connection N" if robba else "gamma t N"),
+        "vector w M1", "  comp 2 1", "end",
+        f"command {command}"]) + "\n"
+
+
+@pytest.mark.parametrize("command", KIND_COMMANDS,
+                         ids=lambda c: c.split()[0])
+@pytest.mark.parametrize("kind", tuple(_KINDS))
+def test_every_ring_kind_runs_to_a_report_or_an_ovc_error(kind, command):
+    pf = parse_problem(_kind_problem(kind, command))
+    try:
+        report = run_command(pf)
+    except OvcError:
+        return
+    assert emit_report(report)
+
+
+def test_multi_robba_is_robba():
+    text = (PROBLEMS / "annulus_dlog_half.ovc").read_text()
+    multi = text.replace(" robba ", " multi-robba ", 1)
+    assert multi != text
+    assert emit_report(run_command(parse_problem(multi))) == \
+        emit_report(run_command(parse_problem(text)))
