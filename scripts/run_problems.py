@@ -4,7 +4,8 @@
 Usage: python scripts/run_problems.py [--format text|structured]
 
 The CLI runs from this checkout's ``src``, put first on the children's
-PYTHONPATH, so no install is needed.
+PYTHONPATH, so no install is needed.  Exits 1 when a problem fails or when
+no problem ran at all.
 """
 
 import argparse
@@ -17,15 +18,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--format", default="text",
                     choices=("text", "structured"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    failures = 0
+    ran = failures = 0
     for path in sorted((ROOT / "problems").glob("*.ovc")):
         command = None
         for line in path.read_text().splitlines():
@@ -38,9 +39,13 @@ def main():
         proc = subprocess.run(
             [sys.executable, "-m", "ovc.cli", command, str(path),
              "--format", args.format], env=env)
+        ran += 1
         failures += proc.returncode != 0
         print()
-    return 1 if failures else 0
+    if not ran:
+        print(f"no problem files ran from {ROOT / 'problems'}",
+              file=sys.stderr)
+    return 1 if failures or not ran else 0
 
 
 if __name__ == "__main__":

@@ -1,17 +1,20 @@
 """Windowed de Rham complexes and their certified cohomology.
 
 One builder, ``_assemble``, makes every complex the engine reduces.  It lays
-out the labels (a, J, I) of each degree in order and emits each differential
-once, as integers mod p^N with its scaling (N, shift).  Its callers differ
-only in the exponent box of each degree, the derivative action, the sign of
-the connection's exponent shift and what happens at the box edge:
+out the labels (a, J, I) of each degree in one order, exponents in deglex
+(total degree, then descending lex), and emits each differential once, as
+integers mod p^N with its scaling (N, shift), together with the window edge
+data that artifact detection reads.  Its callers differ only in the exponent
+box of each degree, the derivative action, the sign of the connection's
+exponent shift and what happens at the box edge:
 
 * ``mw_complex``       - a module over a Tate/dagger window, dx gauge;
 * ``compact_complex``  - the quotient complex on strictly positive annulus
                          exponents computing compact supports of affine space
                          (written in inverted coordinates, dx gauge);
 * ``local_complex``    - the dlog operator D on a one-variable Robba window;
-* ``pushforward.quotient_complex`` and ``pushforward._vertical_ranks``.
+* ``pushforward.quotient_complex`` - the local complex of the annulus modulo
+                         the line side, in pushforward bundles.
 
 Dimensions come from p-adic Smith normal form ranks.  Generators of degree j
 come from tracked reductions.  With incoming boundaries they are read off
@@ -101,7 +104,7 @@ class ComplexData:
     window_hi: tuple        # per-variable top (for edge detection)
     window_lo: tuple
     two_sided: bool         # robba windows get bands at both ends
-    slope: Fraction | None = None   # annulus slope; enables divergence checks
+    slope: Fraction         # annulus slope (0 off the robba kinds)
 
     def columns(self, j: int) -> dict:
         """Map j as {col: {row: int}}, columns in the order of its entries."""
@@ -122,14 +125,6 @@ def _terms(matrix):
             for a, s in enumerate(row) for E, c in s.terms]
 
 
-def _shift_bound(terms, nvars: int) -> tuple:
-    bound = [0] * nvars
-    for _, _, E, _ in terms:
-        for v in range(nvars):
-            bound[v] = max(bound[v], abs(E[v]))
-    return tuple(bound)
-
-
 # -- the complex builder ---------------------------------------------------------
 
 # Derivative actions, as (sign of the coefficient I_i, step of the exponent).
@@ -138,19 +133,17 @@ D_INV = (-1, 1)     # the same in t_i = 1/x_i: -I_i t^(I + e_i)
 D_LOG = (1, 0)      # t_i d/dt_i t^I = I_i t^I
 
 
-def _box_layout(lo, hi, frame_lo, widths, strides, deglex):
+def _box_layout(lo, hi, frame_lo, widths, strides):
     """A box's exponents in label order, their frame codes, and the map from
     frame code to exponent rank (-1 outside the box)."""
     exps = list(product(*(range(l, h + 1) for l, h in zip(lo, hi))))
     codes = [0]
     for l, h, f, s in zip(lo, hi, frame_lo, strides):
         codes = [c + (x - f) * s for c in codes for x in range(l, h + 1)]
-    if deglex:
-        # the order of groebner.deglex_key: total degree, then descending lex
-        order = sorted(zip(map(sum, exps), range(len(exps), 0, -1),
-                           exps, codes))
-        exps = [t[2] for t in order]
-        codes = [t[3] for t in order]
+    # the order of groebner.deglex_key: total degree, then descending lex
+    order = sorted(zip(map(sum, exps), range(len(exps), 0, -1), exps, codes))
+    exps = [t[2] for t in order]
+    codes = [t[3] for t in order]
     where = [-1] * (strides[0] * widths[0])
     for r, c in enumerate(codes):
         where[c] = r
@@ -165,8 +158,7 @@ def _lands(E, exp_sign, src, dst) -> bool:
 
 
 def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
-              deriv: tuple, exp_sign: int, kill_below: bool,
-              deglex: bool = True) -> tuple:
+              deriv: tuple, exp_sign: int, kill_below: bool) -> ComplexData:
     """Chain spaces and differentials of nabla = d + sum Gamma_i dx_i.
 
     ``boxes[j]`` is the exponent box (lo, hi) of degree j; the forms of
@@ -176,8 +168,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     ``deriv`` is D_X, D_INV or D_LOG.  A target outside the box is dropped
     and its coefficient's value (plus slope times its degree) recorded as
     loss, except that with ``kill_below`` a target below the box in any
-    variable is killed exactly.  Exponents run in deglex order, or in
-    ``product`` order when ``deglex`` is false.
+    variable is killed exactly.  Exponents run in deglex order.
 
     Each map is emitted once as {(row, col): int mod p^N} with N = M + shift,
     shift the ``integral_shift`` of the terms that land.
@@ -185,7 +176,11 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     of an entry that vanished at precision) and the loss are those of
     summing PadicApprox entries and scaling them to integers afterwards.
 
-    Returns (spaces, matrices, scalings, floors, loss).
+    The edge data come from the same inputs: the window is the hull of the
+    boxes; the band is one past the largest connection shift in each
+    variable, or nothing when neither the derivative nor a connection term
+    moves an exponent; robba windows have two edges unless the quotient
+    kills the lower one.
     """
     p, M = ring.prime, ring.precision
     slope = Fraction(ring.slope or 0)
@@ -195,12 +190,13 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     # One mixed-radix frame holds every box, padded so that each target has
     # a cell.  A shift wider than the frame is clamped: its target is then
     # outside every box, on the same side.
+    window_lo = tuple(min(b[0][v] for b in boxes) for v in range(n))
+    window_hi = tuple(max(b[1][v] for b in boxes) for v in range(n))
+    bound = [max([0] + [abs(E[v]) for _, _, E, _ in all_terms])
+             for v in range(n)]
     frame_lo, pad, widths = [], [], []
-    for v in range(n):
-        lo = min(b[0][v] for b in boxes)
-        hi = max(b[1][v] for b in boxes)
-        reach = max([abs(step) if v in acting else 0]
-                    + [abs(E[v]) for _, _, E, _ in all_terms])
+    for v, (lo, hi) in enumerate(zip(window_lo, window_hi)):
+        reach = max(abs(step) if v in acting else 0, bound[v])
         pad.append(min(reach, hi - lo + 1))
         frame_lo.append(lo - pad[v])
         widths.append(hi - lo + 1 + 2 * pad[v])
@@ -216,7 +212,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     for box in boxes:
         if box not in layouts:
             layouts[box] = _box_layout(box[0], box[1], frame_lo, widths,
-                                       strides, deglex)
+                                       strides)
     spaces = [ChainSpace(j, layouts[box][0], tuple(combinations(acting, j)),
                          rank) for j, box in enumerate(boxes)]
 
@@ -316,7 +312,11 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         matrices.append(entries)
         scalings.append((N, shift))
         floors.append(floor)
-    return spaces, matrices, scalings, floors, loss
+    band = (0,) * n if step == 0 and not any(bound) else \
+        tuple(1 + b for b in bound)
+    two_sided = ring.is_robba() and not kill_below
+    return ComplexData(spaces, matrices, scalings, floors, loss, p, M, band,
+                       window_hi, window_lo, two_sided, slope)
 
 
 def _tate_complex(module, name, low, deriv, exp_sign, kill_below):
@@ -326,12 +326,8 @@ def _tate_complex(module, name, low, deriv, exp_sign, kill_below):
     n = len(ring.variables)
     his = tuple(hi for _, hi in ring.window)
     terms = {v: _terms(module.gamma(ring.variables[v])) for v in range(n)}
-    band = tuple(1 + b for b in _shift_bound(
-        [t for ts in terms.values() for t in ts], n))
-    built = _assemble(ring, module.rank, [((low,) * n, his)] * (n + 1),
-                      tuple(range(n)), terms, deriv, exp_sign, kill_below)
-    return ComplexData(*built, ring.prime, ring.precision, band, his,
-                       (low,) * n, False, Fraction(0))
+    return _assemble(ring, module.rank, [((low,) * n, his)] * (n + 1),
+                     tuple(range(n)), terms, deriv, exp_sign, kill_below)
 
 
 def mw_complex(module: SigmaNablaModule) -> ComplexData:
@@ -356,13 +352,8 @@ def local_complex(module: SigmaNablaModule) -> ComplexData:
     if not ring.is_robba() or len(ring.variables) != 1:
         raise DescriptorMismatchError("local_complex needs a one-variable robba module")
     lo, hi = ring.window[0]
-    terms = _terms(module.connection)
-    shifts = _shift_bound(terms, 1)
-    band = (0,) if shifts == (0,) else (1 + shifts[0],)
-    built = _assemble(ring, module.rank, [((lo,), (hi,))] * 2, (0,),
-                      {0: terms}, D_LOG, 1, False)
-    return ComplexData(*built, ring.prime, ring.precision, band, (hi,),
-                       (lo,), True, ring.slope)
+    return _assemble(ring, module.rank, [((lo,), (hi,))] * 2, (0,),
+                     {0: _terms(module.connection)}, D_LOG, 1, False)
 
 
 # -- the engine -----------------------------------------------------------------
@@ -397,14 +388,12 @@ def _slope_edge_limited(vec: dict, space: ChainSpace, cdata: ComplexData,
     """Divergence suspect on an annulus window: every slope-minimizing term
     of the representative sits at a window edge, so the trend says the
     defining series keeps losing value beyond the cut."""
-    if cdata.slope is None:
-        return False
     best, argmin = None, []
     for idx in sorted(vec):
         x = vec[idx]
         _, _, I = space.label(idx)
         key = (Fraction(int_valuation(x, p))
-               + sum(Fraction(cdata.slope) * e for e in I))
+               + sum(cdata.slope * e for e in I))
         if best is None or key < best:
             best, argmin = key, [I]
         elif key == best:

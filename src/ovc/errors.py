@@ -73,8 +73,8 @@ class FullRankError(OvcError):
 
 
 class BadCertificateError(OvcError):
-    """A supplied structure certificate (unipotent filtration, freeness, ...)
-    does not hold for the input."""
+    """A supplied structure certificate (unipotent filtration, fiber
+    splitting, ...) does not hold for the input."""
 
     code = "engine.bad-certificate"
 

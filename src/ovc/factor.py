@@ -167,17 +167,6 @@ class FactorResult:
     det_valuations: tuple    # content of det at each induction step
 
 
-def _content(mat: SeriesMatrix):
-    vals = [x.gauss_value() for row in mat.rows for x in row]
-    vals = [v for v in vals if v is not None]
-    return min(vals) if vals else None
-
-
-def _det_content(mat: SeriesMatrix):
-    d = mat.det()
-    return d.gauss_value()
-
-
 def factor_plus(u: SeriesMatrix, max_det_valuation: int | None = None
                 ) -> FactorResult:
     """Write U = V W with V integral-invertible and W plus-part invertible.
@@ -195,7 +184,7 @@ def factor_plus(u: SeriesMatrix, max_det_valuation: int | None = None
     cert = []
     det_vals = []
     # scalar rescaling to integral entries (logged)
-    c = _content(u)
+    c = u.max_defect_value()
     if c is None:
         raise UnsupportedShapeError("zero matrix cannot be factored")
     scale_back = None
@@ -205,7 +194,7 @@ def factor_plus(u: SeriesMatrix, max_det_valuation: int | None = None
         cert.append(ElementaryOp(
             "scale", -1, -1, Series.make(ring, {(0,): PadicApprox(p, 1, -c, M)})))
 
-    d0 = _det_content(u)
+    d0 = u.det().gauss_value()
     if d0 is None:
         raise UnsupportedShapeError(
             "determinant vanishes at working precision; the input is not "
@@ -220,7 +209,7 @@ def factor_plus(u: SeriesMatrix, max_det_valuation: int | None = None
     cur = u
     guard = 0
     while True:
-        d = _det_content(cur)
+        d = cur.det().gauss_value()
         det_vals.append(d)
         if d is None:
             raise PrecisionError("determinant content lost during reduction")

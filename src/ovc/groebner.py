@@ -197,8 +197,10 @@ def complete_leading_basis(gens: list[Series]) -> list[LeadingDatum]:
     the lift.  The returned data carry the decay parameter at which
     rho-leading and 1-leading terms provably agree on the stored supports.
     """
-    if not gens or any(g.is_zero() for g in gens):
-        raise ValueError("generators must be nonzero")
+    if not gens:
+        raise ValueError("no generators")
+    if any(g.is_zero() for g in gens):
+        raise PrecisionError("a generator vanishes at working precision")
     desc = gens[0].descriptor
     p, M = desc.prime, desc.precision
 

@@ -24,11 +24,11 @@ operands and may repeat.  ``series``, ``matrix`` and ``vector`` open a block
 of records closed by ``end``.
 
 A ring line reads ``ring <name> <kind> vars <v,...> window <lo:hi,...>``
-plus the options of its kind: ``tate``; ``dagger`` or ``dagger-fringe`` (two
-spellings of one kind) with ``decay D``; ``robba`` or ``multi-robba`` (two
-spellings of one kind) with ``slope r``; ``robba-plus`` with ``slope r`` and a
-window from 0, as for ``tate`` and ``dagger``.  Coefficients are p-adic
-scalars: a ring has no coefficient ring.
+plus the options of its kind and no others: ``tate``; ``dagger`` or
+``dagger-fringe`` (two spellings of one kind) with ``decay D``; ``robba`` or
+``multi-robba`` (two spellings of one kind) with ``slope r``; ``robba-plus``
+with ``slope r`` and a window from 0, as for ``tate`` and ``dagger``.
+Coefficients are p-adic scalars: a ring has no coefficient ring.
 
 Scalars serialize as "u*p^v@M" (plain integers and fractions n/d accepted);
 a series is a list of term records (exponents then the scalar).  Every name
@@ -382,4 +382,6 @@ def _command(pf: ProblemFile, ops: list, ln: int) -> tuple:
                             {args[1], args[2]} <= set(args[0].ring.variables)):
         raise ParseError("leray needs a fiber and a base that are two "
                          "different variables of the module's ring", ln)
+    if name == "factor" and args[0].nrows != args[0].ncols:
+        raise ParseError("factor needs a square matrix", ln)
     return name, args, opts

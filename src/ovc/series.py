@@ -46,7 +46,7 @@ class RingDescriptor:
     prime: int
     precision: int
     q: int = 0                      # Frobenius parameter; 0 means "= p"
-    decay: int | None = None        # fringe decay D, rho = p^(1/D)
+    decay: int | None = None        # fringe decay D, rho = p^(1/D); dagger
     slope: Fraction | None = None   # robba kinds
 
     def __post_init__(self):
@@ -68,8 +68,13 @@ class RingDescriptor:
         if self.kind in _ROBBA_KINDS:
             if self.slope is None or self.slope <= 0:
                 raise ValueError("robba kinds need a positive slope")
-        if self.decay is not None and self.decay < 1:
-            raise ValueError("decay must be >= 1")
+        elif self.slope is not None:
+            raise ValueError(f"a {self.kind} ring has no slope")
+        if self.decay is not None:
+            if self.kind != DAGGER:
+                raise ValueError(f"a {self.kind} ring has no decay")
+            if self.decay < 1:
+                raise ValueError("decay must be >= 1")
         if self.q and self.q % self.prime:
             raise ValueError("q must be a power of p")
 
@@ -364,7 +369,9 @@ def invert_series(u: Series) -> Series:
     d = u.descriptor
     if u.is_zero():
         raise NotARecognizedUnitError("zero is not a unit")
-    # dominant term: minimal term value, deglex-largest exponent among ties
+    # dominant term: minimal term value, the first (smallest) exponent among
+    # ties; which one is kept cannot show, since a tie leaves a remainder
+    # term of value 0 and the contraction certificate below then fails
     best_val, pivot = None, None
     for e, c in u.terms:
         v = _term_value(d, e, c)

@@ -1,5 +1,6 @@
 """Problem-file parsing, dispatch, determinism, and exit codes."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ovc.cli import emit_report, run_command
 from ovc.errors import OvcError, ParseError, RangeError, UndefinedNameError
-from ovc.problems import _KINDS, parse_problem
+from ovc.problems import _KINDS, _TABLES, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -290,6 +291,13 @@ command unipotent-basis M1
     assert proc2.returncode == 1
     assert b"Traceback" not in proc2.stderr
     assert b"engine error" in proc2.stderr
+    # a generator that vanishes at the working precision (3 at M = 1)
+    prob3 = tmp_path / "g.ovc"
+    prob3.write_text((PROBLEMS / "groebner_reduce.ovc").read_text()
+                     .replace("M 10", "M 1").replace("basis g1", "basis yv"))
+    proc3 = _run(["groebner-reduce", str(prob3)])
+    assert proc3.returncode == 1
+    assert b"engine error [engine.precision-exhausted]" in proc3.stderr
 
 
 @pytest.mark.parametrize("command, name, old, new, line", [
@@ -318,8 +326,14 @@ command unipotent-basis M1
      "command cohomology M1 junk 3", 9),
     ("unipotent-basis", "unipotent_rank2.ovc", "command unipotent-basis M1",
      "command unipotent-basis M1 NOPE", 13),
+    # a matrix to factor that is not square
+    ("factor", "factor_diag.ovc", "matrix U R 2 2", "matrix U R 3 2", 13),
     # a connection matrix that is not rank x rank
     ("cohomology", "annulus_dlog_half.ovc", "rank 1", "rank 2", 12),
+    # ring options the kind has no use for
+    ("cohomology", "mw_line_trivial.ovc", "window 0:60",
+     "window 0:60 slope 1/2", 5),
+    ("cohomology", "annulus_dlog_half.ovc", "slope 1", "slope 1 decay 1", 5),
     # a ring has no coefficient ring
     ("cohomology", "annulus_dlog_half.ovc",
      "ring R robba vars t window -30:30 slope 1",
@@ -357,12 +371,54 @@ POOL = ("1/0", "abc", "0", "-1", "2", "0:5", "1:2:3", "M1", "R", "W", "N",
         "matrix", "vector", "cohomology", "robba", "tate", "w", "L", "p", "M")
 
 
+def _swap_sites(text):
+    """[(line, position, other tokens of the same shape)] over a problem's
+    tokens.  A shape is an integer, a scalar, a lo:hi window, or a name the
+    file defines, by what it names (a ring variable, a ring, a series, ...);
+    directives and option keys have none."""
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    shapes = {}
+    for toks in lines:
+        if len(toks) > 1 and toks[0] in _TABLES:
+            shapes[toks[1]] = toks[0]
+            if "vars" in toks[:-1]:
+                shapes.update(dict.fromkeys(
+                    toks[toks.index("vars") + 1].split(","), "variable"))
+
+    def shape(tok):
+        if re.fullmatch(r"-?\d+", tok):
+            return "integer"
+        if re.fullmatch(r"-?\d+:-?\d+(,-?\d+:-?\d+)*", tok):
+            return "window"
+        if re.fullmatch(r"[-+*/^@()\dpO]*\d[-+*/^@()\dpO]*", tok):
+            return "scalar"
+        return shapes.get(tok)
+
+    pools = {}
+    for toks in lines:
+        for tok in toks[1:]:
+            pools.setdefault(shape(tok), set()).add(tok)
+    return [(ln, k, others) for ln, toks in enumerate(lines)
+            for k, tok in enumerate(toks) if k and shape(tok)
+            if (others := sorted(pools[shape(tok)] - {tok}))]
+
+
+SWAP_SITES = {text: _swap_sites(text) for text in SHIPPED}
+
+
 def _mutant(data) -> str:
-    """A shipped problem with one to three tokens deleted, replaced or
-    inserted from ``POOL``."""
-    lines = [raw.split() for raw in data.draw(st.sampled_from(SHIPPED))
-             .splitlines()]
+    """A shipped problem with one to three tokens swapped for another token
+    of the same shape from the same file, or with one to three tokens
+    deleted, replaced or inserted from ``POOL``.  Swaps keep the grammar
+    far more often, so half the mutants swap."""
+    text = data.draw(st.sampled_from(SHIPPED))
+    lines = [raw.split() for raw in text.splitlines()]
+    swap = data.draw(st.booleans())
     for _ in range(data.draw(st.integers(1, 3))):
+        if swap:
+            ln, k, others = data.draw(st.sampled_from(SWAP_SITES[text]))
+            lines[ln][k] = data.draw(st.sampled_from(others))
+            continue
         toks = lines[data.draw(st.integers(0, len(lines) - 1))]
         at = data.draw(st.integers(0, len(toks)))
         op = data.draw(st.sampled_from(("delete", "replace", "insert")))
@@ -387,7 +443,9 @@ def test_mutated_problems_parse_or_raise_parse_error(data):
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(st.data())
 def test_mutated_problems_run_to_a_report_or_an_ovc_error(data):
-    # no token of POOL enlarges a window, so every mutant runs quickly
+    # no token of POOL enlarges a window, and a swap only moves a file's own
+    # values: every window, precision, rank and size of a mutant is one its
+    # shipped problem already holds, so every mutant runs quickly
     try:
         pf = parse_problem(_mutant(data))
     except ParseError:

@@ -22,11 +22,7 @@ from ovc.linalg import _val, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import make_scalar, parse_scalar
 from ovc.pairing import apply_complex_map
-from ovc.pushforward import (
-    _vertical_ranks,
-    quotient_complex,
-    robba_side_module,
-)
+from ovc.pushforward import quotient_complex, robba_side_module
 from ovc.series import ROBBA, TATE, RingDescriptor, Series
 
 P = 3
@@ -387,6 +383,21 @@ PINNED_BUILDER_DIGESTS = {
     "vertical":
         "12bad3ea03c2342a35aa45809e7a3746ea932fed2d7d79138413a0782ae2a07e",
 }
+
+
+def _vertical_ranks(module, fi):
+    """(rank, kernel dim, source dim, target dim) of the plane's vertical
+    map, on which only the fiber variable x_fi acts."""
+    ring = module.ring
+    box = ((0,) * len(ring.window), tuple(hi for _, hi in ring.window))
+    cdata = cohomology._assemble(
+        ring, module.rank, [box, box], (fi,),
+        {fi: cohomology._terms(module.gamma(ring.variables[fi]))},
+        cohomology.D_X, 1, False)
+    src, dst = cdata.spaces
+    r = sparse_snf(dst.dim, src.dim, cdata.matrices[0], cdata.p,
+                   cdata.scalings[0][0], track=False).rank()
+    return r, src.dim - r, src.dim, dst.dim
 
 
 def _builder_digests():

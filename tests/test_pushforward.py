@@ -4,9 +4,11 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_cohomology import _vertical_ranks
 
 from ovc.acceptance import dwork_module, trivial_module
-from ovc.cohomology import mw_cohomology
+from ovc.cohomology import mw_cohomology, mw_complex
 from ovc.errors import BadCertificateError, WindowError
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import make_scalar
@@ -18,7 +20,8 @@ from ovc.pushforward import (
     robba_side_module,
     snake_check,
 )
-from ovc.series import ROBBA, TATE, RingDescriptor, Series
+from ovc.linalg import sparse_snf
+from ovc.series import DAGGER, ROBBA, TATE, RingDescriptor, Series
 
 P, M = 3, 12
 R = RingDescriptor(ROBBA, ("t",), ((-16, 16),), P, M, slope=Fraction(1))
@@ -294,3 +297,64 @@ def test_leray_reads_coordinates_at_the_generator_scale(monkeypatch):
     third = _induced_Q_connection(
         monkeypatch, _plane(((1, 0), Fraction(1, 3)), ((0, 1), 3)))
     assert plain == third == {(1,): "1*p^1@11"}
+
+
+# -- the fiber splitting behind Leray -----------------------------------------
+#
+# leray_assemble reads P and Q off one fiber line because a vertical
+# connection free of the base variable acts on each base power y^j alone:
+# the plane's vertical complex is hy + 1 copies of the fiber's.
+
+def _fiber_line(module):
+    """The fiber line module leray_assemble builds for fiber x."""
+    ring = module.ring
+    line = RingDescriptor(ring.kind, ("x",), (ring.window[0],), ring.prime,
+                          ring.precision, decay=ring.decay)
+    gam = SeriesMatrix.make(line, [
+        [Series.make(line, {(E[0],): c for E, c in s.terms}) for s in row]
+        for row in module.gamma("x").rows])
+    return SigmaNablaModule(line, module.rank, gammas=(("x", gam),))
+
+
+@st.composite
+def _base_free_planes(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    kind = draw(st.sampled_from((TATE, DAGGER)))
+    rank = draw(st.integers(1, 2))
+    hx, hy = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    prec = draw(st.integers(4, 10))
+    ring = RingDescriptor(kind, ("x", "y"), ((0, hx), (0, hy)), p, prec,
+                          decay=1 if kind == DAGGER else None)
+    coeffs = st.sampled_from((1, 2, -1, p, Fraction(1, p), Fraction(-2, p**2)))
+    terms = st.dictionaries(st.integers(0, hx), coeffs, max_size=2)
+    rows = [[Series.make(ring, {(e, 0): make_scalar(c, p, prec)
+                                for e, c in draw(terms).items()})
+             for _ in range(rank)] for _ in range(rank)]
+    return SigmaNablaModule(ring, rank, gammas=(
+        ("x", SeriesMatrix.make(ring, rows)),
+        ("y", SeriesMatrix.zero(ring, rank))))
+
+
+def _assert_plane_is_copies_of_fiber(module):
+    hy = module.ring.window[1][1]
+    line = _fiber_line(module)
+    fiber = mw_complex(line)
+    (src, dst), (N, _) = fiber.spaces, fiber.scalings[0]
+    rank = sparse_snf(dst.dim, src.dim, fiber.matrices[0], fiber.p, N,
+                      track=False).rank()
+    raw = mw_cohomology(line).report.degrees
+    vrank, vker, _, vdim1 = _vertical_ranks(module, 0)
+    assert vrank == (hy + 1) * rank
+    assert vker == (hy + 1) * raw[0].raw_dim
+    assert vdim1 - vrank == (hy + 1) * raw[1].raw_dim
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_base_free_planes())
+def test_plane_vertical_complex_is_copies_of_the_fiber(module):
+    _assert_plane_is_copies_of_fiber(module)
+
+
+def test_leray_planes_vertical_complex_is_copies_of_the_fiber():
+    for spec in LERAY_PLANES.values():
+        _assert_plane_is_copies_of_fiber(_plane(*spec))

@@ -50,3 +50,12 @@ def test_bench_pairs_writes_its_file_then_exits_1_on_a_wrong_run(
     assert "seed 4: the head run failed" in capsys.readouterr().err
     written = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [p["seed"] for p in written["pairs"]] == [3, 4]
+
+
+def test_run_problems_exits_1_when_nothing_ran(tmp_path, monkeypatch, capsys):
+    runner = _load("run_problems")
+    monkeypatch.setattr(runner, "ROOT", tmp_path)
+    assert runner.main([]) == 1
+    (tmp_path / "problems").mkdir()
+    assert runner.main([]) == 1
+    assert "no problem files ran" in capsys.readouterr().err

@@ -105,6 +105,14 @@ def test_not_a_unit():
     # candidates tie at value 1 and no contraction certificate exists
     with pytest.raises(NotARecognizedUnitError):
         invert_series(S(R, {(0,): P, (1,): -1}))
+    # two dominant terms tie whichever one is divided out: the other leaves
+    # a remainder term of value 0
+    third = Series.make(R, {(0,): make_scalar(1, P, M),
+                            (1,): make_scalar(Fraction(1, P), P, M)})
+    T1 = RingDescriptor(TATE, ("x",), ((0, 12),), P, M)
+    for u in (third, S(T1, {(0,): 1, (1,): 1})):
+        with pytest.raises(NotARecognizedUnitError):
+            invert_series(u)
 
 
 def test_derivative_examples():
