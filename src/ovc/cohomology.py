@@ -168,7 +168,11 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     ``deriv`` is D_X, D_INV or D_LOG.  A target outside the box is dropped
     and its coefficient's value (plus slope times its degree) recorded as
     loss, except that with ``kill_below`` a target below the box in any
-    variable is killed exactly.  Exponents run in deglex order.
+    variable is killed exactly; a derivative target outside the box is
+    dropped at value 0.  Exponents run in deglex order, so the total degree
+    never falls from one cell to the next, and slopes are >= 0: each
+    connection term's loss is therefore taken once per map, at the first
+    cell it drops from, which gives its least value.
 
     Each map is emitted once as {(row, col): int mod p^N} with N = M + shift,
     shift the ``integral_shift`` of the terms that land.
@@ -228,11 +232,12 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         mod, ps = p ** N, p ** shift
 
         # per source form, per acting variable outside it: the derivative's
-        # scaled sign, frame offset and row offset, then per source
-        # component the connection terms with their integers and the term
-        # (if any) that lands on the derivative's entry
+        # scaled sign, its integer at each exponent, frame offset and row
+        # offset, then per source component the connection terms with their
+        # integers and the term (if any) that lands on the derivative's entry
         dst_form = {J: f for f, J in enumerate(dst.forms)}
         plan = []
+        unrecorded = []     # per connection term: its loss is still open
         for J in src.forms:
             fplan = []
             for i in acting:
@@ -249,24 +254,28 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                     x = None
                     if c.val is not None and c.val + shift >= 0:
                         x = cc.residue(N, shift)
-                    t = (offset(E), roff + b, x, cc, E)
+                    t = (offset(E), roff + b, x, cc, E, len(unrecorded))
+                    unrecorded.append(c.val is not None)
                     by_a[a].append(t)
                     if b == a and all(exp_sign * e == (step if v == i else 0)
                                       for v, e in enumerate(E)):
                         merge[a] = t
-                ds = sign * coeff_sign
-                fplan.append((i, ds, ds * ps, step * strides[i], roff, by_a,
+                dk = sign * coeff_sign * ps
+                lo, hi = boxes[j][0][i], boxes[j][1][i]
+                dtab = {k: dk * k % mod for k in range(lo, hi + 1)}
+                fplan.append((i, dk, dtab, step * strides[i], roff, by_a,
                               merge))
             plan.append(fplan)
 
         entries: dict = {}
         floor = None
+        above = False       # a derivative target left the box
         W2 = len(dst.forms) * rank
         col = 0
         for I, code in zip(src.exps, codes):
             for fplan in plan:
                 for a in range(rank):
-                    for i, ds, dk, doff, roff, by_a, merge in fplan:
+                    for i, dk, dtab, doff, roff, by_a, merge in fplan:
                         skip = None
                         k = I[i]
                         if k:
@@ -275,7 +284,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                                 t = merge[a]
                                 key = (r * W2 + roff + a, col)
                                 if t is None:
-                                    x = dk * k % mod
+                                    x = dtab[k]
                                     if x:
                                         entries[key] = x
                                 else:
@@ -284,31 +293,34 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                                     skip, c, x = t, t[3], t[2] or 0
                                     digits = min(c.abs_prec(), c.prec
                                                  + int_valuation(k, p))
-                                    x = (ds * k * ps + x) % p ** min(
+                                    x = (dk * k + x) % p ** min(
                                         digits + shift, N)
                                     if x:
                                         entries[key] = x
                                     else:
                                         floor = _loss_min(floor, digits)
                             else:   # above the box: dropped at value 0
-                                loss = _loss_min(loss, Fraction(0))
+                                above = True
                         for t in by_a[a]:
                             if t is skip:
                                 continue
-                            off, radd, x, c, E = t
+                            off, radd, x, c, E, tk = t
                             r = where[code + off]
                             if r >= 0:
                                 if x is None:
                                     floor = _loss_min(floor, c.prec)
                                 else:
                                     entries[(r * W2 + radd, col)] = x
-                                continue
-                            I2 = [x + exp_sign * e for x, e in zip(I, E)]
-                            killed = kill_below and any(
-                                x < l for x, l in zip(I2, dst_lo))
-                            if not killed and c.val is not None:
-                                loss = _loss_min(loss, c.val + slope * sum(I2))
+                            elif unrecorded[tk]:
+                                I2 = [x + exp_sign * e for x, e in zip(I, E)]
+                                if not (kill_below and any(
+                                        x < l for x, l in zip(I2, dst_lo))):
+                                    loss = _loss_min(
+                                        loss, c.val + slope * sum(I2))
+                                    unrecorded[tk] = False
                     col += 1
+        if above:
+            loss = _loss_min(loss, Fraction(0))
         matrices.append(entries)
         scalings.append((N, shift))
         floors.append(floor)

@@ -9,6 +9,8 @@ A rank-only (untracked) reduction pivots on the row with the fewest entries
 and reduces a matrix with more rows than columns as its transpose, taking
 the columns in decreasing order there and in increasing order otherwise,
 the orders measured to fill in least; it promises only the SNF invariants.
+A rank-only column left with one entry clears no other row, so its pivot
+row is only taken out of its other columns, neither scaled nor copied.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
@@ -186,6 +188,9 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     ``track=False`` the op logs stay empty and the pivot row is the row of
     valuation e with the fewest entries (the lowest on a tie), since its
     length is the fill it spreads into every other row of its column.  A
+    column with a single entry has no other row: its pivot row is unlinked
+    from the columns it meets and dropped, with no scaling and no update
+    (the tracked run still logs the scaling and the column ops).  A
     tall matrix (more rows than columns) has more entries per column, each a
     row to clear, so it is reduced as its transpose (``by_row`` and
     ``by_col`` trade places), its pivots turned back to the caller's
@@ -225,25 +230,40 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
                 if g:
                     buckets[int_valuation(g, p)].append(c)
                 continue
+            del by_col[c]
             if len(col) == 1:
                 r, = col
+                if not track:
+                    # no other row to clear: unlink the pivot row from its
+                    # other columns and leave it unscaled
+                    pivot_row = by_row.pop(r)
+                    del pivot_row[c]
+                    for cc in pivot_row:
+                        del by_col[cc][r]
+                    pivots.append((r, c, level))
+                    continue
             elif track:
                 r = min(rr for rr, x in col.items() if x % above)
             else:
-                r = min((len(by_row[rr]), rr) for rr, x in col.items()
-                        if x % above)[1]
+                best = None
+                for rr, x in col.items():
+                    if x % above:
+                        size = len(by_row[rr])
+                        if best is None or size < best or (size == best
+                                                           and rr < r):
+                            best, r = size, rr
             # normalize the pivot row so the pivot becomes exactly p^level,
             # log the column ops that clear it and take it out of its columns
-            u = col[r] // pe
+            u = col.pop(r) // pe
             uinv = inverses.get(u)
             if uinv is None:
                 uinv = inverses[u] = pow(u, -1, mod)
             if u != 1 and track:
                 row_ops.append(("rs", r, uinv))
+            pivot_row = by_row.pop(r)
+            del pivot_row[c]
             prow = []
-            for cc, y in by_row.pop(r).items():
-                if cc == c:
-                    continue
+            for cc, y in pivot_row.items():
                 y = y * uinv % mod
                 ccol = by_col[cc]
                 del ccol[r]
@@ -252,8 +272,6 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
                     col_ops.append(("ca", c, cc, -(y // pe) % mod))
             # clear the pivot column: row rr -= m * (pivot row)
             for rr, x in col.items():
-                if rr == r:
-                    continue
                 m = x // pe
                 row = by_row[rr]
                 del row[c]
@@ -267,7 +285,6 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
                         del ccol[rr]
                 if track:
                     row_ops.append(("ra", r, rr, -m % mod))
-            del by_col[c]
             pivots.append((r, c, level))
 
     if flip:

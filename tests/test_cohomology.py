@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -414,6 +415,86 @@ def _builder_digests():
 
 def test_pinned_builder_output():
     assert _builder_digests() == PINNED_BUILDER_DIGESTS
+
+
+# -- the truncation loss, cell by cell -----------------------------------------
+
+def _loss_oracle(ring, rank, boxes, acting, terms, deriv, exp_sign,
+                 kill_below):
+    """The loss of ``_assemble``'s inputs, taken over every dropped target:
+    a connection term adds c.val + slope * (its target's total degree) unless
+    ``kill_below`` kills a target below the box, and a derivative target
+    outside the box adds 0."""
+    slope = Fraction(ring.slope or 0)
+    step = deriv[1]
+    losses = []
+
+    def inside(I, box):
+        return all(lo <= x <= hi for x, lo, hi in zip(I, *box))
+
+    for j in range(len(boxes) - 1):
+        src, dst = boxes[j], boxes[j + 1]
+        for I in product(*(range(lo, hi + 1) for lo, hi in zip(*src))):
+            for J in combinations(acting, j):
+                for i in acting:
+                    if i in J:
+                        continue
+                    target = [x + (step if v == i else 0)
+                              for v, x in enumerate(I)]
+                    if I[i] and not inside(target, dst):
+                        losses.append(Fraction(0))
+                    for _, _, E, c in terms.get(i, ()):
+                        I2 = [x + exp_sign * e for x, e in zip(I, E)]
+                        if inside(I2, dst) or c.val is None:
+                            continue
+                        if kill_below and any(x < lo
+                                              for x, lo in zip(I2, dst[0])):
+                            continue
+                        losses.append(c.val + slope * sum(I2))
+    return min(losses) if losses else None
+
+
+def test_loss_matches_the_cell_by_cell_oracle(monkeypatch):
+    # the builder records each term's loss at its first drop; the oracle
+    # takes every drop, so the two agree only if the first is the least
+    from ovc import pushforward
+
+    seen = []
+    original = cohomology._assemble
+
+    def recording(*args):
+        cdata = original(*args)
+        seen.append((str(cdata.loss), str(_loss_oracle(*args))))
+        return cdata
+
+    monkeypatch.setattr(cohomology, "_assemble", recording)
+    monkeypatch.setattr(pushforward, "_assemble", recording)
+    tate = _tate_modules() + [
+        _tate_module(seed, window, 2, pool, forced)
+        for seed, window in ((20, (3, 3)), (21, (4, 2)), (22, (2, 2, 2)))
+        for pool, forced in ((NEGVAL, ("1/3",)),
+                             (LIMITED, ("O(p^2)", "5*p^0@3")))]
+    robba = _robba_modules() + [
+        _robba_module(seed, window, 2, pool, forced, slope, lo=1)
+        for seed, window in ((30, (-5, 5)), (31, (-4, 6)))
+        for slope in (1, Fraction(1, 2))
+        for pool, forced in ((PLAIN, ()), (NEGVAL, ("1/3",)),
+                             (LIMITED, ("5*p^0@3", "O(p^2)")))]
+    for m in tate:
+        mw_complex(m)
+        compact_complex(m)
+    for m in robba:
+        local_complex(m)
+    for m in robba + _line_side_modules():
+        quotient_complex(m)
+    assert len(seen) == 2 * len(tate) + len(robba) \
+        + len(robba + _line_side_modules())
+    assert [got for got, _ in seen] == [want for _, want in seen]
+    # the cases reach dropped terms at several degrees and slopes
+    losses = {got for got, _ in seen}
+    assert "None" in losses and "0" in losses
+    assert any("/" in x for x in losses) and any(x.startswith("-")
+                                                 for x in losses)
 
 
 # -- d o d = 0, checked by Freivalds' method ----------------------------------

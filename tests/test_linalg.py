@@ -145,6 +145,67 @@ def test_untracked_divisors_match_dense_oracle():
         assert res.divisors() == dense_divisors(A, p, N)
 
 
+def single_entry_matrix(rng, p, N, m, n, extra):
+    """A seeded m x n matrix most of whose columns hold one entry: a partial
+    permutation whose entries carry valuations 0..N-1, plus ``extra``
+    entries at random places."""
+    mod = p ** N
+
+    def value():
+        return rng.randint(1, p ** (N - 1)) * p ** rng.randrange(N) % mod \
+            or 1
+
+    ent = {(r, c): value() for r, c in zip(rng.sample(range(m), min(m, n)),
+                                           rng.sample(range(n), min(m, n)))}
+    for _ in range(extra):
+        ent[(rng.randrange(m), rng.randrange(n))] = value()
+    A = [[ent.get((i, j), 0) for j in range(n)] for i in range(m)]
+    return A, ent
+
+
+def _single_entry_inputs():
+    """(A, entries, p, N): wide and tall single-entry matrices at p = 2, 3
+    and 5, then both differentials of seeded f(x)dx + g(y)dy planes at
+    window 6, p = 3, M = 20, whose derivative columns often hold one
+    entry by the time their level comes."""
+    rng = random.Random(23)
+    for p, N in ((2, 8), (3, 6), (5, 5)):
+        for _ in range(12):
+            n = rng.randint(4, 16)
+            m = rng.choice([rng.randint(2, n - 1), rng.randint(n + 1, 2 * n)])
+            A, ent = single_entry_matrix(rng, p, N, m, n, rng.randint(0, n))
+            yield A, ent, p, N
+    for seed in (1, 2, 3):
+        for nrows, ncols, ent, p, N in _plane_differentials(seed, 6, 3, 20):
+            A = [[ent.get((i, j), 0) for j in range(ncols)]
+                 for i in range(nrows)]
+            yield A, ent, p, N
+
+
+def test_single_entry_columns_match_the_oracle_and_the_tracked_run():
+    # an untracked column left with one entry pivots without scaling or
+    # clearing; the SNF invariants must not see the difference
+    for A, ent, p, N in _single_entry_inputs():
+        m, n = len(A), len(A[0])
+        At = [list(col) for col in zip(*A)]
+        for case, dense in (((m, n, ent), A),
+                            ((n, m, {(c, r): x for (r, c), x in ent.items()}),
+                             At)):
+            full = sparse_snf(*case, p, N)
+            bare = sparse_snf(*case, p, N, track=False)
+            assert bare.divisors() == full.divisors() \
+                == dense_divisors(dense, p, N)
+            assert [bare.rank(c) for c in range(N + 1)] \
+                == [full.rank(c) for c in range(N + 1)]
+            assert bare.certification_gap() == full.certification_gap()
+            assert len(bare.free_cols) == len(full.free_cols)
+            assert len(bare.free_rows) == len(full.free_rows)
+            assert sorted([r for r, _, _ in bare.pivots] + bare.free_rows) \
+                == list(range(case[0]))
+            assert sorted([c for _, c, _ in bare.pivots] + bare.free_cols) \
+                == list(range(case[1]))
+
+
 def test_kernel_and_solve():
     rng = random.Random(3)
     p, N = 3, 6

@@ -59,3 +59,32 @@ def test_run_problems_exits_1_when_nothing_ran(tmp_path, monkeypatch, capsys):
     (tmp_path / "problems").mkdir()
     assert runner.main([]) == 1
     assert "no problem files ran" in capsys.readouterr().err
+
+
+def test_snf_replay_agrees_with_its_own_checkout(capsys):
+    replay = _load("snf_replay")
+    root = str(SCRIPTS.parent)
+    assert replay.main(["--workload", "problems-batch", "--seed", "1",
+                        "--base", root, "--repeat", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "problems-batch seed 1: 27 calls" in out
+    assert "all 27 results agree" in out
+
+
+def test_snf_replay_exits_1_on_a_mismatch(monkeypatch, capsys):
+    replay = _load("snf_replay")
+    run_side = replay.run_side
+
+    def tampered(side, checkout, calls_file, repeat):
+        seconds, summaries = run_side(side, checkout, calls_file, repeat)
+        if side == "base":
+            kind, *fields = summaries[0]
+            fields[1] = fields[1] + ["tampered"]
+            summaries[0] = (kind, *fields)
+        return seconds, summaries
+
+    monkeypatch.setattr(replay, "run_side", tampered)
+    assert replay.main(["--workload", "problems-batch", "--seed", "1",
+                        "--base", str(SCRIPTS.parent), "--repeat", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "call 0:" in err and "1 mismatched fields" in err
