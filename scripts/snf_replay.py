@@ -8,10 +8,12 @@ checkouts' kernels and compare the results.
 The script builds the workload of ``perfbench/workloads.py`` from this
 checkout, rebinds ``sparse_snf`` in every ovc module that holds it (as the
 benchmark's tracer does) and runs one pass, keeping each call's arguments.
-It then replays the calls, in a fresh interpreter per side, through this
-checkout's ``src/ovc/linalg.py`` and, with ``--base``, through the other
-checkout's.  Each side prints its best-of-``--repeat`` CPU time for the
-whole list of calls.
+It then replays the calls through this checkout's ``src/ovc/linalg.py``
+and, with ``--base``, through the other checkout's: ``--repeat`` rounds,
+each side once a round in a fresh interpreter, the side that goes first
+alternating from round to round so that a drift of the host's speed
+favours neither.  Each side prints its best CPU time for the whole list of
+calls.
 
 With two sides, tracked results must agree field by field (pivots, row and
 column op logs, free lists), and rank-only results on the invariants a
@@ -78,51 +80,40 @@ def summarize(res) -> tuple:
             res.certification_gap(), len(res.free_cols), len(res.free_rows))
 
 
-def replay(src: Path, calls: list, repeat: int) -> tuple[float, list]:
-    """Best-of-``repeat`` CPU seconds of the calls through the kernel under
-    ``src``, and the summaries of the last round."""
+def replay(src: Path, calls: list) -> tuple[float, list]:
+    """CPU seconds of the calls through the kernel under ``src``, and the
+    summaries of their results."""
     sys.path.insert(0, str(src))
     linalg = importlib.import_module("ovc.linalg")
     if not Path(linalg.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"ovc.linalg imported from {linalg.__file__}, "
                          f"not {src}")
-    best, results = None, []
-    for _ in range(repeat):
-        t0 = time.process_time()
-        results = [linalg.sparse_snf(*args, **kwargs)
-                   for args, kwargs in calls]
-        dt = time.process_time() - t0
-        best = dt if best is None else min(best, dt)
-    return best, [summarize(r) for r in results]
+    t0 = time.process_time()
+    results = [linalg.sparse_snf(*args, **kwargs) for args, kwargs in calls]
+    return time.process_time() - t0, [summarize(r) for r in results]
 
 
-def run_side(side: str, checkout: Path, calls_file: Path,
-             repeat: int) -> tuple:
-    """Replay in a fresh interpreter, so that each side imports its own
+def run_side(side: str, checkout: Path, calls_file: Path) -> tuple:
+    """One replay in a fresh interpreter, so that each side imports its own
     kernel and neither runs in the other's heap."""
     out = calls_file.with_name(f"{side}.pickle")
     subprocess.run([sys.executable, str(Path(__file__).resolve()),
                     "--replay", str(calls_file), "--src",
-                    str(checkout / "src"), "--repeat", str(repeat),
-                    "--out", str(out)], check=True)
+                    str(checkout / "src"), "--out", str(out)], check=True)
     with open(out, "rb") as fh:
         return pickle.load(fh)
 
 
+FIELDS = {"tracked": ("kind", "pivots", "row_ops", "col_ops", "free_cols",
+                      "free_rows"),
+          "rank-only": ("kind", "divisors", "ranks", "gap", "free_cols",
+                        "free_rows")}
+
+
 def mismatches(head: list, base: list) -> list:
     """(call index, field) of every summary field the two sides differ in."""
-    if len(head) != len(base):
-        return [(None, "number of calls")]
-    out = []
-    for i, (h, b) in enumerate(zip(head, base)):
-        if h[0] != b[0]:
-            out.append((i, "kind"))
-            continue
-        fields = (("pivots", "row_ops", "col_ops", "free_cols", "free_rows")
-                  if h[0] == "tracked" else
-                  ("divisors", "ranks", "gap", "free_cols", "free_rows"))
-        out += [(i, f) for f, x, y in zip(fields, h[1:], b[1:]) if x != y]
-    return out
+    return [(i, f) for i, (h, b) in enumerate(zip(head, base))
+            for f, x, y in zip(FIELDS[h[0]], h, b) if x != y]
 
 
 def main(argv=None) -> int:
@@ -132,7 +123,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path,
                     help="another checkout to replay the calls through")
     ap.add_argument("--repeat", type=int, default=5,
-                    help="rounds per side; the fastest is reported")
+                    help="rounds; each side's fastest is reported")
     ap.add_argument("--replay", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--src", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
@@ -142,10 +133,12 @@ def main(argv=None) -> int:
         with open(args.replay, "rb") as fh:
             calls = pickle.load(fh)
         with open(args.out, "wb") as fh:
-            pickle.dump(replay(args.src, calls, args.repeat), fh)
+            pickle.dump(replay(args.src, calls), fh)
         return 0
     if not args.workload:
         ap.error("--workload is required")
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
 
     calls = capture(args.workload, args.seed)
     if not calls:
@@ -164,13 +157,14 @@ def main(argv=None) -> int:
         calls_file = Path(tmp) / "calls.pickle"
         with open(calls_file, "wb") as fh:
             pickle.dump(calls, fh)
-        got = {}
-        for side, checkout in sides:
-            seconds, summaries = run_side(side, checkout, calls_file,
-                                          args.repeat)
-            got[side] = summaries
-            print(f"{side:4s} {checkout}: best of {args.repeat} "
-                  f"{seconds:.4f} s CPU")
+        best, got = {}, {}
+        for i in range(args.repeat):
+            for side, checkout in sides[i % 2:] + sides[:i % 2]:
+                seconds, got[side] = run_side(side, checkout, calls_file)
+                best[side] = min(seconds, best.get(side, seconds))
+    for side, checkout in sides:
+        print(f"{side:4s} {checkout}: best of {args.repeat} "
+              f"{best[side]:.4f} s CPU")
     if not args.base:
         return 0
     bad = mismatches(got["head"], got["base"])

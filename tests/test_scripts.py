@@ -75,8 +75,8 @@ def test_snf_replay_exits_1_on_a_mismatch(monkeypatch, capsys):
     replay = _load("snf_replay")
     run_side = replay.run_side
 
-    def tampered(side, checkout, calls_file, repeat):
-        seconds, summaries = run_side(side, checkout, calls_file, repeat)
+    def tampered(side, checkout, calls_file):
+        seconds, summaries = run_side(side, checkout, calls_file)
         if side == "base":
             kind, *fields = summaries[0]
             fields[1] = fields[1] + ["tampered"]
