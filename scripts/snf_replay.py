@@ -12,8 +12,15 @@ It then replays the calls through this checkout's ``src/ovc/linalg.py``
 and, with ``--base``, through the other checkout's: ``--repeat`` rounds,
 each side once a round in a fresh interpreter, the side that goes first
 alternating from round to round so that a drift of the host's speed
-favours neither.  Each side prints its best CPU time for the whole list of
-calls.
+favours neither.  A round replays the whole list of calls again and again
+until about ``ROUND_SECONDS`` of CPU time have passed, so that a short list
+is still timed over many replays, and each side prints its median CPU time
+per replay over all its rounds.
+
+The calls replayed are the ones this checkout makes.  A change that alters
+what the engine hands the kernel, rather than how the kernel reduces it,
+does not show here: measure it with ``scripts/bench_pairs.py`` and the
+traced ``linalg.snf_nnz``.
 
 With two sides, tracked results must agree field by field (pivots, row and
 column op logs, free lists), and rank-only results on the invariants a
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import pickle
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,6 +42,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUND_SECONDS = 1.0     # CPU time a round spends replaying, per side
 
 
 def capture(workload_name: str, seed: int) -> list:
@@ -80,17 +89,22 @@ def summarize(res) -> tuple:
             res.certification_gap(), len(res.free_cols), len(res.free_rows))
 
 
-def replay(src: Path, calls: list) -> tuple[float, list]:
-    """CPU seconds of the calls through the kernel under ``src``, and the
-    summaries of their results."""
+def replay(src: Path, calls: list) -> tuple[list, list]:
+    """CPU seconds of each replay of the calls through the kernel under
+    ``src``, replayed until ``ROUND_SECONDS`` have passed, and the summaries
+    of their results."""
     sys.path.insert(0, str(src))
     linalg = importlib.import_module("ovc.linalg")
     if not Path(linalg.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"ovc.linalg imported from {linalg.__file__}, "
                          f"not {src}")
-    t0 = time.process_time()
-    results = [linalg.sparse_snf(*args, **kwargs) for args, kwargs in calls]
-    return time.process_time() - t0, [summarize(r) for r in results]
+    times, stop = [], time.process_time() + ROUND_SECONDS
+    while not times or time.process_time() < stop:
+        t0 = time.process_time()
+        results = [linalg.sparse_snf(*args, **kwargs)
+                   for args, kwargs in calls]
+        times.append(time.process_time() - t0)
+    return times, [summarize(r) for r in results]
 
 
 def run_side(side: str, checkout: Path, calls_file: Path) -> tuple:
@@ -123,7 +137,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path,
                     help="another checkout to replay the calls through")
     ap.add_argument("--repeat", type=int, default=5,
-                    help="rounds; each side's fastest is reported")
+                    help="rounds; each side's median replay is reported")
     ap.add_argument("--replay", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--src", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
@@ -157,14 +171,15 @@ def main(argv=None) -> int:
         calls_file = Path(tmp) / "calls.pickle"
         with open(calls_file, "wb") as fh:
             pickle.dump(calls, fh)
-        best, got = {}, {}
+        times, got = {side: [] for side, _ in sides}, {}
         for i in range(args.repeat):
             for side, checkout in sides[i % 2:] + sides[:i % 2]:
                 seconds, got[side] = run_side(side, checkout, calls_file)
-                best[side] = min(seconds, best.get(side, seconds))
+                times[side] += seconds
     for side, checkout in sides:
-        print(f"{side:4s} {checkout}: best of {args.repeat} "
-              f"{best[side]:.4f} s CPU")
+        median = statistics.median(times[side])
+        print(f"{side:4s} {checkout}: median {median:.4f} s CPU per replay "
+              f"({len(times[side])} replays in {args.repeat} rounds)")
     if not args.base:
         return 0
     bad = mismatches(got["head"], got["base"])

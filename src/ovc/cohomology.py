@@ -16,12 +16,15 @@ exponent shift and what happens at the box edge:
 * ``pushforward.quotient_complex`` - the local complex of the annulus modulo
                          the line side, in pushforward bundles.
 
-Dimensions come from p-adic Smith normal form ranks.  Generators of degree j
-come from tracked reductions.  With incoming boundaries they are read off
-the free rows of d_(j-1): every logged row op reads a pivot row, so U^-1
-fixes the unit vectors of the free rows, and those unit vectors span the
-quotient by the image of d_(j-1) up to torsion.  The classes are the kernel
-of d_j on those coordinates; no transform is materialized.
+Dimensions come from p-adic Smith normal form ranks.  Rank-only, the top map
+is reduced without the columns the map below pairs off with a unit pivot,
+and that result stands only when containment certifies it exact (see
+``complex_cohomology``).  Generators of degree j come from tracked
+reductions.  With incoming boundaries they are read off the free rows of
+d_(j-1): every logged row op reads a pivot row, so U^-1 fixes the unit
+vectors of the free rows, and those unit vectors span the quotient by the
+image of d_(j-1) up to torsion.  The classes are the kernel of d_j on those
+coordinates; no transform is materialized.
 
 Hard windows create boundary artifacts (classes that exist only because the
 window cut the complex); every reported generator is therefore reduced to a
@@ -447,6 +450,12 @@ def _has_structural_class(cdata: ComplexData) -> bool:
     return False
 
 
+def _paired_columns(below) -> set:
+    """The cells a reduced map pairs off with a unit pivot: its level-0
+    pivot rows, which are columns of the map above it."""
+    return {r for r, _, e in below.pivots if e == 0}
+
+
 def _generator_source(snfs, j: int):
     """The map whose SNF the generators of degree j are read from: the
     incoming one when its rank is positive, else the outgoing one; None in
@@ -465,20 +474,45 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
     it (see ``_generator_source``); when some degree certainly has a class
     (see ``_has_structural_class``) every map is reduced tracked at once.
     Generators always come from a tracked reduction, so the report is the
-    same either way."""
-    p, M = cdata.p, cdata.M
-    scalings = cdata.scalings
+    same either way.
 
-    def snf(j, track):
+    Rank-only, the top map is first reduced without its columns at the
+    level-0 pivot rows of the map below (``_paired_columns``); the result
+    stands only with full row rank and a gap term no lower than the exact
+    maps' least.  The full map's cokernel is a quotient of the pruned one's,
+    so it then has the same rank at a max pivot level no higher: flat or
+    not, the ranks and gap read are exact.  Otherwise, or when the pruned
+    entries meet fewer rows or columns than the map has rows, the full map
+    is reduced, and it is reduced tracked in full to read generators."""
+    p, M = cdata.p, cdata.M
+    scalings, maps = cdata.scalings, cdata.matrices
+
+    def snf(j, track, entries=None):
         return sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                          cdata.matrices[j], p, scalings[j][0], track=track)
+                          maps[j] if entries is None else entries, p,
+                          scalings[j][0], track=track)
+
+    def gap_term(j):
+        return snfs[j].certification_gap() - scalings[j][1]
 
     track = _has_structural_class(cdata)
-    snfs = [snf(j, track) for j in range(len(cdata.matrices))]
+    last = len(maps) - 1
+    snfs = [snf(j, track) for j in range(last)]
+    exact_gap = min(map(gap_term, range(last)), default=M)
+    target = cdata.spaces[-1].dim
+    if last > 0 and not track:
+        paired = _paired_columns(snfs[-1])
+        pruned = {k: x for k, x in maps[last].items() if k[1] not in paired}
+        if len(pruned) < len(maps[last]) and target <= min(
+                len({r for r, _ in pruned}), len({c for _, c in pruned})):
+            snfs.append(snf(last, False, pruned))
+            if snfs[-1].rank() < target or gap_term(last) < exact_gap:
+                snfs.pop()
+    if len(snfs) == last:
+        snfs.append(snf(last, track))
+    gap = min(map(gap_term, range(len(snfs))), default=M)
 
     degrees = {}
-    gap = min((s.certification_gap() - sc[1] for s, sc in zip(snfs, scalings)),
-              default=M)
     top = len(cdata.spaces) - 1
     for j, space in enumerate(cdata.spaces):
         rank_out = snfs[j].rank() if j < top else 0

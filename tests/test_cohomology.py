@@ -97,16 +97,22 @@ def test_mw_h0_generator_is_constant():
     assert lbl == (0, (), (0,)) and val == "1*p^0@10"
 
 
-def _snf_calls(monkeypatch, force_track=False):
-    """Record the track flag of every SNF the engine runs; with
-    ``force_track`` every one of them runs tracked."""
+def _snf_calls(monkeypatch, force_track=False, entries=None):
+    """Record the track flag of every SNF the engine runs, and into
+    ``entries`` its entry count; with ``force_track`` every one of them runs
+    tracked, on the full matrix: the top map is not pruned either, since a
+    tracked pruned result would be read for generators."""
     calls, snf = [], cohomology.sparse_snf
 
     def spy(*args, track=True):
         calls.append(track)
+        if entries is not None:
+            entries.append(len(args[2]))
         return snf(*args, track=track or force_track)
 
     monkeypatch.setattr(cohomology, "sparse_snf", spy)
+    if force_track:
+        monkeypatch.setattr(cohomology, "_paired_columns", lambda _: set())
     return calls
 
 
@@ -138,13 +144,108 @@ def test_rank_only_plane_without_classes(monkeypatch):
     mod = SigmaNablaModule(ring, 1, gammas=tuple(
         (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
         for v, c in (("x", f), ("y", g))))
-    calls = _snf_calls(monkeypatch)
+    entries = []
+    calls = _snf_calls(monkeypatch, entries=entries)
     cc = mw_cohomology(mod)
     assert calls == [False, False]     # no map is ever reduced tracked
     assert cc.report.dims() == {0: 0, 1: 0, 2: 0}
+    # the top map is reduced without the cells d_0 pairs off, and certifies
+    assert entries[0] == len(cc.cdata.matrices[0])
+    assert entries[1] < len(cc.cdata.matrices[1])
     monkeypatch.undo()
     _snf_calls(monkeypatch, force_track=True)
     assert repr(mw_cohomology(mod).report) == repr(cc.report)
+
+
+# -- the top map of a rank-only complex, pruned -------------------------------
+
+PRUNE_POOL = (1, 2, -1, 4, 5, 3, 6, "1/3", "-2/9", "O(p^2)")
+
+
+def _pruning_module(seed):
+    """(module, flat): a seeded module on a 2- or 3-variable Tate window at
+    p = 2, 3 or 5, with 1/3, -2/9 and O(p^2) among its coefficients.  Half
+    are rank one with Gamma_v a series in x_v alone, which is flat; the
+    rest are rank one or two with terms in every variable, in general not
+    flat."""
+    rng = random.Random(seed)
+    p, n, M = rng.choice((2, 3, 5)), rng.choice((2, 2, 3)), rng.randint(6, 10)
+    window = [rng.randint(3, 6) if n == 2 else rng.randint(2, 3)
+              for _ in range(n)]
+    ring = RingDescriptor(TATE, tuple("xyz"[:n]),
+                          tuple((0, h) for h in window), p, M)
+    flat = rng.random() < 0.5
+    rank = 1 if flat else rng.choice((1, 2))
+
+    def series(v):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            E = tuple(rng.randint(0, h) if u == v or not flat else 0
+                      for u, h in enumerate(window))
+            terms[E] = parse_scalar(str(rng.choice(PRUNE_POOL)), p, M)
+        return Series.make(ring, terms)
+
+    return SigmaNablaModule(ring, rank, gammas=tuple(
+        (name, SeriesMatrix.make(ring, [[series(v) for _ in range(rank)]
+                                        for _ in range(rank)]))
+        for v, name in enumerate(ring.variables))), flat
+
+
+def _top_map_outcome(cdata):
+    """How the engine reduces the top map, recomputed from the complex:
+    "tracked" (some degree has a structural class), "whole" (the map below
+    pairs off no column the top map has), "precheck" (the pruned entries
+    meet fewer rows or columns than the map has rows), "rank" or "gap"
+    (the pruned result misses full row rank, or its gap term is below the
+    exact maps' least), or "pruned" (the pruned result stands)."""
+    if cohomology._has_structural_class(cdata):
+        return "tracked"
+    maps, spaces = cdata.matrices, cdata.spaces
+    exact = [sparse_snf(spaces[j + 1].dim, spaces[j].dim, maps[j], cdata.p,
+                        N, track=False)
+             for j, (N, _) in enumerate(cdata.scalings[:-1])]
+    gap = min(s.certification_gap() - shift
+              for s, (_, shift) in zip(exact, cdata.scalings))
+    paired = {r for r, _, e in exact[-1].pivots if e == 0}
+    kept = {(r, c): x for (r, c), x in maps[-1].items() if c not in paired}
+    if len(kept) == len(maps[-1]):
+        return "whole"
+    target = spaces[-1].dim
+    if len({r for r, _ in kept}) < target or len({c for _, c in kept}) \
+            < target:
+        return "precheck"
+    N, shift = cdata.scalings[-1]
+    top = sparse_snf(target, spaces[-2].dim, kept, cdata.p, N, track=False)
+    if top.rank() < target:
+        return "rank"
+    return "gap" if top.certification_gap() - shift < gap else "pruned"
+
+
+def test_pruned_top_map_gives_the_reports_of_full_reductions(monkeypatch):
+    # the reference reduces every map in full; pruning must change no byte
+    # of any report, and a pruned result that fails its certificate costs
+    # exactly one more reduction, a failed precheck none
+    seen = {}
+    for seed in range(60):
+        mod, flat = _pruning_module(seed)
+        for engine, build in ((mw_cohomology, mw_complex),
+                              (compact_support_cohomology, compact_complex)):
+            outcome = _top_map_outcome(build(mod))
+            seen.setdefault(outcome, set()).add(
+                (len(mod.ring.variables), flat))
+            calls = _snf_calls(monkeypatch)
+            got = repr(engine(mod).report).encode()
+            monkeypatch.undo()
+            whole = _snf_calls(monkeypatch)
+            monkeypatch.setattr(cohomology, "_paired_columns",
+                                lambda _: set())
+            want = repr(engine(mod).report).encode()
+            monkeypatch.undo()
+            assert got == want, (seed, engine.__name__, outcome)
+            assert len(calls) == len(whole) + (outcome in ("rank", "gap")), \
+                (seed, engine.__name__, outcome)
+    assert {"pruned", "rank", "precheck", "gap"} <= set(seen)
+    assert seen["pruned"] >= {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_compact_known_answers():

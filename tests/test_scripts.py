@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import sys
+import time
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -68,7 +70,24 @@ def test_snf_replay_agrees_with_its_own_checkout(capsys):
                         "--base", root, "--repeat", "1"]) == 0
     out = capsys.readouterr().out
     assert "problems-batch seed 1: 27 calls" in out
+    assert "s CPU per replay" in out and "replays in 1 rounds" in out
     assert "all 27 results agree" in out
+
+
+def test_snf_replay_replays_until_the_round_is_spent(monkeypatch):
+    # one pass over a short list is too brief to time on a shared host, so
+    # a round replays the list until its CPU budget is spent
+    replay = _load("snf_replay")
+    monkeypatch.setattr(replay, "ROUND_SECONDS", 0.2)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    calls = [((3, 4, {(0, 0): 1, (1, 1): 3, (2, 0): 2, (2, 3): 9}, 3, 4),
+              {"track": False})]
+    start = time.process_time()
+    times, summaries = replay.replay(SCRIPTS.parent / "src", calls)
+    assert time.process_time() - start >= 0.2
+    assert len(times) > 10 and sum(times) > 0.1
+    assert summaries == [("rank-only", [0, 1, 2, 4], [0, 1, 2, 3, 3], 2, 1,
+                          0)]
 
 
 def test_snf_replay_exits_1_on_a_mismatch(monkeypatch, capsys):
