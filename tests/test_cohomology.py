@@ -193,14 +193,17 @@ def _pruning_module(seed):
 
 def _top_map_outcome(cdata):
     """How the engine reduces the top map, recomputed from the complex:
-    "tracked" (some degree has a structural class), "whole" (the map below
-    pairs off no column the top map has), "precheck" (the pruned entries
-    meet fewer rows or columns than the map has rows), "rank" or "gap"
-    (the pruned result misses full row rank, or its gap term is below the
-    exact maps' least), or "pruned" (the pruned result stands)."""
+    "tracked" (some degree has a structural class), "whole" (no map
+    below, or it pairs off no column the top map has), "precheck" (the
+    pruned entries meet fewer rows or columns than the map has rows),
+    "rank" or "gap" (the pruned result misses full row rank, or its gap
+    term is below the exact maps' least), or "pruned" (the pruned result
+    stands)."""
     if cohomology._has_structural_class(cdata):
         return "tracked"
     maps, spaces = cdata.matrices, cdata.spaces
+    if len(maps) < 2:
+        return "whole"
     exact = [sparse_snf(spaces[j + 1].dim, spaces[j].dim, maps[j], cdata.p,
                         N, track=False)
              for j, (N, _) in enumerate(cdata.scalings[:-1])]
