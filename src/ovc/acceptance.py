@@ -342,12 +342,10 @@ def criterion_9() -> CriterionResult:
         if vals != list(range(vals[0], -1, -1)):
             return CriterionResult(9, "matrix factorization", False,
                                    f"det valuations {vals} not stepping by 1")
-        for row in res.V.rows:
-            for s in row:
-                g = s.gauss_value()
-                if g is not None and g < 0:
-                    return CriterionResult(9, "matrix factorization", False,
-                                           "V not integral")
+        g = res.V.max_defect_value()
+        if g is not None and g < 0:
+            return CriterionResult(9, "matrix factorization", False,
+                                   "V not integral")
         vdet = res.V.det().gauss_value()
         if vdet != 0:
             return CriterionResult(9, "matrix factorization", False,

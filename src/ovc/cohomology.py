@@ -45,7 +45,7 @@ from .linalg import sparse_snf
 from .modules import SigmaNablaModule
 from .padics import from_residue, int_valuation, integral_shift
 from .report import CohomologyReport, DegreeData
-from .series import _loss_min
+from .series import _loss_min, _lowest
 
 Label = tuple  # (component, forms J as sorted tuple of var indices, exponent I)
 
@@ -190,7 +190,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     kills the lower one.
     """
     p, M = ring.prime, ring.precision
-    slope = Fraction(ring.slope or 0)
+    slope = ring.weight
     coeff_sign, step = deriv
     n = len(boxes[0][0])
     all_terms = [t for ts in terms.values() for t in ts]
@@ -403,16 +403,8 @@ def _slope_edge_limited(vec: dict, space: ChainSpace, cdata: ComplexData,
     """Divergence suspect on an annulus window: every slope-minimizing term
     of the representative sits at a window edge, so the trend says the
     defining series keeps losing value beyond the cut."""
-    best, argmin = None, []
-    for idx in sorted(vec):
-        x = vec[idx]
-        _, _, I = space.label(idx)
-        key = (Fraction(int_valuation(x, p))
-               + sum(cdata.slope * e for e in I))
-        if best is None or key < best:
-            best, argmin = key, [I]
-        elif key == best:
-            argmin.append(I)
+    _, argmin = _lowest(((space.label(idx)[2], int_valuation(x, p))
+                         for idx, x in vec.items()), cdata.slope)
     if not argmin:
         return False
 

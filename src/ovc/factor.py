@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import FullRankError, PrecisionError, UnsupportedShapeError
 from .modules import SeriesMatrix
 from .padics import PadicApprox
-from .series import Series, invert_series
+from .series import Series, _vanishes, invert_series
 
 
 @dataclass(frozen=True)
@@ -234,11 +234,10 @@ def factor_plus(u: SeriesMatrix, max_det_valuation: int | None = None
             cert.append(colop)
         # the zero column mod p: divide by p
         j = red.zero_row
-        for r in range(n):
-            g = cur.rows[r][j].gauss_value()
-            if g is not None and g < 1:
-                raise PrecisionError(
-                    "column reduction left a unit entry; precision exhausted")
+        if not _vanishes(((e, c.val) for row in cur.rows
+                          for e, c in row[j].terms), 1):
+            raise PrecisionError(
+                "column reduction left a unit entry; precision exhausted")
         pinv = Series.make(ring, {(0,): PadicApprox(p, 1, -1, M)})
         pser = Series.make(ring, {(0,): PadicApprox(p, 1, 1, M)})
         colop = ElementaryOp("scale", j, -1, pinv)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import MembershipError, PrecisionError
 from .padics import PadicApprox
-from .series import Series, gauss_norm, rho_value
+from .series import Series, _lowest, _rho_weight, gauss_norm, rho_value
 
 Exp = tuple[int, ...]
 
@@ -56,18 +56,11 @@ class LeadingDatum:
 def rho_leading_term(a: Series, D: int | None = None) -> LeadingDatum:
     """The term maximizing |a_I| rho^|I| (rho = p^(1/D)); among ties, the
     deglex-largest index wins.  D=None is the Gauss (rho -> 1) case."""
-    best_key, best = None, None
-    for e, c in a.terms:
-        v = c.val
-        if v is None:
-            continue
-        key = Fraction(v) if D is None else Fraction(v) - Fraction(sum(e), D)
-        if best_key is None or key < best_key or (
-                key == best_key and deglex_compare(e, best[0]) == "greater"):
-            best_key, best = key, (e, c)
+    best, at = _lowest(((e, c.val) for e, c in a.terms), _rho_weight(D))
     if best is None:
         raise ValueError("zero series has no leading term")
-    return LeadingDatum(a, D, best[0], best[1])
+    lead = max(at, key=deglex_key)
+    return LeadingDatum(a, D, lead, a.coeff(lead))
 
 
 # -- mod-p polynomial helpers (reduction to k[x_1..x_n]) ----------------------
@@ -249,9 +242,8 @@ def reduce_element(y: Series, z: Series, basis: list[LeadingDatum]) -> Series:
     """Norm-controlled division: u with u - z in the ideal, |u| <= |y| and
     |u|_rho <= |z|_rho, by repeatedly cancelling the 1-leading term of
     (u - y) against a basis multiple."""
-    desc = z.descriptor
-    p, M = desc.prime, desc.precision
     gy = gauss_norm(y).value          # None encodes |y| = 0
+    M = z.descriptor.precision
     max_steps = 200 * (len(z.terms) + len(y.terms) + 8) + 40 * M
     u = z
     for _ in range(max_steps):
@@ -263,18 +255,12 @@ def reduce_element(y: Series, z: Series, basis: list[LeadingDatum]) -> Series:
         diff = u.sub(y)
         if diff.gauss_value() is None:
             return u
-        lead = rho_leading_term(diff, None)
-        for datum in basis:
-            dl = datum.leading_index
-            if all(a <= b for a, b in zip(dl, lead.leading_index)):
-                mono = tuple(b - a for a, b in zip(dl, lead.leading_index))
-                c = lead.leading_coeff.mul(datum.leading_coeff.invert())
-                u = u.sub(datum.element.shift(mono).scale(c))
-                break
-        else:
+        cancel = _cancellation(diff, basis)
+        if cancel is None:
             raise MembershipError(
                 "leading term of the residual is not reducible by the basis; "
                 "membership certificate failed at working precision")
+        u = u.sub(cancel)
     raise PrecisionError("division loop exceeded its step budget")
 
 
@@ -284,17 +270,25 @@ def reduces_to_zero(x: Series, basis: list[LeadingDatum]) -> bool:
     for _ in range(10000):
         if work.gauss_value() is None:
             return True
-        lead = rho_leading_term(work, None)
-        for datum in basis:
-            dl = datum.leading_index
-            if all(a <= b for a, b in zip(dl, lead.leading_index)):
-                mono = tuple(b - a for a, b in zip(dl, lead.leading_index))
-                c = lead.leading_coeff.mul(datum.leading_coeff.invert())
-                work = work.sub(datum.element.shift(mono).scale(c))
-                break
-        else:
+        cancel = _cancellation(work, basis)
+        if cancel is None:
             return False
+        work = work.sub(cancel)
     raise PrecisionError("membership division exceeded its step budget")
+
+
+def _cancellation(r: Series, basis: list[LeadingDatum]) -> Series | None:
+    """The multiple of a basis element that cancels the 1-leading term of
+    the nonzero residual r: the first datum whose leading index divides r's,
+    shifted and scaled to r's leading term; None when no index divides it."""
+    lead = rho_leading_term(r, None)
+    for datum in basis:
+        dl = datum.leading_index
+        if all(a <= b for a, b in zip(dl, lead.leading_index)):
+            mono = tuple(b - a for a, b in zip(dl, lead.leading_index))
+            c = lead.leading_coeff.mul(datum.leading_coeff.invert())
+            return datum.element.shift(mono).scale(c)
+    return None
 
 
 # -- three circles -------------------------------------------------------------

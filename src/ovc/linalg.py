@@ -24,11 +24,6 @@ from math import gcd
 from .padics import int_valuation
 
 
-def _val(x: int, p: int, N: int) -> int:
-    """Valuation of a residue mod p^N (N if zero)."""
-    return N if x == 0 else min(int_valuation(x, p), N)
-
-
 @dataclass
 class SnfResult:
     nrows: int
@@ -101,15 +96,9 @@ class SnfResult:
         self._require_tracked()
         v = dict(vec)
         mod = self.p ** self.N
-        for op in reversed(self.col_ops):
-            if op[0] == "cs":
-                _, c, u = op
-                if c in v:
-                    v[c] = v[c] * u % mod
-            else:
-                _, src, dst, m = op
-                if dst in v:
-                    v[src] = (v.get(src, 0) + m * v[dst]) % mod
+        for _, src, dst, m in reversed(self.col_ops):
+            if dst in v:
+                v[src] = (v.get(src, 0) + m * v[dst]) % mod
         return {k: x for k, x in v.items() if x}
 
     # -- materialized transforms ---------------------------------------------
@@ -148,12 +137,11 @@ class SnfResult:
         x = {}
         for r, c, e in self.pivots:
             val = bp.pop(r, 0)
-            if val == 0:
-                continue
-            if _val(val, self.p, self.N) < e:
+            if val % self.p ** e:
                 return None
-            x[c] = val // self.p ** e
-        if any(_val(val, self.p, self.N) < self.N for val in bp.values()):
+            if val:
+                x[c] = val // self.p ** e
+        if any(bp.values()):
             return None
         return self.apply_V(x)
 

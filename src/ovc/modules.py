@@ -16,6 +16,8 @@ from .padics import make_scalar
 from .series import (
     RingDescriptor,
     Series,
+    _lowest,
+    _vanishes,
     d_dt,
     frobenius_substitute,
     invert_series,
@@ -135,20 +137,17 @@ class SeriesMatrix:
             adj.append(tuple(row))
         return SeriesMatrix(self.descriptor, tuple(adj))
 
+    def _term_values(self):
+        return ((e, c.val) for row in self.rows for x in row
+                for e, c in x.terms)
+
     def is_zero_at_precision(self, digits: int | None = None) -> bool:
-        digits = self.descriptor.precision if digits is None else digits
-        for row in self.rows:
-            for x in row:
-                g = x.gauss_value()
-                if g is not None and g < digits:
-                    return False
-        return True
+        return _vanishes(self._term_values(), self.descriptor.precision
+                         if digits is None else digits)
 
     def max_defect_value(self):
         """min Gauss value over entries (None if all vanish): the defect norm."""
-        vals = [x.gauss_value() for row in self.rows for x in row]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
+        return _lowest(self._term_values())[0]
 
 
 def _dot(row, vec, descriptor):
@@ -227,12 +226,9 @@ class ModuleVector:
         return ModuleVector(module, coords)
 
     def is_zero_at_precision(self, digits: int | None = None) -> bool:
-        digits = self.module.ring.precision if digits is None else digits
-        for c in self.coords:
-            g = c.gauss_value()
-            if g is not None and g < digits:
-                return False
-        return True
+        return _vanishes(((e, c.val) for s in self.coords for e, c in s.terms),
+                         self.module.ring.precision if digits is None
+                         else digits)
 
 
 def apply_D(module: SigmaNablaModule, v: ModuleVector, var: str | int = 0) -> ModuleVector:

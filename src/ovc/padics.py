@@ -184,15 +184,6 @@ class PadicApprox:
                              "integral")
         return self.unit * self.prime ** (self.val + shift) % self.prime ** N
 
-    # -- comparisons -------------------------------------------------------
-
-    def congruent(self, other: "PadicApprox", digits: int | None = None) -> bool:
-        """Equality at the common absolute precision (or modulo p^digits)."""
-        d = self.sub(other)
-        if d.is_zero():
-            return True
-        return digits is not None and d.val >= digits
-
     # -- display -----------------------------------------------------------
 
     def serialize(self) -> str:

@@ -6,6 +6,13 @@ slope/Gauss value of the dropped mass is recorded in ``loss``, so every report
 downstream can state what the hard window cost.  Coefficients below the
 working absolute precision p^M are dropped likewise; coefficients that became
 zero by cancellation inside the known range survive as flagged limited zeros.
+
+``_lowest`` is the one place where term values are weighted: the value of a
+term a_e t^e at weight w is v_p(a_e) + w.|e|, and every Gauss value, slope
+value, rho value, window loss, leading term and zero-at-precision test in
+ovc is the least such value over some terms, or the exponents attaining it.
+A ring's own weight (``RingDescriptor.weight``) is its slope on robba kinds
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -94,6 +101,36 @@ class RingDescriptor:
     def zero_exp(self) -> Exp:
         return (0,) * len(self.variables)
 
+    @property
+    def weight(self) -> Fraction:
+        """The weight of |e| in a term's value: the slope on robba kinds, 0
+        otherwise (only robba kinds carry a slope)."""
+        return Fraction(self.slope or 0)
+
+
+def _lowest(pairs, weight=0):
+    """(least v + weight.|e|, the exponents e attaining it in the order
+    given) over (e, v) pairs; a v of None is +infinity and is skipped, and
+    (None, []) means no v is finite.  The least value has the type of
+    v + weight.|e|: an int at the default weight 0, a Fraction at a Fraction
+    weight, Fraction(0) included."""
+    best, at = None, []
+    for e, v in pairs:
+        if v is None:
+            continue
+        v = v + weight * sum(e) if weight else v + weight
+        if best is None or v < best:
+            best, at = v, [e]
+        elif v == best:
+            at.append(e)
+    return best, at
+
+
+def _vanishes(pairs, digits: int) -> bool:
+    """Zero mod p^digits: no (e, v) pair has a finite v below digits."""
+    least = _lowest(pairs)[0]
+    return least is None or least >= digits
+
 
 def _loss_min(a, b):
     if a is None:
@@ -136,7 +173,7 @@ class Series:
         for exp, c in (entries.items() if isinstance(entries, dict) else entries):
             exp = tuple(exp)
             acc[exp] = acc[exp].add(c) if exp in acc else c
-        kept = {}
+        kept, dropped = {}, []
         M = descriptor.precision
         for exp, c in acc.items():
             if c.is_exact_zero():
@@ -149,9 +186,11 @@ class Series:
             elif c.val + c.prec > M:
                 c = c.with_abs_prec(M)
             if not descriptor.in_window(exp):
-                loss = _loss_min(loss, _term_value(descriptor, exp, c))
+                dropped.append((exp, c.val))
                 continue
             kept[exp] = c
+        if dropped:
+            loss = _loss_min(loss, _lowest(dropped, descriptor.weight)[0])
         return Series(descriptor, tuple(sorted(kept.items(), key=lambda t: t[0])), loss)
 
     @staticmethod
@@ -189,10 +228,8 @@ class Series:
     def support(self) -> list[Exp]:
         return [e for e, _ in self.terms]
 
-    def gauss_value(self) -> Fraction | int | None:
-        vals = [c.val for _, c in self.terms]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
+    def gauss_value(self) -> int | None:
+        return _lowest((e, c.val) for e, c in self.terms)[0]
 
     def map_coeffs(self, f) -> "Series":
         return Series.make(self.descriptor,
@@ -256,16 +293,6 @@ class Series:
         return f"<{self.descriptor.kind} {body}>"
 
 
-def _term_value(descriptor, exp, c) -> Fraction | None:
-    """Slope value (robba kinds, at the stated slope) or Gauss value of one term."""
-    v = c.val
-    if v is None:
-        return None
-    if descriptor.is_robba():
-        return Fraction(v) + sum(Fraction(descriptor.slope) * e for e in exp)
-    return Fraction(v)
-
-
 # -- norms -------------------------------------------------------------------
 
 def gauss_norm(a: Series) -> NormResult:
@@ -274,89 +301,35 @@ def gauss_norm(a: Series) -> NormResult:
     Flags when a precision-limited zero coefficient (or dropped window mass)
     could dominate the reported value.
     """
-    vals = []
-    floor = None
-    for _, c in a.terms:
-        v = c.val
-        if v is None:
-            if c.limited:
-                floor = c.prec if floor is None else min(floor, c.prec)
-        else:
-            vals.append(v)
-    if not vals:
-        return NormResult(None, floor is not None)
-    value = min(vals)
-    return NormResult(value, floor is not None and floor <= value)
+    value = a.gauss_value()
+    floor = _lowest((e, c.prec) for e, c in a.terms
+                    if c.val is None and c.limited)[0]
+    return NormResult(value, floor is not None
+                      and (value is None or floor <= value))
+
+
+def _rho_weight(D) -> Fraction:
+    """The weight of |e| under |.|_rho with rho = p^(1/D); D=None is rho=1."""
+    return Fraction(0) if D is None else -Fraction(1, D)
 
 
 def rho_value(a: Series, D: int | None) -> Fraction | None:
     """Valuation under |.|_rho with rho = p^(1/D); D=None means Gauss (rho=1)."""
-    best = None
-    for e, c in a.terms:
-        v = c.val
-        if v is None:
-            continue
-        key = Fraction(v) if D is None else Fraction(v) - Fraction(sum(e), D)
-        best = key if best is None else min(best, key)
-    return best
+    return _lowest(((e, c.val) for e, c in a.terms), _rho_weight(D))[0]
 
 
-@dataclass(frozen=True)
-class WSlopeResult:
-    value: Fraction | None
-    window_limited: bool = False
-
-
-def w_slope(x: Series, s) -> WSlopeResult:
-    """w_{A,s}: min over the window of v(x_i) + s.|i|.
-
-    Flags window-limited when the minimum sits at a window edge where the
-    per-exponent trend is still decreasing, i.e. mass beyond the window could
-    lower the value.
-    """
+def w_slope(x: Series, s) -> Fraction | None:
+    """w_{A,s}: min over the window of v(x_i) + s.|i|."""
     d = x.descriptor
     if not d.is_robba():
         raise DescriptorMismatchError("w_slope is defined on robba kinds")
     s = Fraction(s)
     if not 0 < s <= d.slope:
         raise ValueError("slope out of range (0, r]")
-    best, best_exp = None, None
-    for e, c in x.terms:
-        v = c.val
-        if v is None:
-            continue
-        key = Fraction(v) + s * sum(e)
-        if best is None or key < best:
-            best, best_exp = key, e
-    if best is None:
-        return WSlopeResult(None)
-    limited = any(
-        ei == lo or ei == hi
-        for ei, (lo, hi) in zip(best_exp, d.window))
-    return WSlopeResult(best, limited)
+    return _lowest(((e, c.val) for e, c in x.terms), s)[0]
 
 
 # -- inversion ---------------------------------------------------------------
-
-def _contraction_value(a: Series) -> Fraction | None:
-    """min over terms of the guaranteed term value, counting limited zeros
-    at their floors; positivity certifies topological nilpotence on the
-    window at working precision."""
-    d = a.descriptor
-    best = None
-    for e, c in a.terms:
-        if c.val is not None:
-            v = Fraction(c.val)
-        elif c.limited:
-            v = Fraction(c.prec)
-        else:
-            return None
-        if d.is_robba():
-            v = v + sum(Fraction(d.slope) * ei for ei in e)
-        if best is None or v < best:
-            best = v
-    return best
-
 
 def invert_series(u: Series) -> Series:
     """Invert u = c * t^k * (1 - a) by geometric series.
@@ -372,16 +345,11 @@ def invert_series(u: Series) -> Series:
     # dominant term: minimal term value, the first (smallest) exponent among
     # ties; which one is kept cannot show, since a tie leaves a remainder
     # term of value 0 and the contraction certificate below then fails
-    best_val, pivot = None, None
-    for e, c in u.terms:
-        v = _term_value(d, e, c)
-        if v is None:
-            continue
-        if best_val is None or v < best_val:
-            best_val, pivot = v, (e, c)
-    if pivot is None:
+    best, at = _lowest(((e, c.val) for e, c in u.terms), d.weight)
+    if best is None:
         raise NotARecognizedUnitError("no term with finite valuation")
-    k, c = pivot
+    k = at[0]
+    c = u.coeff(k)
     if d.kind in (TATE, DAGGER, ROBBA_PLUS) and any(k):
         # monomial shifts are only invertible when two-sided windows exist
         raise NotARecognizedUnitError(
@@ -394,8 +362,12 @@ def invert_series(u: Series) -> Series:
     scaled = u.map_coeffs(lambda x: x.mul(c_inv)).shift(neg_k)
     a = Series.one(d).sub(scaled)
     if not a.is_zero():
-        cert = _contraction_value(a)
-        if cert is None or cert <= 0:
+        # the least guaranteed term value, a limited zero counted at its
+        # floor: positivity certifies topological nilpotence on the window
+        # at working precision
+        cert = _lowest(((e, x.prec if x.val is None else x.val)
+                        for e, x in a.terms), d.weight)[0]
+        if cert <= 0:
             raise NotARecognizedUnitError(
                 "no contraction certificate: remainder value "
                 f"{cert} is not positive")

@@ -19,7 +19,8 @@ from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
 from .padics import PadicApprox, from_residue, int_valuation, \
     integral_shift, make_scalar
 from .report import CohomologyReport, DegreeData
-from .series import Series, dlog_antiderivative, t_d_dt, w_slope
+from .series import Series, _lowest, _vanishes, dlog_antiderivative, \
+    t_d_dt
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,8 @@ def _nonconstant_part(s: Series) -> Series:
 
 
 def _is_strictly_upper(N: SeriesMatrix, digits: int) -> bool:
-    n = N.nrows
-    for i in range(n):
-        for j in range(n):
-            if j > i:
-                continue
-            g = N.rows[i][j].gauss_value()
-            if g is not None and g < digits:
-                return False
-    return True
+    return _vanishes(((e, c.val) for i, row in enumerate(N.rows)
+                      for x in row[:i + 1] for e, c in x.terms), digits)
 
 
 def strongly_unipotent_basis(module: SigmaNablaModule,
@@ -104,17 +98,10 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
             for r in range(n):
                 urows[r][i] = urows[r][i].sub(e.mul(urows[r][l]))
 
-    X = []
-    for i in range(n):
-        xrow = []
-        for j in range(n):
-            g = _nonconstant_part(rows[i][j]).gauss_value()
-            if g is not None and g < M:
-                raise PrecisionError(
-                    "non-constant residue survived basis extraction")
-            xrow.append(rows[i][j].coeff(ring.zero_exp()))
-        X.append(tuple(xrow))
-    X = tuple(X)
+    if not _vanishes(((e, c.val) for row in rows for x in row
+                      for e, c in x.terms if any(e)), M):
+        raise PrecisionError("non-constant residue survived basis extraction")
+    X = tuple(tuple(x.coeff(ring.zero_exp()) for x in row) for row in rows)
 
     e = _nilpotency_index(X, ring.prime, M)
     return UnipotentData(module, SeriesMatrix.make(ring, urows), X, e)
@@ -137,14 +124,10 @@ def _scalar_matmul(A, B, p, M):
 def _nilpotency_index(X, p, M) -> int:
     n = len(X)
     power = X
-    for e in range(1, n + 1):
-        if all(c.is_zero() or (c.val is not None and c.val >= M)
-               for row in power for c in row):
+    for e in range(1, n + 2):
+        if _vanishes((((), c.val) for row in power for c in row), M):
             return e
         power = _scalar_matmul(power, X, p, M)
-    if all(c.is_zero() or (c.val is not None and c.val >= M)
-           for row in power for c in row):
-        return n + 1
     raise BadCertificateError("extracted matrix is not nilpotent at precision")
 
 
@@ -229,9 +212,8 @@ def horizontal_iterate(data: UnipotentData, w: ModuleVector, L: int
                 dpow = apply_D(module, apply_D(module, dpow))
         f = ModuleVector(module, tuple(acc))
         diff = tuple(a.sub(b) for a, b in zip(f.coords, prev.coords))
-        vals = [w_slope(dcoord, ring.slope).value for dcoord in diff]
-        vals = [v for v in vals if v is not None]
-        logs.append(min(vals) if vals else None)
+        logs.append(_lowest(((e, c.val) for dcoord in diff
+                             for e, c in dcoord.terms), ring.weight)[0])
     return IterationLog(logs, need, f)
 
 

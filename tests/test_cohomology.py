@@ -19,9 +19,9 @@ from ovc.cohomology import (
     twisted_diagonal_cohomology,
 )
 from ovc.acceptance import dwork_module, kummer_module, trivial_module
-from ovc.linalg import _val, sparse_snf
+from ovc.linalg import sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
-from ovc.padics import make_scalar, parse_scalar
+from ovc.padics import int_valuation, make_scalar, parse_scalar
 from ovc.pairing import apply_complex_map
 from ovc.pushforward import quotient_complex, robba_side_module
 from ovc.series import ROBBA, TATE, RingDescriptor, Series
@@ -46,7 +46,7 @@ def dense_rank(entries, p, N):
         for i in rows:
             for j in cols:
                 if A[i][j]:
-                    v = _val(A[i][j], p, N)
+                    v = int_valuation(A[i][j], p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None or best[0] >= N:

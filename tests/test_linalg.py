@@ -9,7 +9,7 @@ import pytest
 
 from ovc.acceptance import TATE
 from ovc.cohomology import mw_complex
-from ovc.linalg import _val, sparse_snf
+from ovc.linalg import sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation
 from ovc.series import RingDescriptor, Series
@@ -27,7 +27,7 @@ def dense_divisors(A, p, N):
             for j in cols:
                 x = A[i][j] % mod
                 if x:
-                    v = _val(x, p, N)
+                    v = int_valuation(x, p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:

@@ -121,8 +121,8 @@ def test_pullback_examples():
     mod = SigmaNablaModule(R, 1, connection=SeriesMatrix.make(R, [[a]]))
     assert _kummer_pullback(mod, 1).connection.rows[0][0].terms == a.terms
     doubled = _kummer_pullback(mod, 2)
-    assert doubled.connection.rows[0][0].coeff((0,)).congruent(
-        make_scalar(1, P, M))
+    assert doubled.connection.rows[0][0].coeff((0,)).sub(
+        make_scalar(1, P, M)).is_zero()
     # D of a pulled-back section is the degree times the pulled-back D,
     # for the Kummer covers and for the Frobenius lift t -> t^q
     v = ModuleVector.make(mod, [Series.from_ints(R, {(1,): 1, (-2,): 4})])
@@ -205,5 +205,5 @@ def test_dual_module():
     gx = SeriesMatrix.from_scalars(W2, [[2]])
     mod = SigmaNablaModule(W2, 1, gammas=(("x", gx),))
     dual = mod.dual()
-    assert dual.gamma("x").rows[0][0].coeff((0, 0)).congruent(
-        make_scalar(-2, P, M))
+    assert dual.gamma("x").rows[0][0].coeff((0, 0)).sub(
+        make_scalar(-2, P, M)).is_zero()

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ovc.errors import (
@@ -11,6 +11,8 @@ from ovc.errors import (
     NotARecognizedUnitError,
     ResidueObstructionError,
 )
+from ovc.groebner import deglex_compare, rho_leading_term
+from ovc.modules import SeriesMatrix
 from ovc.padics import PadicApprox, make_scalar
 from ovc.series import (
     DAGGER,
@@ -25,6 +27,7 @@ from ovc.series import (
     gauss_norm,
     invert_series,
     kummer_substitute,
+    rho_value,
     t_d_dt,
     w_slope,
 )
@@ -58,13 +61,12 @@ def test_gauss_norm_flags_limited_zero():
 
 def test_w_slope_examples():
     x = S(R, {(-2,): 3, (1,): 1})
-    assert w_slope(x, 1).value == -1
-    assert w_slope(Series.one(R), Fraction(1, 2)).value == 0
+    assert w_slope(x, 1) == -1
+    assert w_slope(Series.one(R), Fraction(1, 2)) == 0
     # sum p^i t^-i at s = 1/2: derived by direct scan
     scan = S(R, {(-i,): P ** i for i in range(0, 11)})
     expected = min(Fraction(i) - Fraction(i, 2) for i in range(0, 11))
-    r = w_slope(scan, Fraction(1, 2))
-    assert r.value == expected == 0 and not r.window_limited
+    assert w_slope(scan, Fraction(1, 2)) == expected == 0
 
 
 def test_w_slope_range_check():
@@ -179,8 +181,8 @@ def test_gauss_ultrametric_and_w_superadditive(a, b):
     if ga is not None and gb is not None and gs is not None:
         assert gs >= min(ga, gb)
     prod = a.mul(b)
-    wa, wb = w_slope(a, 1).value, w_slope(b, 1).value
-    wp = w_slope(prod, 1).value
+    wa, wb = w_slope(a, 1), w_slope(b, 1)
+    wp = w_slope(prod, 1)
     if None not in (wa, wb, wp) and prod.loss is None:
         assert wp >= wa + wb
 
@@ -233,3 +235,76 @@ def test_invert_certificate_tracks_unit_error():
     err = u.mul(inv).sub(Series.one(R))
     assert err.is_zero() or all(c.val is None or c.val >= M - 1
                                 for _, c in err.terms)
+
+
+# -- the term-value rule against brute force ----------------------------------
+
+T2 = RingDescriptor(TATE, ("x", "y"), ((0, 4), (0, 4)), P, M)
+RW = RingDescriptor(ROBBA, ("t",), ((-6, 6),), P, M, slope=Fraction(1))
+
+# valuations cluster near 0 so that term values tie often; some reach the
+# precision floor M and are dropped, some are negative
+valuations = st.one_of(st.integers(0, 2), st.integers(-2, M + 1))
+coefficients = st.one_of(
+    st.builds(lambda u, v: make_scalar(Fraction(u) * Fraction(P) ** v, P, M),
+              st.sampled_from([1, 2, 4, 5, 7]), valuations),
+    st.builds(lambda f: PadicApprox.limited_zero(P, f), st.integers(1, M + 1)))
+# exponents reach past the window on every side, so Series.make drops some
+exponents = {T2: st.tuples(st.integers(0, 6), st.integers(0, 6)),
+             RW: st.tuples(st.integers(-8, 8))}
+
+
+@st.composite
+def ring_entries(draw):
+    desc = draw(st.sampled_from([T2, RW]))
+    return desc, draw(st.dictionaries(exponents[desc], coefficients,
+                                      max_size=6))
+
+
+@given(ring_entries())
+@example((T2, {(0, 0): make_scalar(3, P, M), (1, 0): make_scalar(1, P, M),
+               (0, 1): make_scalar(2, P, M)}))
+@settings(max_examples=200)
+def test_term_values_match_brute_force(case):
+    desc, entries = case
+    a = Series.make(desc, entries)
+    weight = desc.slope if desc.is_robba() else 0
+    # the loss: least weighted value of the dropped terms above the floor
+    dropped = [Fraction(c.val) + weight * sum(e) for e, c in entries.items()
+               if not desc.in_window(e) and c.val is not None and c.val < M]
+    assert a.loss == (min(dropped) if dropped else None)
+    assert a.loss is None or type(a.loss) is Fraction
+    finite = {e: c.val for e, c in a.terms if c.val is not None}
+    g = a.gauss_value()
+    assert g == min(finite.values(), default=None)
+    assert g is None or type(g) is int
+    floors = [c.prec for _, c in a.terms if c.limited]
+    norm = gauss_norm(a)
+    assert norm.value == g
+    assert norm.uncertain == bool(floors and (g is None or min(floors) <= g))
+    mat = SeriesMatrix.make(desc, [[a, Series.zero(desc)]])
+    assert mat.max_defect_value() == g
+    for digits in (0, 1, M - 1):
+        assert mat.is_zero_at_precision(digits) == all(
+            v >= digits for v in finite.values())
+    for D in (None, 1, 3):
+        keys = {e: Fraction(v) - (0 if D is None else Fraction(sum(e), D))
+                for e, v in finite.items()}
+        r = rho_value(a, D)
+        assert r == min(keys.values(), default=None)
+        assert r is None or type(r) is Fraction
+        if not keys:
+            with pytest.raises(ValueError):
+                rho_leading_term(a, D)
+            continue
+        ties = [e for e, k in keys.items() if k == min(keys.values())]
+        want = [I for I in ties if all(deglex_compare(I, J) == "greater"
+                                       for J in ties if J != I)]
+        lead = rho_leading_term(a, D)
+        assert [lead.leading_index] == want
+        assert lead.leading_coeff == a.coeff(want[0])
+    if desc.is_robba():
+        for s in (Fraction(1, 2), Fraction(1)):
+            assert w_slope(a, s) == min(
+                (Fraction(v) + s * sum(e) for e, v in finite.items()),
+                default=None)
