@@ -540,7 +540,10 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     each free row: those columns are the unit vectors e_q themselves.  The
     induced map on the quotient is then d_j restricted to the free rows'
     columns, and its kernel vectors are read back coordinate by
-    coordinate."""
+    coordinate.  ``_assemble`` stores every map column by column, in
+    increasing column order, so one pass over d_j hands those columns to
+    ``sparse_snf`` in column order, each column's entries in their stored
+    order."""
     top = len(cdata.spaces) - 1
     dim_j = cdata.spaces[j].dim
     src = _generator_source(snfs, j)
@@ -549,9 +552,9 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
         if j == top:
             # top degree: the quotient itself is the cohomology
             return [{q: 1} for q in free[: count]], j - 1
-        by_col = cdata.columns(j)
-        bent = {(r, qi): x for qi, q in enumerate(free)
-                for r, x in by_col.get(q, {}).items() if x}
+        qis = {q: qi for qi, q in enumerate(free)}
+        bent = {(r, qis[q]): x for (r, q), x in cdata.matrices[j].items()
+                if x and q in qis}
         bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(free), bent, cdata.p,
                           cdata.scalings[j][0])
         return [{free[qi]: x for qi, x in k.items()}

@@ -20,28 +20,10 @@ Exp = tuple[int, ...]
 
 # -- the order ---------------------------------------------------------------
 
-def deglex_compare(I, J) -> str:
-    """Total order refining divisibility and total degree.
-
-    Ties in total degree break at the first differing position: the tuple
-    with the LESSER entry there is the larger one.
-    """
-    I, J = tuple(I), tuple(J)
-    if len(I) != len(J):
-        raise ValueError("arity mismatch")
-    if I == J:
-        return "equal"
-    dI, dJ = sum(I), sum(J)
-    if dI != dJ:
-        return "greater" if dI > dJ else "less"
-    for a, b in zip(I, J):
-        if a != b:
-            return "greater" if a < b else "less"
-    return "equal"
-
-
 def deglex_key(I) -> tuple:
-    """Sort key: ascending order agrees with deglex_compare."""
+    """Sort key of the deglex order, a total order refining divisibility and
+    total degree: higher total degree is larger, and at equal total degree
+    the tuple with the LESSER entry at the first difference is larger."""
     return (sum(I), tuple(-a for a in I))
 
 

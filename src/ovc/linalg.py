@@ -155,17 +155,18 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     bases (lowest total exponent first, deglex tiebreak).
 
     Levels run from 0 to N-1.  At level e every active entry has valuation
-    >= e, and row operations never lower a column's minimum valuation: a
-    column's new entries are combinations of its own entries.  So a column
-    filed in the bucket of its minimum valuation (the valuation of the gcd
-    of its entries) stays at or above that bucket's level.  At level e the
-    columns of bucket e are taken in the order given below.  Each checks its
-    gcd at its turn: a column whose minimum is still e pivots on a row of
-    valuation e, one whose minimum has risen moves to the bucket of its new
-    minimum, and one whose entries all cancelled is dropped, since fill
-    enters a column only through its entry in a pivot row.  This pivots
-    exactly the columns whose minimum is e when the level starts, in that
-    order, skipping those whose minimum rises before their turn.
+    >= e, and row operations never lower a column's minimum valuation (the
+    valuation of the gcd of its entries): a column's new entries are
+    combinations of its own entries.  Every column starts in bucket 0 and
+    the invariant is bucket <= minimum.  At level e the columns of bucket e
+    are taken in the order given below.  Each checks its gcd at its turn: a
+    column whose minimum is still e pivots on a row of valuation e, one
+    whose minimum is above e moves to the bucket of its minimum, and one
+    whose entries all cancelled is dropped, since fill enters a column only
+    through its entry in a pivot row.  A column whose minimum is e when
+    level e starts is then in bucket e, so this pivots exactly those
+    columns, in that order, skipping those whose minimum rises before their
+    turn.
 
     Tracked, columns go in increasing order and the pivot row is the lowest
     row of valuation e.  Its pivots, free lists and row and column op logs,
@@ -202,9 +203,7 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     if flip:
         by_row, by_col = by_col, by_row
 
-    buckets = [[] for _ in range(N)]
-    for c, col in by_col.items():
-        buckets[int_valuation(gcd(*col.values()), p)].append(c)
+    buckets = [list(by_col)] + [[] for _ in range(N - 1)]
     inverses: dict[int, int] = {}
     row_ops, col_ops, pivots = [], [], []
 
@@ -231,7 +230,10 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
                     pivots.append((r, c, level))
                     continue
             elif track:
-                r = min(rr for rr, x in col.items() if x % above)
+                r = None
+                for rr, x in col.items():
+                    if x % above and (r is None or rr < r):
+                        r = rr
             else:
                 best = None
                 for rr, x in col.items():

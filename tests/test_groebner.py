@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ovc.groebner import (
     complete_leading_basis,
-    deglex_compare,
     deglex_key,
     hadamard_check,
     reduce_element,
@@ -28,6 +27,24 @@ W2 = RingDescriptor(DAGGER, ("x", "y"), ((0, 14), (0, 14)), P, M, decay=1)
 
 def S(desc, ints):
     return Series.from_ints(desc, ints)
+
+
+def deglex_compare(I, J) -> str:
+    """Oracle for the deglex order, stated without a sort key: higher total
+    degree is larger; ties in total degree break at the first differing
+    position, where the tuple with the LESSER entry is the larger one."""
+    I, J = tuple(I), tuple(J)
+    if len(I) != len(J):
+        raise ValueError("arity mismatch")
+    if I == J:
+        return "equal"
+    dI, dJ = sum(I), sum(J)
+    if dI != dJ:
+        return "greater" if dI > dJ else "less"
+    for a, b in zip(I, J):
+        if a != b:
+            return "greater" if a < b else "less"
+    return "equal"
 
 
 def test_deglex_examples():

@@ -145,6 +145,41 @@ def test_untracked_divisors_match_dense_oracle():
         assert res.divisors() == dense_divisors(A, p, N)
 
 
+def _scalable_inputs():
+    """(m, n, entries, p, N): seeded sparse and repeating matrices up to
+    25 x 25, wide and tall, at p = 2, 3 and 5 and N = 3..8."""
+    rng = random.Random(31)
+    for p in (2, 3, 5):
+        for _ in range(100):
+            N = rng.randint(3, 8)
+            m, n = rng.randint(2, 25), rng.randint(1, 25)
+            density = rng.choice([0.1, 0.2, 0.35])
+            if rng.random() < 0.5:
+                yield (m, n) + (sparse_matrix(rng, p, N, m, n, density)[1],
+                                p, N)
+            else:
+                yield m, n, repeating_matrix(rng, p, N, m, n, density), p, N
+
+
+def test_p_times_a_reduces_as_a_one_level_up():
+    # metamorphic: p*A mod p^(N+1) is p times A mod p^N, so every column of
+    # p*A starts with minimum >= 1 and moves out of bucket 0 at level 0;
+    # from there the reduction must repeat A's one level higher, with every
+    # logged multiplier congruent mod p^N
+    for m, n, ent, p, N in _scalable_inputs():
+        mod = p ** N
+        scaled = {k: p * x for k, x in ent.items()}
+        for track in (True, False):
+            base = sparse_snf(m, n, ent, p, N, track=track)
+            up = sparse_snf(m, n, scaled, p, N + 1, track=track)
+            assert up.pivots == [(r, c, e + 1) for r, c, e in base.pivots]
+            assert up.free_rows == base.free_rows
+            assert up.free_cols == base.free_cols
+            for got, want in ((up.row_ops, base.row_ops),
+                              (up.col_ops, base.col_ops)):
+                assert [op[:-1] + (op[-1] % mod,) for op in got] == want
+
+
 def single_entry_matrix(rng, p, N, m, n, extra):
     """A seeded m x n matrix most of whose columns hold one entry: a partial
     permutation whose entries carry valuations 0..N-1, plus ``extra``

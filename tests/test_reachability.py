@@ -1,11 +1,15 @@
 """Every module-level function and class of ``src/ovc``, and every method of
-those classes, is reached by the program: its name appears in some file of
-``src/ovc``, ``scripts`` or ``perfbench`` outside its own definition.  A
-helper that only tests call fails here; either a command starts using it or
-it goes.  Dunder methods are exempt, since Python calls them itself."""
+those classes, is reached by the program: its name appears in the code of
+some file of ``src/ovc``, ``scripts`` or ``perfbench`` outside its own
+definition.  Code means a NAME token, or a string literal that is a bare
+identifier (a by-name reference, as ``getattr`` takes); a mention in a
+docstring or a comment does not count.  A helper that only tests call fails
+here; either a command starts using it or it goes.  Dunder methods are
+exempt, since Python calls them itself."""
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +23,8 @@ ALLOWED = {
     "check_frobenius_compat": "Frobenius check the module validation is to "
                               "call when a frobenius matrix is given",
     "_fp_divmod": "independent division oracle of the Buchberger test",
+    "w_slope": "the norm w_(A,s) of a Robba window, kept as the statement "
+               "of its superadditivity that the series tests check",
 }
 
 
@@ -47,19 +53,33 @@ def _definitions():
                                path) + _span(item)
 
 
+_BARE_STRING = re.compile(r"""[rRuU]?(['"])(\w+)\1""")
+
+
+def _names(path):
+    """{name: lines} of the names the code of a file uses."""
+    out: dict[str, list[int]] = {}
+    with tokenize.open(path) as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            name = None
+            if tok.type == tokenize.NAME:
+                name = tok.string
+            elif tok.type == tokenize.STRING:
+                bare = _BARE_STRING.fullmatch(tok.string)
+                name = bare and bare.group(2)
+            if name:
+                out.setdefault(name, []).append(tok.start[0])
+    return out
+
+
 def _unreached():
-    texts = {path: path.read_text()
+    names = {path: _names(path)
              for top in SEARCHED for path in sorted(top.rglob("*.py"))}
     out = []
     for name, searched, home, first, last in _definitions():
-        pattern = re.compile(rf"\b{re.escape(searched)}\b")
-        for path, text in texts.items():
-            if path == home:
-                lines = text.splitlines()
-                text = "\n".join(lines[:first - 1] + lines[last:])
-            if pattern.search(text):
-                break
-        else:
+        if not any(any(path != home or not first <= line <= last
+                       for line in used.get(searched, ()))
+                   for path, used in names.items()):
             out.append(f"{home.name}:{first} {name}")
     return out
 
@@ -72,3 +92,13 @@ def test_every_definition_is_reached_outside_tests():
 def test_allowlist_names_live_definitions():
     names = {name for name, _, _, _, _ in _definitions()}
     assert set(ALLOWED) <= names
+
+
+def test_names_come_from_code_not_prose(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text('"""Calls helper_a."""\n'
+                    '# helper_b is called below\n'
+                    'x = helper_c(getattr(y, "helper_d"), "helper_e here")\n')
+    names = _names(path)
+    assert {"helper_c", "helper_d"} <= set(names)
+    assert not {"helper_a", "helper_b", "helper_e"} & set(names)
