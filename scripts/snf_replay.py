@@ -17,10 +17,11 @@ until about ``ROUND_SECONDS`` of CPU time have passed, so that a short list
 is still timed over many replays, and each side prints its median CPU time
 per replay over all its rounds.
 
-The calls replayed are the ones this checkout makes.  A change that alters
-what the engine hands the kernel, rather than how the kernel reduces it,
-does not show here: measure it with ``scripts/bench_pairs.py`` and the
-traced ``linalg.snf_nnz``.
+The calls replayed are the ones this checkout makes, each input copied and
+pickled as an ``ovc.linalg.Entries``, so the other checkout's kernel must
+take that layout.  A change that alters what the engine hands the kernel,
+rather than how the kernel reduces it, does not show here: measure it with
+``scripts/bench_pairs.py`` and the traced ``linalg.snf_nnz``.
 
 With two sides, tracked results must agree field by field (pivots, row and
 column op logs, free lists), and rank-only results on the invariants a
@@ -60,7 +61,8 @@ def capture(workload_name: str, seed: int) -> list:
     def recording(*args, **kwargs):
         args = list(args)
         if len(args) > 2:
-            args[2] = dict(args[2])
+            e = args[2]
+            args[2] = linalg.Entries(list(e.rows), list(e.cols), list(e.vals))
         calls.append((tuple(args), dict(kwargs)))
         return original(*args, **kwargs)
 
@@ -144,6 +146,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.replay:     # the child of run_side
+        # the inputs unpickle as the Entries of the kernel under --src
+        sys.path.insert(0, str(args.src))
         with open(args.replay, "rb") as fh:
             calls = pickle.load(fh)
         with open(args.out, "wb") as fh:

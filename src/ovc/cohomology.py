@@ -4,9 +4,11 @@ One builder, ``_assemble``, makes every complex the engine reduces.  It lays
 out the labels (a, J, I) of each degree in one order, exponents in deglex
 (total degree, then descending lex), and emits each differential once, as
 integers mod p^N with its scaling (N, shift), together with the window edge
-data that artifact detection reads.  Its callers differ only in the exponent
-box of each degree, the derivative action, the sign of the connection's
-exponent shift and what happens at the box edge:
+data that artifact detection reads.  A map is held as ``linalg.Entries``:
+parallel row, column and value lists, column by column, the form
+``sparse_snf`` takes.  The builder's callers differ only in the exponent box
+of each degree, the derivative action, the sign of the connection's exponent
+shift and what happens at the box edge:
 
 * ``mw_complex``       - a module over a Tate/dagger window, dx gauge;
 * ``compact_complex``  - the quotient complex on strictly positive annulus
@@ -38,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .errors import DescriptorMismatchError
-from .linalg import sparse_snf
+from .linalg import Entries, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import from_residue, int_valuation, integral_shift
 from .report import CohomologyReport, DegreeData
@@ -97,7 +99,7 @@ class ChainVector:
 @dataclass
 class ComplexData:
     spaces: list            # ChainSpace per degree
-    matrices: list          # {(row, col): int mod p^N} per map
+    matrices: list          # per map, Entries of ints mod p^N, column by column
     scalings: list          # (N, shift) per map: entries are values * p^shift
     floors: list            # per map: least precision of a vanished entry
     loss: Fraction | None   # least value of the terms the window dropped
@@ -112,7 +114,8 @@ class ComplexData:
     def columns(self, j: int) -> dict:
         """Map j as {col: {row: int}}, columns in the order of its entries."""
         cols: dict[int, dict[int, int]] = {}
-        for (r, c), x in self.matrices[j].items():
+        m = self.matrices[j]
+        for r, c, x in zip(m.rows, m.cols, m.vals):
             cols.setdefault(c, {})[r] = x
         return cols
 
@@ -177,11 +180,13 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     connection term's loss is therefore taken once per map, at the first
     cell it drops from, which gives its least value.
 
-    Each map is emitted once as {(row, col): int mod p^N} with N = M + shift,
-    shift the ``integral_shift`` of the terms that land.
-    Entries, their insertion order, the scaling, the floor (least precision
-    of an entry that vanished at precision) and the loss are those of
-    summing PadicApprox entries and scaling them to integers afterwards.
+    Each map is emitted once, as ``Entries`` of ints mod p^N with N = M +
+    shift, shift the ``integral_shift`` of the terms that land.  Entries go
+    column by column, columns in increasing order; no (row, col) pair
+    repeats and no value is zero.  The entries, their order, the scaling,
+    the floor (least precision of an entry that vanished at precision) and
+    the loss are those of summing PadicApprox entries and scaling them to
+    integers afterwards.
 
     The edge data come from the same inputs: the window is the hull of the
     boxes; the band is one past the largest connection shift in each
@@ -270,7 +275,8 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                               merge))
             plan.append(fplan)
 
-        entries: dict = {}
+        rows, cols, vals = [], [], []
+        add_row, add_col, add_val = rows.append, cols.append, vals.append
         floor = None
         above = False       # a derivative target left the box
         W2 = len(dst.forms) * rank
@@ -285,11 +291,8 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                             r = where[code + doff]
                             if r >= 0:
                                 t = merge[a]
-                                key = (r * W2 + roff + a, col)
                                 if t is None:
                                     x = dtab[k]
-                                    if x:
-                                        entries[key] = x
                                 else:
                                     # the sum truncates as PadicApprox
                                     # addition does; it may vanish there
@@ -298,10 +301,12 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                                                  + int_valuation(k, p))
                                     x = (dk * k + x) % p ** min(
                                         digits + shift, N)
-                                    if x:
-                                        entries[key] = x
-                                    else:
+                                    if not x:
                                         floor = _loss_min(floor, digits)
+                                if x:
+                                    add_row(r * W2 + roff + a)
+                                    add_col(col)
+                                    add_val(x)
                             else:   # above the box: dropped at value 0
                                 above = True
                         for t in by_a[a]:
@@ -313,7 +318,9 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                                 if x is None:
                                     floor = _loss_min(floor, c.prec)
                                 else:
-                                    entries[(r * W2 + radd, col)] = x
+                                    add_row(r * W2 + radd)
+                                    add_col(col)
+                                    add_val(x)
                             elif unrecorded[tk]:
                                 I2 = [x + exp_sign * e for x, e in zip(I, E)]
                                 if not (kill_below and any(
@@ -324,7 +331,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                     col += 1
         if above:
             loss = _loss_min(loss, Fraction(0))
-        matrices.append(entries)
+        matrices.append(Entries(rows, cols, vals))
         scalings.append((N, shift))
         floors.append(floor)
     band = (0,) * n if step == 0 and not any(bound) else \
@@ -435,8 +442,8 @@ def _has_structural_class(cdata: ComplexData) -> bool:
     nonzero rows of the incoming map, which bound the two ranks."""
     maps = cdata.matrices
     for j, space in enumerate(cdata.spaces):
-        cols = len({c for _, c in maps[j]}) if j < len(maps) else 0
-        rows = len({r for r, _ in maps[j - 1]}) if j >= 1 else 0
+        cols = len(set(maps[j].cols)) if j < len(maps) else 0
+        rows = len(set(maps[j - 1].rows)) if j >= 1 else 0
         if space.dim > cols + rows:
             return True
     return False
@@ -484,25 +491,33 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
                           maps[j] if entries is None else entries, p,
                           scalings[j][0], track=track)
 
-    def gap_term(j):
-        return snfs[j].certification_gap() - scalings[j][1]
+    def gap_term(res, j):
+        return res.certification_gap() - scalings[j][1]
 
     track = _has_structural_class(cdata)
     last = len(maps) - 1
     snfs = [snf(j, track) for j in range(last)]
-    exact_gap = min(map(gap_term, range(last)), default=M)
+    gaps = [gap_term(res, j) for j, res in enumerate(snfs)]
+    exact_gap = min(gaps, default=M)
     target = cdata.spaces[-1].dim
     if last > 0 and not track:
         paired = _paired_columns(snfs[-1])
-        pruned = {k: x for k, x in maps[last].items() if k[1] not in paired}
-        if len(pruned) < len(maps[last]) and target <= min(
-                len({r for r, _ in pruned}), len({c for _, c in pruned})):
-            snfs.append(snf(last, False, pruned))
-            if snfs[-1].rank() < target or gap_term(last) < exact_gap:
-                snfs.pop()
+        dtop = maps[last]
+        keep = [c not in paired for c in dtop.cols]
+        pruned = Entries(list(compress(dtop.rows, keep)),
+                         list(compress(dtop.cols, keep)),
+                         list(compress(dtop.vals, keep)))
+        if len(pruned) < len(dtop) and target <= min(
+                len(set(pruned.rows)), len(set(pruned.cols))):
+            res = snf(last, False, pruned)
+            g = gap_term(res, last)
+            if res.rank() == target and g >= exact_gap:
+                snfs.append(res)
+                gaps.append(g)
     if len(snfs) == last:
         snfs.append(snf(last, track))
-    gap = min(map(gap_term, range(len(snfs))), default=M)
+        gaps.append(gap_term(snfs[-1], last))
+    gap = min(gaps, default=M)
 
     degrees = {}
     top = len(cdata.spaces) - 1
@@ -541,9 +556,9 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     induced map on the quotient is then d_j restricted to the free rows'
     columns, and its kernel vectors are read back coordinate by
     coordinate.  ``_assemble`` stores every map column by column, in
-    increasing column order, so one pass over d_j hands those columns to
-    ``sparse_snf`` in column order, each column's entries in their stored
-    order."""
+    increasing column order, so one keep-mask over d_j's entries hands those
+    columns to ``sparse_snf`` in column order, each column's entries in
+    their stored order."""
     top = len(cdata.spaces) - 1
     dim_j = cdata.spaces[j].dim
     src = _generator_source(snfs, j)
@@ -553,8 +568,11 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
             # top degree: the quotient itself is the cohomology
             return [{q: 1} for q in free[: count]], j - 1
         qis = {q: qi for qi, q in enumerate(free)}
-        bent = {(r, qis[q]): x for (r, q), x in cdata.matrices[j].items()
-                if x and q in qis}
+        dj = cdata.matrices[j]
+        keep = [q in qis for q in dj.cols]
+        bent = Entries(list(compress(dj.rows, keep)),
+                       [qis[q] for q in compress(dj.cols, keep)],
+                       list(compress(dj.vals, keep)))
         bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(free), bent, cdata.p,
                           cdata.scalings[j][0])
         return [{free[qi]: x for qi, x in k.items()}

@@ -24,6 +24,18 @@ from math import gcd
 from .padics import int_valuation
 
 
+class Entries:
+    """A sparse matrix as three parallel lists: entry k is ``vals[k]`` at
+    (``rows[k]``, ``cols[k]``).  ``len()`` is the entry count."""
+    __slots__ = ("rows", "cols", "vals")
+
+    def __init__(self, rows: list, cols: list, vals: list):
+        self.rows, self.cols, self.vals = rows, cols, vals
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+
 @dataclass
 class SnfResult:
     nrows: int
@@ -146,13 +158,18 @@ class SnfResult:
         return self.apply_V(x)
 
 
-def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
+def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                track: bool = True) -> SnfResult:
     """Reduce a sparse integer matrix mod p^N to diagonal form.
 
-    ``entries``: {(row, col): int}.  Row/column indices are ints; the
-    pivoting order prefers small indices, so callers should pre-order their
-    bases (lowest total exponent first, deglex tiebreak).
+    ``entries`` holds no (row, col) pair twice: a repeat would overwrite the
+    earlier value, not add to it.  Its order is the order the row and column
+    maps are filed in, which the op logs follow.  A value that vanishes mod
+    p^N is skipped.  The maps of ``cohomology._assemble`` also hold no zero
+    and list their column indices in nondecreasing order, so each column's
+    map is looked up once per run of its entries.  Row/column indices are
+    ints; the pivoting order prefers small indices, so callers should
+    pre-order their bases (lowest total exponent first, deglex tiebreak).
 
     Levels run from 0 to N-1.  At level e every active entry has valuation
     >= e, and row operations never lower a column's minimum valuation (the
@@ -193,11 +210,15 @@ def sparse_snf(nrows: int, ncols: int, entries: dict, p: int, N: int,
     mod = p ** N
     by_row: dict[int, dict[int, int]] = {}
     by_col: dict[int, dict[int, int]] = {}
-    for (r, c), x in entries.items():
+    last = None
+    for r, c, x in zip(entries.rows, entries.cols, entries.vals):
         x %= mod
         if x:
             by_row.setdefault(r, {})[c] = x
-            by_col.setdefault(c, {})[r] = x
+            if c != last:
+                col = by_col.setdefault(c, {})
+                last = c
+            col[r] = x
     # untracked, a tall matrix is eliminated as its transpose
     flip = not track and nrows > ncols
     if flip:

@@ -20,7 +20,7 @@ from .cohomology import (
     mw_cohomology,
 )
 from .errors import DescriptorMismatchError
-from .linalg import sparse_snf
+from .linalg import Entries, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import PadicApprox, from_residue, integral_shift
 
@@ -110,13 +110,16 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
     for i in range(0, n + 1):
         cgens = cc.report.generators(n + i)
         wgens = mw.report.generators(n - i)
-        vals = {(r, c): residue_pairing(cg, wg, n)
-                for r, cg in enumerate(cgens) for c, wg in enumerate(wgens)}
-        ser = tuple(tuple(vals[(r, c)].serialize() for c in range(len(wgens)))
-                    for r in range(len(cgens)))
-        shift = integral_shift(vals.values())
-        entries = {k: x.residue(M + shift, shift) for k, x in vals.items()
-                   if not x.is_zero()}
+        vals = [[residue_pairing(cg, wg, n) for wg in wgens] for cg in cgens]
+        ser = tuple(tuple(x.serialize() for x in row) for row in vals)
+        shift = integral_shift(x for row in vals for x in row)
+        entries = Entries([], [], [])
+        for r, row in enumerate(vals):
+            for c, x in enumerate(row):
+                if not x.is_zero():
+                    entries.rows.append(r)
+                    entries.cols.append(c)
+                    entries.vals.append(x.residue(M + shift, shift))
         rank = sparse_snf(len(cgens), len(wgens), entries, p, M + shift,
                           track=False).rank() if entries else 0
         left = rank == len(cgens)

@@ -32,7 +32,7 @@ from .cohomology import (
     mw_cohomology,
 )
 from .errors import BadCertificateError, DescriptorMismatchError, WindowError
-from .linalg import sparse_snf
+from .linalg import Entries, sparse_snf
 from .modules import SeriesMatrix, SigmaNablaModule
 from .padics import from_residue, integral_shift
 from .series import RingDescriptor, Series
@@ -57,14 +57,12 @@ class ClassSpace:
 
     def _solver(self):
         if self._snf is None:
-            entries = {}
-            for c, g in enumerate(self.generators):
-                for r, x in g.items():
-                    entries[(r, c)] = x
+            entries = Entries([], [], [])
+            for c, col in enumerate(self.generators + self.boundary_cols):
+                entries.rows += col
+                entries.cols += [c] * len(col)
+                entries.vals += col.values()
             self._ncols = len(self.generators)
-            for c, col in enumerate(self.boundary_cols):
-                for r, x in col.items():
-                    entries[(r, self._ncols + c)] = x
             self._snf = sparse_snf(self.ambient_dim,
                                    self._ncols + len(self.boundary_cols),
                                    entries, self.p, self.N)
@@ -263,15 +261,17 @@ def _snake_maps(mwc, locc, quc, nodes):
 def _matrix_rank(cols, p, M) -> int:
     if not cols:
         return 0
-    entries = {}
+    entries = Entries([], [], [])
     for c, col in enumerate(cols):
         for r, x in enumerate(col):
             if x:
-                entries[(r, c)] = x
+                entries.rows.append(r)
+                entries.cols.append(c)
+                entries.vals.append(x)
     if not entries:
         return 0
-    nrows = 1 + max(r for r, _ in entries)
-    return sparse_snf(nrows, len(cols), entries, p, M, track=False).rank()
+    return sparse_snf(1 + max(entries.rows), len(cols), entries, p, M,
+                      track=False).rank()
 
 
 def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadCertificateError, PrecisionError
-from .linalg import sparse_snf
+from .linalg import Entries, sparse_snf
 from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
 from .padics import PadicApprox, from_residue, int_valuation, \
     integral_shift, make_scalar
 from .report import CohomologyReport, DegreeData
-from .series import Series, _lowest, _vanishes, dlog_antiderivative, \
-    t_d_dt
+from .series import Series, _vanishes, dlog_antiderivative, t_d_dt, \
+    w_slope
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,9 @@ def horizontal_iterate(data: UnipotentData, w: ModuleVector, L: int
             if k < e:
                 dpow = apply_D(module, apply_D(module, dpow))
         f = ModuleVector(module, tuple(acc))
-        diff = tuple(a.sub(b) for a, b in zip(f.coords, prev.coords))
-        logs.append(_lowest(((e, c.val) for dcoord in diff
-                             for e, c in dcoord.terms), ring.weight)[0])
+        steps = [w_slope(a.sub(b), ring.slope)
+                 for a, b in zip(f.coords, prev.coords)]
+        logs.append(min((s for s in steps if s is not None), default=None))
     return IterationLog(logs, need, f)
 
 
@@ -229,9 +229,14 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     X = data.nilpotent_X
     shift = integral_shift(c for row in X for c in row)
     N = M + shift
-    snf = sparse_snf(n, n, {(i, j): c.residue(N, shift) for i in range(n)
-                            for j, c in enumerate(X[i]) if c.val is not None},
-                     p, N)
+    entries = Entries([], [], [])
+    for i in range(n):
+        for j, c in enumerate(X[i]):
+            if c.val is not None:
+                entries.rows.append(i)
+                entries.cols.append(j)
+                entries.vals.append(c.residue(N, shift))
+    snf = sparse_snf(n, n, entries, p, N)
     U = data.change_of_basis
 
     def to_vectors(int_vecs):

@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,7 @@ from ovc.padics import int_valuation, make_scalar, parse_scalar
 from ovc.pairing import apply_complex_map
 from ovc.pushforward import quotient_complex, robba_side_module
 from ovc.series import ROBBA, TATE, RingDescriptor, Series
+from test_linalg import triples
 
 P = 3
 
@@ -33,10 +35,10 @@ def dense_rank(entries, p, N):
     """Independent oracle: dense elimination over Z/p^N."""
     if not entries:
         return 0
-    nr = 1 + max(r for r, _ in entries)
-    nc = 1 + max(c for _, c in entries)
+    nr = 1 + max(entries.rows)
+    nc = 1 + max(entries.cols)
     A = [[0] * nc for _ in range(nr)]
-    for (r, c), x in entries.items():
+    for r, c, x in zip(entries.rows, entries.cols, entries.vals):
         A[r][c] = x % p ** N
     mod = p ** N
     rank = 0
@@ -210,18 +212,21 @@ def _top_map_outcome(cdata):
     gap = min(s.certification_gap() - shift
               for s, (_, shift) in zip(exact, cdata.scalings))
     paired = {r for r, _, e in exact[-1].pivots if e == 0}
-    kept = {(r, c): x for (r, c), x in maps[-1].items() if c not in paired}
-    if len(kept) == len(maps[-1]):
+    top = maps[-1]
+    kept = {(r, c): x for r, c, x in zip(top.rows, top.cols, top.vals)
+            if c not in paired}
+    if len(kept) == len(top):
         return "whole"
     target = spaces[-1].dim
     if len({r for r, _ in kept}) < target or len({c for _, c in kept}) \
             < target:
         return "precheck"
     N, shift = cdata.scalings[-1]
-    top = sparse_snf(target, spaces[-2].dim, kept, cdata.p, N, track=False)
-    if top.rank() < target:
+    pruned = sparse_snf(target, spaces[-2].dim, triples(kept), cdata.p, N,
+                        track=False)
+    if pruned.rank() < target:
         return "rank"
-    return "gap" if top.certification_gap() - shift < gap else "pruned"
+    return "gap" if pruned.certification_gap() - shift < gap else "pruned"
 
 
 def test_pruned_top_map_gives_the_reports_of_full_reductions(monkeypatch):
@@ -433,7 +438,8 @@ def _line_side_modules():
 
 def _emitted(cdata):
     """(integer entries in order, N, shift, floor) of each differential."""
-    return [(list(ints.items()), N, shift, floor) for ints, (N, shift), floor
+    return [([((r, c), x) for r, c, x in zip(ints.rows, ints.cols, ints.vals)],
+             N, shift, floor) for ints, (N, shift), floor
             in zip(cdata.matrices, cdata.scalings, cdata.floors)]
 
 
@@ -521,6 +527,50 @@ def test_pinned_builder_output():
     assert _builder_digests() == PINNED_BUILDER_DIGESTS
 
 
+def _shipped_complexes(monkeypatch):
+    """Every complex ``_assemble`` builds while the shipped problems run,
+    the acceptance battery (selftest) left out."""
+    from ovc import pushforward
+    from ovc.cli import run_command
+    from ovc.problems import parse_problem
+
+    built, assemble = [], cohomology._assemble
+
+    def spy(*args):
+        built.append(assemble(*args))
+        return built[-1]
+
+    for module in (cohomology, pushforward):
+        monkeypatch.setattr(module, "_assemble", spy)
+    root = Path(__file__).resolve().parent.parent / "problems"
+    for path in sorted(root.glob("*.ovc")):
+        text = path.read_text(encoding="utf-8")
+        if "\ncommand selftest" not in "\n" + text:
+            run_command(parse_problem(text))
+    monkeypatch.undo()
+    return built
+
+
+def test_assembled_maps_meet_the_snf_precondition(monkeypatch):
+    # sparse_snf files the entries in list order, and a repeated (row, col)
+    # pair would overwrite the earlier value there; the maps also hold no
+    # zero and go column by column, so the kernel looks each column up once
+    shipped = _shipped_complexes(monkeypatch)
+    tate, robba, line = _tate_modules(), _robba_modules(), _line_side_modules()
+    complexes = shipped + [build(m) for m in tate
+                           for build in (mw_complex, compact_complex)] \
+        + [local_complex(m) for m in robba] \
+        + [quotient_complex(m) for m in line]
+    assert len(shipped) >= 10
+    assert {m.rank for m in tate + robba + line} == {1, 2}
+    for cdata in complexes:
+        for m in cdata.matrices:
+            assert len(m.rows) == len(m.cols) == len(m.vals) == len(m)
+            assert len(set(zip(m.rows, m.cols))) == len(m)
+            assert all(m.vals)
+            assert all(a <= b for a, b in zip(m.cols, m.cols[1:]))
+
+
 # -- the truncation loss, cell by cell -----------------------------------------
 
 def _loss_oracle(ring, rank, boxes, acting, terms, deriv, exp_sign,
@@ -605,7 +655,7 @@ def test_loss_matches_the_cell_by_cell_oracle(monkeypatch):
 
 def _apply(matrix, vec):
     out = {}
-    for (r, c), x in matrix.items():
+    for r, c, x in zip(matrix.rows, matrix.cols, matrix.vals):
         if c in vec:
             out[r] = out.get(r, 0) + x * vec[c]
     return out
@@ -692,7 +742,8 @@ def _extraction_oracle(cdata, snfs, j, count):
             for r, x in by_col.get(mid, {}).items():
                 bent[(r, qi)] = (bent.get((r, qi), 0) + x * xm) % P ** N2
     bent = {k: v for k, v in bent.items() if v}
-    bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(nonpivot), bent, P, N2)
+    bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(nonpivot), triples(bent),
+                      P, N2)
     out = []
     for k in bsnf.kernel_basis()[: count]:
         vec = {}
@@ -780,6 +831,7 @@ def test_quotient_and_local_sum_alike():
         loc, quo = local_complex(mod), quotient_complex(mod)
         assert loc.scalings == quo.scalings
         (lsrc, _), (qsrc, _) = loc.spaces, quo.spaces
-        lent = {lsrc.label(c): x for (_, c), x in loc.matrices[0].items()}
-        qent = {qsrc.label(c): x for (_, c), x in quo.matrices[0].items()}
+        (lmap,), (qmap,) = loc.matrices, quo.matrices
+        lent = {lsrc.label(c): x for c, x in zip(lmap.cols, lmap.vals)}
+        qent = {qsrc.label(c): x for c, x in zip(qmap.cols, qmap.vals)}
         assert qent == {l: x for l, x in lent.items() if l[2][0] >= 1}

@@ -9,10 +9,17 @@ import pytest
 
 from ovc.acceptance import TATE
 from ovc.cohomology import mw_complex
-from ovc.linalg import sparse_snf
+from ovc.linalg import Entries, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation
 from ovc.series import RingDescriptor, Series
+
+
+def triples(entries: dict) -> Entries:
+    """A {(row, col): x} test matrix as the input of sparse_snf, its entries
+    in dict order."""
+    return Entries([r for r, _ in entries], [c for _, c in entries],
+                   list(entries.values()))
 
 
 def dense_divisors(A, p, N):
@@ -120,7 +127,7 @@ def _oracle_matrices():
 
 def test_divisors_match_dense_oracle():
     for A, ent, p, N in _oracle_matrices():
-        res = sparse_snf(len(A), len(A[0]), ent, p, N)
+        res = sparse_snf(len(A), len(A[0]), triples(ent), p, N)
         assert res.divisors() == dense_divisors(A, p, N)
 
 
@@ -141,7 +148,7 @@ def _tall_repeating_matrices():
 
 def test_untracked_divisors_match_dense_oracle():
     for A, ent, p, N in (*_oracle_matrices(), *_tall_repeating_matrices()):
-        res = sparse_snf(len(A), len(A[0]), ent, p, N, track=False)
+        res = sparse_snf(len(A), len(A[0]), triples(ent), p, N, track=False)
         assert res.divisors() == dense_divisors(A, p, N)
 
 
@@ -170,8 +177,8 @@ def test_p_times_a_reduces_as_a_one_level_up():
         mod = p ** N
         scaled = {k: p * x for k, x in ent.items()}
         for track in (True, False):
-            base = sparse_snf(m, n, ent, p, N, track=track)
-            up = sparse_snf(m, n, scaled, p, N + 1, track=track)
+            base = sparse_snf(m, n, triples(ent), p, N, track=track)
+            up = sparse_snf(m, n, triples(scaled), p, N + 1, track=track)
             assert up.pivots == [(r, c, e + 1) for r, c, e in base.pivots]
             assert up.free_rows == base.free_rows
             assert up.free_cols == base.free_cols
@@ -209,11 +216,12 @@ def _single_entry_inputs():
             n = rng.randint(4, 16)
             m = rng.choice([rng.randint(2, n - 1), rng.randint(n + 1, 2 * n)])
             A, ent = single_entry_matrix(rng, p, N, m, n, rng.randint(0, n))
-            yield A, ent, p, N
+            yield A, triples(ent), p, N
     for seed in (1, 2, 3):
         for nrows, ncols, ent, p, N in _plane_differentials(seed, 6, 3, 20):
-            A = [[ent.get((i, j), 0) for j in range(ncols)]
-                 for i in range(nrows)]
+            A = [[0] * ncols for _ in range(nrows)]
+            for r, c, x in zip(ent.rows, ent.cols, ent.vals):
+                A[r][c] = x
             yield A, ent, p, N
 
 
@@ -224,7 +232,7 @@ def test_single_entry_columns_match_the_oracle_and_the_tracked_run():
         m, n = len(A), len(A[0])
         At = [list(col) for col in zip(*A)]
         for case, dense in (((m, n, ent), A),
-                            ((n, m, {(c, r): x for (r, c), x in ent.items()}),
+                            ((n, m, Entries(ent.cols, ent.rows, ent.vals)),
                              At)):
             full = sparse_snf(*case, p, N)
             bare = sparse_snf(*case, p, N, track=False)
@@ -266,8 +274,8 @@ def test_full_row_rank_of_a_column_subset_certifies_the_whole():
         m, n = len(A), len(A[0])
         B = [[kept.get((i, j), 0) for j in range(n)] for i in range(m)]
         for track in (True, False):
-            whole = sparse_snf(m, n, ent, p, N, track=track)
-            pruned = sparse_snf(m, n, kept, p, N, track=track)
+            whole = sparse_snf(m, n, triples(ent), p, N, track=track)
+            pruned = sparse_snf(m, n, triples(kept), p, N, track=track)
             assert whole.divisors() == dense_divisors(A, p, N)
             assert pruned.divisors() == dense_divisors(B, p, N)
             if pruned.rank() < m:
@@ -293,7 +301,7 @@ def test_kernel_and_solve():
     for _ in range(200):
         A, ent = random_matrix(rng, p, N)
         m, n = len(A), len(A[0])
-        res = sparse_snf(m, n, ent, p, N)
+        res = sparse_snf(m, n, triples(ent), p, N)
         for k in res.kernel_basis():
             for i in range(m):
                 assert sum(A[i][j] * k.get(j, 0) for j in range(n)) % mod == 0
@@ -308,7 +316,7 @@ def test_kernel_and_solve():
 
 def test_solve_rejects_outside_image():
     p, N = 3, 5
-    res = sparse_snf(2, 1, {(0, 0): 1}, p, N)
+    res = sparse_snf(2, 1, triples({(0, 0): 1}), p, N)
     assert res.solve({1: 1}) is None
 
 
@@ -319,7 +327,7 @@ def test_transforms_invert_and_reach_the_kernel():
     for _ in range(120):
         A, ent = random_matrix(rng, p, N)
         m, n = len(A), len(A[0])
-        res = sparse_snf(m, n, ent, p, N)
+        res = sparse_snf(m, n, triples(ent), p, N)
         b = {i: x for i in range(m) if (x := rng.randint(0, mod - 1))}
         assert res.apply_Uinv(res.apply_U(b)) == b
         for k in res.kernel_basis():
@@ -332,7 +340,7 @@ def test_untracked_result_has_no_transforms():
     # read through the (empty) op logs would be wrong: [{1: 1}] here is not
     # in the kernel
     p, N = 3, 4
-    A = {(0, 0): 1, (0, 1): 1}
+    A = triples({(0, 0): 1, (0, 1): 1})
     assert sparse_snf(1, 2, A, p, N).kernel_basis() == [{1: 1, 0: 80}]
     bare = sparse_snf(1, 2, A, p, N, track=False)
     assert not bare.tracked and bare.rank() == 1
@@ -346,7 +354,7 @@ def test_untracked_result_has_no_transforms():
 
 def test_certification_gap():
     p, N = 3, 6
-    res = sparse_snf(2, 2, {(0, 0): 1, (1, 1): 3 ** 4}, p, N)
+    res = sparse_snf(2, 2, triples({(0, 0): 1, (1, 1): 3 ** 4}), p, N)
     assert res.rank() == 2
     assert res.certification_gap() == N - 4
 
@@ -370,7 +378,7 @@ def _pinned_matrices():
         for m, n, density in ((12, 15, 0.3), (25, 20, 0.15), (40, 40, 0.06),
                               (40, 36, 0.12)):
             A, ent = sparse_matrix(rng, p, N, m, n, density)
-            out.append((len(A), len(A[0]), ent, p, N))
+            out.append((len(A), len(A[0]), triples(ent), p, N))
     return out
 
 
@@ -399,7 +407,7 @@ def _path_inputs():
     cancel entirely and single-entry columns that pivot at level >= 1; and
     plane differentials with a coefficient 1/p, so N = M + 1."""
     rng = random.Random(13)
-    out = [(m, n, repeating_matrix(rng, p, N, m, n, density), p, N)
+    out = [(m, n, triples(repeating_matrix(rng, p, N, m, n, density)), p, N)
            for p, N, m, n, density in ((2, 8, 16, 20, 0.15),
                                        (3, 6, 24, 30, 0.12))]
     for p, M in ((3, 12), (2, 10)):
@@ -475,8 +483,8 @@ def test_untracked_matches_tracked(args):
     # with the tracked run; each input is also taken transposed, so both
     # orientations meet both the wide and the tall path
     nrows, ncols, entries, p, N = args
-    transposed = (ncols, nrows, {(c, r): x for (r, c), x in entries.items()},
-                  p, N)
+    transposed = (ncols, nrows,
+                  Entries(entries.cols, entries.rows, entries.vals), p, N)
     for case in (args, transposed):
         full = sparse_snf(*case)
         bare = sparse_snf(*case, track=False)

@@ -23,8 +23,6 @@ ALLOWED = {
     "check_frobenius_compat": "Frobenius check the module validation is to "
                               "call when a frobenius matrix is given",
     "_fp_divmod": "independent division oracle of the Buchberger test",
-    "w_slope": "the norm w_(A,s) of a Robba window, kept as the statement "
-               "of its superadditivity that the series tests check",
 }
 
 

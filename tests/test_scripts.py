@@ -2,9 +2,13 @@
 
 import importlib.util
 import json
+import pickle
 import sys
 import time
 from pathlib import Path
+
+from ovc.linalg import Entries
+from test_linalg import triples
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -80,14 +84,35 @@ def test_snf_replay_replays_until_the_round_is_spent(monkeypatch):
     replay = _load("snf_replay")
     monkeypatch.setattr(replay, "ROUND_SECONDS", 0.2)
     monkeypatch.setattr(sys, "path", sys.path[:])
-    calls = [((3, 4, {(0, 0): 1, (1, 1): 3, (2, 0): 2, (2, 3): 9}, 3, 4),
-              {"track": False})]
+    calls = [((3, 4, triples({(0, 0): 1, (1, 1): 3, (2, 0): 2, (2, 3): 9}),
+               3, 4), {"track": False})]
     start = time.process_time()
     times, summaries = replay.replay(SCRIPTS.parent / "src", calls)
     assert time.process_time() - start >= 0.2
     assert len(times) > 10 and sum(times) > 0.1
     assert summaries == [("rank-only", [0, 1, 2, 4], [0, 1, 2, 3, 3], 2, 1,
                           0)]
+
+
+def test_snf_replay_captures_copies_that_pickle(monkeypatch):
+    # each captured input is held as Entries, and the pickled calls a
+    # replay child loads hold the same lists and reduce to the same results
+    replay = _load("snf_replay")
+    monkeypatch.setattr(replay, "ROUND_SECONDS", 0.0)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    calls = replay.capture("problems-batch", 1)
+    assert len(calls) == 27
+    for args, _ in calls:
+        assert isinstance(args[2], Entries)
+        assert len(args[2].rows) == len(args[2].cols) == len(args[2])
+    loaded = pickle.loads(pickle.dumps(calls))
+
+    def lists(calls):
+        return [(a[2].rows, a[2].cols, a[2].vals) for a, _ in calls]
+
+    assert lists(loaded) == lists(calls)
+    src = SCRIPTS.parent / "src"
+    assert replay.replay(src, loaded)[1] == replay.replay(src, calls)[1]
 
 
 def test_snf_replay_exits_1_on_a_mismatch(monkeypatch, capsys):
