@@ -94,7 +94,7 @@ def test_snf_replay_replays_until_the_round_is_spent(monkeypatch):
                           0)]
 
 
-def test_snf_replay_captures_copies_that_pickle(monkeypatch):
+def test_snf_replay_pickles_captured_entries(monkeypatch):
     # each captured input is held as Entries, and the pickled calls a
     # replay child loads hold the same lists and reduce to the same results
     replay = _load("snf_replay")
