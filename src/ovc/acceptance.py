@@ -16,7 +16,7 @@ from .cohomology import (
     mw_cohomology,
     twisted_diagonal_cohomology,
 )
-from .factor import factor_plus
+from .factor import ElementaryOp, apply_elementary, factor_plus
 from .groebner import (
     complete_leading_basis,
     hadamard_check,
@@ -28,6 +28,7 @@ from .modules import (
     ModuleVector,
     SeriesMatrix,
     SigmaNablaModule,
+    apply_D,
     trace_projector_check,
 )
 from .padics import make_scalar
@@ -196,8 +197,8 @@ def criterion_5() -> CriterionResult:
         details.append(f"trivial n={n}: "
                        + ("full rank" if rep.nondegenerate else "FAIL"))
     for n in (1, 2):
-        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 20, 3, 14, True)
-        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 20, 3, 14, False)
+        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 20, True)
+        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 20, False)
         vacuous = all(v == 0 for v in c.dims.values()) and \
             all(v == 0 for v in w.dims.values())
         ok = ok and vacuous
@@ -237,7 +238,6 @@ def criterion_7() -> CriterionResult:
     data = strongly_unipotent_basis(mod)
     w = ModuleVector.make(mod, [Series.monomial(ring, (3,)), Series.one(ring)])
     log = horizontal_iterate(data, w, window)
-    from .modules import apply_D
     ok = apply_D(mod, log.result).is_zero_at_precision(M - log.headroom_used)
     detail = [f"worked example horizontal: {ok}"]
 
@@ -323,7 +323,6 @@ def criterion_9() -> CriterionResult:
                 ring, (rng.randint(-2, 2),), p ** diag_vals[i])
         U = SeriesMatrix.make(ring, rows)
         # sprinkle integral elementary operations
-        from .factor import ElementaryOp, apply_elementary
         for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
             lam = Series.make(ring, {(rng.randint(-1, 1),):
@@ -405,14 +404,14 @@ def criterion_10() -> CriterionResult:
         if not reduces_to_zero(u.sub(z), basis):
             return CriterionResult(10, "division", False,
                                    f"u - z not in the ideal at trial {trial}")
-        h = hadamard_check(u if not u.is_zero() else y, None, 2, Fraction(1, 2))
+        h = hadamard_check(u if not u.is_zero() else y, 2, Fraction(1, 2))
         if not h.passed:
             return CriterionResult(10, "division", False,
                                    f"three-circles failed at trial {trial}")
         count += 1
     # monomial equality in the three-circles bound
     mono = Series.monomial(ring, (3, 1), 9)
-    h = hadamard_check(mono, None, 3, Fraction(2, 3))
+    h = hadamard_check(mono, 3, Fraction(2, 3))
     eq = h.value_C == (1 - Fraction(2, 3)) * h.value_A + Fraction(2, 3) * h.value_B
     return CriterionResult(10, "division", count >= 60 and eq,
                            f"{count} instances; monomial equality {eq}")
@@ -450,10 +449,8 @@ def criterion_12() -> CriterionResult:
     rep = h0_h1_unipotent(data)
     h0 = [tuple(v.coords) for v in rep.generators(0)]
     h1 = [tuple(v.coords) for v in rep.generators(1)]
-    ok = True
-    for e in (2, 3):
-        res = trace_projector_check(mod, e, h0_reps=h0, h1_reps=h1)
-        ok = ok and res.passed
+    ok = all(trace_projector_check(mod, e, h0_reps=h0, h1_reps=h1)
+             for e in (2, 3))
     return CriterionResult(12, "trace projector", ok,
                            "identity on ring elements and classes for e in {2,3}")
 

@@ -94,8 +94,6 @@ def _cohomology_records(report: RunReport, rep: CohomologyReport):
     report.add("precision-floor", rep.precision_gap)
     report.add("truncation-loss",
                "none" if rep.truncation is None else rep.truncation)
-    for note in rep.notes:
-        report.add("note", note)
 
 
 def run_command(pf: ProblemFile) -> RunReport:

@@ -37,6 +37,7 @@ those classes; raw counts and the exclusion tally stay in the report.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,7 +57,6 @@ Label = tuple  # (component, forms J as sorted tuple of var indices, exponent I)
 class ChainSpace:
     """Labels (a, J, I) ordered by exponent I (in the order of ``exps``),
     then by form J (in combinations order), then by component a."""
-    degree: int
     exps: tuple
     forms: tuple
     rank: int
@@ -111,13 +111,12 @@ class ComplexData:
     two_sided: bool         # robba windows get bands at both ends
     slope: Fraction         # annulus slope (0 off the robba kinds)
 
-    def columns(self, j: int) -> dict:
-        """Map j as {col: {row: int}}, columns in the order of its entries."""
-        cols: dict[int, dict[int, int]] = {}
+    def column(self, j: int, c: int) -> list:
+        """Column c of map j as (row, int) pairs in stored order: a slice of
+        the stored lists, whose column indices never decrease."""
         m = self.matrices[j]
-        for r, c, x in zip(m.rows, m.cols, m.vals):
-            cols.setdefault(c, {})[r] = x
-        return cols
+        lo, hi = bisect_left(m.cols, c), bisect_right(m.cols, c)
+        return list(zip(m.rows[lo:hi], m.vals[lo:hi]))
 
 
 def _insert_sign(i: int, J: tuple) -> int:
@@ -225,7 +224,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         if box not in layouts:
             layouts[box] = _box_layout(box[0], box[1], frame_lo, widths,
                                        strides)
-    spaces = [ChainSpace(j, layouts[box][0], tuple(combinations(acting, j)),
+    spaces = [ChainSpace(layouts[box][0], tuple(combinations(acting, j)),
                          rank) for j, box in enumerate(boxes)]
 
     matrices, scalings, floors, loss = [], [], [], None
@@ -598,7 +597,7 @@ def compact_support_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     n = len(module.ring.variables)
     shifted = {n + j: dd for j, dd in cc.report.degrees.items()}
     rep = CohomologyReport(cc.report.label, shifted, cc.report.precision_gap,
-                           cc.report.truncation, cc.report.notes)
+                           cc.report.truncation)
     return ComplexCohomology(rep, cc.cdata)
 
 
@@ -613,11 +612,9 @@ def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
 class TwistedReport:
     dims: dict
     zero_modes: tuple
-    worst_unit_valuation: int
 
 
 def twisted_diagonal_cohomology(a: Fraction, n: int, window_hi: int,
-                                p: int, M: int,
                                 strictly_positive: bool) -> TwistedReport:
     """Diagonal model for the rank-one dlog twist by a on affine n-space.
 
@@ -631,17 +628,11 @@ def twisted_diagonal_cohomology(a: Fraction, n: int, window_hi: int,
     a = Fraction(a)
     dims = {j: 0 for j in range(n + 1)}
     zero_modes = []
-    worst = 0
     lo = 1 if strictly_positive else 0
     for I in product(*(range(lo, window_hi + 1) for _ in range(n))):
-        lam = [Fraction(I[i]) + a for i in range(n)]
-        if any(l != 0 for l in lam):
-            for l in lam:
-                if l != 0:
-                    worst = max(worst, int_valuation(l.numerator, p)
-                                - int_valuation(l.denominator, p))
+        if any(Fraction(I[i]) + a != 0 for i in range(n)):
             continue
         zero_modes.append(I)
         for j in range(n + 1):
             dims[j] += comb(n, j)
-    return TwistedReport(dims, tuple(zero_modes), worst)
+    return TwistedReport(dims, tuple(zero_modes))

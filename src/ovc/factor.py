@@ -21,7 +21,7 @@ from .series import Series, _vanishes, invert_series
 
 @dataclass(frozen=True)
 class ElementaryOp:
-    kind: str            # "scale" | "swap" | "add"
+    kind: str            # "scale" | "add"
     i: int
     j: int = -1
     factor: Series | None = None   # unit for scale; any ring element for add
@@ -39,12 +39,6 @@ def apply_elementary(mat: SeriesMatrix, op: ElementaryOp,
         else:
             for r in rows:
                 r[op.i] = r[op.i].mul(op.factor)
-    elif op.kind == "swap":
-        if side == "row":
-            rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-        else:
-            for r in rows:
-                r[op.i], r[op.j] = r[op.j], r[op.i]
     elif op.kind == "add":
         # add factor * (row/col i) to (row/col j)
         if side == "row":

@@ -277,25 +277,24 @@ def _cancellation(r: Series, basis: list[LeadingDatum]) -> Series | None:
 
 @dataclass(frozen=True)
 class HadamardResult:
-    D_C: Fraction
     passed: bool
     value_A: Fraction | None
     value_B: Fraction | None
     value_C: Fraction | None
 
 
-def hadamard_check(x: Series, D_A: int | None, D_B: int,
-                   eps: Fraction) -> HadamardResult:
+def hadamard_check(x: Series, D_B: int, eps: Fraction) -> HadamardResult:
     """Interpolated decay D_C for rho_C = rho_B^eps and the convexity bound
-    value_C(x) >= (1-eps) value_A(x) + eps value_B(x) on the window."""
+    value_C(x) >= (1-eps) value_A(x) + eps value_B(x) on the window, where
+    A is the Gauss norm (rho_A = 1)."""
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     D_C = Fraction(D_B) / eps
-    vA = rho_value(x, D_A)
+    vA = rho_value(x, None)
     vB = rho_value(x, D_B)
     vC = rho_value(x, D_C)
     if vA is None or vB is None or vC is None:
-        return HadamardResult(D_C, True, vA, vB, vC)
+        return HadamardResult(True, vA, vB, vC)
     passed = vC >= (1 - eps) * vA + eps * vB
-    return HadamardResult(D_C, passed, vA, vB, vC)
+    return HadamardResult(passed, vA, vB, vC)

@@ -231,12 +231,13 @@ class ModuleVector:
                          else digits)
 
 
-def apply_D(module: SigmaNablaModule, v: ModuleVector, var: str | int = 0) -> ModuleVector:
-    """(Dv)_i = t d/dt v_i + sum_j N_ij v_j over a robba-kind ring."""
+def apply_D(module: SigmaNablaModule, v: ModuleVector) -> ModuleVector:
+    """(Dv)_i = t d/dt v_i + sum_j N_ij v_j over a robba-kind ring, t its
+    first variable."""
     if not module.ring.is_robba():
         raise DescriptorMismatchError("apply_D needs a robba-kind ring")
     lin = module.connection.apply(v.coords)
-    out = tuple(t_d_dt(c, var).add(l) for c, l in zip(v.coords, lin))
+    out = tuple(t_d_dt(c).add(l) for c, l in zip(v.coords, lin))
     return ModuleVector(module, out)
 
 
@@ -259,7 +260,7 @@ def check_frobenius_compat(module: SigmaNablaModule) -> CompatResult:
     N, Phi = module.connection, module.frobenius
     tdPhi = Phi.map(lambda s: t_d_dt(s))
     lhs = N.mul(Phi).add(tdPhi)
-    rhs = Phi.mul(N.map(lambda s: frobenius_substitute(s, q))).scale(q)
+    rhs = Phi.mul(N.map(frobenius_substitute)).scale(q)
     defect = lhs.sub(rhs)
     return CompatResult(defect.is_zero_at_precision(),
                         defect.max_defect_value())
@@ -284,45 +285,36 @@ def check_integrability(module: SigmaNablaModule) -> bool:
 
 # -- traces along Kummer covers -------------------------------------------------
 
-def trace_map(w: Series, e: int, var: str | int = 0) -> Series:
-    """Raw trace along the degree-e cover t -> t^e: exponents divisible by e
-    survive with the exponent divided by e and the coefficient multiplied by
-    e (summing over the e twists annihilates the rest).  Requires e coprime
-    to p.  Satisfies trace(pullback(a)) = e * a."""
+def trace_map(w: Series, e: int) -> Series:
+    """Raw trace along the degree-e cover t -> t^e of the first variable:
+    exponents divisible by e survive with the exponent divided by e and the
+    coefficient multiplied by e (summing over the e twists annihilates the
+    rest).  Requires e coprime to p.  Satisfies trace(pullback(a)) = e * a."""
     d = w.descriptor
     if e % d.prime == 0:
         raise ValueError("cover degree divisible by p is not supported")
-    j = d.var_index(var) if isinstance(var, str) else var
     efac = make_scalar(e, d.prime, d.precision)
     out = {}
     for exp, c in w.terms:
-        if exp[j] % e:
+        if exp[0] % e:
             continue
-        ne = exp[:j] + (exp[j] // e,) + exp[j + 1:]
-        out[ne] = c.mul(efac)
+        out[(exp[0] // e,) + exp[1:]] = c.mul(efac)
     return Series.make(d, out, loss=w.loss)
 
 
-def trace_form(coefficient: Series, e: int, var: str | int = 0) -> Series:
+def trace_form(coefficient: Series, e: int) -> Series:
     """Trace on dlog one-forms: g * dt/t pulls back to g(t^e) * e * dt/t, so
     the form trace divides the raw coefficient trace by e."""
     d = coefficient.descriptor
     inv_e = make_scalar(e, d.prime, d.precision).invert()
-    return trace_map(coefficient, e, var).scale(inv_e)
-
-
-@dataclass(frozen=True)
-class ProjectorResult:
-    passed: bool
-    ring_identity: bool
-    h0_identity: bool
-    h1_identity: bool
+    return trace_map(coefficient, e).scale(inv_e)
 
 
 def trace_projector_check(module: SigmaNablaModule, e: int,
-                          h0_reps=None, h1_reps=None) -> ProjectorResult:
-    """(1/e) Trace after pullback is the identity: on ring elements always,
-    and on supplied cohomology representatives of the module downstairs."""
+                          h0_reps=None, h1_reps=None) -> bool:
+    """Whether (1/e) Trace after pullback is the identity: on ring elements
+    always, and on supplied cohomology representatives of the module
+    downstairs."""
     ring = module.ring
     p, M = ring.prime, ring.precision
     inv_e = make_scalar(e, p, M).invert()
@@ -353,7 +345,5 @@ def trace_projector_check(module: SigmaNablaModule, e: int,
                     return False
         return True
 
-    r = ring_ok()
-    h0 = reps_ok(h0_reps, form=False)
-    h1 = reps_ok(h1_reps, form=True)
-    return ProjectorResult(r and h0 and h1, r, h0, h1)
+    return (ring_ok() and reps_ok(h0_reps, form=False)
+            and reps_ok(h1_reps, form=True))

@@ -69,10 +69,9 @@ def apply_complex_map(cc: ComplexCohomology, degree: int,
     src, dst = cdata.spaces[degree], cdata.spaces[degree + 1]
     p, M = cdata.p, cdata.M
     N, shift = cdata.scalings[degree]
-    cols = cdata.columns(degree)
     out: dict = {}
     for label, coeff in v.data.items():
-        for r, x in cols.get(src.index(label), {}).items():
+        for r, x in cdata.column(degree, src.index(label)):
             t = coeff.mul(from_residue(x, p, N, shift, M))
             lbl = dst.label(r)
             out[lbl] = out[lbl].add(t) if lbl in out else t
@@ -85,7 +84,6 @@ class PairingBlock:
     degree_mw: int           # line-side degree n-i
     dim_c: int
     dim_mw: int
-    matrix: tuple            # serialized pairings
     rank: int
     left_injects: bool
     right_injects: bool
@@ -111,7 +109,6 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
         cgens = cc.report.generators(n + i)
         wgens = mw.report.generators(n - i)
         vals = [[residue_pairing(cg, wg, n) for wg in wgens] for cg in cgens]
-        ser = tuple(tuple(x.serialize() for x in row) for row in vals)
         shift = integral_shift(x for row in vals for x in row)
         entries = Entries([], [], [])
         for r, row in enumerate(vals):
@@ -126,5 +123,5 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
         right = rank == len(wgens)
         ok = ok and left and right
         blocks.append(PairingBlock(n + i, n - i, len(cgens), len(wgens),
-                                   ser, rank, left, right))
+                                   rank, left, right))
     return NondegeneracyReport(tuple(blocks), ok)

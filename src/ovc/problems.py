@@ -110,7 +110,6 @@ COMMANDS = {
 
 @dataclass
 class ProblemFile:
-    version: int
     p: int
     M: int
     q: int
@@ -310,7 +309,7 @@ def _problem_file(header: dict, ln: int) -> ProblemFile:
         qq //= p
     if qq != 1:
         raise RangeError(f"q = {q} is not a power of p", ln)
-    return ProblemFile(1, p, M, q)
+    return ProblemFile(p, M, q)
 
 
 def _parse_ring(pf: ProblemFile, ops: list, ln: int):

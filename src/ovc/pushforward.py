@@ -51,20 +51,26 @@ class ClassSpace:
     p: int
     N: int
     shift: int
-    boundary_cols: list
+    boundary_cols: Entries    # the incoming map as stored, column by column
     _snf: object = None
     _ncols: int = 0
 
     def _solver(self):
+        """The SNF of the generators followed by the boundary's columns,
+        which are offset by the generator count and keep their order."""
         if self._snf is None:
             entries = Entries([], [], [])
-            for c, col in enumerate(self.generators + self.boundary_cols):
+            for c, col in enumerate(self.generators):
                 entries.rows += col
                 entries.cols += [c] * len(col)
                 entries.vals += col.values()
-            self._ncols = len(self.generators)
+            self._ncols = g = len(self.generators)
+            b = self.boundary_cols
+            entries.rows += b.rows
+            entries.cols += [c + g for c in b.cols]
+            entries.vals += b.vals
             self._snf = sparse_snf(self.ambient_dim,
-                                   self._ncols + len(self.boundary_cols),
+                                   g + (b.cols[-1] + 1 if b.cols else 0),
                                    entries, self.p, self.N)
         return self._snf
 
@@ -91,7 +97,7 @@ def _class_space(gens: list, space, p: int, M: int,
     shift = integral_shift((c for g in gens for c in g.data.values()), least)
     ints = [{space.index(label): c.residue(N, shift)
              for label, c in g.data.items() if not c.is_zero()} for g in gens]
-    cols = list(boundary.columns(0).values()) if boundary else []
+    cols = boundary.matrices[0] if boundary else Entries([], [], [])
     return ClassSpace(space.dim, ints, p, N, shift, cols)
 
 
@@ -221,7 +227,6 @@ def _snake_maps(mwc, locc, quc, nodes):
     # delta: lift a quotient kernel class, apply the local operator, read the
     # result on the line side (t^j dt/t = -x^(-j-1) dx for j <= -1)
     Nl, shiftl = locc.cdata.scalings[0]
-    lcols = locc.cdata.columns(0)
     lift = relabel(qu0, loc0, lambda a, i: (a, (), (i,)), p ** shiftl)
     read = relabel(loc1, x1, lambda a, j: (a, (0,), (-j - 1,)) if j < 0
                    else None, -1)
@@ -229,7 +234,7 @@ def _snake_maps(mwc, locc, quc, nodes):
     def delta(vec, N):
         image: dict[int, int] = {}
         for idx, x in lift(vec, Nl).items():
-            for r, y in lcols.get(idx, {}).items():
+            for r, y in locc.cdata.column(0, idx):
                 image[r] = (image.get(r, 0) + x * y) % p ** Nl
         return read(image, N)
 

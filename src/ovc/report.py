@@ -20,7 +20,6 @@ class CohomologyReport:
     degrees: dict            # degree -> DegreeData
     precision_gap: int       # distance of the largest divisor to the ceiling
     truncation: Fraction | None = None
-    notes: tuple = ()
 
     def dims(self) -> dict:
         return {d: dd.dim for d, dd in sorted(self.degrees.items())}

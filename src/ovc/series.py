@@ -402,53 +402,49 @@ def d_dt(x: Series, var: str | int = 0) -> Series:
     return Series.make(d, out, loss=x.loss)
 
 
-def t_d_dt(x: Series, var: str | int = 0) -> Series:
-    """The dlog derivative t*d/dt: exponent-preserving, exact on the window."""
+def t_d_dt(x: Series) -> Series:
+    """The dlog derivative t*d/dt in the first variable: exponent-preserving,
+    exact on the window."""
     d = x.descriptor
-    j = d.var_index(var) if isinstance(var, str) else var
     out = {}
     for e, c in x.terms:
-        if e[j] == 0:
+        if e[0] == 0:
             continue
-        out[e] = c.mul(make_scalar(e[j], d.prime, d.precision))
+        out[e] = c.mul(make_scalar(e[0], d.prime, d.precision))
     return Series.make(d, out, loss=x.loss)
 
 
-def dlog_antiderivative(x: Series, var: str | int = 0) -> Series:
-    """y with t*dy/dt = x; obstructed by the constant (t^0) term."""
+def dlog_antiderivative(x: Series) -> Series:
+    """y with t*dy/dt = x, t the first variable; obstructed by the constant
+    (t^0) term."""
     d = x.descriptor
-    j = d.var_index(var) if isinstance(var, str) else var
     out = {}
     for e, c in x.terms:
-        if e[j] == 0:
+        if e[0] == 0:
             if c.is_zero():
                 if c.limited:
                     raise AmbiguousResidueError(
                         "t^0 coefficient is zero only at working precision")
                 continue
             raise ResidueObstructionError("nonzero t^0 coefficient")
-        inv = make_scalar(e[j], d.prime, d.precision).invert()
+        inv = make_scalar(e[0], d.prime, d.precision).invert()
         out[e] = c.mul(inv)
     return Series.make(d, out, loss=x.loss)
 
 
-def frobenius_substitute(x: Series, q: int | None = None) -> Series:
-    """Standard Frobenius lift: every exponent multiplied by q; sigma fixes
-    the Q_p coefficients.  Window overflow becomes tracked loss."""
+def frobenius_substitute(x: Series) -> Series:
+    """Standard Frobenius lift: every exponent multiplied by the ring's q;
+    sigma fixes the Q_p coefficients.  Window overflow becomes tracked
+    loss."""
     d = x.descriptor
-    q = q if q is not None else d.qeff
+    q = d.qeff
     out = {tuple(q * ei for ei in e): c for e, c in x.terms}
     return Series.make(d, out, loss=x.loss)
 
 
-def kummer_substitute(x: Series, e: int, var: str | int = 0) -> Series:
-    """Pullback along t -> t^e in the named variable."""
+def kummer_substitute(x: Series, e: int) -> Series:
+    """Pullback along t -> t^e in the first variable."""
     if e < 1:
         raise ValueError("cover degree must be >= 1")
-    d = x.descriptor
-    j = d.var_index(var) if isinstance(var, str) else var
-    out = {}
-    for exp, c in x.terms:
-        ne = exp[:j] + (exp[j] * e,) + exp[j + 1:]
-        out[ne] = c
-    return Series.make(d, out, loss=x.loss)
+    out = {(exp[0] * e,) + exp[1:]: c for exp, c in x.terms}
+    return Series.make(x.descriptor, out, loss=x.loss)

@@ -107,7 +107,7 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
     return UnipotentData(module, SeriesMatrix.make(ring, urows), X, e)
 
 
-def _scalar_matmul(A, B, p, M):
+def _scalar_matmul(A, B, p):
     n = len(A)
     out = []
     for i in range(n):
@@ -127,7 +127,7 @@ def _nilpotency_index(X, p, M) -> int:
     for e in range(1, n + 2):
         if _vanishes((((), c.val) for row in power for c in row), M):
             return e
-        power = _scalar_matmul(power, X, p, M)
+        power = _scalar_matmul(power, X, p)
     raise BadCertificateError("extracted matrix is not nilpotent at precision")
 
 

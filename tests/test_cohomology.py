@@ -299,15 +299,15 @@ def test_local_divergent_solution_not_certified():
 
 
 def test_twisted_diagonal_model():
-    r = twisted_diagonal_cohomology(0, 1, 10, P, 10, False)
+    r = twisted_diagonal_cohomology(0, 1, 10, False)
     assert r.dims == {0: 1, 1: 1}
-    r2 = twisted_diagonal_cohomology(Fraction(1, 2), 1, 10, P, 10, False)
+    r2 = twisted_diagonal_cohomology(Fraction(1, 2), 1, 10, False)
     assert r2.dims == {0: 0, 1: 0}
     # strictly positive modes exclude the zero mode: the twisted model is
     # vacuous at a = 0 too (the genuine engine carries the honest a = 0 case)
-    r3 = twisted_diagonal_cohomology(0, 2, 8, P, 10, True)
+    r3 = twisted_diagonal_cohomology(0, 2, 8, True)
     assert r3.dims == {0: 0, 1: 0, 2: 0} and r3.zero_modes == ()
-    r4 = twisted_diagonal_cohomology(-3, 2, 8, P, 10, True)
+    r4 = twisted_diagonal_cohomology(-3, 2, 8, True)
     assert r4.dims == {0: 1, 1: 2, 2: 1} and r4.zero_modes == ((3, 3),)
 
 
@@ -555,6 +555,7 @@ def test_assembled_maps_meet_the_snf_precondition(monkeypatch):
     # sparse_snf files the entries in list order, and a repeated (row, col)
     # pair would overwrite the earlier value there; the maps also hold no
     # zero and go column by column, so the kernel looks each column up once
+    # and ComplexData.column reads a column as a slice
     shipped = _shipped_complexes(monkeypatch)
     tate, robba, line = _tate_modules(), _robba_modules(), _line_side_modules()
     complexes = shipped + [build(m) for m in tate
@@ -569,6 +570,11 @@ def test_assembled_maps_meet_the_snf_precondition(monkeypatch):
             assert len(set(zip(m.rows, m.cols))) == len(m)
             assert all(m.vals)
             assert all(a <= b for a, b in zip(m.cols, m.cols[1:]))
+        for j, m in enumerate(cdata.matrices):
+            for c in range(cdata.spaces[j].dim):
+                assert cdata.column(j, c) == [
+                    (r, x) for r, cc, x in zip(m.rows, m.cols, m.vals)
+                    if cc == c]
 
 
 # -- the truncation loss, cell by cell -----------------------------------------
@@ -735,11 +741,10 @@ def _extraction_oracle(cdata, snfs, j, count):
     if j == len(cdata.spaces) - 1:
         return [uinv[q] for q in nonpivot][: count]
     N2 = cdata.scalings[j][0]
-    by_col = cdata.columns(j)
     bent = {}
     for qi, q in enumerate(nonpivot):
         for mid, xm in uinv[q].items():
-            for r, x in by_col.get(mid, {}).items():
+            for r, x in cdata.column(j, mid):
                 bent[(r, qi)] = (bent.get((r, qi), 0) + x * xm) % P ** N2
     bent = {k: v for k, v in bent.items() if v}
     bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(nonpivot), triples(bent),

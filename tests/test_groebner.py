@@ -138,20 +138,20 @@ def test_reduce_element_examples():
 
 def test_hadamard_examples():
     mono = Series.monomial(W2, (2, 1), 9)
-    r = hadamard_check(mono, None, 2, Fraction(1, 2))
+    r = hadamard_check(mono, 2, Fraction(1, 2))
     assert r.passed
     assert r.value_C == (1 - Fraction(1, 2)) * r.value_A + \
         Fraction(1, 2) * r.value_B
-    one = hadamard_check(Series.one(W2), None, 2, Fraction(1, 3))
+    one = hadamard_check(Series.one(W2), 2, Fraction(1, 3))
     assert one.passed and one.value_A == one.value_B == one.value_C == 0
     two = S(W2, {(1, 0): P, (3, 2): 1})
     # direct evaluation of all three window values
-    rr = hadamard_check(two, None, 3, Fraction(1, 3))
+    rr = hadamard_check(two, 3, Fraction(1, 3))
     vals = [(1 - Fraction(1, 3)) * rr.value_A + Fraction(1, 3) * rr.value_B,
             rr.value_C]
     assert rr.passed and vals[1] >= vals[0]
     with pytest.raises(ValueError):
-        hadamard_check(two, None, 3, Fraction(3, 2))
+        hadamard_check(two, 3, Fraction(3, 2))
 
 
 def test_completion_closes_s_pairs_mod_p():

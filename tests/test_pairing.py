@@ -88,8 +88,8 @@ def test_nondegeneracy_trivial():
 
 def test_nondegeneracy_vacuous_twist():
     for n in (1, 2):
-        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 16, P, M, True)
-        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 16, P, M, False)
+        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 16, True)
+        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 16, False)
         assert c.dims.get(n, 0) == w.dims.get(0, 0) == 0
 
 

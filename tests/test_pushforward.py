@@ -150,8 +150,18 @@ def _bundle_modules(M):
     }
 
 
+def _column_dicts(entries) -> list:
+    """The nonempty columns of stored entries as {row: value} dicts, in
+    column order: the form the pinned digests were taken over."""
+    cols: dict = {}
+    for r, c, x in zip(entries.rows, entries.cols, entries.vals):
+        cols.setdefault(c, {})[r] = x
+    return list(cols.values())
+
+
 def _bundle_digest(bundle) -> str:
-    nodes = {name: (cs.ambient_dim, cs.generators, cs.N, cs.boundary_cols)
+    nodes = {name: (cs.ambient_dim, cs.generators, cs.N,
+                    _column_dicts(cs.boundary_cols))
              for name, cs in bundle.nodes.items()}
     verdicts = [tuple((v.node, v.passed, v.detail) for v in snake_check(b))
                 for b in (bundle, perturb_r1f(bundle))]

@@ -5,7 +5,11 @@ definition.  Code means a NAME token, or a string literal that is a bare
 identifier (a by-name reference, as ``getattr`` takes); a mention in a
 docstring or a comment does not count.  A helper that only tests call fails
 here; either a command starts using it or it goes.  Dunder methods are
-exempt, since Python calls them itself."""
+exempt, since Python calls them itself.
+
+The same holds one level down: every optional parameter is passed by some
+call, every parameter is read by its function, and every dataclass field is
+read as an attribute, so a value nothing sets or reads does not stay."""
 
 import ast
 import re
@@ -100,3 +104,239 @@ def test_names_come_from_code_not_prose(tmp_path):
     names = _names(path)
     assert {"helper_c", "helper_d"} <= set(names)
     assert not {"helper_a", "helper_b", "helper_e"} & set(names)
+
+
+# -- parameters and fields ----------------------------------------------------
+# The definitions are those of ``src/ovc``, nested defs included, and the
+# callers and readers are the code of ``SEARCHED``.  Calls are matched by
+# name: a call to ``f`` or ``x.f`` counts for every def named ``f``, and a
+# call to a class, or to one of its subclasses, for its ``__init__``.  A def
+# does not count as its own caller.  Name collisions can only hide a
+# finding, so each guard is a lower bound.
+
+# Optional parameters that no call passes, kept on purpose.
+UNPASSED_ALLOWED: dict[str, str] = {}
+
+# Parameters that their function never reads, kept on purpose.
+UNREAD_ALLOWED: dict[str, str] = {}
+
+# Dataclass fields read only by tests, kept on purpose.
+UNREAD_FIELDS_ALLOWED = {
+    "ComplexData.floors": "precision floor of a vanished entry, for the "
+                          "floor-limited certification of ROADMAP item 2",
+    "CompatResult.defect_value": "defect value of the Frobenius check "
+                                 "ROADMAP item 7 is to report",
+    "NormResult.uncertain": "the flag that a norm rests on a limited zero",
+    "TwistedReport.zero_modes": "the oracle's zero modes, which tests "
+                                "compare with the engine's classes",
+}
+
+
+def _trees(paths):
+    return {path: ast.parse(path.read_text(), str(path)) for path in paths}
+
+
+def _code_paths():
+    return sorted(path for top in SEARCHED for path in top.rglob("*.py"))
+
+
+def _defs(tree):
+    """(qualified name, def, parameters a call binds first) for every def
+    of a tree: a method's first parameter is bound by the call, unless it
+    is a staticmethod."""
+    def walk(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                bound = 1 if in_class and not static else 0
+                yield prefix + child.name, child, bound
+                yield from walk(child, f"{prefix}{child.name}.", False)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.", True)
+            else:
+                yield from walk(child, prefix, in_class)
+    yield from walk(tree, "", False)
+
+
+def _name(node):
+    """The name ``f`` of an expression ``f`` or ``x.f``, else None."""
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _subclasses(trees):
+    """{class name: names of it and of every class derived from it}."""
+    bases = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_name(b) for b in node.bases}
+    out = {}
+    for name in bases:
+        family, grew = {name}, True
+        while grew:
+            more = {c for c, bs in bases.items() if bs & family} - family
+            family |= more
+            grew = bool(more)
+        out[name] = family
+    return out
+
+
+def _unpassed(def_paths, code_paths):
+    """Optional parameters that no call passes, by keyword, by position or
+    through * or ** unpacking."""
+    defs = _trees(def_paths)
+    calls = [(path, node) for path, tree in _trees(code_paths).items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    family = _subclasses(defs)
+    out = []
+    for path, tree in defs.items():
+        for qual, fn, bound in _defs(tree):
+            names = {fn.name}
+            if fn.name == "__init__" and "." in qual:
+                names |= family.get(qual.split(".")[-2], set())
+            mine = [c for p, c in calls if _name(c.func) in names and not (
+                p == path and fn.lineno <= c.lineno <= fn.end_lineno)]
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            optional = [(arg.arg, k - bound) for k, arg in enumerate(
+                positional) if k >= len(positional) - len(a.defaults)]
+            optional += [(arg.arg, None) for arg, d in zip(a.kwonlyargs,
+                                                          a.kw_defaults)
+                         if d is not None]
+            for name, pos in optional:
+                if not any(
+                        any(k.arg in (name, None) for k in c.keywords)
+                        or pos is not None and (
+                            len(c.args) > pos or any(
+                                isinstance(x, ast.Starred) for x in c.args))
+                        for c in mine):
+                    out.append(f"{path.name}:{fn.lineno} {qual}({name})")
+    return out
+
+
+def _unread(def_paths):
+    """Parameters that their function's body never loads; a method's bound
+    first parameter is exempt."""
+    out = []
+    for path, tree in _trees(def_paths).items():
+        for qual, fn, bound in _defs(tree):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                x for x in (a.vararg, a.kwarg) if x]
+            loaded = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            for arg in params[bound:]:
+                if arg.arg not in loaded:
+                    out.append(f"{path.name}:{fn.lineno} {qual}({arg.arg})")
+    return out
+
+
+def _is_dataclass(node):
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields(tree):
+    """(class name, field, line) of every field of a dataclass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _unread_fields(def_paths, code_paths):
+    """Dataclass fields that no code loads as an attribute, directly or by
+    ``getattr`` with a literal name."""
+    read = set()
+    for tree in _trees(code_paths).values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Call) and _name(n.func) == "getattr" \
+                    and len(n.args) > 1 \
+                    and isinstance(n.args[1], ast.Constant):
+                read.add(n.args[1].value)
+    return [f"{path.name}:{line} {cls}.{name}"
+            for path, tree in _trees(def_paths).items()
+            for cls, name, line in _fields(tree) if name not in read]
+
+
+def _allowed(found, allowed):
+    return [f for f in found if f.split()[1] not in allowed]
+
+
+def test_every_optional_parameter_is_passed():
+    assert _allowed(_unpassed(sorted(SRC.glob("*.py")), _code_paths()),
+                    UNPASSED_ALLOWED) == []
+
+
+def test_every_parameter_is_read():
+    assert _allowed(_unread(sorted(SRC.glob("*.py"))), UNREAD_ALLOWED) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert _allowed(_unread_fields(sorted(SRC.glob("*.py")), _code_paths()),
+                    UNREAD_FIELDS_ALLOWED) == []
+
+
+def test_parameter_and_field_allowlists_name_live_items():
+    trees = _trees(sorted(SRC.glob("*.py"))).values()
+    params = {f"{qual}({arg.arg})" for tree in trees
+              for qual, fn, _ in _defs(tree)
+              for arg in fn.args.posonlyargs + fn.args.args
+              + fn.args.kwonlyargs}
+    fields = {f"{cls}.{name}" for tree in trees
+              for cls, name, _ in _fields(tree)}
+    assert set(UNPASSED_ALLOWED) | set(UNREAD_ALLOWED) <= params
+    assert set(UNREAD_FIELDS_ALLOWED) <= fields
+
+
+def test_parameter_guards_see_each_way_of_passing(tmp_path):
+    defs = tmp_path / "defs.py"
+    defs.write_text(
+        "def by_position(x, y=1): return x + y\n"
+        "def by_keyword(x, y=1): return x + y\n"
+        "def by_star(x, y=1): return x + y\n"
+        "def by_stars(x, *, y=1): return x + y\n"
+        "def never(x, y=1): return x + y\n"
+        "def itself(x, y=1): return itself(x, y)\n"
+        "def spare(x, unused): return x\n"
+        "def outer(a):\n"
+        "    def inner(): return a\n"
+        "    return inner\n"
+        "class Base:\n"
+        "    def __init__(self, a=0): self.a = a\n"
+        "    def method(self, x, y=0): return x + y\n"
+        "class Child(Base): pass\n"
+        "class Other:\n"
+        "    def __init__(self, b=0): self.b = 0\n")
+    calls = tmp_path / "calls.py"
+    calls.write_text(
+        "by_position(1, 2); by_keyword(1, y=2); by_star(*args)\n"
+        "by_stars(1, **opts); never(1); itself(1)\n"
+        "Child(a=1); Other(); obj.method(1)\n")
+    assert _unpassed([defs], [defs, calls]) == [
+        "defs.py:5 never(y)", "defs.py:6 itself(y)",
+        "defs.py:13 Base.method(y)", "defs.py:16 Other.__init__(b)"]
+    assert _unread([defs]) == [
+        "defs.py:7 spare(unused)", "defs.py:16 Other.__init__(b)"]
+
+
+def test_field_guard_counts_only_reads(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from dataclasses import dataclass\n"
+                    "@dataclass(frozen=True)\n"
+                    "class Box:\n"
+                    "    read: int\n"
+                    "    by_name: int\n"
+                    "    written: int\n"
+                    "    unread: int = 0\n"
+                    "box.read + getattr(box, 'by_name')\n"
+                    "box.written = 1\n")
+    assert _unread_fields([path], [path]) == [
+        "sample.py:6 Box.written", "sample.py:7 Box.unread"]
