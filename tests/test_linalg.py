@@ -7,8 +7,8 @@ from math import gcd
 
 import pytest
 
-from ovc.acceptance import TATE
-from ovc.cohomology import mw_complex
+from ovc.acceptance import TATE, trivial_module
+from ovc.cohomology import compact_complex, mw_complex
 from ovc.linalg import Entries, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation
@@ -415,6 +415,22 @@ def _path_inputs():
     return out
 
 
+def _trivial_differentials():
+    """Every differential of the trivial plane at window 12, trivial 3-space
+    at window 5 and the compactly supported trivial plane at window 8, at
+    p = 3, M = 20: complexes with a structural class, so reduced tracked.
+    Most columns hold one entry, many are emptied by unlinking before their
+    turn, and some move to a level above 0."""
+    out = []
+    for build, nvars, window in ((mw_complex, 2, 12), (mw_complex, 3, 5),
+                                 (compact_complex, 2, 8)):
+        cdata = build(trivial_module(nvars, 3, 20, window))
+        out += [(cdata.spaces[j + 1].dim, cdata.spaces[j].dim, ints, 3, N)
+                for j, (ints, (N, _)) in enumerate(zip(cdata.matrices,
+                                                       cdata.scalings))]
+    return out
+
+
 PINNED_MATRIX_DIGESTS = [
     "ac5a7c71d89de045aed939dfa27b277279dd83a7257556e36f652702eea639f3",
     "3aec73fdb951744e02571123136e50b4aa152cb256e35f2794a37d492bb21f3d",
@@ -445,6 +461,16 @@ PINNED_PATH_DIGESTS = [
     "b8ef18b868a091ceae97302c487608071f466f5f5cb1754cc586d0e8dd70b120",
 ]
 
+PINNED_TRIVIAL_DIGESTS = [
+    "94fc696d6db325098a8b29a153ff9d04dd42df50b1366631ee808e629a411b97",
+    "760ae6569233d14c401a1725c42bc12e4e0cb00bd6c7f02a59edbb9470e81d90",
+    "f0326d7f15dc8eb44fb1c776912100a9089199c7f86f992c7862d9341238a6b4",
+    "47c24567ffb07e21a69694b0750654bfe85dfb8c4b6c6090b334b42b2681d98c",
+    "5f789df98f6f7b1ae096d1a1dd2a83e5f647619fe55f2f6b118030cb42906048",
+    "adfff5bd6ac451e613170dcb4ea5a53e17570bab2644ec6857bfa06c71803234",
+    "b6abd6ec74dc91706d7fb6aaf32a583982d000782d783677cdf10cbb021ea407",
+]
+
 
 def test_pinned_matrix_output():
     got = [_snf_digest(sparse_snf(*args)) for args in _pinned_matrices()]
@@ -463,10 +489,16 @@ def test_pinned_path_output():
         == PINNED_PATH_DIGESTS
 
 
+def test_pinned_trivial_output():
+    assert [_snf_digest(sparse_snf(*args))
+            for args in _trivial_differentials()] == PINNED_TRIVIAL_DIGESTS
+
+
 def test_row_ops_read_only_pivot_rows():
     # generator extraction takes the columns of Uinv at the free rows to be
     # unit vectors; that holds because every row op reads a pivot row
-    for args in _pinned_matrices() + _plane_differentials():
+    for args in (_pinned_matrices() + _plane_differentials()
+                 + _trivial_differentials()):
         res = sparse_snf(*args)
         pivot_rows = {r for r, _, _ in res.pivots}
         assert all(op[1] in pivot_rows for op in res.row_ops)
@@ -475,7 +507,8 @@ def test_row_ops_read_only_pivot_rows():
 
 
 @pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials()
-                         + _path_inputs() + _plane_differentials(window=16),
+                         + _path_inputs() + _plane_differentials(window=16)
+                         + _trivial_differentials(),
                          ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
 def test_untracked_matches_tracked(args):
     # the untracked pivot rows are chosen for fill, not order, and a tall
