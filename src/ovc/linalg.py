@@ -9,8 +9,9 @@ A rank-only (untracked) reduction pivots on the row with the fewest entries
 and reduces a matrix with more rows than columns as its transpose, taking
 the columns in decreasing order there and in increasing order otherwise,
 the orders measured to fill in least; it promises only the SNF invariants.
-A rank-only column left with one entry clears no other row, so its pivot
-row is only taken out of its other columns, neither scaled nor copied.
+In either mode a column left with one entry clears no other row, so its
+pivot row is only taken out of its other columns, never copied, and only a
+column with no entry at its level takes a gcd, to find the level it moves to.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
@@ -19,6 +20,7 @@ surviving divisor and the precision ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .padics import int_valuation
@@ -176,14 +178,16 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     valuation of the gcd of its entries): a column's new entries are
     combinations of its own entries.  Every column starts in bucket 0 and
     the invariant is bucket <= minimum.  At level e the columns of bucket e
-    are taken in the order given below.  Each checks its gcd at its turn: a
-    column whose minimum is still e pivots on a row of valuation e, one
-    whose minimum is above e moves to the bucket of its minimum, and one
-    whose entries all cancelled is dropped, since fill enters a column only
-    through its entry in a pivot row.  A column whose minimum is e when
-    level e starts is then in bucket e, so this pivots exactly those
-    columns, in that order, skipping those whose minimum rises before their
-    turn.
+    are taken in the order given below.  At its turn a column whose entries
+    all cancelled is dropped, since fill enters a column only through its
+    entry in a pivot row.  Any other column looks for its pivot row among
+    its entries of valuation e and pivots there; with none, its minimum is
+    above e and it moves to the bucket of its minimum, the valuation of its
+    one entry or of the gcd of its entries (taken only then: every entry
+    has valuation >= e, so the gcd has valuation e exactly when some entry
+    does).  A column whose minimum is e when level e starts is then in
+    bucket e, so this pivots exactly those columns, in that order, skipping
+    those whose minimum rises before their turn.
 
     Tracked, columns go in increasing order and the pivot row is the lowest
     row of valuation e.  Its pivots, free lists and row and column op logs,
@@ -193,10 +197,11 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     to another row), so U^-1 fixes the unit vector of every free row.  With
     ``track=False`` the op logs stay empty and the pivot row is the row of
     valuation e with the fewest entries (the lowest on a tie), since its
-    length is the fill it spreads into every other row of its column.  A
-    column with a single entry has no other row: its pivot row is unlinked
-    from the columns it meets and dropped, with no scaling and no update
-    (the tracked run still logs the scaling and the column ops).  A
+    length is the fill it spreads into every other row of its column.  In
+    both modes a column with a single entry is handled first and has no
+    other row: its pivot row is unlinked from the columns it meets and
+    dropped, with no scaling and no update (the tracked run still logs the
+    scaling and the column ops, in row order).  A
     tall matrix (more rows than columns) has more entries per column, each a
     row to clear, so it is reduced as its transpose (``by_row`` and
     ``by_col`` trade places), its pivots turned back to the caller's
@@ -233,42 +238,52 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
         above = pe * p      # x % above is nonzero iff x has valuation level
         for c in sorted(bucket, reverse=flip):
             col = by_col[c]
-            g = gcd(*col.values())
-            if not g % above:
-                if g:
-                    buckets[int_valuation(g, p)].append(c)
-                continue
-            del by_col[c]
             if len(col) == 1:
-                r, = col
-                if not track:
-                    # no other row to clear: unlink the pivot row from its
-                    # other columns and leave it unscaled
-                    pivot_row = by_row.pop(r)
-                    del pivot_row[c]
+                (r, x), = col.items()
+                if not x % above:
+                    buckets[int_valuation(x, p)].append(c)
+                    continue
+                # no other row to clear: unlink the pivot row, log its ops
+                del by_col[c]
+                pivot_row = by_row.pop(r)
+                del pivot_row[c]
+                if track:
+                    u = x // pe
+                    uinv = inverses.get(u) or inverses.setdefault(
+                        u, pow(u, -1, mod))
+                    if u != 1:
+                        row_ops.append(("rs", r, uinv))
+                    for cc, y in pivot_row.items():
+                        del by_col[cc][r]
+                        col_ops.append(("ca", c, cc,
+                                        -(y * uinv % mod // pe) % mod))
+                else:
                     for cc in pivot_row:
                         del by_col[cc][r]
-                    pivots.append((r, c, level))
-                    continue
-            elif track:
-                r = None
+                pivots.append((r, c, level))
+                continue
+            if not col:
+                continue
+            r = best = None
+            if track:
                 for rr, x in col.items():
                     if x % above and (r is None or rr < r):
                         r = rr
             else:
-                best = None
                 for rr, x in col.items():
                     if x % above:
                         size = len(by_row[rr])
                         if best is None or size < best or (size == best
                                                            and rr < r):
                             best, r = size, rr
+            if r is None:
+                buckets[int_valuation(gcd(*col.values()), p)].append(c)
+                continue
+            del by_col[c]
             # normalize the pivot row so the pivot becomes exactly p^level,
             # log the column ops that clear it and take it out of its columns
             u = col.pop(r) // pe
-            uinv = inverses.get(u)
-            if uinv is None:
-                uinv = inverses[u] = pow(u, -1, mod)
+            uinv = inverses.get(u) or inverses.setdefault(u, pow(u, -1, mod))
             if u != 1 and track:
                 row_ops.append(("rs", r, uinv))
             pivot_row = by_row.pop(r)
@@ -300,8 +315,9 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
 
     if flip:
         pivots = [(r, c, e) for c, r, e in pivots]
-    pivot_rows = {r for r, _, _ in pivots}
-    pivot_cols = {c for _, c, _ in pivots}
+    free_rows, free_cols = bytearray([1]) * nrows, bytearray([1]) * ncols
+    for r, c, _ in pivots:
+        free_rows[r] = free_cols[c] = 0
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
-                     [c for c in range(ncols) if c not in pivot_cols],
-                     [r for r in range(nrows) if r not in pivot_rows], track)
+                     list(compress(range(ncols), free_cols)),
+                     list(compress(range(nrows), free_rows)), track)
