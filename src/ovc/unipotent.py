@@ -155,12 +155,10 @@ def bounddenom(m: int, l: int, e: int, p: int, verify: bool = False):
     # numerator polynomial prod (m+i+x) in Z[x]/(x^e), exact integers
     num = [1] + [0] * (e - 1)
     for i in range(1, l + 1):
-        nxt = [0] * e
-        for j in range(e):
-            nxt[j] = num[j] * (m + i)
-            if j:
-                nxt[j] += num[j - 1]
-        num = nxt
+        a = m + i
+        for j in range(e - 1, 0, -1):     # top down, so num[j - 1] is old
+            num[j] = num[j] * a + num[j - 1]
+        num[0] *= a
     vfact = sum(l // p ** k for k in range(1, _ceil_log(l, p) + 2))
     exact = 0
     for c in num:

@@ -1,6 +1,7 @@
 """Unipotence algorithms: basis extraction, the denominator bound, the
 horizontal-section iteration, and constant-matrix cohomology."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,24 @@ def test_bounddenom_examples():
 def test_bounddenom_exact_below_bound(m, l, e, p):
     bound, exact = bounddenom(m, l, e, p, verify=True)
     assert 0 <= exact <= bound
+
+
+def test_bounddenom_matches_the_rational_product():
+    # a seeded sample of criterion 6's box against the product taken
+    # directly in Q[x]/(x^e)
+    rng = random.Random(6)
+    box = [(m, l, e, p) for p in (2, 3, 5) for m in range(-20, 21)
+           for l in range(1, 31) for e in range(1, 5)]
+    for m, l, e, p in rng.sample(box, 300):
+        poly = [Fraction(1)] + [Fraction(0)] * (e - 1)
+        for i in range(1, l + 1):
+            poly = [(poly[j] * (m + i) + (poly[j - 1] if j else 0)) / i
+                    for j in range(e)]
+        want = max([0] + [int_valuation(c.denominator, p)
+                          - int_valuation(c.numerator, p)
+                          for c in poly if c])
+        bound, exact = bounddenom(m, l, e, p, verify=True)
+        assert exact == want <= bound, (m, l, e, p)
 
 
 def test_horizontal_worked_examples():
