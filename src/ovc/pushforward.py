@@ -18,7 +18,7 @@ target node and reducing mod the target's p^N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cohomology import (
     D_LOG,
@@ -52,8 +52,8 @@ class ClassSpace:
     N: int
     shift: int
     boundary_cols: Entries    # the incoming map as stored, column by column
-    _snf: object = None
-    _ncols: int = 0
+    _snf: object = field(default=None, init=False)
+    _ncols: int = field(default=0, init=False)
 
     def _solver(self):
         """The SNF of the generators followed by the boundary's columns,

@@ -115,7 +115,13 @@ def test_names_come_from_code_not_prose(tmp_path):
 # finding, so each guard is a lower bound.
 
 # Optional parameters that no call passes, kept on purpose.
-UNPASSED_ALLOWED: dict[str, str] = {}
+UNPASSED_ALLOWED = {
+    "LerayReport.__init__(notes)": "goes when ROADMAP item 8 recaptures "
+                                   "PINNED_LERAY_DIGESTS, which hash it",
+    **{f"ProblemFile.__init__({name})": "filled by the parser after "
+       "construction" for name in ("rings", "series", "matrices", "modules",
+                                   "vectors", "command")},
+}
 
 # Parameters that their function never reads, kept on purpose.
 UNREAD_ALLOWED: dict[str, str] = {}
@@ -183,36 +189,71 @@ def _subclasses(trees):
     return out
 
 
+def _field_param(item):
+    """(is a parameter of the generated ``__init__``, has a default) for a
+    dataclass field."""
+    v = item.value
+    if isinstance(v, ast.Call) and _name(v.func) == "field":
+        kw = {k.arg: k.value for k in v.keywords}
+        init = kw.get("init")
+        return not (isinstance(init, ast.Constant) and init.value is False), \
+            "default" in kw or "default_factory" in kw
+    return True, v is not None
+
+
+def _signatures(tree, family):
+    """(qualified name, names a call goes by, lines of its own body,
+    optional parameters as (name, position or None for keyword-only,
+    line)) of every def of a tree and of the ``__init__`` each dataclass
+    without a written one generates: its fields are its parameters in
+    order, those with a default optional."""
+    for qual, fn, bound in _defs(tree):
+        names = {fn.name}
+        if fn.name == "__init__" and "." in qual:
+            names |= family.get(qual.split(".")[-2], set())
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        optional = [(arg.arg, k - bound, fn.lineno) for k, arg in enumerate(
+            positional) if k >= len(positional) - len(a.defaults)]
+        optional += [(arg.arg, None, fn.lineno) for arg, d in zip(
+            a.kwonlyargs, a.kw_defaults) if d is not None]
+        yield qual, names, (fn.lineno, fn.end_lineno), optional
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)) or \
+                any(isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__" for item in node.body):
+            continue
+        fields = [(item.target.id, item.lineno, *_field_param(item))
+                  for item in node.body if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)]
+        params = [(name, line, default)
+                  for name, line, init, default in fields if init]
+        yield (f"{node.name}.__init__", family.get(node.name, {node.name}),
+               (0, -1), [(name, k, line) for k, (name, line, default)
+                         in enumerate(params) if default])
+
+
 def _unpassed(def_paths, code_paths):
     """Optional parameters that no call passes, by keyword, by position or
-    through * or ** unpacking."""
+    through * or ** unpacking; a defaulted dataclass field counts as an
+    optional parameter of its class call."""
     defs = _trees(def_paths)
     calls = [(path, node) for path, tree in _trees(code_paths).items()
              for node in ast.walk(tree) if isinstance(node, ast.Call)]
     family = _subclasses(defs)
     out = []
     for path, tree in defs.items():
-        for qual, fn, bound in _defs(tree):
-            names = {fn.name}
-            if fn.name == "__init__" and "." in qual:
-                names |= family.get(qual.split(".")[-2], set())
+        for qual, names, (first, last), optional in _signatures(tree, family):
             mine = [c for p, c in calls if _name(c.func) in names and not (
-                p == path and fn.lineno <= c.lineno <= fn.end_lineno)]
-            a = fn.args
-            positional = a.posonlyargs + a.args
-            optional = [(arg.arg, k - bound) for k, arg in enumerate(
-                positional) if k >= len(positional) - len(a.defaults)]
-            optional += [(arg.arg, None) for arg, d in zip(a.kwonlyargs,
-                                                          a.kw_defaults)
-                         if d is not None]
-            for name, pos in optional:
+                p == path and first <= c.lineno <= last)]
+            for name, pos, line in optional:
                 if not any(
                         any(k.arg in (name, None) for k in c.keywords)
                         or pos is not None and (
                             len(c.args) > pos or any(
                                 isinstance(x, ast.Starred) for x in c.args))
                         for c in mine):
-                    out.append(f"{path.name}:{fn.lineno} {qual}({name})")
+                    out.append(f"{path.name}:{line} {qual}({name})")
     return out
 
 
@@ -290,6 +331,9 @@ def test_parameter_and_field_allowlists_name_live_items():
               for qual, fn, _ in _defs(tree)
               for arg in fn.args.posonlyargs + fn.args.args
               + fn.args.kwonlyargs}
+    params |= {f"{qual}({name})" for tree in trees
+               for qual, _, _, optional in _signatures(tree, {})
+               for name, _, _ in optional}
     fields = {f"{cls}.{name}" for tree in trees
               for cls, name, _ in _fields(tree)}
     assert set(UNPASSED_ALLOWED) | set(UNREAD_ALLOWED) <= params
@@ -325,6 +369,29 @@ def test_parameter_guards_see_each_way_of_passing(tmp_path):
         "defs.py:13 Base.method(y)", "defs.py:16 Other.__init__(b)"]
     assert _unread([defs]) == [
         "defs.py:7 spare(unused)", "defs.py:16 Other.__init__(b)"]
+
+
+def test_parameter_guard_sees_dataclass_fields(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from dataclasses import dataclass, field\n"
+                    "@dataclass\n"
+                    "class Box:\n"
+                    "    a: int\n"
+                    "    by_position: int = 0\n"
+                    "    cache: object = field(default=None, init=False)\n"
+                    "    by_keyword: int = 0\n"
+                    "    never: int = 0\n"
+                    "    factory: dict = field(default_factory=dict)\n"
+                    "@dataclass\n"
+                    "class Written:\n"
+                    "    b: int = 0\n"
+                    "    def __init__(self): self.b = 1\n"
+                    "class Sub(Box): pass\n"
+                    "Box(1, 2, by_keyword=3); Sub(1, never=4); Written()\n")
+    assert _unpassed([path], [path]) == ["sample.py:9 Box.__init__(factory)"]
+    path.write_text(path.read_text().replace("Sub(1, never=4)", "Sub(1)"))
+    assert _unpassed([path], [path]) == [
+        "sample.py:8 Box.__init__(never)", "sample.py:9 Box.__init__(factory)"]
 
 
 def test_field_guard_counts_only_reads(tmp_path):
