@@ -34,7 +34,7 @@ def main(argv=None):
                 command = line.split()[1]
                 break
         if command == "selftest":
-            continue  # the full battery has its own script
+            continue  # the full battery runs as `ovc selftest`
         print(f"== {path.name} ({command})")
         proc = subprocess.run(
             [sys.executable, "-m", "ovc.cli", command, str(path),

@@ -136,17 +136,10 @@ def criterion_3() -> CriterionResult:
     """The rank-one dlog family over the annulus, against the diagonal
     oracle."""
     window, p, M = 30, 3, 16
-
-    def oracle(a):
-        # direct (i + a)-diagonal linear algebra on the window
-        zero_modes = [i for i in range(-window, window + 1)
-                      if Fraction(i) + Fraction(a) == 0]
-        return {0: len(zero_modes), 1: len(zero_modes)}
-
     ok, details = True, []
     for a, expect in ((0, (1, 1)), (Fraction(1, 2), (0, 0))):
         dims = local_cohomology(kummer_module(a, p, M, window)).report.dims()
-        orc = oracle(a)
+        orc = twisted_diagonal_cohomology(a, 1, -window, window)
         good = dims == {0: expect[0], 1: expect[1]} and orc == dims
         ok = ok and good
         details.append(f"a={a}: {dims} (oracle {orc})")
@@ -197,10 +190,10 @@ def criterion_5() -> CriterionResult:
         details.append(f"trivial n={n}: "
                        + ("full rank" if rep.nondegenerate else "FAIL"))
     for n in (1, 2):
-        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 20, True)
-        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 20, False)
-        vacuous = all(v == 0 for v in c.dims.values()) and \
-            all(v == 0 for v in w.dims.values())
+        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 1, 20)
+        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 0, 20)
+        vacuous = all(v == 0 for v in c.values()) and \
+            all(v == 0 for v in w.values())
         ok = ok and vacuous
         details.append(f"twist 1/2 n={n}: "
                        + ("vacuous" if vacuous else "FAIL"))

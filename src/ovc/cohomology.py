@@ -7,8 +7,7 @@ integers mod p^N with its scaling (N, shift), together with the window edge
 data that artifact detection reads.  A map is held as ``linalg.Entries``:
 parallel row, column and value lists, column by column, the form
 ``sparse_snf`` takes.  The builder's callers differ only in the exponent box
-of each degree, the derivative action, the sign of the connection's exponent
-shift and what happens at the box edge:
+of each degree, the derivative action and what happens at the box edge:
 
 * ``mw_complex``       - a module over a Tate/dagger window, dx gauge;
 * ``compact_complex``  - the quotient complex on strictly positive annulus
@@ -163,14 +162,16 @@ def _lands(E, exp_sign, src, dst) -> bool:
 
 
 def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
-              deriv: tuple, exp_sign: int, kill_below: bool) -> ComplexData:
+              deriv: tuple, kill_below: bool) -> ComplexData:
     """Chain spaces and differentials of nabla = d + sum Gamma_i dx_i.
 
     ``boxes[j]`` is the exponent box (lo, hi) of degree j; the forms of
     degree j are the j-subsets of the ``acting`` variables.  ``terms[i]``
     lists (b, a, E, c): a connection term of variable i sends component a
     at exponent I to component b at I + exp_sign * E with coefficient c.
-    ``deriv`` is D_X, D_INV or D_LOG.  A target outside the box is dropped
+    ``deriv`` is D_X, D_INV or D_LOG, and exp_sign is its coefficient sign:
+    inverted coordinates negate both the derivative's coefficient and the
+    exponents of the connection terms.  A target outside the box is dropped
     and its coefficient's value (plus slope times its degree) recorded as
     loss, except that with ``kill_below`` a target below the box in any
     variable is killed exactly; a derivative target outside the box is
@@ -196,6 +197,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     p, M = ring.prime, ring.precision
     slope = ring.weight
     coeff_sign, step = deriv
+    exp_sign = coeff_sign
     n = len(boxes[0][0])
     all_terms = [t for ts in terms.values() for t in ts]
     # One mixed-radix frame holds every box, padded so that each target has
@@ -340,7 +342,9 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                        window_hi, window_lo, two_sided, slope)
 
 
-def _tate_complex(module, name, low, deriv, exp_sign, kill_below):
+def _tate_complex(module, compact: bool):
+    name, low, deriv = ("compact_complex", 1, D_INV) if compact else \
+        ("mw_complex", 0, D_X)
     ring = module.ring
     if ring.is_robba():
         raise DescriptorMismatchError(f"{name} needs a tate/dagger module")
@@ -348,12 +352,12 @@ def _tate_complex(module, name, low, deriv, exp_sign, kill_below):
     his = tuple(hi for _, hi in ring.window)
     terms = {v: _terms(module.gamma(ring.variables[v])) for v in range(n)}
     return _assemble(ring, module.rank, [((low,) * n, his)] * (n + 1),
-                     tuple(range(n)), terms, deriv, exp_sign, kill_below)
+                     tuple(range(n)), terms, deriv, compact)
 
 
 def mw_complex(module: SigmaNablaModule) -> ComplexData:
     """The de Rham complex of a module over a Tate/dagger window, dx gauge."""
-    return _tate_complex(module, "mw_complex", 0, D_X, 1, False)
+    return _tate_complex(module, False)
 
 
 def compact_complex(module: SigmaNablaModule) -> ComplexData:
@@ -363,7 +367,7 @@ def compact_complex(module: SigmaNablaModule) -> ComplexData:
     connection entries act through negated exponents.  Exponents leaving the
     strictly positive region are killed by the quotient (exactly), exponents
     above the window top are tracked loss."""
-    return _tate_complex(module, "compact_complex", 1, D_INV, -1, True)
+    return _tate_complex(module, True)
 
 
 def local_complex(module: SigmaNablaModule) -> ComplexData:
@@ -374,7 +378,7 @@ def local_complex(module: SigmaNablaModule) -> ComplexData:
         raise DescriptorMismatchError("local_complex needs a one-variable robba module")
     lo, hi = ring.window[0]
     return _assemble(ring, module.rank, [((lo,), (hi,))] * 2, (0,),
-                     {0: _terms(module.connection)}, D_LOG, 1, False)
+                     {0: _terms(module.connection)}, D_LOG, False)
 
 
 # -- the engine -----------------------------------------------------------------
@@ -565,7 +569,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
         free = snfs[j - 1].free_rows
         if j == top:
             # top degree: the quotient itself is the cohomology
-            return [{q: 1} for q in free[: count]], j - 1
+            return snfs[j - 1].coker_reps()[: count], j - 1
         qis = {q: qi for qi, q in enumerate(free)}
         dj = cdata.matrices[j]
         keep = [q in qis for q in dj.cols]
@@ -608,31 +612,24 @@ def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
 
 # -- the dlog-diagonal twisted family ---------------------------------------------
 
-@dataclass(frozen=True)
-class TwistedReport:
-    dims: dict
-    zero_modes: tuple
-
-
-def twisted_diagonal_cohomology(a: Fraction, n: int, window_hi: int,
-                                strictly_positive: bool) -> TwistedReport:
-    """Diagonal model for the rank-one dlog twist by a on affine n-space.
+def twisted_diagonal_cohomology(a: Fraction, n: int, lo: int,
+                                hi: int) -> dict:
+    """Diagonal model for the rank-one dlog twist by a on n-space, the
+    dims of its cohomology over the modes with every exponent in [lo, hi].
 
     In the dlog form basis the differential is mode-by-mode multiplication by
     I_i + a, so cohomology is carried by modes where every factor vanishes:
     each such mode contributes a full exterior algebra.  The compact-supports
-    side runs over strictly positive modes.  This doubles as the independent
-    oracle for the windowed engines on the twist family."""
+    side runs over strictly positive modes (lo = 1) and an annulus over
+    lo < 0.  This doubles as the independent oracle for the windowed engines
+    on the twist family."""
     from math import comb
 
     a = Fraction(a)
     dims = {j: 0 for j in range(n + 1)}
-    zero_modes = []
-    lo = 1 if strictly_positive else 0
-    for I in product(*(range(lo, window_hi + 1) for _ in range(n))):
+    for I in product(*(range(lo, hi + 1) for _ in range(n))):
         if any(Fraction(I[i]) + a != 0 for i in range(n)):
             continue
-        zero_modes.append(I)
         for j in range(n + 1):
             dims[j] += comb(n, j)
-    return TwistedReport(dims, tuple(zero_modes))
+    return dims

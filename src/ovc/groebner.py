@@ -74,24 +74,6 @@ def _fp_sub_mul(f: dict, coeff: int, mono: Exp, g: dict, p: int) -> dict:
     return out
 
 
-def _fp_divmod(f: dict, basis: list[dict], p: int) -> dict:
-    """Remainder of multivariate division by the basis leading terms."""
-    work = dict(f)
-    rem = {}
-    while work:
-        lt = _fp_lt(work)
-        for g in basis:
-            glt = _fp_lt(g)
-            if all(a <= b for a, b in zip(glt, lt)):
-                mono = tuple(b - a for a, b in zip(glt, lt))
-                q = work[lt] * pow(g[glt], -1, p) % p
-                work = _fp_sub_mul(work, q, mono, g, p)
-                break
-        else:
-            rem[lt] = work.pop(lt)
-    return rem
-
-
 def _fp_scale_shift(f: dict, coeff: int, mono: Exp, p: int) -> dict:
     return {tuple(a + b for a, b in zip(e, mono)): coeff * c % p
             for e, c in f.items()}

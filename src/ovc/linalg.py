@@ -37,6 +37,19 @@ class Entries:
     def __len__(self) -> int:
         return len(self.vals)
 
+    @classmethod
+    def of_columns(cls, columns) -> "Entries":
+        """Sparse ``{row: value}`` columns, the k-th as column k, with their
+        zero values skipped."""
+        rows, cols, vals = [], [], []
+        for c, col in enumerate(columns):
+            for r, x in col.items():
+                if x:
+                    rows.append(r)
+                    cols.append(c)
+                    vals.append(x)
+        return cls(rows, cols, vals)
+
 
 @dataclass
 class SnfResult:
@@ -141,9 +154,11 @@ class SnfResult:
         return [self.apply_V({c: 1}) for c in self.free_cols]
 
     def coker_reps(self) -> list[dict]:
-        """Uinv images of the non-pivot rows: representatives of the cokernel."""
+        """Uinv images of the non-pivot rows: representatives of the
+        cokernel.  Every logged row op reads a pivot row, so Uinv fixes the
+        unit vector of each free row and these are those unit vectors."""
         self._require_tracked()
-        return [self.apply_Uinv({r: 1}) for r in self.free_rows]
+        return [{r: 1} for r in self.free_rows]
 
     def solve(self, b: dict):
         """Some x with A x = b at precision, or None if inconsistent."""

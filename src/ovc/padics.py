@@ -28,7 +28,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -110,14 +110,11 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
         wgens = mw.report.generators(n - i)
         vals = [[residue_pairing(cg, wg, n) for wg in wgens] for cg in cgens]
         shift = integral_shift(x for row in vals for x in row)
-        entries = Entries([], [], [])
-        for r, row in enumerate(vals):
-            for c, x in enumerate(row):
-                if not x.is_zero():
-                    entries.rows.append(r)
-                    entries.cols.append(c)
-                    entries.vals.append(x.residue(M + shift, shift))
-        rank = sparse_snf(len(cgens), len(wgens), entries, p, M + shift,
+        # the rows go in as columns: a transpose has the same rank
+        entries = Entries.of_columns(
+            {c: x.residue(M + shift, shift) for c, x in enumerate(row)
+             if not x.is_zero()} for row in vals)
+        rank = sparse_snf(len(wgens), len(cgens), entries, p, M + shift,
                           track=False).rank() if entries else 0
         left = rank == len(cgens)
         right = rank == len(wgens)

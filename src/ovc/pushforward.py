@@ -18,7 +18,7 @@ target node and reducing mod the target's p^N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cohomology import (
     D_LOG,
@@ -59,11 +59,7 @@ class ClassSpace:
         """The SNF of the generators followed by the boundary's columns,
         which are offset by the generator count and keep their order."""
         if self._snf is None:
-            entries = Entries([], [], [])
-            for c, col in enumerate(self.generators):
-                entries.rows += col
-                entries.cols += [c] * len(col)
-                entries.vals += col.values()
+            entries = Entries.of_columns(self.generators)
             self._ncols = g = len(self.generators)
             b = self.boundary_cols
             entries.rows += b.rows
@@ -144,7 +140,7 @@ def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
     hi = loc_module.ring.window[0][1]
     return _assemble(loc_module.ring, loc_module.rank,
                      [((1,), (hi,)), ((0,), (hi,))], (0,),
-                     {0: _terms(loc_module.connection)}, D_LOG, 1, True)
+                     {0: _terms(loc_module.connection)}, D_LOG, True)
 
 
 def pushforward_complex(module: SigmaNablaModule,
@@ -264,15 +260,7 @@ def _snake_maps(mwc, locc, quc, nodes):
 
 
 def _matrix_rank(cols, p, M) -> int:
-    if not cols:
-        return 0
-    entries = Entries([], [], [])
-    for c, col in enumerate(cols):
-        for r, x in enumerate(col):
-            if x:
-                entries.rows.append(r)
-                entries.cols.append(c)
-                entries.vals.append(x)
+    entries = Entries.of_columns(dict(enumerate(col)) for col in cols)
     if not entries:
         return 0
     return sparse_snf(1 + max(entries.rows), len(cols), entries, p, M,
@@ -370,7 +358,6 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     ring = module.ring
     if ring.is_robba() or len(ring.variables) != 2:
         raise DescriptorMismatchError("leray_assemble needs a two-variable module")
-    p, M = ring.prime, ring.precision
     fi = ring.var_index(fiber)
     bi = ring.var_index(base)
     gam_f = module.gamma(fiber)
@@ -385,8 +372,7 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     # fiber-line module over the base field
     hx = ring.window[fi][1]
     hy = ring.window[bi][1]
-    fiber_ring = RingDescriptor(ring.kind, (fiber,), ((0, hx),), p, M,
-                                q=ring.q, decay=ring.decay)
+    fiber_ring = replace(ring, variables=(fiber,), window=((0, hx),))
 
     def restrict(s: Series) -> Series:
         return Series.make(fiber_ring,
@@ -400,8 +386,7 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     P_gens = list(fib.report.generators(0))
     Q_gens = list(fib.report.generators(1))
 
-    base_ring = RingDescriptor(ring.kind, (base,), ((0, hy),), p, M,
-                               q=ring.q, decay=ring.decay)
+    base_ring = replace(ring, variables=(base,), window=((0, hy),))
     P_mod = _induced_base_module(module, fi, bi, fib, P_gens, base_ring,
                                  kernel_side=True)
     Q_mod = _induced_base_module(module, fi, bi, fib, Q_gens, base_ring,

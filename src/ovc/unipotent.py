@@ -35,9 +35,7 @@ class UnipotentData:
         mod = self.module
         ring = mod.ring
         U = self.change_of_basis
-        X = SeriesMatrix.make(ring, tuple(
-            tuple(Series.make(ring, {ring.zero_exp(): c}) for c in row)
-            for row in self.nilpotent_X))
+        X = SeriesMatrix.from_scalars(ring, self.nilpotent_X)
         lhs = mod.connection.mul(U).add(U.map(lambda s: t_d_dt(s)))
         return lhs.sub(U.mul(X)).is_zero_at_precision()
 
@@ -227,13 +225,9 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     X = data.nilpotent_X
     shift = integral_shift(c for row in X for c in row)
     N = M + shift
-    entries = Entries([], [], [])
-    for i in range(n):
-        for j, c in enumerate(X[i]):
-            if c.val is not None:
-                entries.rows.append(i)
-                entries.cols.append(j)
-                entries.vals.append(c.residue(N, shift))
+    entries = Entries.of_columns(
+        {i: X[i][j].residue(N, shift) for i in range(n)
+         if X[i][j].val is not None} for j in range(n))
     snf = sparse_snf(n, n, entries, p, N)
     U = data.change_of_basis
 

@@ -169,6 +169,27 @@ command factor U
     assert proc.returncode == 1     # singular input is an engine error
 
 
+def test_failing_selftest_prints_its_report_then_exits_1(monkeypatch,
+                                                         capsys):
+    from ovc import acceptance
+    from ovc.cli import main
+
+    def passing():
+        return acceptance.CriterionResult(1, "stub", True, "fine")
+
+    def failing():
+        return acceptance.CriterionResult(2, "stub", False, "broken")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [passing, failing])
+    code = main(["selftest", str(PROBLEMS / "selftest.ovc"),
+                 "--format", "structured"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "criterion.01=pass (fine)" in out
+    assert "criterion.02=FAIL (broken)" in out
+    assert "failures=1" in out
+
+
 def test_cli_output_file(tmp_path):
     good = tmp_path / "ok.ovc"
     good.write_text(MINIMAL)

@@ -299,16 +299,16 @@ def test_local_divergent_solution_not_certified():
 
 
 def test_twisted_diagonal_model():
-    r = twisted_diagonal_cohomology(0, 1, 10, False)
-    assert r.dims == {0: 1, 1: 1}
-    r2 = twisted_diagonal_cohomology(Fraction(1, 2), 1, 10, False)
-    assert r2.dims == {0: 0, 1: 0}
+    assert twisted_diagonal_cohomology(0, 1, 0, 10) == {0: 1, 1: 1}
+    assert twisted_diagonal_cohomology(Fraction(1, 2), 1, 0, 10) == \
+        {0: 0, 1: 0}
     # strictly positive modes exclude the zero mode: the twisted model is
     # vacuous at a = 0 too (the genuine engine carries the honest a = 0 case)
-    r3 = twisted_diagonal_cohomology(0, 2, 8, True)
-    assert r3.dims == {0: 0, 1: 0, 2: 0} and r3.zero_modes == ()
-    r4 = twisted_diagonal_cohomology(-3, 2, 8, True)
-    assert r4.dims == {0: 1, 1: 2, 2: 1} and r4.zero_modes == ((3, 3),)
+    assert twisted_diagonal_cohomology(0, 2, 1, 8) == {0: 0, 1: 0, 2: 0}
+    assert twisted_diagonal_cohomology(-3, 2, 1, 8) == {0: 1, 1: 2, 2: 1}
+    # an annulus window reaches negative modes
+    assert twisted_diagonal_cohomology(3, 1, -5, 5) == {0: 1, 1: 1}
+    assert twisted_diagonal_cohomology(7, 1, -5, 5) == {0: 0, 1: 0}
 
 
 def test_rank_one_gamma_module():
@@ -504,7 +504,7 @@ def _vertical_ranks(module, fi):
     cdata = cohomology._assemble(
         ring, module.rank, [box, box], (fi,),
         {fi: cohomology._terms(module.gamma(ring.variables[fi]))},
-        cohomology.D_X, 1, False)
+        cohomology.D_X, False)
     src, dst = cdata.spaces
     r = sparse_snf(dst.dim, src.dim, cdata.matrices[0], cdata.p,
                    cdata.scalings[0][0], track=False).rank()
@@ -579,14 +579,13 @@ def test_assembled_maps_meet_the_snf_precondition(monkeypatch):
 
 # -- the truncation loss, cell by cell -----------------------------------------
 
-def _loss_oracle(ring, rank, boxes, acting, terms, deriv, exp_sign,
-                 kill_below):
+def _loss_oracle(ring, rank, boxes, acting, terms, deriv, kill_below):
     """The loss of ``_assemble``'s inputs, taken over every dropped target:
     a connection term adds c.val + slope * (its target's total degree) unless
     ``kill_below`` kills a target below the box, and a derivative target
     outside the box adds 0."""
     slope = Fraction(ring.slope or 0)
-    step = deriv[1]
+    exp_sign, step = deriv
     losses = []
 
     def inside(I, box):

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc.groebner import (
+    _fp_lt,
+    _fp_scale_shift,
+    _fp_sub_mul,
+    _modp_reduce,
     complete_leading_basis,
     deglex_key,
     hadamard_check,
@@ -154,11 +158,28 @@ def test_hadamard_examples():
         hadamard_check(two, 3, Fraction(3, 2))
 
 
+def _fp_divmod(f: dict, basis: list[dict], p: int) -> dict:
+    """Remainder of multivariate division by the basis leading terms: the
+    independent oracle that the completed basis closes its S-pairs."""
+    work = dict(f)
+    rem = {}
+    while work:
+        lt = _fp_lt(work)
+        for g in basis:
+            glt = _fp_lt(g)
+            if all(a <= b for a, b in zip(glt, lt)):
+                mono = tuple(b - a for a, b in zip(glt, lt))
+                q = work[lt] * pow(g[glt], -1, p) % p
+                work = _fp_sub_mul(work, q, mono, g, p)
+                break
+        else:
+            rem[lt] = work.pop(lt)
+    return rem
+
+
 def test_completion_closes_s_pairs_mod_p():
     # Buchberger criterion on the reduction: every S-pair of the completed
     # basis reduces to zero over F_p
-    from ovc.groebner import _fp_buchberger, _fp_divmod, _fp_lt, _fp_sub_mul, \
-        _fp_scale_shift, _modp_reduce
     g1 = S(W2, {(2, 0): 1})
     g2 = S(W2, {(1, 1): 1, (0, 1): -1})
     basis = complete_leading_basis([g1, g2])

@@ -504,6 +504,8 @@ def test_row_ops_read_only_pivot_rows():
         assert all(op[1] in pivot_rows for op in res.row_ops)
         for q in res.free_rows:
             assert res.apply_Uinv({q: 1}) == {q: 1}
+        assert res.coker_reps() == [res.apply_Uinv({r: 1})
+                                    for r in res.free_rows]
 
 
 @pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials()

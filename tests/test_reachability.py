@@ -8,8 +8,9 @@ here; either a command starts using it or it goes.  Dunder methods are
 exempt, since Python calls them itself.
 
 The same holds one level down: every optional parameter is passed by some
-call, every parameter is read by its function, and every dataclass field is
-read as an attribute, so a value nothing sets or reads does not stay."""
+call, no parameter gets the same literal from every call, every parameter is
+read by its function, and every dataclass field is read as an attribute, so
+a value nothing sets or reads does not stay."""
 
 import ast
 import re
@@ -26,7 +27,6 @@ ALLOWED = {
                            "call once a cheap enough form exists",
     "check_frobenius_compat": "Frobenius check the module validation is to "
                               "call when a frobenius matrix is given",
-    "_fp_divmod": "independent division oracle of the Buchberger test",
 }
 
 
@@ -123,6 +123,13 @@ UNPASSED_ALLOWED = {
                                    "vectors", "command")},
 }
 
+# Parameters that every call passes the same literal to, kept on purpose.
+CONSTANT_ALLOWED = {
+    "rho_leading_term(D)": "the stabilization tests of test_groebner.py and "
+                           "test_series.py compare stabilization_decay with "
+                           "it at D >= D0",
+}
+
 # Parameters that their function never reads, kept on purpose.
 UNREAD_ALLOWED: dict[str, str] = {}
 
@@ -133,8 +140,6 @@ UNREAD_FIELDS_ALLOWED = {
     "CompatResult.defect_value": "defect value of the Frobenius check "
                                  "ROADMAP item 7 is to report",
     "NormResult.uncertain": "the flag that a norm rests on a limited zero",
-    "TwistedReport.zero_modes": "the oracle's zero modes, which tests "
-                                "compare with the engine's classes",
 }
 
 
@@ -190,21 +195,21 @@ def _subclasses(trees):
 
 
 def _field_param(item):
-    """(is a parameter of the generated ``__init__``, has a default) for a
-    dataclass field."""
+    """(is a parameter of the generated ``__init__``, its default or None)
+    for a dataclass field."""
     v = item.value
     if isinstance(v, ast.Call) and _name(v.func) == "field":
         kw = {k.arg: k.value for k in v.keywords}
         init = kw.get("init")
         return not (isinstance(init, ast.Constant) and init.value is False), \
-            "default" in kw or "default_factory" in kw
-    return True, v is not None
+            kw.get("default", kw.get("default_factory"))
+    return True, v
 
 
 def _signatures(tree, family):
     """(qualified name, names a call goes by, lines of its own body,
-    optional parameters as (name, position or None for keyword-only,
-    line)) of every def of a tree and of the ``__init__`` each dataclass
+    parameters as (name, position or None for keyword-only, line, default
+    or None)) of every def of a tree and of the ``__init__`` each dataclass
     without a written one generates: its fields are its parameters in
     order, those with a default optional."""
     for qual, fn, bound in _defs(tree):
@@ -213,11 +218,12 @@ def _signatures(tree, family):
             names |= family.get(qual.split(".")[-2], set())
         a = fn.args
         positional = a.posonlyargs + a.args
-        optional = [(arg.arg, k - bound, fn.lineno) for k, arg in enumerate(
-            positional) if k >= len(positional) - len(a.defaults)]
-        optional += [(arg.arg, None, fn.lineno) for arg, d in zip(
-            a.kwonlyargs, a.kw_defaults) if d is not None]
-        yield qual, names, (fn.lineno, fn.end_lineno), optional
+        defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+        params = [(arg.arg, k - bound, fn.lineno, d) for k, (arg, d)
+                  in enumerate(zip(positional, defaults)) if k >= bound]
+        params += [(arg.arg, None, fn.lineno, d)
+                   for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
+        yield qual, names, (fn.lineno, fn.end_lineno), params
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)) or \
                 any(isinstance(item, ast.FunctionDef)
@@ -229,31 +235,63 @@ def _signatures(tree, family):
         params = [(name, line, default)
                   for name, line, init, default in fields if init]
         yield (f"{node.name}.__init__", family.get(node.name, {node.name}),
-               (0, -1), [(name, k, line) for k, (name, line, default)
-                         in enumerate(params) if default])
+               (0, -1), [(name, k, line, default) for k, (name, line, default)
+                         in enumerate(params)])
+
+
+def _parameter_calls(def_paths, code_paths):
+    """(finding, position or None, default or None, calls) for every
+    parameter of ``def_paths``, with the calls that may bind it."""
+    defs = _trees(def_paths)
+    calls = [(path, node) for path, tree in _trees(code_paths).items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    family = _subclasses(defs)
+    for path, tree in defs.items():
+        for qual, names, (first, last), params in _signatures(tree, family):
+            mine = [c for p, c in calls if _name(c.func) in names and not (
+                p == path and first <= c.lineno <= last)]
+            for name, pos, line, default in params:
+                yield (f"{path.name}:{line} {qual}({name})", name, pos,
+                       default, mine)
 
 
 def _unpassed(def_paths, code_paths):
     """Optional parameters that no call passes, by keyword, by position or
     through * or ** unpacking; a defaulted dataclass field counts as an
     optional parameter of its class call."""
-    defs = _trees(def_paths)
-    calls = [(path, node) for path, tree in _trees(code_paths).items()
-             for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    family = _subclasses(defs)
+    return [finding for finding, name, pos, default, mine
+            in _parameter_calls(def_paths, code_paths)
+            if default is not None and not any(
+                any(k.arg in (name, None) for k in c.keywords)
+                or pos is not None and (
+                    len(c.args) > pos or any(
+                        isinstance(x, ast.Starred) for x in c.args))
+                for c in mine)]
+
+
+def _passed(call, name, pos, default):
+    """The expression a call passes to a parameter, its default when the
+    call omits it, or None when * or ** unpacking hides it."""
+    if any(k.arg is None for k in call.keywords) or any(
+            isinstance(x, ast.Starred) for x in call.args):
+        return None
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    return call.args[pos] if pos is not None and len(call.args) > pos \
+        else default
+
+
+def _constant(def_paths, code_paths):
+    """Parameters that every call passes the same literal to: a constant,
+    None, True or False, an omitted argument counting as its default."""
     out = []
-    for path, tree in defs.items():
-        for qual, names, (first, last), optional in _signatures(tree, family):
-            mine = [c for p, c in calls if _name(c.func) in names and not (
-                p == path and first <= c.lineno <= last)]
-            for name, pos, line in optional:
-                if not any(
-                        any(k.arg in (name, None) for k in c.keywords)
-                        or pos is not None and (
-                            len(c.args) > pos or any(
-                                isinstance(x, ast.Starred) for x in c.args))
-                        for c in mine):
-                    out.append(f"{path.name}:{line} {qual}({name})")
+    for finding, name, pos, default, mine in _parameter_calls(def_paths,
+                                                              code_paths):
+        passed = {ast.dump(x) if isinstance(x, ast.Constant) else None
+                  for x in (_passed(c, name, pos, default) for c in mine)}
+        if len(passed) == 1 and None not in passed:
+            out.append(finding)
     return out
 
 
@@ -316,6 +354,11 @@ def test_every_optional_parameter_is_passed():
                     UNPASSED_ALLOWED) == []
 
 
+def test_no_parameter_gets_one_literal_from_every_call():
+    assert _allowed(_constant(sorted(SRC.glob("*.py")), _code_paths()),
+                    CONSTANT_ALLOWED) == []
+
+
 def test_every_parameter_is_read():
     assert _allowed(_unread(sorted(SRC.glob("*.py"))), UNREAD_ALLOWED) == []
 
@@ -332,11 +375,12 @@ def test_parameter_and_field_allowlists_name_live_items():
               for arg in fn.args.posonlyargs + fn.args.args
               + fn.args.kwonlyargs}
     params |= {f"{qual}({name})" for tree in trees
-               for qual, _, _, optional in _signatures(tree, {})
-               for name, _, _ in optional}
+               for qual, _, _, params in _signatures(tree, {})
+               for name, _, _, _ in params}
     fields = {f"{cls}.{name}" for tree in trees
               for cls, name, _ in _fields(tree)}
-    assert set(UNPASSED_ALLOWED) | set(UNREAD_ALLOWED) <= params
+    assert set(UNPASSED_ALLOWED) | set(CONSTANT_ALLOWED) \
+        | set(UNREAD_ALLOWED) <= params
     assert set(UNREAD_FIELDS_ALLOWED) <= fields
 
 
@@ -369,6 +413,31 @@ def test_parameter_guards_see_each_way_of_passing(tmp_path):
         "defs.py:13 Base.method(y)", "defs.py:16 Other.__init__(b)"]
     assert _unread([defs]) == [
         "defs.py:7 spare(unused)", "defs.py:16 Other.__init__(b)"]
+
+
+def test_constant_guard_needs_one_literal_from_every_call(tmp_path):
+    defs = tmp_path / "defs.py"
+    defs.write_text(
+        "from dataclasses import dataclass\n"
+        "def same(a, b, c=None, *, d=True): return a\n"
+        "def varied(a, b=0): return a\n"
+        "def unpacked(a, b=0): return a\n"
+        "def mixed(a): return a\n"
+        "def built(a=()): return a\n"
+        "def uncalled(a=0): return a\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    size: int = 3\n"
+        "    kind: str = 'x'\n")
+    calls = tmp_path / "calls.py"
+    calls.write_text(
+        "same(1, 2); same(1, b=2, c=None); same(1, 2, d=True)\n"
+        "varied(1); varied(2, b=1); unpacked(1); unpacked(*args)\n"
+        "mixed(1); mixed(True); built()\n"
+        "Box(); Box(size=3, kind='y')\n")
+    assert _constant([defs], [defs, calls]) == [
+        "defs.py:2 same(a)", "defs.py:2 same(b)", "defs.py:2 same(c)",
+        "defs.py:2 same(d)", "defs.py:10 Box.__init__(size)"]
 
 
 def test_parameter_guard_sees_dataclass_fields(tmp_path):
