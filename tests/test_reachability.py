@@ -240,7 +240,7 @@ def _signatures(tree, family):
 
 
 def _parameter_calls(def_paths, code_paths):
-    """(finding, position or None, default or None, calls) for every
+    """(finding, name, position or None, default or None, calls) for every
     parameter of ``def_paths``, with the calls that may bind it."""
     defs = _trees(def_paths)
     calls = [(path, node) for path, tree in _trees(code_paths).items()
@@ -370,13 +370,9 @@ def test_every_dataclass_field_is_read():
 
 def test_parameter_and_field_allowlists_name_live_items():
     trees = _trees(sorted(SRC.glob("*.py"))).values()
-    params = {f"{qual}({arg.arg})" for tree in trees
-              for qual, fn, _ in _defs(tree)
-              for arg in fn.args.posonlyargs + fn.args.args
-              + fn.args.kwonlyargs}
-    params |= {f"{qual}({name})" for tree in trees
-               for qual, _, _, params in _signatures(tree, {})
-               for name, _, _, _ in params}
+    params = {f"{qual}({name})" for tree in trees
+              for qual, _, _, sig in _signatures(tree, {})
+              for name, _, _, _ in sig}
     fields = {f"{cls}.{name}" for tree in trees
               for cls, name, _ in _fields(tree)}
     assert set(UNPASSED_ALLOWED) | set(CONSTANT_ALLOWED) \
