@@ -6,7 +6,8 @@ deterministic report.
 The command must match the problem file's command block.  Reports are
 byte-identical for identical inputs and version; wall time goes to stderr so
 it never breaks that guarantee.  Exit codes: 0 success, 1 engine error or a
-failed selftest criterion (its report is written first), 2 parse error.
+failed selftest criterion (its report is written first), 2 parse error, an
+unreadable problem file or an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -231,8 +232,12 @@ def main(argv=None) -> int:
 
     payload = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as ex:
+            print(f"error: {ex}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
     print(f"wall-time {time.monotonic() - t0:.3f}s", file=sys.stderr)

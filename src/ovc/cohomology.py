@@ -19,7 +19,9 @@ of each degree, the derivative action and what happens at the box edge:
 
 Dimensions come from p-adic Smith normal form ranks.  Rank-only, the top map
 is reduced without the columns the map below pairs off with a unit pivot,
-and that result stands only when containment certifies it exact (see
+and that result stands only when containment certifies it exact.  That map
+and map 0 are reduced modulo the largest p^K that fits one machine digit,
+which gives their divisors mod p^N whenever they reach full rank there (see
 ``complex_cohomology``).  Generators of degree j come from tracked
 reductions.  With incoming boundaries they are read off the free rows of
 d_(j-1): every logged row op reads a pivot row, so U^-1 fixes the unit
@@ -43,7 +45,7 @@ from functools import cached_property
 from itertools import combinations, compress, product
 
 from .errors import DescriptorMismatchError
-from .linalg import Entries, sparse_snf
+from .linalg import Entries, digit_precision, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import from_residue, int_valuation, integral_shift
 from .report import CohomologyReport, DegreeData
@@ -485,23 +487,48 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
     so it then has the same rank at a max pivot level no higher: flat or
     not, the ranks and gap read are exact.  Otherwise, or when the pruned
     entries meet fewer rows or columns than the map has rows, the full map
-    is reduced, and it is reduced tracked in full to read generators."""
+    is reduced, and it is reduced tracked in full to read generators.
+
+    Rank-only, map 0 and the pruned top map are reduced mod p^K, K the
+    ``digit_precision`` of their N, where a residue fits one machine digit.
+    These are the maps that reach full rank when the degree they leave, or
+    the top degree, has no class.  A result with a pivot in every row or
+    every column has every divisor below K, so it is kept with N restored:
+    its divisors, ranks and gap are those mod p^N.  Map 0 short of full
+    rank is reduced tracked mod p^N at once: at N <= K it leaves degree-0
+    classes, which read their generators from it.  A pruned top map short
+    of full rank falls back to the full map, as above.  Middle maps of an
+    exact complex in three or more variables never reach full rank and stay
+    at N."""
     p, M = cdata.p, cdata.M
     scalings, maps = cdata.scalings, cdata.matrices
 
-    def snf(j, track, entries=None):
+    def snf(j, track):
         return sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                          maps[j] if entries is None else entries, p,
-                          scalings[j][0], track=track)
+                          maps[j], p, scalings[j][0], track=track)
+
+    def one_digit(j, entries):
+        N = scalings[j][0]
+        res = sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
+                         entries, p, digit_precision(p, N), track=False)
+        if len(res.pivots) < min(res.nrows, res.ncols):
+            return None
+        res.N = N
+        return res
+
+    def first(j):       # map j as the first pass reduces it
+        if j or track:
+            return snf(j, track)
+        return one_digit(0, maps[0]) or snf(0, True)
 
     def gap_term(res, j):
         return res.certification_gap() - scalings[j][1]
 
     track = _has_structural_class(cdata)
     last = len(maps) - 1
-    snfs = [snf(j, track) for j in range(last)]
-    gaps = [gap_term(res, j) for j, res in enumerate(snfs)]
-    exact_gap = min(gaps, default=M)
+    snfs = [first(j) for j in range(last)]
+    exact_gap = min((gap_term(res, j) for j, res in enumerate(snfs)),
+                    default=M)
     target = cdata.spaces[-1].dim
     if last > 0 and not track:
         paired = _paired_columns(snfs[-1])
@@ -512,15 +539,12 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
                          list(compress(dtop.vals, keep)))
         if len(pruned) < len(dtop) and target <= min(
                 len(set(pruned.rows)), len(set(pruned.cols))):
-            res = snf(last, False, pruned)
-            g = gap_term(res, last)
-            if res.rank() == target and g >= exact_gap:
+            res = one_digit(last, pruned)
+            if res is not None and gap_term(res, last) >= exact_gap:
                 snfs.append(res)
-                gaps.append(g)
     if len(snfs) == last:
-        snfs.append(snf(last, track))
-        gaps.append(gap_term(snfs[-1], last))
-    gap = min(gaps, default=M)
+        snfs.append(first(last))
+    gap = min((gap_term(res, j) for j, res in enumerate(snfs)), default=M)
 
     degrees = {}
     top = len(cdata.spaces) - 1

@@ -15,10 +15,20 @@ column with no entry at its level takes a gcd, to find the level it moves to.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
+
+``digit_precision`` gives the precision K at which a residue fits one
+CPython digit.  A matrix has the divisors min(e_i, K) mod p^K, so a
+reduction there that pivots every row or every column has all its divisors
+below K, and they are the divisors mod p^N.  A rank-only caller may keep
+such a result with ``N`` set back to its own precision: the divisors, the
+rank at every cutoff and the gap are then those of a reduction mod p^N,
+though the pivot positions may differ, since an entry that vanishes mod p^K
+is dropped there.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
@@ -173,6 +183,15 @@ class SnfResult:
         if any(bp.values()):
             return None
         return self.apply_V(x)
+
+
+def digit_precision(p: int, N: int) -> int:
+    """The largest K <= N with p^K below one CPython digit, and at least 1:
+    residues mod p^K then take the interpreter's one-digit fast paths."""
+    digit, K = 1 << sys.int_info.bits_per_digit, 1
+    while K < N and p ** (K + 1) < digit:
+        K += 1
+    return K
 
 
 def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,

@@ -200,6 +200,17 @@ def test_cli_output_file(tmp_path):
     assert out.read_bytes().startswith(b"command=cohomology")
 
 
+def test_cli_unwritable_output_exits_2(tmp_path):
+    # the report is computed, then cannot be written: an error line, no
+    # traceback
+    problem = str(PROBLEMS / "mw_line_trivial.ovc")
+    for out in (tmp_path, tmp_path / "missing" / "report.txt"):
+        proc = _run(["cohomology", problem, "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error:")
+        assert b"Traceback" not in proc.stderr
+
+
 def test_cli_runs_byte_identical(tmp_path):
     good = tmp_path / "ok.ovc"
     good.write_text(MINIMAL)

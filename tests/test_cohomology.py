@@ -20,7 +20,7 @@ from ovc.cohomology import (
     twisted_diagonal_cohomology,
 )
 from ovc.acceptance import dwork_module, kummer_module, trivial_module
-from ovc.linalg import sparse_snf
+from ovc.linalg import digit_precision, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation, make_scalar, parse_scalar
 from ovc.pairing import apply_complex_map
@@ -99,22 +99,26 @@ def test_mw_h0_generator_is_constant():
     assert lbl == (0, (), (0,)) and val == "1*p^0@10"
 
 
-def _snf_calls(monkeypatch, force_track=False, entries=None):
-    """Record the track flag of every SNF the engine runs, and into
-    ``entries`` its entry count; with ``force_track`` every one of them runs
-    tracked, on the full matrix: the top map is not pruned either, since a
-    tracked pruned result would be read for generators."""
+def _snf_calls(monkeypatch, force_track=False, entries=None,
+               precisions=None):
+    """Record the track flag of every SNF the engine runs, into ``entries``
+    its entry count and into ``precisions`` its N; with ``force_track``
+    every map is reduced tracked, in full and mod p^N, as when some degree
+    has a structural class."""
     calls, snf = [], cohomology.sparse_snf
 
     def spy(*args, track=True):
         calls.append(track)
         if entries is not None:
             entries.append(len(args[2]))
-        return snf(*args, track=track or force_track)
+        if precisions is not None:
+            precisions.append(args[4])
+        return snf(*args, track=track)
 
     monkeypatch.setattr(cohomology, "sparse_snf", spy)
     if force_track:
-        monkeypatch.setattr(cohomology, "_paired_columns", lambda _: set())
+        monkeypatch.setattr(cohomology, "_has_structural_class",
+                            lambda _: True)
     return calls
 
 
@@ -138,22 +142,53 @@ def test_rank_only_pass_reruns_the_generator_source(monkeypatch):
     assert repr(mw_cohomology(mod).report) == repr(cc.report)
 
 
+def _constant_plane(ring, f, g):
+    return SigmaNablaModule(ring, 1, gammas=tuple(
+        (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
+        for v, c in (("x", f), ("y", g))))
+
+
 def test_rank_only_plane_without_classes(monkeypatch):
     rng = random.Random(7)
     ring = RingDescriptor(TATE, ("x", "y"), ((0, 10),) * 2, P, 20)
     f = {(i, 0): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
     g = {(0, i): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
-    mod = SigmaNablaModule(ring, 1, gammas=tuple(
-        (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
-        for v, c in (("x", f), ("y", g))))
-    entries = []
-    calls = _snf_calls(monkeypatch, entries=entries)
+    mod = _constant_plane(ring, f, g)
+    entries, precisions = [], []
+    calls = _snf_calls(monkeypatch, entries=entries, precisions=precisions)
     cc = mw_cohomology(mod)
     assert calls == [False, False]     # no map is ever reduced tracked
     assert cc.report.dims() == {0: 0, 1: 0, 2: 0}
     # the top map is reduced without the cells d_0 pairs off, and certifies
     assert entries[0] == len(cc.cdata.matrices[0])
     assert entries[1] < len(cc.cdata.matrices[1])
+    # both reach full rank mod 3^18, the largest power of 3 in one digit
+    assert [N for N, _ in cc.cdata.scalings] == [20, 20]
+    assert precisions == [digit_precision(P, 20)] * 2
+    monkeypatch.undo()
+    _snf_calls(monkeypatch, force_track=True)
+    assert repr(mw_cohomology(mod).report) == repr(cc.report)
+
+
+def test_rank_only_plane_with_classes(monkeypatch):
+    # d + 3 dx + 3 dy on the plane window [0, 40] at p = 3, M = 20: no
+    # structural class, yet one degree-0 class survives at precision.  Map
+    # 0 falls short of full rank mod 3^18 and is reduced tracked mod 3^20
+    # at once, the rerun its degree-0 generator needs anyway; the pruned
+    # top map falls short too, and the full one is reduced mod 3^20
+    ring = RingDescriptor(TATE, ("x", "y"), ((0, 40),) * 2, P, 20)
+    mod = _constant_plane(ring, {(0, 0): 3}, {(0, 0): 3})
+    precisions = []
+    calls = _snf_calls(monkeypatch, precisions=precisions)
+    cc = mw_cohomology(mod)
+    assert cc.report.dims() == {0: 1, 1: 0, 2: 0}
+    assert [cc.report.degrees[j].raw_dim for j in range(3)] == [1, 2, 1]
+    K = digit_precision(P, 20)
+    # map 0 at K then tracked; the top map pruned at K, then in full; the
+    # generators of degrees 1 and 2
+    assert list(zip(calls, precisions)) == [
+        (False, K), (True, 20), (False, K), (False, 20), (True, 20),
+        (True, 20)]
     monkeypatch.undo()
     _snf_calls(monkeypatch, force_track=True)
     assert repr(mw_cohomology(mod).report) == repr(cc.report)
@@ -162,16 +197,20 @@ def test_rank_only_plane_without_classes(monkeypatch):
 # -- the top map of a rank-only complex, pruned -------------------------------
 
 PRUNE_POOL = (1, 2, -1, 4, 5, 3, 6, "1/3", "-2/9", "O(p^2)")
+PAST_ONE_DIGIT = {2: 30, 3: 19, 5: 13}     # the least M with p^M past it
 
 
-def _pruning_module(seed):
+def _pruning_module(seed, past_digit=False):
     """(module, flat): a seeded module on a 2- or 3-variable Tate window at
     p = 2, 3 or 5, with 1/3, -2/9 and O(p^2) among its coefficients.  Half
     are rank one with Gamma_v a series in x_v alone, which is flat; the
     rest are rank one or two with terms in every variable, in general not
-    flat."""
+    flat.  With ``past_digit``, M is up to two past the least M whose p^M
+    does not fit one machine digit."""
     rng = random.Random(seed)
     p, n, M = rng.choice((2, 3, 5)), rng.choice((2, 2, 3)), rng.randint(6, 10)
+    if past_digit:
+        M = PAST_ONE_DIGIT[p] + rng.randint(0, 2)
     window = [rng.randint(3, 6) if n == 2 else rng.randint(2, 3)
               for _ in range(n)]
     ring = RingDescriptor(TATE, tuple("xyz"[:n]),
@@ -198,19 +237,30 @@ def _top_map_outcome(cdata):
     "tracked" (some degree has a structural class), "whole" (no map
     below, or it pairs off no column the top map has), "precheck" (the
     pruned entries meet fewer rows or columns than the map has rows),
-    "rank" or "gap" (the pruned result misses full row rank, or its gap
-    term is below the exact maps' least), or "pruned" (the pruned result
-    stands)."""
+    "rank" or "gap" (the pruned result misses full row rank mod p^K, K the
+    one-digit precision, or its gap term is below the exact maps' least),
+    or "pruned" (the pruned result stands).  The map below pairs off the
+    level-0 pivot rows of its reduction: map 0 is reduced mod p^K, and
+    tracked mod p^N when it misses full rank there."""
     if cohomology._has_structural_class(cdata):
         return "tracked"
-    maps, spaces = cdata.matrices, cdata.spaces
+    maps, spaces, p = cdata.matrices, cdata.spaces, cdata.p
     if len(maps) < 2:
         return "whole"
-    exact = [sparse_snf(spaces[j + 1].dim, spaces[j].dim, maps[j], cdata.p,
-                        N, track=False)
+    exact = [sparse_snf(spaces[j + 1].dim, spaces[j].dim, maps[j], p, N,
+                        track=False)
              for j, (N, _) in enumerate(cdata.scalings[:-1])]
     gap = min(s.certification_gap() - shift
               for s, (_, shift) in zip(exact, cdata.scalings))
+    if len(exact) == 1:
+        N = cdata.scalings[0][0]
+        first = sparse_snf(spaces[1].dim, spaces[0].dim, maps[0], p,
+                           digit_precision(p, N), track=False)
+        if len(first.pivots) == min(spaces[1].dim, spaces[0].dim):
+            exact[0] = first
+        else:
+            exact[0] = sparse_snf(spaces[1].dim, spaces[0].dim, maps[0], p,
+                                  N)
     paired = {r for r, _, e in exact[-1].pivots if e == 0}
     top = maps[-1]
     kept = {(r, c): x for r, c, x in zip(top.rows, top.cols, top.vals)
@@ -222,25 +272,29 @@ def _top_map_outcome(cdata):
             < target:
         return "precheck"
     N, shift = cdata.scalings[-1]
-    pruned = sparse_snf(target, spaces[-2].dim, triples(kept), cdata.p, N,
-                        track=False)
+    pruned = sparse_snf(target, spaces[-2].dim, triples(kept), p,
+                        digit_precision(p, N), track=False)
     if pruned.rank() < target:
         return "rank"
+    pruned.N = N
     return "gap" if pruned.certification_gap() - shift < gap else "pruned"
 
 
 def test_pruned_top_map_gives_the_reports_of_full_reductions(monkeypatch):
     # the reference reduces every map in full; pruning must change no byte
     # of any report, and a pruned result that fails its certificate costs
-    # exactly one more reduction, a failed precheck none
+    # exactly one more reduction, a failed precheck none.  Half the seeds
+    # take M past one machine digit, where map 0 and the pruned top map are
+    # reduced at a lower precision than the others
     seen = {}
-    for seed in range(60):
-        mod, flat = _pruning_module(seed)
+    for seed in range(90):
+        past_digit = seed >= 60
+        mod, flat = _pruning_module(seed, past_digit)
         for engine, build in ((mw_cohomology, mw_complex),
                               (compact_support_cohomology, compact_complex)):
             outcome = _top_map_outcome(build(mod))
             seen.setdefault(outcome, set()).add(
-                (len(mod.ring.variables), flat))
+                (len(mod.ring.variables), flat, past_digit))
             calls = _snf_calls(monkeypatch)
             got = repr(engine(mod).report).encode()
             monkeypatch.undo()
@@ -253,7 +307,10 @@ def test_pruned_top_map_gives_the_reports_of_full_reductions(monkeypatch):
             assert len(calls) == len(whole) + (outcome in ("rank", "gap")), \
                 (seed, engine.__name__, outcome)
     assert {"pruned", "rank", "precheck", "gap"} <= set(seen)
-    assert seen["pruned"] >= {(2, True), (2, False), (3, True), (3, False)}
+    assert {(n, flat) for n, flat, _ in seen["pruned"]} \
+        >= {(2, True), (2, False), (3, True), (3, False)}
+    assert {past for _, _, past in seen["pruned"] | seen["rank"]} \
+        == {False, True}
 
 
 def test_compact_known_answers():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ import pytest
 
 from ovc.acceptance import TATE, trivial_module
 from ovc.cohomology import compact_complex, mw_complex
-from ovc.linalg import Entries, sparse_snf
+from ovc.linalg import Entries, digit_precision, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation
 from ovc.series import RingDescriptor, Series
@@ -292,6 +293,88 @@ def test_full_row_rank_of_a_column_subset_certifies_the_whole():
     # at higher divisors
     assert certified >= 60 and fallback >= 20 and lower >= 10, \
         (certified, fallback, lower)
+
+
+def test_digit_precision_is_the_largest_one_digit_power():
+    digit = 1 << sys.int_info.bits_per_digit
+    for p in (2, 3, 5, 7, 101, 65521, (1 << 31) - 1):
+        for N in range(1, 45):
+            K = digit_precision(p, N)
+            assert 1 <= K <= N
+            assert p ** K < digit or K == 1
+            assert K == N or p ** (K + 1) >= digit
+
+
+def planted_matrix(rng, p, N, m, n, levels):
+    """A seeded m x n matrix mod p^N whose Smith divisors are p^e for e in
+    ``levels`` (min(m, n) of them; one at N or above plants a zero): a
+    diagonal scattered over random cells, then mixed by unimodular row and
+    column additions."""
+    mod = p ** N
+    A = [[0] * n for _ in range(m)]
+    for r, c, e in zip(rng.sample(range(m), len(levels)),
+                       rng.sample(range(n), len(levels)), levels):
+        if e < N:
+            A[r][c] = rng.choice([x for x in range(1, 4 * p) if x % p]) \
+                * p ** e % mod
+    for _ in range(m + n):
+        f = rng.randrange(1, mod)
+        if m > 1 and (n == 1 or rng.random() < 0.5):
+            i, k = rng.sample(range(m), 2)
+            A[i] = [(x + f * y) % mod for x, y in zip(A[i], A[k])]
+        elif n > 1:
+            i, k = rng.sample(range(n), 2)
+            for row in A:
+                row[i] = (row[i] + f * row[k]) % mod
+    return A
+
+
+def _planted_inputs():
+    """(A, levels, p, N, K): wide and tall planted matrices at p = 2, 3 and
+    5 with N one to three above the one-digit precision K.  Half have every
+    divisor below K; the rest have some in [K, N) or at N and above."""
+    rng = random.Random(53)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            K = digit_precision(p, 100)
+            N = K + rng.randint(1, 3)
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            levels = [rng.choice([0, 0, 0, 1, 1, 2, rng.randrange(K)])
+                      for _ in range(min(m, n))]
+            if rng.random() < 0.5:
+                for i in rng.sample(range(len(levels)),
+                                    rng.randint(1, len(levels))):
+                    levels[i] = rng.choice([rng.randrange(K, N), N, N + 2])
+            yield planted_matrix(rng, p, N, m, n, levels), levels, p, N, K
+
+
+def test_one_digit_reduction_stands_for_full_precision_at_full_rank():
+    # mod p^K the divisors are min(e, K): the reduction there pivots every
+    # row or every column exactly when every planted divisor is below K,
+    # and it then has the divisors, ranks and gap of the reduction mod p^N
+    full = short = 0
+    for A, levels, p, N, K in _planted_inputs():
+        m, n = len(A), len(A[0])
+        ent = triples({(i, j): x for i, row in enumerate(A)
+                       for j, x in enumerate(row) if x})
+        assert digit_precision(p, N) == K
+        at_n = sparse_snf(m, n, ent, p, N, track=False)
+        at_k = sparse_snf(m, n, ent, p, K, track=False)
+        for res, ceiling in ((at_n, N), (at_k, K)):
+            kept = sorted(e for e in levels if e < ceiling)
+            assert res.divisors() == kept + [ceiling] * (n - len(kept))
+        stands = len(at_k.pivots) == min(m, n)
+        assert stands == all(e < K for e in levels)
+        if not stands:
+            short += 1
+            continue
+        full += 1
+        at_k.N = N
+        assert at_k.divisors() == at_n.divisors()
+        assert [at_k.rank(c) for c in range(N + 2)] \
+            == [at_n.rank(c) for c in range(N + 2)]
+        assert at_k.certification_gap() == at_n.certification_gap()
+    assert full >= 30 and short >= 30, (full, short)
 
 
 def test_kernel_and_solve():
