@@ -17,11 +17,12 @@ of each degree, the derivative action and what happens at the box edge:
 * ``pushforward.quotient_complex`` - the local complex of the annulus modulo
                          the line side, in pushforward bundles.
 
-Dimensions come from p-adic Smith normal form ranks.  Rank-only, the top map
-is reduced without the columns the map below pairs off with a unit pivot,
-and that result stands only when containment certifies it exact.  That map
-and map 0 are reduced modulo the largest p^K that fits one machine digit,
-which gives their divisors mod p^N whenever they reach full rank there (see
+Dimensions come from p-adic Smith normal form ranks.  Rank-only, each map is
+reduced once with what can be cut from it: map 0 and the top map modulo the
+largest p^K that fits one machine digit, the top map also without the
+columns the map below pairs off with a unit pivot.  A cut result stands when
+it reaches full rank (and, pruned, keeps the gap of the maps below); one that
+does not is replaced by the map reduced tracked, in full, mod p^N (see
 ``complex_cohomology``).  Generators of degree j come from tracked
 reductions.  With incoming boundaries they are read off the free rows of
 d_(j-1): every logged row op reads a pivot row, so U^-1 fixes the unit
@@ -472,93 +473,67 @@ def _generator_source(snfs, j: int):
 def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
     """Certified dimensions, with generators read from tracked SNFs.
 
-    Dimensions need only SNF ranks, so when no degree has a structural class
-    the maps are first reduced rank-only, and a map is reduced again,
-    tracked, only when a degree with raw classes reads its generators from
-    it (see ``_generator_source``); when some degree certainly has a class
-    (see ``_has_structural_class``) every map is reduced tracked at once.
-    Generators always come from a tracked reduction, so the report is the
-    same either way.
-
-    Rank-only, the top map is first reduced without its columns at the
-    level-0 pivot rows of the map below (``_paired_columns``); the result
-    stands only with full row rank and a gap term no lower than the exact
-    maps' least.  The full map's cokernel is a quotient of the pruned one's,
-    so it then has the same rank at a max pivot level no higher: flat or
-    not, the ranks and gap read are exact.  Otherwise, or when the pruned
-    entries meet fewer rows or columns than the map has rows, the full map
-    is reduced, and it is reduced tracked in full to read generators.
-
-    Rank-only, map 0 and the pruned top map are reduced mod p^K, K the
-    ``digit_precision`` of their N, where a residue fits one machine digit.
-    These are the maps that reach full rank when the degree they leave, or
-    the top degree, has no class.  A result with a pivot in every row or
-    every column has every divisor below K, so it is kept with N restored:
-    its divisors, ranks and gap are those mod p^N.  Map 0 short of full
-    rank is reduced tracked mod p^N at once: at N <= K it leaves degree-0
-    classes, which read their generators from it.  A pruned top map short
-    of full rank falls back to the full map, as above.  Middle maps of an
-    exact complex in three or more variables never reach full rank and stay
-    at N."""
+    When some degree certainly has a class (``_has_structural_class``), every
+    map is reduced tracked, in full, mod p^N.  Otherwise map j is reduced
+    once, rank-only, with what can be cut from it: map 0 and the top map go
+    mod p^K, K the ``digit_precision`` of their N, and the top map drops the
+    columns the map below pairs off (``_paired_columns``) when the rest still
+    meet as many rows and columns as it has rows.  Mod p^K the divisors are
+    min(e_i, K), so a cut result with a pivot in every row or every column
+    has the divisors, ranks and gap of the map mod p^N, and stands with N
+    restored; a pruned one also needs a gap term no lower than the maps'
+    below, as the full map's cokernel is then a quotient of the pruned one's
+    of the same rank at a max pivot level no higher.  A cut result that does
+    not stand is replaced by the map reduced tracked, in full, mod p^N; an
+    uncut one is exact.  Generators come from tracked reductions only, so an
+    untracked result a degree with raw classes reads (``_generator_source``)
+    is reduced again, tracked, and the report is the same on either path."""
     p, M = cdata.p, cdata.M
-    scalings, maps = cdata.scalings, cdata.matrices
+    tracked = _has_structural_class(cdata)
+    last = len(cdata.matrices) - 1
 
-    def snf(j, track):
+    def reduce(j, entries, N, track):
         return sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                          maps[j], p, scalings[j][0], track=track)
+                          entries, p, N, track=track)
 
-    def one_digit(j, entries):
-        N = scalings[j][0]
-        res = sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                         entries, p, digit_precision(p, N), track=False)
-        if len(res.pivots) < min(res.nrows, res.ncols):
-            return None
-        res.N = N
-        return res
-
-    def first(j):       # map j as the first pass reduces it
-        if j or track:
-            return snf(j, track)
-        return one_digit(0, maps[0]) or snf(0, True)
-
-    def gap_term(res, j):
-        return res.certification_gap() - scalings[j][1]
-
-    track = _has_structural_class(cdata)
-    last = len(maps) - 1
-    snfs = [first(j) for j in range(last)]
-    exact_gap = min((gap_term(res, j) for j, res in enumerate(snfs)),
-                    default=M)
-    target = cdata.spaces[-1].dim
-    if last > 0 and not track:
-        paired = _paired_columns(snfs[-1])
-        dtop = maps[last]
-        keep = [c not in paired for c in dtop.cols]
-        pruned = Entries(list(compress(dtop.rows, keep)),
-                         list(compress(dtop.cols, keep)),
-                         list(compress(dtop.vals, keep)))
-        if len(pruned) < len(dtop) and target <= min(
-                len(set(pruned.rows)), len(set(pruned.cols))):
-            res = one_digit(last, pruned)
-            if res is not None and gap_term(res, last) >= exact_gap:
-                snfs.append(res)
-    if len(snfs) == last:
-        snfs.append(first(last))
-    gap = min((gap_term(res, j) for j, res in enumerate(snfs)), default=M)
+    snfs, gaps = [], []
+    for j, whole in enumerate(cdata.matrices):
+        N, shift = cdata.scalings[j]
+        entries, K, pruned = whole, N, False
+        if not tracked and j in (0, last):
+            K = digit_precision(p, N)
+            if j:       # the top map, with a map below it
+                paired = _paired_columns(snfs[-1])
+                keep = [c not in paired for c in whole.cols]
+                cut = Entries(list(compress(whole.rows, keep)),
+                              list(compress(whole.cols, keep)),
+                              list(compress(whole.vals, keep)))
+                pruned = len(cut) < len(whole) and cdata.spaces[-1].dim \
+                    <= min(len(set(cut.rows)), len(set(cut.cols)))
+                entries = cut if pruned else whole
+        res = reduce(j, entries, K, tracked)
+        if K < N or pruned:
+            res.N = N
+            if len(res.pivots) < min(res.nrows, res.ncols) or (
+                    pruned and res.certification_gap() - shift < min(gaps)):
+                res = reduce(j, whole, N, True)
+        snfs.append(res)
+        gaps.append(res.certification_gap() - shift)
+    gap = min(gaps, default=M)
 
     degrees = {}
-    top = len(cdata.spaces) - 1
     for j, space in enumerate(cdata.spaces):
-        rank_out = snfs[j].rank() if j < top else 0
+        rank_out = snfs[j].rank() if j <= last else 0
         rank_in = snfs[j - 1].rank() if j >= 1 else 0
         raw = space.dim - rank_out - rank_in
         gens, excluded = (), 0
         if raw > 0:
             src = _generator_source(snfs, j)
             if src is not None and not snfs[src].tracked:
-                snfs[src] = snf(src, True)
-            vecs, sidx = _extract_generators(cdata, snfs, j, raw)
-            N, shift = scalings[sidx] if scalings else (M, 0)
+                snfs[src] = reduce(src, cdata.matrices[src],
+                                   cdata.scalings[src][0], True)
+            vecs, sidx = _extract_generators(cdata, snfs, j, raw, src)
+            N, shift = cdata.scalings[sidx] if cdata.scalings else (M, 0)
             kept = []
             for v in vecs:
                 if _edge_supported(v, space, cdata) or \
@@ -572,9 +547,10 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
     return ComplexCohomology(report, cdata)
 
 
-def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
+def _extract_generators(cdata: ComplexData, snfs, j: int, count: int, src):
     """Representatives of ker(d_j)/im(d_(j-1)) as sparse integer vectors,
-    plus the index of the scaling they are expressed under.
+    read from map ``src`` (``_generator_source``), plus the index of the
+    scaling they are expressed under.
 
     With incoming boundaries, the quotient is spanned by the columns of
     U^-1 (from U d_(j-1) V = D) at the free rows of d_(j-1).  Every logged
@@ -588,7 +564,6 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     their stored order."""
     top = len(cdata.spaces) - 1
     dim_j = cdata.spaces[j].dim
-    src = _generator_source(snfs, j)
     if src == j - 1:
         free = snfs[j - 1].free_rows
         if j == top:

@@ -105,7 +105,7 @@ class PushforwardBundle:
     nodes: dict               # name -> ClassSpace
     maps: dict                # name -> small int matrix as list of columns
     r1prim_dim: int           # rank of maps["delta"]; zero padding keeps it
-    notes: tuple = ()
+    notes: tuple
 
     def dims(self) -> dict:
         order = ("r0f", "r1f", "r0loc", "r1loc", "r1shriek", "r2shriek")
@@ -338,7 +338,6 @@ class LerayReport:
     dims_M: dict
     euler_ok: bool
     node_verdicts: tuple          # (node label, passed, detail)
-    notes: tuple = ()
 
 
 def leray_assemble(module: SigmaNablaModule, fiber: str, base: str

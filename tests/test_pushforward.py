@@ -250,15 +250,15 @@ LERAY_PLANES = {
 
 PINNED_LERAY_DIGESTS = {
     "x":
-        "375d6e72fed89dec6ac9f612142faeaaaaacfdb51f66fb6021b330a114c92ff8",
+        "f415d225533c337f56f685c549aab967873d2af25fde3c393b036169347bd0e4",
     "x-1":
-        "1fce344bb9f0aec4f962e32d02f8e4c3d41c9f57d1ead048d2da2680278176a9",
+        "c8bfc17f1177c38617ca5b8a1d68d9356b8b3d31221a43cb1b5e188025f81f73",
     "x-y":
-        "8e28c13bc38fcc48b40fed77908eb217b791b64ceeef018e6149d1b33af61217",
+        "4ae535d48f0e24534b85364ad1f0e911113305e4abd6ad80d8e897724e103938",
     "x/3":
-        "340e66d8316b3edb1fcecb7e56ad7a3b2472206035939a54359c44b9e2884d8c",
+        "dabedc188009be8606ae9ff29dc3995b700bc915a25bfe6d4ee5238ddb6356cb",
     "x/3-y":
-        "f837efae9a84367bd390c8ab805ae402ddd6d5533fa967ab68eabf3d066aa588",
+        "427a7df1700b824b61b173dae60e8bcb9fd70bf4a5ae18a0f5cfd81975f71b80",
 }
 
 

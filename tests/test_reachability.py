@@ -116,8 +116,6 @@ def test_names_come_from_code_not_prose(tmp_path):
 
 # Optional parameters that no call passes, kept on purpose.
 UNPASSED_ALLOWED = {
-    "LerayReport.__init__(notes)": "goes when ROADMAP item 8 recaptures "
-                                   "PINNED_LERAY_DIGESTS, which hash it",
     **{f"ProblemFile.__init__({name})": "filled by the parser after "
        "construction" for name in ("rings", "series", "matrices", "modules",
                                    "vectors", "command")},
