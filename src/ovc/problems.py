@@ -45,7 +45,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OvcError, ParseError, RangeError, UndefinedNameError
-from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule
+from .modules import (
+    ModuleVector,
+    SeriesMatrix,
+    SigmaNablaModule,
+    check_frobenius_compat,
+    check_integrability,
+)
 from .padics import is_prime, parse_scalar
 from .series import (
     DAGGER,
@@ -326,16 +332,39 @@ def _parse_ring(pf: ProblemFile, ops: list, ln: int):
         raise ParseError(str(ex), ln) from None
 
 
+def _separated(module: SigmaNablaModule) -> bool:
+    """Whether the module has rank one and each Gamma_i depends on x_i
+    alone: then every curvature term vanishes identically."""
+    variables = module.ring.variables
+    return module.rank == 1 and all(
+        not any(e for k, e in enumerate(exp) if k != variables.index(v))
+        for v, g in module.gammas for exp, _ in g.rows[0][0].terms)
+
+
 def _parse_module(pf: ProblemFile, ops: list, ln: int):
+    """A module must be integrable and, with a ``frobenius`` matrix, have a
+    Frobenius structure compatible with its connection N, both at the
+    working precision; a module that fails is a parse error on its line."""
     (name,), opts = _fields(pf, "module", ops, (str,), _MODULE, ln,
                             ("ring", "rank"))
     try:
-        pf.modules[name] = SigmaNablaModule(
+        module = SigmaNablaModule(
             opts["ring"], opts["rank"], connection=opts.get("connection"),
             gammas=tuple(opts.get("gamma", ())),
             frobenius=opts.get("frobenius"))
+        flat = _separated(module) or check_integrability(module)
+        compat = module.frobenius is None or (
+            module.connection is not None
+            and check_frobenius_compat(module).passed)
     except Exception as ex:  # noqa: BLE001 - any failure is the line's fault
         raise ParseError(f"module construction failed: {ex}", ln) from None
+    if not flat:
+        raise ParseError("module is not integrable: its curvature does not "
+                         "vanish at precision", ln)
+    if not compat:
+        raise ParseError("frobenius needs a connection N with N Phi + "
+                         "t dPhi/dt = q Phi phi(N) at precision", ln)
+    pf.modules[name] = module
 
 
 def _series(pf: ProblemFile, ring: RingDescriptor, body: list) -> Series:

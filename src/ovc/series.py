@@ -163,19 +163,16 @@ class Series:
 
     @staticmethod
     def make(descriptor: RingDescriptor, entries, loss=None) -> "Series":
-        """Normalize a {exp: coeff} mapping into a Series.
+        """Normalize a {exp: coeff} dict, exponents as tuples, into a
+        Series; the dict is only read.
 
         Out-of-window terms are dropped into the loss indicator; coefficients
         with valuation at or above the working precision are dropped;
         limited zeros within range are kept.
         """
-        acc: dict[Exp, PadicApprox] = {}
-        for exp, c in (entries.items() if isinstance(entries, dict) else entries):
-            exp = tuple(exp)
-            acc[exp] = acc[exp].add(c) if exp in acc else c
         kept, dropped = {}, []
         M = descriptor.precision
-        for exp, c in acc.items():
+        for exp, c in entries.items():
             if c.is_exact_zero():
                 continue
             if c.val is None:
@@ -191,7 +188,8 @@ class Series:
             kept[exp] = c
         if dropped:
             loss = _loss_min(loss, _lowest(dropped, descriptor.weight)[0])
-        return Series(descriptor, tuple(sorted(kept.items(), key=lambda t: t[0])), loss)
+        # exponents are distinct, so the pairs sort by exponent alone
+        return Series(descriptor, tuple(sorted(kept.items())), loss)
 
     @staticmethod
     def zero(descriptor: RingDescriptor) -> "Series":
@@ -238,7 +236,8 @@ class Series:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Series"):
-        if self.descriptor != other.descriptor:
+        if self.descriptor is not other.descriptor and \
+                self.descriptor != other.descriptor:
             raise DescriptorMismatchError(
                 "operands live in different ring descriptors")
 

@@ -269,6 +269,64 @@ def test_cli_bad_command_arguments_are_parse_errors(tmp_path, command, name,
     assert b"engine.internal" not in proc.stderr
 
 
+NON_FLAT_PLANE = """version 1
+p 3
+M 12
+ring W tate vars x,y window 0:10,0:10
+series s W
+  term 0 1 1
+end
+matrix Gx W 1 1
+  entry 1 1 s
+end
+matrix Zy W 1 1
+end
+module M1 ring W rank 1 gamma x Gx gamma y Zy
+command cohomology M1
+"""
+
+INCOMPATIBLE_FROBENIUS = """version 1
+p 3
+M 8
+ring R robba vars t window -6:6 slope 1
+series t R
+  term 1 1
+end
+matrix N R 1 1
+end
+matrix F R 1 1
+  entry 1 1 t
+end
+module M1 ring R rank 1 connection N frobenius F
+command cohomology M1
+"""
+
+
+def test_cli_invalid_modules_are_parse_errors(tmp_path):
+    # Gamma_x = y, Gamma_y = 0 has curvature -1; the zero connection with
+    # Frobenius t fails N Phi + t dPhi/dt = q Phi phi(N).  Both used to run
+    # to a report (the plane certified h0 = h1 = h2 = 0 and exited 0)
+    for text, reason in ((NON_FLAT_PLANE, b"not integrable"),
+                         (INCOMPATIBLE_FROBENIUS, b"frobenius")):
+        line = next(n for n, ln in enumerate(text.splitlines(), 1)
+                    if ln.startswith("module"))
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert exc.value.line == line
+        prob = tmp_path / "p.ovc"
+        prob.write_text(text)
+        proc = _run(["cohomology", str(prob)])
+        assert proc.returncode == 2
+        assert f"parse error [cli.parse]: line {line}".encode() in proc.stderr
+        assert reason in proc.stderr
+    # the same plane with Gamma_y = x is flat and still runs
+    flat = NON_FLAT_PLANE.replace("term 0 1 1", "term 0 1 1\nend\n"
+                                  "series r W\n  term 1 0 1").replace(
+        "matrix Zy W 1 1\nend", "matrix Gy W 1 1\n  entry 1 1 r\nend"
+    ).replace("gamma y Zy", "gamma y Gy")
+    assert parse_problem(flat).modules["M1"].rank == 1
+
+
 def test_pushforward_unipotent_no_uses_window_linear_algebra():
     text = (PROBLEMS / "pushforward_trivial.ovc").read_text()
     assert "unipotent yes" in text

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from ovc.acceptance import TATE, trivial_module
-from ovc.cohomology import compact_complex, mw_complex
+from ovc.cohomology import _paired_columns, compact_complex, mw_complex
 from ovc.linalg import Entries, digit_precision, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation
@@ -133,10 +133,10 @@ def test_divisors_match_dense_oracle():
 
 
 def _tall_repeating_matrices():
-    """Transposes of wide repeating matrices at p = 2, 3 and 5: tall, so the
-    untracked kernel reduces them as their transpose, whose columns are the
-    repeating ones and so rise to a later level or cancel entirely, in an
-    order that depends on the order the columns are taken in."""
+    """Transposes of wide repeating matrices at p = 2, 3 and 5.  The
+    untracked kernel reduces every matrix as its transpose, so here its
+    columns are the repeating ones and rise to a later level or cancel
+    entirely, in an order that depends on the order they are taken in."""
     rng = random.Random(17)
     for p, N in ((2, 8), (3, 6), (5, 5)):
         for _ in range(20):
@@ -484,6 +484,20 @@ def _plane_differentials(seed=5, window=8, p=3, M=20, g1=None):
                                                      cdata.scalings))]
 
 
+def _pruned_top_map(differentials):
+    """The top map of a two-map complex as the engine hands it to the
+    rank-only kernel: mod p^K, K = ``digit_precision(p, N)``, without the
+    columns that the rank-only reduction of map 0 mod p^K pairs off."""
+    (m0, n0, ent0, p, N), (m1, n1, ent1, _, N1) = differentials
+    below = sparse_snf(m0, n0, ent0, p, digit_precision(p, N), track=False)
+    paired = _paired_columns(below)
+    keep = [(r, c, x) for r, c, x in zip(ent1.rows, ent1.cols, ent1.vals)
+            if c not in paired]
+    assert len(keep) < len(ent1)
+    return (m1, n1, Entries(*map(list, zip(*keep))), p,
+            digit_precision(p, N1))
+
+
 def _path_inputs():
     """Inputs that take every branch of the level loop: at p = 2 and 3,
     queued columns whose minimum rises during their level, columns that
@@ -593,13 +607,16 @@ def test_row_ops_read_only_pivot_rows():
 
 @pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials()
                          + _path_inputs() + _plane_differentials(window=16)
+                         + [pytest.param(_pruned_top_map(
+                             _plane_differentials(window=16)),
+                             id="289x578-p3-pruned")]
                          + _trivial_differentials(),
                          ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
 def test_untracked_matches_tracked(args):
-    # the untracked pivot rows are chosen for fill, not order, and a tall
+    # the untracked pivot rows are chosen for fill, not order, and every
     # matrix is reduced as its transpose, so only the SNF invariants agree
-    # with the tracked run; each input is also taken transposed, so both
-    # orientations meet both the wide and the tall path
+    # with the tracked run; each input is also taken transposed, so the
+    # untracked kernel meets every matrix in both orientations
     nrows, ncols, entries, p, N = args
     transposed = (ncols, nrows,
                   Entries(entries.cols, entries.rows, entries.vals), p, N)
