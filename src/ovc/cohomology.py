@@ -17,24 +17,26 @@ of each degree, the derivative action and what happens at the box edge:
 * ``pushforward.quotient_complex`` - the local complex of the annulus modulo
                          the line side, in pushforward bundles.
 
-Dimensions come from p-adic Smith normal form ranks.  Rank-only, each map is
-reduced once with what can be cut from it: map 0 and the top map modulo the
-largest p^K that fits one machine digit, the top map also without the
-columns the map below pairs off with a unit pivot.  A cut result stands when
-it reaches full rank (and, pruned, keeps the gap of the maps below); one that
-does not is replaced by the map reduced tracked, in full, mod p^N (see
-``complex_cohomology``).  Generators of degree j come from tracked
-reductions.  With incoming boundaries they are read off the free rows of
-d_(j-1): every logged row op reads a pivot row, so U^-1 fixes the unit
-vectors of the free rows, and those unit vectors span the quotient by the
-image of d_(j-1) up to torsion.  The classes are the kernel of d_j on those
-coordinates; no transform is materialized.
+``complex_cohomology`` reads dimensions off p-adic Smith normal form ranks
+in three passes:
 
-Hard windows create boundary artifacts (classes that exist only because the
-window cut the complex); every reported generator is therefore reduced to a
-representative and discarded as uncertified when its entire support hugs the
-window edge within the operator's shift reach.  Certified dimensions exclude
-those classes; raw counts and the exclusion tally stay in the report.
+* reduce (``_reduce``): each map once, rank-only unless some degree surely
+  has a class, map 0 and the top map mod the largest p^K that fits one
+  machine digit, the top map also without the columns the map below pairs
+  off with a unit pivot; a cut result that falls short is replaced by the
+  map reduced tracked, in full, mod p^N.  The ranks give raw dimensions,
+  the pivots' distance to the ceiling the gap;
+* extract (``_extract_generators``): the generators of a degree j with raw
+  classes, from a tracked reduction.  With incoming boundaries they are the
+  free rows of d_(j-1), whose unit vectors U^-1 fixes and which span the
+  quotient by the image up to torsion, cut down to the kernel of d_j; no
+  transform is materialized;
+* certify: hard windows create boundary artifacts (classes that exist only
+  because the window cut the complex), so a generator is excluded when a
+  rule of ``RULES`` flags it: its support hugs the window edge within the
+  operator's shift reach, or its slope minimum sits at the edge.  Certified
+  dimensions exclude those classes; raw counts and the exclusion tally stay
+  in the report.
 """
 
 from __future__ import annotations
@@ -393,55 +395,6 @@ class ComplexCohomology:
     cdata: ComplexData
 
 
-def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
-    """True when every term of the vector sits within the band of the window
-    edge in some variable: a window artifact, not a certified class."""
-    if all(b == 0 for b in cdata.band):
-        return False
-    for idx in vec:
-        a, J, I = space.label(idx)
-        near = False
-        for v, x in enumerate(I):
-            if x > cdata.window_hi[v] - cdata.band[v]:
-                near = True
-            if cdata.two_sided and x < cdata.window_lo[v] + cdata.band[v]:
-                near = True
-        if not near:
-            return False
-    return True
-
-
-def _slope_edge_limited(vec: dict, space: ChainSpace, cdata: ComplexData,
-                        p: int) -> bool:
-    """Divergence suspect on an annulus window: every slope-minimizing term
-    of the representative sits at a window edge, so the trend says the
-    defining series keeps losing value beyond the cut."""
-    _, argmin = _lowest(((space.label(idx)[2], int_valuation(x, p))
-                         for idx, x in vec.items()), cdata.slope)
-    if not argmin:
-        return False
-
-    def at_edge(I):
-        for e, lo, hi in zip(I, cdata.window_lo, cdata.window_hi):
-            if e == hi:
-                return True
-            if cdata.two_sided and e == lo:
-                return True
-        return False
-
-    return all(at_edge(I) for I in argmin)
-
-
-def _int_vec_to_chain(vec: dict, space: ChainSpace, p: int, N: int,
-                      shift: int, M: int) -> ChainVector:
-    data = {}
-    for idx, x in vec.items():
-        c = from_residue(x, p, N, shift, M)
-        if c.val is not None:
-            data[space.label(idx)] = c
-    return ChainVector(space, data)
-
-
 def _has_structural_class(cdata: ComplexData) -> bool:
     """Whether some degree has a class whatever the entries' values: its
     dimension exceeds the nonzero columns of the outgoing map plus the
@@ -461,17 +414,8 @@ def _paired_columns(below) -> set:
     return {r for r, _, e in below.pivots if e == 0}
 
 
-def _generator_source(snfs, j: int):
-    """The map whose SNF the generators of degree j are read from: the
-    incoming one when its rank is positive, else the outgoing one; None in
-    a top degree without boundaries, whose generators are unit vectors."""
-    if j >= 1 and snfs[j - 1].rank() > 0:
-        return j - 1
-    return j if j < len(snfs) else None
-
-
-def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
-    """Certified dimensions, with generators read from tracked SNFs.
+def _reduce(cdata: ComplexData):
+    """The SNF of every map and the certification gap of the complex.
 
     When some degree certainly has a class (``_has_structural_class``), every
     map is reduced tracked, in full, mod p^N.  Otherwise map j is reduced
@@ -485,17 +429,10 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
     below, as the full map's cokernel is then a quotient of the pruned one's
     of the same rank at a max pivot level no higher.  A cut result that does
     not stand is replaced by the map reduced tracked, in full, mod p^N; an
-    uncut one is exact.  Generators come from tracked reductions only, so an
-    untracked result a degree with raw classes reads (``_generator_source``)
-    is reduced again, tracked, and the report is the same on either path."""
-    p, M = cdata.p, cdata.M
+    uncut one is exact."""
+    p = cdata.p
     tracked = _has_structural_class(cdata)
     last = len(cdata.matrices) - 1
-
-    def reduce(j, entries, N, track):
-        return sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                          entries, p, N, track=track)
-
     snfs, gaps = [], []
     for j, whole in enumerate(cdata.matrices):
         N, shift = cdata.scalings[j]
@@ -511,46 +448,70 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
                 pruned = len(cut) < len(whole) and cdata.spaces[-1].dim \
                     <= min(len(set(cut.rows)), len(set(cut.cols)))
                 entries = cut if pruned else whole
-        res = reduce(j, entries, K, tracked)
+        res = sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
+                         entries, p, K, track=tracked)
         if K < N or pruned:
             res.N = N
             if len(res.pivots) < min(res.nrows, res.ncols) or (
                     pruned and res.certification_gap() - shift < min(gaps)):
-                res = reduce(j, whole, N, True)
+                res = sparse_snf(res.nrows, res.ncols, whole, p, N,
+                                 track=True)
         snfs.append(res)
         gaps.append(res.certification_gap() - shift)
-    gap = min(gaps, default=M)
-
-    degrees = {}
-    for j, space in enumerate(cdata.spaces):
-        rank_out = snfs[j].rank() if j <= last else 0
-        rank_in = snfs[j - 1].rank() if j >= 1 else 0
-        raw = space.dim - rank_out - rank_in
-        gens, excluded = (), 0
-        if raw > 0:
-            src = _generator_source(snfs, j)
-            if src is not None and not snfs[src].tracked:
-                snfs[src] = reduce(src, cdata.matrices[src],
-                                   cdata.scalings[src][0], True)
-            vecs, sidx = _extract_generators(cdata, snfs, j, raw, src)
-            N, shift = cdata.scalings[sidx] if cdata.scalings else (M, 0)
-            kept = []
-            for v in vecs:
-                if _edge_supported(v, space, cdata) or \
-                        _slope_edge_limited(v, space, cdata, p):
-                    excluded += 1
-                else:
-                    kept.append(_int_vec_to_chain(v, space, p, N, shift, M))
-            gens = tuple(kept)
-        degrees[j] = DegreeData(raw - excluded, gens, raw, excluded)
-    report = CohomologyReport(label, degrees, gap, cdata.loss)
-    return ComplexCohomology(report, cdata)
+    return snfs, min(gaps)
 
 
-def _extract_generators(cdata: ComplexData, snfs, j: int, count: int, src):
+def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
+    """True when every term of the vector sits within the band of the window
+    edge in some variable: a window artifact, not a certified class."""
+    if all(b == 0 for b in cdata.band):
+        return False
+    for idx in vec:
+        a, J, I = space.label(idx)
+        near = False
+        for v, x in enumerate(I):
+            if x > cdata.window_hi[v] - cdata.band[v]:
+                near = True
+            if cdata.two_sided and x < cdata.window_lo[v] + cdata.band[v]:
+                near = True
+        if not near:
+            return False
+    return True
+
+
+def _slope_edge_limited(vec: dict, space: ChainSpace,
+                        cdata: ComplexData) -> bool:
+    """Divergence suspect on an annulus window: every slope-minimizing term
+    of the representative sits at a window edge, so the trend says the
+    defining series keeps losing value beyond the cut."""
+    _, argmin = _lowest(((space.label(idx)[2], int_valuation(x, cdata.p))
+                         for idx, x in vec.items()), cdata.slope)
+    if not argmin:
+        return False
+
+    def at_edge(I):
+        for e, lo, hi in zip(I, cdata.window_lo, cdata.window_hi):
+            if e == hi:
+                return True
+            if cdata.two_sided and e == lo:
+                return True
+        return False
+
+    return all(at_edge(I) for I in argmin)
+
+
+# The rules that exclude a class as a window artifact, in the order tried.
+RULES = (_edge_supported, _slope_edge_limited)
+
+
+def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     """Representatives of ker(d_j)/im(d_(j-1)) as sparse integer vectors,
-    read from map ``src`` (``_generator_source``), plus the index of the
-    scaling they are expressed under.
+    plus the scaling (N, shift) they are expressed under.
+
+    They are read from the incoming map when its rank is positive, else
+    from the outgoing one; a top degree without boundaries has the unit
+    vectors.  A rank-only result of the map read from is replaced in
+    ``snfs`` by the map reduced tracked, in full, mod p^N.
 
     With incoming boundaries, the quotient is spanned by the columns of
     U^-1 (from U d_(j-1) V = D) at the free rows of d_(j-1).  Every logged
@@ -563,26 +524,64 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int, src):
     columns to ``sparse_snf`` in column order, each column's entries in
     their stored order."""
     top = len(cdata.spaces) - 1
-    dim_j = cdata.spaces[j].dim
-    if src == j - 1:
-        free = snfs[j - 1].free_rows
-        if j == top:
-            # top degree: the quotient itself is the cohomology
-            return snfs[j - 1].coker_reps()[: count], j - 1
-        qis = {q: qi for qi, q in enumerate(free)}
-        dj = cdata.matrices[j]
-        keep = [q in qis for q in dj.cols]
-        bent = Entries(list(compress(dj.rows, keep)),
-                       [qis[q] for q in compress(dj.cols, keep)],
-                       list(compress(dj.vals, keep)))
-        bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(free), bent, cdata.p,
-                          cdata.scalings[j][0])
-        return [{free[qi]: x for qi, x in k.items()}
-                for k in bsnf.kernel_basis()[: count]], j - 1
-    # no incoming boundaries: kernel of the outgoing map (or everything)
+    src = j - 1 if j and snfs[j - 1].rank() > 0 else j
+    if src == top:
+        return [{i: 1} for i in range(count)], cdata.scalings[j - 1]
+    res = snfs[src]
+    if not res.tracked:
+        res = snfs[src] = sparse_snf(res.nrows, res.ncols,
+                                     cdata.matrices[src], cdata.p,
+                                     cdata.scalings[src][0], track=True)
     if src == j:
-        return snfs[j].kernel_basis()[: count], j
-    return [{i: 1} for i in range(dim_j)][: count], max(j - 1, 0)
+        return res.kernel_basis()[: count], cdata.scalings[j]
+    if j == top:
+        # top degree: the quotient itself is the cohomology
+        return res.coker_reps()[: count], cdata.scalings[src]
+    free = res.free_rows
+    qis = {q: qi for qi, q in enumerate(free)}
+    dj = cdata.matrices[j]
+    keep = [q in qis for q in dj.cols]
+    bent = Entries(list(compress(dj.rows, keep)),
+                   [qis[q] for q in compress(dj.cols, keep)],
+                   list(compress(dj.vals, keep)))
+    bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(free), bent, cdata.p,
+                      cdata.scalings[j][0])
+    return [{free[qi]: x for qi, x in k.items()}
+            for k in bsnf.kernel_basis()[: count]], cdata.scalings[src]
+
+
+def _int_vec_to_chain(vec: dict, space: ChainSpace, cdata: ComplexData,
+                      N: int, shift: int) -> ChainVector:
+    data = {}
+    for idx, x in vec.items():
+        c = from_residue(x, cdata.p, N, shift, cdata.M)
+        if c.val is not None:
+            data[space.label(idx)] = c
+    return ChainVector(space, data)
+
+
+def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
+    """Certified dimensions, with generators read from tracked SNFs: the maps
+    are reduced (``_reduce``), then each degree with raw classes has its
+    generators extracted (``_extract_generators``), and a generator that
+    some rule of ``RULES`` flags is excluded.  Every SNF of the complex runs
+    inside this call, in that order."""
+    snfs, gap = _reduce(cdata)
+    degrees = {}
+    for j, space in enumerate(cdata.spaces):
+        raw = space.dim - sum(snfs[k].rank() for k in (j - 1, j)
+                              if 0 <= k < len(snfs))
+        gens, excluded = (), 0
+        if raw > 0:
+            vecs, (N, shift) = _extract_generators(cdata, snfs, j, raw)
+            kept = [v for v in vecs
+                    if not any(rule(v, space, cdata) for rule in RULES)]
+            excluded = len(vecs) - len(kept)
+            gens = tuple(_int_vec_to_chain(v, space, cdata, N, shift)
+                         for v in kept)
+        degrees[j] = DegreeData(raw - excluded, gens, raw, excluded)
+    report = CohomologyReport(label, degrees, gap, cdata.loss)
+    return ComplexCohomology(report, cdata)
 
 
 # -- public operations -----------------------------------------------------------

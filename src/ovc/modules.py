@@ -9,7 +9,6 @@ gauge.  All checks are pure and modules are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import DescriptorMismatchError
 from .padics import make_scalar
@@ -186,9 +185,13 @@ class SigmaNablaModule:
         if self.ring.is_robba():
             if self.connection is None:
                 raise ValueError("robba-kind module needs the dlog matrix N")
+            if self.gammas:
+                raise ValueError("a robba-kind module takes no gamma")
         else:
-            names = [v for v, _ in self.gammas]
-            for v in names:
+            if self.connection is not None:
+                raise ValueError(f"a {self.ring.kind} module takes no "
+                                 "connection")
+            for v, _ in self.gammas:
                 if v not in self.ring.variables:
                     raise ValueError(f"unknown variable {v}")
         if self.frobenius is not None:
@@ -241,18 +244,9 @@ def apply_D(module: SigmaNablaModule, v: ModuleVector) -> ModuleVector:
     return ModuleVector(module, out)
 
 
-@dataclass(frozen=True)
-class CompatResult:
-    passed: bool
-    defect_value: Fraction | int | None   # Gauss value of the defect matrix
-
-
-def check_frobenius_compat(module: SigmaNablaModule) -> CompatResult:
-    """Commuting square for the standard lift: N Phi + t dPhi/dt = q Phi phi(N).
-
-    Returns the max defect valuation; pass means the defect vanishes at the
-    working precision.
-    """
+def check_frobenius_compat(module: SigmaNablaModule) -> bool:
+    """Commuting square for the standard lift: N Phi + t dPhi/dt = q Phi phi(N),
+    with the defect vanishing at the working precision."""
     if module.frobenius is None:
         raise ValueError("no Frobenius structure present")
     ring = module.ring
@@ -262,8 +256,7 @@ def check_frobenius_compat(module: SigmaNablaModule) -> CompatResult:
     lhs = N.mul(Phi).add(tdPhi)
     rhs = Phi.mul(N.map(frobenius_substitute)).scale(q)
     defect = lhs.sub(rhs)
-    return CompatResult(defect.is_zero_at_precision(),
-                        defect.max_defect_value())
+    return defect.is_zero_at_precision()
 
 
 def check_integrability(module: SigmaNablaModule) -> bool:

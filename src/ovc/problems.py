@@ -355,7 +355,7 @@ def _parse_module(pf: ProblemFile, ops: list, ln: int):
         flat = _separated(module) or check_integrability(module)
         compat = module.frobenius is None or (
             module.connection is not None
-            and check_frobenius_compat(module).passed)
+            and check_frobenius_compat(module))
     except Exception as ex:  # noqa: BLE001 - any failure is the line's fault
         raise ParseError(f"module construction failed: {ex}", ln) from None
     if not flat:

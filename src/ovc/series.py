@@ -59,6 +59,8 @@ class RingDescriptor:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        if not self.variables:
+            raise ValueError("a ring needs at least one variable")
         if len(self.window) != len(self.variables):
             raise ValueError("window/variable arity mismatch")
         if not is_prime(self.prime):

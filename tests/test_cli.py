@@ -424,6 +424,12 @@ command unipotent-basis M1
     ("cohomology", "mw_line_trivial.ovc", "window 0:60",
      "window 0:60 slope 1/2", 5),
     ("cohomology", "annulus_dlog_half.ovc", "slope 1", "slope 1 decay 1", 5),
+    # a connection on a Tate module (C = x^3), a gamma on a Robba module
+    ("cohomology", "mw_line_trivial.ovc", "module M1 ring W rank 1 gamma x Z",
+     "series c W\n  term 3 1\nend\nmatrix C W 1 1\n  entry 1 1 c\nend\n"
+     "module M1 ring W rank 1 gamma x Z connection C", 14),
+    ("cohomology", "annulus_dlog_half.ovc", "connection N",
+     "connection N gamma t N", 12),
     # a ring has no coefficient ring
     ("cohomology", "annulus_dlog_half.ovc",
      "ring R robba vars t window -30:30 slope 1",

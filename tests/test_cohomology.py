@@ -385,6 +385,56 @@ def test_local_divergent_solution_not_certified():
     assert rep.degrees[0].raw_dim == 1 and rep.degrees[0].edge_excluded == 1
 
 
+
+def _rule_inputs(window=6):
+    """The trivial plane's mw complex on 0..window (band 1, top edge only)
+    and the local complex of t d/dt - 1/t on -window..window (band 2, both
+    edges), each with a builder of degree-0 vectors from {exponent: int}."""
+    mw = mw_complex(trivial_module(2, P, 8, window))
+    ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), P, 10,
+                          slope=Fraction(1))
+    conn = SeriesMatrix.make(ring, [[Series.monomial(ring, (-1,), -1)]])
+    loc = local_complex(SigmaNablaModule(ring, 1, connection=conn))
+    out = []
+    for cdata in (mw, loc):
+        sp = cdata.spaces[0]
+        out.append((cdata, sp, lambda terms, sp=sp: {
+            sp.index((0, (), I)): x for I, x in terms.items()}))
+    return out
+
+
+def test_edge_rule_on_hand_built_vectors():
+    edge = cohomology._edge_supported
+    (mw, sp, vec), (loc, lsp, lvec) = _rule_inputs()
+    assert mw.band == (1, 1) and not mw.two_sided
+    assert edge(vec({(6, 0): 1, (2, 6): 1}), sp, mw)
+    # one term off the band certifies the class
+    assert not edge(vec({(6, 0): 1, (2, 3): 1}), sp, mw)
+    # a Tate window has no lower edge
+    assert not edge(vec({(0, 3): 1}), sp, mw)
+    # a Robba window has both: -5 is within 2 of -6, -4 is not
+    assert loc.band == (2,) and loc.two_sided
+    assert edge(lvec({(-6,): 1, (-5,): 1, (6,): 1}), lsp, loc)
+    assert not edge(lvec({(-6,): 1, (-4,): 1}), lsp, loc)
+    # a constant connection moves no exponent: band 0, no edge at all
+    flat = local_complex(_constant_robba("1/2"))
+    fsp = flat.spaces[0]
+    assert flat.band == (0,)
+    assert not edge({fsp.index((0, (), (5,))): 1}, fsp, flat)
+
+
+def test_slope_rule_on_hand_built_vectors():
+    limited = cohomology._slope_edge_limited
+    (mw, sp, vec), (loc, lsp, lvec) = _rule_inputs()
+    # slope 0 on a Tate window: the least valuation, at the top edge or not
+    assert limited(vec({(6, 2): 1, (0, 3): 3}), sp, mw)
+    assert not limited(vec({(6, 2): 3, (0, 3): 1}), sp, mw)
+    # slope 1 on a Robba window: the least v_p(x) + I at the lower edge,
+    # inside, or tied between the top edge and the inside
+    assert limited(lvec({(-6,): 1, (0,): 1}), lsp, loc)
+    assert not limited(lvec({(-6,): 3 ** 3, (-5,): 1}), lsp, loc)
+    assert not limited(lvec({(6,): 1, (0,): 3 ** 6}), lsp, loc)
+
 def test_twisted_diagonal_model():
     assert twisted_diagonal_cohomology(0, 1, 0, 10) == {0: 1, 1: 1}
     assert twisted_diagonal_cohomology(Fraction(1, 2), 1, 0, 10) == \
@@ -868,10 +918,10 @@ def test_extraction_matches_uinv_oracle():
                    - (snfs[j].rank() if j < top else 0))
             if raw <= 0 or snfs[j - 1].rank() == 0:
                 continue
-            vecs, sidx = cohomology._extract_generators(cdata, snfs, j, raw,
-                                                        j - 1)
+            vecs, scaling = cohomology._extract_generators(cdata, snfs, j,
+                                                           raw)
             want = _extraction_oracle(cdata, snfs, j, raw)
-            assert sidx == j - 1
+            assert scaling == cdata.scalings[j - 1]
             assert [list(v.items()) for v in vecs] \
                 == [list(v.items()) for v in want]
             seen.add((kind, len(mod.ring.variables), j == top))

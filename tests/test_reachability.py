@@ -130,8 +130,6 @@ UNREAD_ALLOWED: dict[str, str] = {}
 UNREAD_FIELDS_ALLOWED = {
     "ComplexData.floors": "precision floor of a vanished entry, for the "
                           "floor-limited certification of ROADMAP item 2",
-    "CompatResult.defect_value": "defect value of the Frobenius check "
-                                 "ROADMAP item 7 is to report",
     "NormResult.uncertain": "the flag that a norm rests on a limited zero",
 }
 

@@ -75,6 +75,12 @@ def test_w_slope_range_check():
         w_slope(Series.one(R), 2)
 
 
+
+def test_ring_without_variables_is_rejected():
+    # every complex of such a ring would have no map to reduce
+    with pytest.raises(ValueError, match="at least one variable"):
+        RingDescriptor(TATE, (), (), P, M)
+
 def test_mul_examples():
     a = S(R, {(0,): 1, (1,): 1})
     b = S(R, {(0,): 1, (1,): -1})
