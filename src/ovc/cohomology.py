@@ -4,10 +4,13 @@ One builder, ``_assemble``, makes every complex the engine reduces.  It lays
 out the labels (a, J, I) of each degree in one order, exponents in deglex
 (total degree, then descending lex), and emits each differential once, as
 integers mod p^N with its scaling (N, shift), together with the window edge
-data that artifact detection reads.  A map is held as ``linalg.Entries``:
-parallel row, column and value lists, column by column, the form
-``sparse_snf`` takes.  The builder's callers differ only in the exponent box
-of each degree, the derivative action and what happens at the box edge:
+data that artifact detection reads.  Each cell emits the derivative's entry,
+from a table k -> integer into which a connection term on the same entry
+(t d/dt + c in the dlog gauge) is folded, then its other terms.  A map is
+held as ``linalg.Entries``: parallel row, column and value lists, column by
+column, the form ``sparse_snf`` takes.  The builder's callers differ only
+in the exponent box of each degree, the derivative action and what happens
+at the box edge:
 
 * ``mw_complex``       - a module over a Tate/dagger window, dx gauge;
 * ``compact_complex``  - the quotient complex on strictly positive annulus
@@ -188,10 +191,16 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     Each map is emitted once, as ``Entries`` of ints mod p^N with N = M +
     shift, shift the ``integral_shift`` of the terms that land.  Entries go
     column by column, columns in increasing order; no (row, col) pair
-    repeats and no value is zero.  The entries, their order, the scaling,
-    the floor (least precision of an entry that vanished at precision) and
-    the loss are those of summing PadicApprox entries and scaling them to
-    integers afterwards.
+    repeats and no value is zero.  A cell emits the derivative's entry, then
+    its connection terms in order.  The derivative's entry is read from a
+    table k -> dk * k mod p^N per (form, variable, component), dk = ±p^shift.
+    A connection term that lands on that entry (only t d/dt + c does) is
+    folded in: k -> (dk * k + c p^shift) mod p^min(abs_prec(c) + shift, N),
+    the digits PadicApprox addition keeps for a sum whose k is exact, and a
+    vanished entry records abs_prec(c) as the floor.  The entries, the
+    scaling, the floor (least precision of an entry that vanished at
+    precision) and the loss are those of summing PadicApprox entries and
+    scaling them to integers afterwards.
 
     The edge data come from the same inputs: the window is the hull of the
     boxes; the band is one past the largest connection shift in each
@@ -245,10 +254,10 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         N = M + shift
         mod, ps = p ** N, p ** shift
 
-        # per source form, per acting variable outside it: the derivative's
-        # scaled sign, its integer at each exponent, frame offset and row
-        # offset, then per source component the connection terms with their
-        # integers and the term (if any) that lands on the derivative's entry
+        # per source form, per acting variable outside it: the frame and row
+        # offsets of the derivative's target, then per source component the
+        # table k -> integer of its entry and the floor a vanished entry
+        # records, and the other connection terms with their integers
         dst_form = {J: f for f, J in enumerate(dst.forms)}
         plan = []
         unrecorded = []     # per connection term: its loss is still open
@@ -259,26 +268,32 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                     continue
                 sign = _insert_sign(i, J)
                 roff = dst_form[tuple(sorted(J + (i,)))] * rank
+                dk = sign * coeff_sign * ps
+                lo, hi = boxes[j][0][i], boxes[j][1][i]
+                tabs = [({k: dk * k % mod for k in range(lo, hi + 1)},
+                         None)] * rank
                 by_a = [[] for _ in range(rank)]
-                merge = [None] * rank
                 for b, a, E, c in terms.get(i, ()):
+                    cc = c if sign > 0 else c.neg()
+                    if b == a and all(exp_sign * e == (step if v == i else 0)
+                                      for v, e in enumerate(E)):
+                        # lands on the derivative's entry: the sum keeps
+                        # the digits PadicApprox addition gives it, k exact
+                        digits = c.abs_prec()
+                        x = cc.residue(N, shift)
+                        m = p ** min(digits + shift, N)
+                        tabs[a] = ({k: (dk * k + x) % m
+                                    for k in range(lo, hi + 1)}, digits)
+                        continue
                     # a term whose valuation the shift does not cover never
                     # lands; a limited zero has no integer
-                    cc = c if sign > 0 else c.neg()
                     x = None
                     if c.val is not None and c.val + shift >= 0:
                         x = cc.residue(N, shift)
-                    t = (offset(E), roff + b, x, cc, E, len(unrecorded))
+                    by_a[a].append((offset(E), roff + b, x, cc, E,
+                                    len(unrecorded)))
                     unrecorded.append(c.val is not None)
-                    by_a[a].append(t)
-                    if b == a and all(exp_sign * e == (step if v == i else 0)
-                                      for v, e in enumerate(E)):
-                        merge[a] = t
-                dk = sign * coeff_sign * ps
-                lo, hi = boxes[j][0][i], boxes[j][1][i]
-                dtab = {k: dk * k % mod for k in range(lo, hi + 1)}
-                fplan.append((i, dk, dtab, step * strides[i], roff, by_a,
-                              merge))
+                fplan.append((i, step * strides[i], roff, tabs, by_a))
             plan.append(fplan)
 
         rows, cols, vals = [], [], []
@@ -290,35 +305,20 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         for I, code in zip(src.exps, codes):
             for fplan in plan:
                 for a in range(rank):
-                    for i, dk, dtab, doff, roff, by_a, merge in fplan:
-                        skip = None
-                        k = I[i]
-                        if k:
-                            r = where[code + doff]
-                            if r >= 0:
-                                t = merge[a]
-                                if t is None:
-                                    x = dtab[k]
-                                else:
-                                    # the sum truncates as PadicApprox
-                                    # addition does; it may vanish there
-                                    skip, c, x = t, t[3], t[2] or 0
-                                    digits = min(c.abs_prec(), c.prec
-                                                 + int_valuation(k, p))
-                                    x = (dk * k + x) % p ** min(
-                                        digits + shift, N)
-                                    if not x:
-                                        floor = _loss_min(floor, digits)
-                                if x:
-                                    add_row(r * W2 + roff + a)
-                                    add_col(col)
-                                    add_val(x)
-                            else:   # above the box: dropped at value 0
-                                above = True
-                        for t in by_a[a]:
-                            if t is skip:
-                                continue
-                            off, radd, x, c, E, tk = t
+                    for i, doff, roff, tabs, by_a in fplan:
+                        tab, digits = tabs[a]
+                        r = where[code + doff]
+                        if r >= 0:
+                            x = tab[I[i]]
+                            if x:
+                                add_row(r * W2 + roff + a)
+                                add_col(col)
+                                add_val(x)
+                            elif digits is not None:
+                                floor = _loss_min(floor, digits)
+                        elif I[i]:  # above the box: dropped at value 0
+                            above = True
+                        for off, radd, x, c, E, tk in by_a[a]:
                             r = where[code + off]
                             if r >= 0:
                                 if x is None:
@@ -464,8 +464,6 @@ def _reduce(cdata: ComplexData):
 def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
     """True when every term of the vector sits within the band of the window
     edge in some variable: a window artifact, not a certified class."""
-    if all(b == 0 for b in cdata.band):
-        return False
     for idx in vec:
         a, J, I = space.label(idx)
         near = False
@@ -486,8 +484,6 @@ def _slope_edge_limited(vec: dict, space: ChainSpace,
     defining series keeps losing value beyond the cut."""
     _, argmin = _lowest(((space.label(idx)[2], int_valuation(x, cdata.p))
                          for idx, x in vec.items()), cdata.slope)
-    if not argmin:
-        return False
 
     def at_edge(I):
         for e, lo, hi in zip(I, cdata.window_lo, cdata.window_hi):
@@ -508,10 +504,10 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     """Representatives of ker(d_j)/im(d_(j-1)) as sparse integer vectors,
     plus the scaling (N, shift) they are expressed under.
 
-    They are read from the incoming map when its rank is positive, else
-    from the outgoing one; a top degree without boundaries has the unit
-    vectors.  A rank-only result of the map read from is replaced in
-    ``snfs`` by the map reduced tracked, in full, mod p^N.
+    They are read from the incoming map when its rank is positive or j is
+    the top degree, else from the outgoing one.  A rank-only result of the
+    map read from is replaced in ``snfs`` by the map reduced tracked, in
+    full, mod p^N.
 
     With incoming boundaries, the quotient is spanned by the columns of
     U^-1 (from U d_(j-1) V = D) at the free rows of d_(j-1).  Every logged
@@ -524,9 +520,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     columns to ``sparse_snf`` in column order, each column's entries in
     their stored order."""
     top = len(cdata.spaces) - 1
-    src = j - 1 if j and snfs[j - 1].rank() > 0 else j
-    if src == top:
-        return [{i: 1} for i in range(count)], cdata.scalings[j - 1]
+    src = j - 1 if j == top or (j and snfs[j - 1].rank() > 0) else j
     res = snfs[src]
     if not res.tracked:
         res = snfs[src] = sparse_snf(res.nrows, res.ncols,

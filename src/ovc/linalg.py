@@ -64,6 +64,10 @@ class Entries:
 
 @dataclass
 class SnfResult:
+    """A reduction mod p^N.  ``sparse_snf`` appends the pivots level by
+    level, so their levels never decrease, and every level is below N, also
+    after a rank-only caller raises N from the K it reduced at: the divisors
+    read the pivot list in order, and the largest level is the last one's."""
     nrows: int
     ncols: int
     p: int
@@ -78,7 +82,7 @@ class SnfResult:
     # -- certified quantities ---------------------------------------------
 
     def divisors(self) -> list:
-        return sorted(e for _, _, e in self.pivots) + [self.N] * len(self.free_cols)
+        return [e for _, _, e in self.pivots] + [self.N] * len(self.free_cols)
 
     def rank(self, cutoff: int | None = None) -> int:
         if cutoff is None or cutoff >= self.N:
@@ -88,8 +92,7 @@ class SnfResult:
     def certification_gap(self) -> int:
         """Distance from the largest certified divisor to the precision
         ceiling; the smaller the gap, the shakier the rank claim."""
-        es = [e for _, _, e in self.pivots if e < self.N]
-        return self.N - (max(es) if es else 0)
+        return self.N - (self.pivots[-1][2] if self.pivots else 0)
 
     # -- transform application ---------------------------------------------
 

@@ -609,11 +609,11 @@ PINNED_BUILDER_DIGESTS = {
         "c5e4906d80937b7f98490efb8c1e3c6593ac0918aee814f3c3e1ac21f74ff930",
     ],
     "local": [
-        "ce85bc97fa8f9444ab3a035c03fdf082b499966a704e80caa5c0eb0aee6b5f50",
-        "e9297ee80bbee20fc8897d6cb87114229071ed670bd42cceec86e2b0d00fbd53",
-        "fc4db83984731a89c705bb2f8c6cf8b41dff3710648adb02516660888db45bd1",
+        "6345622627046c2b9d2cc2dbd02e99e47c251709bdf110b8a122d0d1d8ef4411",
+        "3063f5129ddbcf98a41112eab13a5c5220d8c221b021451c06c6fe6d5d085033",
+        "ecc11fcf9d76153c87e14b67ef5658e544d0679209805ad0a6ac1276ec8e7bf3",
         "f1ddea56ecee357e9ebabecb95d0218146de1967b62a18ddb947a9a56e9380fe",
-        "0fba587715f017ff98e6752fe78257d8109e456a352c011a2ab93614767f2687",
+        "96bb567767bb369aef58b6ccd11e27f47cf6577399ad61bfdaa8ec8fb4124089",
         "9b6f7e0dc4bee6d8a99848e34c733a7c3f75a1b7662983b01ab730352f38bf63",
         "4ab11dcf81968c65da72939e800c3f5749d9f652eb67c42ddad2a4d29f92be30",
         "0b293bd6444c50ff289f695d6eeccedce15f8f6aa47b0488d0a45d4750fcea1f",
@@ -930,6 +930,16 @@ def test_extraction_matches_uinv_oracle():
                     if n > 1 or at_top}
 
 
+def test_top_generators_over_a_zero_map():
+    # the trivial line on the window 0:0: d/dx kills the constant, so the
+    # only map is zero and every row of it is free
+    cdata = mw_complex(trivial_module(1, P, 8, 0))
+    snfs, _ = cohomology._reduce(cdata)
+    assert len(cdata.matrices[0]) == 0 and snfs[0].rank() == 0
+    assert cohomology._extract_generators(cdata, snfs, 1, 1) \
+        == ([{0: 1}], cdata.scalings[0])
+
+
 def _criterion_4_images():
     """apply_complex_map on the inputs of acceptance criterion 4."""
     rng = random.Random(20240)
@@ -977,3 +987,25 @@ def test_quotient_and_local_sum_alike():
         lent = {lsrc.label(c): x for c, x in zip(lmap.cols, lmap.vals)}
         qent = {qsrc.label(c): x for c, x in zip(qmap.cols, qmap.vals)}
         assert qent == {l: x for l, x in lent.items() if l[2][0] >= 1}
+
+
+def test_folded_constant_is_the_padic_sum():
+    # t d/dt + c at t^k is the PadicApprox sum k + c with k exact: t d/dt -
+    # 3/2 keeps all eight digits of -1/2 at t^1, 3280 rather than 3280 mod
+    # 3^7, and a sum that vanishes records its absolute precision as floor
+    for coeff in ("-3/2", "6", "5*p^0@3", "O(p^2)", "1/3", -1):
+        loc = local_complex(_constant_robba(coeff))
+        (src, _), (m,), ((N, shift),) = loc.spaces, loc.matrices, \
+            loc.scalings
+        want, floor = {}, None
+        for k in range(-5, 6):
+            s = make_scalar(k, P, 2 * N).add(_tok(coeff))
+            if s.is_zero():
+                floor = s.prec if floor is None else min(floor, s.prec)
+            else:
+                want[k] = s.residue(N, shift)
+        assert {src.label(c)[2][0]: x for c, x in zip(m.cols, m.vals)} \
+            == want, coeff
+        assert loc.floors == [floor], coeff
+        if coeff == "-3/2":
+            assert want[1] == 3280 == -pow(2, -1, 3 ** 8) % 3 ** 8
