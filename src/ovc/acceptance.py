@@ -58,7 +58,6 @@ from .unipotent import (
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
-    name: str
     passed: bool
     detail: str
 
@@ -99,8 +98,7 @@ def criterion_1() -> CriterionResult:
         good = d1 == {0: 1, 1: 0} and d2 == {0: 1, 1: 0, 2: 0} and dt < 5.0
         ok = ok and good
         details.append(f"p={p}: line {d1}, plane {d2}, {dt:.2f}s")
-    return CriterionResult(1, "mw cohomology of the line and plane",
-                           ok, "; ".join(details))
+    return CriterionResult(1, ok, "; ".join(details))
 
 
 def criterion_2() -> CriterionResult:
@@ -128,8 +126,7 @@ def criterion_2() -> CriterionResult:
             good = False
         ok = ok and good
         details.append(f"n={n}: {dims}")
-    return CriterionResult(2, "compact supports of affine space", ok,
-                           "; ".join(details))
+    return CriterionResult(2, ok, "; ".join(details))
 
 
 def criterion_3() -> CriterionResult:
@@ -143,7 +140,7 @@ def criterion_3() -> CriterionResult:
         good = dims == {0: expect[0], 1: expect[1]} and orc == dims
         ok = ok and good
         details.append(f"a={a}: {dims} (oracle {orc})")
-    return CriterionResult(3, "annulus dlog family", ok, "; ".join(details))
+    return CriterionResult(3, ok, "; ".join(details))
 
 
 def criterion_4() -> CriterionResult:
@@ -177,7 +174,7 @@ def criterion_4() -> CriterionResult:
                 rhs = residue_pairing(apply_complex_map(cc, i, v), w, n)
                 if not lhs.add(rhs).is_zero():
                     fails += 1
-    return CriterionResult(4, "residue adjointness", fails == 0,
+    return CriterionResult(4, fails == 0,
                            f"{total - fails}/{total} pairs exact")
 
 
@@ -197,7 +194,7 @@ def criterion_5() -> CriterionResult:
         ok = ok and vacuous
         details.append(f"twist 1/2 n={n}: "
                        + ("vacuous" if vacuous else "FAIL"))
-    return CriterionResult(5, "pairing nondegeneracy", ok, "; ".join(details))
+    return CriterionResult(5, ok, "; ".join(details))
 
 
 def criterion_6() -> CriterionResult:
@@ -211,12 +208,11 @@ def criterion_6() -> CriterionResult:
                     bound, exact = bounddenom(m, l, e, p, verify=True)
                     if exact > bound:
                         return CriterionResult(
-                            6, "denominator bound", False,
-                            f"exact {exact} > bound {bound} at "
+                            6, False, f"exact {exact} > bound {bound} at "
                             f"(m={m}, l={l}, e={e}, p={p})")
                     worst = max(worst, exact)
     dt = time.monotonic() - t0
-    return CriterionResult(6, "denominator bound", dt < 10.0,
+    return CriterionResult(6, dt < 10.0,
                            f"exhaustive box ok, worst exact {worst}, {dt:.2f}s")
 
 
@@ -256,8 +252,7 @@ def criterion_7() -> CriterionResult:
         slope = (vals[-1] - vals[0]) / (len(vals) - 1)
         slopes_ok = slopes_ok and slope > 0
     detail.append(f"random slopes positive: {slopes_ok}")
-    return CriterionResult(7, "horizontal iteration", ok and slopes_ok,
-                           "; ".join(detail))
+    return CriterionResult(7, ok and slopes_ok, "; ".join(detail))
 
 
 def criterion_8() -> CriterionResult:
@@ -287,7 +282,7 @@ def criterion_8() -> CriterionResult:
                 if any(exp) and c.val is not None and c.val < M - 2:
                     const = False
     return CriterionResult(
-        8, "strongly unipotent basis", ok and const,
+        8, ok and const,
         f"X=0 {x_zero}, gauge verified, transition constant {const}")
 
 
@@ -328,32 +323,27 @@ def criterion_9() -> CriterionResult:
         # reconstruction and shape checks
         digits = M - 4
         if not res.V.mul(res.W).sub(U).is_zero_at_precision(digits):
-            return CriterionResult(9, "matrix factorization", False,
-                                   f"V W != U at trial {trial}")
+            return CriterionResult(9, False, f"V W != U at trial {trial}")
         vals = [v for v in res.det_valuations]
         if vals != list(range(vals[0], -1, -1)):
-            return CriterionResult(9, "matrix factorization", False,
+            return CriterionResult(9, False,
                                    f"det valuations {vals} not stepping by 1")
         g = res.V.max_defect_value()
         if g is not None and g < 0:
-            return CriterionResult(9, "matrix factorization", False,
-                                   "V not integral")
+            return CriterionResult(9, False, "V not integral")
         vdet = res.V.det().gauss_value()
         if vdet != 0:
-            return CriterionResult(9, "matrix factorization", False,
-                                   f"V det content {vdet}")
+            return CriterionResult(9, False, f"V det content {vdet}")
         for mat in (res.W, res.W_inv):
             for row in mat.rows:
                 for s in row:
                     if any(e[0] < 0 for e in s.support()):
-                        return CriterionResult(9, "matrix factorization",
-                                               False, "W not plus-part")
+                        return CriterionResult(9, False, "W not plus-part")
         ident = res.W.mul(res.W_inv).sub(SeriesMatrix.identity(ring, n))
         if not ident.is_zero_at_precision(digits):
-            return CriterionResult(9, "matrix factorization", False,
-                                   "W inverse fails")
+            return CriterionResult(9, False, "W inverse fails")
         checked += 1
-    return CriterionResult(9, "matrix factorization", True,
+    return CriterionResult(9, True,
                            f"{checked} random matrices factored and verified")
 
 
@@ -387,26 +377,25 @@ def criterion_10() -> CriterionResult:
         u = reduce_element(y, z, basis)
         gy, gu = gauss_norm(y).value, gauss_norm(u).value
         if gu is not None and gy is not None and gu < gy:
-            return CriterionResult(10, "division", False,
-                                   f"|u| > |y| at trial {trial}")
+            return CriterionResult(10, False, f"|u| > |y| at trial {trial}")
         D = basis[0].rho_D
         ru, rz = rho_value(u, D), rho_value(z, D)
         if ru is not None and rz is not None and ru < rz:
-            return CriterionResult(10, "division", False,
+            return CriterionResult(10, False,
                                    f"|u|_rho > |z|_rho at trial {trial}")
         if not reduces_to_zero(u.sub(z), basis):
-            return CriterionResult(10, "division", False,
+            return CriterionResult(10, False,
                                    f"u - z not in the ideal at trial {trial}")
         h = hadamard_check(u if not u.is_zero() else y, 2, Fraction(1, 2))
         if not h.passed:
-            return CriterionResult(10, "division", False,
+            return CriterionResult(10, False,
                                    f"three-circles failed at trial {trial}")
         count += 1
     # monomial equality in the three-circles bound
     mono = Series.monomial(ring, (3, 1), 9)
     h = hadamard_check(mono, 3, Fraction(2, 3))
     eq = h.value_C == (1 - Fraction(2, 3)) * h.value_A + Fraction(2, 3) * h.value_B
-    return CriterionResult(10, "division", count >= 60 and eq,
+    return CriterionResult(10, count >= 60 and eq,
                            f"{count} instances; monomial equality {eq}")
 
 
@@ -425,9 +414,8 @@ def criterion_11() -> CriterionResult:
     neg = (not all(v.passed for v in bad)) and \
         [v.node for v in bad if not v.passed] == ["r1f"]
     ok = all(r for _, r in results) and neg
-    return CriterionResult(
-        11, "snake exactness", ok,
-        "; ".join(f"{n}: {'exact' if r else 'FAIL'}" for n, r in results)
+    return CriterionResult(11, ok, "; ".join(
+        f"{n}: {'exact' if r else 'FAIL'}" for n, r in results)
         + f"; negative control fails at r1f: {neg}")
 
 
@@ -444,7 +432,7 @@ def criterion_12() -> CriterionResult:
     h1 = [tuple(v.coords) for v in rep.generators(1)]
     ok = all(trace_projector_check(mod, e, h0_reps=h0, h1_reps=h1)
              for e in (2, 3))
-    return CriterionResult(12, "trace projector", ok,
+    return CriterionResult(12, ok,
                            "identity on ring elements and classes for e in {2,3}")
 
 
@@ -460,7 +448,7 @@ def criterion_13() -> CriterionResult:
             and rep.dims_M == direct
         ok = ok and good
         details.append(f"{name}: dims {rep.dims_M}, euler {rep.euler_ok}")
-    return CriterionResult(13, "leray consistency", ok, "; ".join(details))
+    return CriterionResult(13, ok, "; ".join(details))
 
 
 def criterion_14() -> CriterionResult:
@@ -491,12 +479,11 @@ command pushforward M1 robba R
                  "--format", "structured"],
                 capture_output=True)
             if proc.returncode != 0:
-                return CriterionResult(14, "determinism", False,
-                                       f"exit {proc.returncode}: "
+                return CriterionResult(14, False, f"exit {proc.returncode}: "
                                        f"{proc.stderr.decode()[:200]}")
             outputs.append(proc.stdout)
     ok = outputs[0] == outputs[1] == outputs[2]
-    return CriterionResult(14, "determinism", ok,
+    return CriterionResult(14, ok,
                            f"{len(outputs[0])} bytes, identical across "
                            "three runs")
 
@@ -513,6 +500,5 @@ def run_all() -> list[CriterionResult]:
             results.append(fn())
         except Exception as ex:  # a crash is a failure, not an abort
             num = int(fn.__name__.rsplit("_", 1)[1])
-            results.append(CriterionResult(num, fn.__name__, False,
-                                           f"exception: {ex!r}"))
+            results.append(CriterionResult(num, False, f"exception: {ex!r}"))
     return results

@@ -97,6 +97,12 @@ def _cohomology_records(report: RunReport, rep: CohomologyReport):
                "none" if rep.truncation is None else rep.truncation)
 
 
+def _verdict_records(report: RunReport, prefix: str, verdicts):
+    for v in verdicts:
+        report.add(f"{prefix}.{v.node}",
+                   "exact" if v.passed else f"FAIL ({v.detail})")
+
+
 def run_command(pf: ProblemFile) -> RunReport:
     """The report of the problem's command; ``parse_problem`` has already
     resolved and checked its arguments against ``problems.COMMANDS``."""
@@ -115,11 +121,8 @@ def run_command(pf: ProblemFile) -> RunReport:
         for k, v in bundle.dims().items():
             report.add(f"{k}.dim", v)
         report.add("r1prim.dim", bundle.r1prim_dim)
-        for verdict in snake_check(bundle):
-            report.add(f"snake.{verdict.node}",
-                       "exact" if verdict.passed else f"FAIL ({verdict.detail})")
-        for note in bundle.notes:
-            report.add("note", note)
+        _verdict_records(report, "snake", snake_check(bundle))
+        report.add("note", bundle.note)
         report.add("precision-floor", pf.M)
     elif name == "leray":
         rep = leray_assemble(*args)
@@ -132,8 +135,7 @@ def run_command(pf: ProblemFile) -> RunReport:
         for d, v in sorted(rep.dims_M.items()):
             report.add(f"M.h{d}.dim", v)
         report.add("euler-identity", "pass" if rep.euler_ok else "FAIL")
-        for node, ok, detail in rep.node_verdicts:
-            report.add(f"node.{node}", "exact" if ok else f"FAIL ({detail})")
+        _verdict_records(report, "node", rep.node_verdicts)
     elif name == "factor":
         res = factor_plus(args[0], opts.get("bound"))
         _matrix_records(report, "V", res.V)

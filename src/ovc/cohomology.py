@@ -45,7 +45,7 @@ in three passes:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, product
@@ -554,7 +554,7 @@ def _int_vec_to_chain(vec: dict, space: ChainSpace, cdata: ComplexData,
     return ChainVector(space, data)
 
 
-def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
+def complex_cohomology(cdata: ComplexData) -> ComplexCohomology:
     """Certified dimensions, with generators read from tracked SNFs: the maps
     are reduced (``_reduce``), then each degree with raw classes has its
     generators extracted (``_extract_generators``), and a generator that
@@ -574,7 +574,7 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
             gens = tuple(_int_vec_to_chain(v, space, cdata, N, shift)
                          for v in kept)
         degrees[j] = DegreeData(raw - excluded, gens, raw, excluded)
-    report = CohomologyReport(label, degrees, gap, cdata.loss)
+    report = CohomologyReport(degrees, gap, cdata.loss)
     return ComplexCohomology(report, cdata)
 
 
@@ -583,23 +583,21 @@ def complex_cohomology(cdata: ComplexData, label: str) -> ComplexCohomology:
 def mw_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     """Kernels and cokernels of the truncated de Rham complex over the Tate
     window, with certified ranks and edge-artifact exclusion."""
-    return complex_cohomology(mw_complex(module), "mw-cohomology")
+    return complex_cohomology(mw_complex(module))
 
 
 def compact_support_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     """H^(n+j)_c of affine n-space with coefficients in the module: the j-th
     cohomology of the strictly-positive quotient complex."""
-    cc = complex_cohomology(compact_complex(module), "compact-supports")
+    cc = complex_cohomology(compact_complex(module))
     n = len(module.ring.variables)
     shifted = {n + j: dd for j, dd in cc.report.degrees.items()}
-    rep = CohomologyReport(cc.report.label, shifted, cc.report.precision_gap,
-                           cc.report.truncation)
-    return ComplexCohomology(rep, cc.cdata)
+    return ComplexCohomology(replace(cc.report, degrees=shifted), cc.cdata)
 
 
 def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     """H^0/H^1 of D on a one-variable Robba window."""
-    return complex_cohomology(local_complex(module), "local-cohomology")
+    return complex_cohomology(local_complex(module))
 
 
 # -- the dlog-diagonal twisted family ---------------------------------------------

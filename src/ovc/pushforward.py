@@ -11,14 +11,22 @@ from the constant-matrix kernel and cokernel of a unipotent certificate
 instead, which is exact.
 
 Each of the six nodes is a class space: its generators are stored once as
-integers mod p^N at the scaling of its incoming boundary map.  The five snake
-maps act on those integers directly, relabelling each coordinate into the
-target node and reducing mod the target's p^N.
+integers mod p^N at the scaling of its incoming boundary map, and the SNF
+that expresses a vector as a class is built on first use and kept with the
+node.  The five snake maps act on those integers directly, relabelling each
+coordinate into the target node and reducing mod the target's p^N.  The
+negative control copies the bundle around one new generator and leaves the
+original as it was.
+
+``snake_check`` and ``leray_assemble`` judge exactness node by node with one
+``Verdict`` type: the node, whether it passed and a detail line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .cohomology import (
     D_LOG,
@@ -52,31 +60,28 @@ class ClassSpace:
     N: int
     shift: int
     boundary_cols: Entries    # the incoming map as stored, column by column
-    _snf: object = field(default=None, init=False)
-    _ncols: int = field(default=0, init=False)
 
+    @cached_property
     def _solver(self):
         """The SNF of the generators followed by the boundary's columns,
         which are offset by the generator count and keep their order."""
-        if self._snf is None:
-            entries = Entries.of_columns(self.generators)
-            self._ncols = g = len(self.generators)
-            b = self.boundary_cols
-            entries.rows += b.rows
-            entries.cols += [c + g for c in b.cols]
-            entries.vals += b.vals
-            self._snf = sparse_snf(self.ambient_dim,
-                                   g + (b.cols[-1] + 1 if b.cols else 0),
-                                   entries, self.p, self.N)
-        return self._snf
+        entries = Entries.of_columns(self.generators)
+        g = self.dim
+        b = self.boundary_cols
+        entries.rows += b.rows
+        entries.cols += [c + g for c in b.cols]
+        entries.vals += b.vals
+        return sparse_snf(self.ambient_dim,
+                          g + (b.cols[-1] + 1 if b.cols else 0),
+                          entries, self.p, self.N)
 
     def class_coords(self, vec: dict):
         """Coordinates of a vector's class in the generator basis, or None
         when it is not a combination of generators and boundaries."""
-        sol = self._solver().solve(dict(vec))
+        sol = self._solver.solve(dict(vec))
         if sol is None:
             return None
-        return tuple(sol.get(c, 0) for c in range(self._ncols))
+        return tuple(sol.get(c, 0) for c in range(self.dim))
 
     @property
     def dim(self):
@@ -105,7 +110,7 @@ class PushforwardBundle:
     nodes: dict               # name -> ClassSpace
     maps: dict                # name -> small int matrix as list of columns
     r1prim_dim: int           # rank of maps["delta"]; zero padding keeps it
-    notes: tuple
+    note: str
 
     def dims(self) -> dict:
         order = ("r0f", "r1f", "r0loc", "r1loc", "r1shriek", "r2shriek")
@@ -161,10 +166,10 @@ def pushforward_complex(module: SigmaNablaModule,
     if lo > -hx or hi < 1:
         raise WindowError("annulus window must cover the inverted line window")
 
-    mwc = complex_cohomology(mw_complex(module), "line-side")
+    mwc = complex_cohomology(mw_complex(module))
     loc_mod = robba_side_module(module, robba_ring)
-    locc = complex_cohomology(local_complex(loc_mod), "local")
-    quc = complex_cohomology(quotient_complex(loc_mod), "quotient")
+    locc = complex_cohomology(local_complex(loc_mod))
+    quc = complex_cohomology(quotient_complex(loc_mod))
 
     if unipotent:
         urep = h0_h1_unipotent(strongly_unipotent_basis(loc_mod))
@@ -187,7 +192,7 @@ def pushforward_complex(module: SigmaNablaModule,
                                            cc.cdata if j else None)
     maps = _snake_maps(mwc, locc, quc, nodes)
     r1prim = _matrix_rank(maps["delta"], p, M)
-    return PushforwardBundle(module, nodes, maps, r1prim, (note,))
+    return PushforwardBundle(module, nodes, maps, r1prim, note)
 
 
 def _unipotent_chain_gens(urep, degree, space):
@@ -271,31 +276,28 @@ def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:
     """Negative control: inject a spurious generator into the middle node
     (the top-edge one-form class, never a boundary on the window), padding
     the incoming map with zero coordinates and the outgoing map with the
-    zero column its image happens to have."""
-    import copy
-
-    bad = copy.deepcopy(bundle)
-    cs = bad.nodes["r1f"]
+    zero column its image happens to have.  The input bundle is left as
+    it was."""
+    r1f = bundle.nodes["r1f"]
     # ambient index of the top-degree monomial form on the last component
-    fake_row = cs.ambient_dim - 1
-    cs.generators = list(cs.generators) + [{fake_row: 1}]
-    cs._snf = None
-    if bad.maps.get("delta") is not None:
-        bad.maps["delta"] = [tuple(col) + (0,) for col in bad.maps["delta"]]
-    if bad.maps.get("to_loc1") is not None:
-        bad.maps["to_loc1"] = list(bad.maps["to_loc1"]) + [
-            (0,) * bad.nodes["r1loc"].dim]
-    return bad
+    nodes = dict(bundle.nodes, r1f=replace(
+        r1f, generators=r1f.generators + [{r1f.ambient_dim - 1: 1}]))
+    maps = dict(bundle.maps)
+    if maps["delta"] is not None:
+        maps["delta"] = [tuple(col) + (0,) for col in maps["delta"]]
+    if maps["to_loc1"] is not None:
+        maps["to_loc1"] = maps["to_loc1"] + [(0,) * nodes["r1loc"].dim]
+    return replace(bundle, nodes=nodes, maps=maps)
 
 
-@dataclass(frozen=True)
-class SnakeVerdict:
+class Verdict(NamedTuple):
+    """Exactness at one node of a long exact sequence."""
     node: str
     passed: bool
     detail: str
 
 
-def snake_check(bundle: PushforwardBundle) -> list[SnakeVerdict]:
+def snake_check(bundle: PushforwardBundle) -> list[Verdict]:
     """Exactness at the six nodes: image rank equals kernel dimension at each
     interior node, injectivity at the head, surjectivity at the tail."""
     p = bundle.module.ring.prime
@@ -307,23 +309,21 @@ def snake_check(bundle: PushforwardBundle) -> list[SnakeVerdict]:
 
     mats = [bundle.maps[m] for m in mapseq]
     if any(m is None for m in mats):
-        return [SnakeVerdict(n, False, "a chain map failed to land in its "
-                             "target classes at precision") for n in names]
+        return [Verdict(n, False, "a chain map failed to land in its "
+                        "target classes at precision") for n in names]
     ranks = [bundle.r1prim_dim if name == "delta" else _matrix_rank(m, p, M)
              for name, m in zip(mapseq, mats)]
 
     # head: injectivity
-    verdicts.append(SnakeVerdict(
-        names[0], ranks[0] == dims[0],
-        f"rank {ranks[0]} of {dims[0]}"))
+    verdicts.append(Verdict(names[0], ranks[0] == dims[0],
+                            f"rank {ranks[0]} of {dims[0]}"))
     for k in range(1, 5):
         ker = dims[k] - ranks[k]
-        verdicts.append(SnakeVerdict(
+        verdicts.append(Verdict(
             names[k], ker == ranks[k - 1],
             f"ker(out) {ker} vs im(in) {ranks[k - 1]}"))
-    verdicts.append(SnakeVerdict(
-        names[5], ranks[4] == dims[5],
-        f"im(in) {ranks[4]} of {dims[5]}"))
+    verdicts.append(Verdict(names[5], ranks[4] == dims[5],
+                            f"im(in) {ranks[4]} of {dims[5]}"))
     return verdicts
 
 
@@ -337,7 +337,7 @@ class LerayReport:
     dims_Q: dict
     dims_M: dict
     euler_ok: bool
-    node_verdicts: tuple          # (node label, passed, detail)
+    node_verdicts: tuple          # Verdict per node
 
 
 def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
@@ -407,16 +407,16 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     h0P, h1P = dims_P.get(0, 0), dims_P.get(1, 0)
     h0Q, h1Q = dims_Q.get(0, 0), dims_Q.get(1, 0)
     h0M, h1M, h2M = dims_M.get(0, 0), dims_M.get(1, 0), dims_M.get(2, 0)
-    verdicts.append(("H0(P)->H0(M) iso", h0P == h0M,
-                     f"{h0P} vs {h0M}"))
+    verdicts.append(Verdict("H0(P)->H0(M) iso", h0P == h0M,
+                            f"{h0P} vs {h0M}"))
     # exactness of H1(P) -> H1(M) -> H0(Q) -> 0 -> H2(M) -> H1(Q) -> 0:
     # rank arithmetic forces h1M = h1P + rank(edge) and h0Q = rank(edge) +
     # dim ker(delta2) with delta2 landing in H2(P) = 0, so h0Q - (h1M - h1P)
     # must vanish.
     mid_ok = (h1M - h1P >= 0) and (h0Q == h1M - h1P)
-    verdicts.append(("H1 block", mid_ok,
-                     f"H1(M)={h1M}, H1(P)={h1P}, H0(Q)={h0Q}"))
-    verdicts.append(("H2(M) ~ H1(Q)", h2M == h1Q, f"{h2M} vs {h1Q}"))
+    verdicts.append(Verdict("H1 block", mid_ok,
+                            f"H1(M)={h1M}, H1(P)={h1P}, H0(Q)={h0Q}"))
+    verdicts.append(Verdict("H2(M) ~ H1(Q)", h2M == h1Q, f"{h2M} vs {h1Q}"))
 
     return LerayReport(len(P_gens), len(Q_gens), dims_P, dims_Q, dims_M,
                        euler_ok, tuple(verdicts))
@@ -449,42 +449,29 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
                         else c.mul(cc)
         cols.append(img_by_ydeg)
 
-    # solve each y-degree slice against the generator span
+    # solve each y-degree slice against the generator classes
+    cdata = fib.cdata
+    p, M = cdata.p, cdata.M
+    space = cdata.spaces[0 if kernel_side else 1]
+    cs = _class_space(gens, space, p, M, None if kernel_side else cdata)
     rank_g = len(gens)
     conn_terms = [[dict() for _ in range(rank_g)] for _ in range(rank_g)]
-    solver = _line_class_solver(fib, gens, kernel_side)
     for k, img in enumerate(cols):
         for j, vec in img.items():
-            coords = solver(vec)
+            # the image is encoded at t >= shift: a coordinate x then
+            # stands for x / p^(t - shift) against the generators
+            t = integral_shift(vec.values(), cs.shift)
+            coords = cs.class_coords({space.index(lbl): c.residue(cs.N, t)
+                                      for lbl, c in vec.items()
+                                      if not c.is_zero()})
             if coords is None:
                 raise BadCertificateError(
                     "horizontal action leaves the generator span at precision")
             for l, x in enumerate(coords):
-                conn_terms[l][k][(j,)] = x
+                conn_terms[l][k][(j,)] = from_residue(x, p, cs.N,
+                                                      t - cs.shift, M)
     rows = [tuple(Series.make(base_ring, conn_terms[l][k])
                   for k in range(rank_g)) for l in range(rank_g)]
     return SigmaNablaModule(base_ring, rank_g,
                             gammas=((base_ring.variables[0],
                                      SeriesMatrix.make(base_ring, rows)),))
-
-
-def _line_class_solver(fib, gens, kernel_side):
-    """Solve ambient fiber vectors against the generator classes: the
-    scalar coordinates of a vector's class, or None."""
-    cdata = fib.cdata
-    p, M = cdata.p, cdata.M
-    space = cdata.spaces[0 if kernel_side else 1]
-    cs = _class_space(gens, space, p, M, None if kernel_side else cdata)
-
-    def solve(vec_labels: dict):
-        # the image is encoded at t >= shift: a coordinate x then stands
-        # for x / p^(t - shift) against the generators
-        t = integral_shift(vec_labels.values(), cs.shift)
-        coords = cs.class_coords({space.index(lbl): c.residue(cs.N, t)
-                                  for lbl, c in vec_labels.items()
-                                  if not c.is_zero()})
-        if coords is None:
-            return None
-        return [from_residue(x, p, cs.N, t - cs.shift, M) for x in coords]
-
-    return solve

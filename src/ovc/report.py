@@ -16,7 +16,6 @@ class DegreeData:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    label: str
     degrees: dict            # degree -> DegreeData
     precision_gap: int       # distance of the largest divisor to the ceiling
     truncation: Fraction | None = None

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .errors import BadCertificateError, PrecisionError
 from .linalg import Entries, sparse_snf
 from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
-from .padics import PadicApprox, from_residue, int_valuation, \
-    integral_shift, make_scalar
+from .padics import from_residue, int_valuation, integral_shift, make_scalar
 from .report import CohomologyReport, DegreeData
 from .series import Series, _vanishes, dlog_antiderivative, t_d_dt, \
     w_slope
@@ -101,31 +100,20 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
         raise PrecisionError("non-constant residue survived basis extraction")
     X = tuple(tuple(x.coeff(ring.zero_exp()) for x in row) for row in rows)
 
-    e = _nilpotency_index(X, ring.prime, M)
+    e = _nilpotency_index(X, ring)
     return UnipotentData(module, SeriesMatrix.make(ring, urows), X, e)
 
 
-def _scalar_matmul(A, B, p):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = PadicApprox.zero(p)
-            for k in range(n):
-                acc = acc.add(A[i][k].mul(B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _nilpotency_index(X, p, M) -> int:
-    n = len(X)
+def _nilpotency_index(X, ring) -> int:
+    """The least e with X^e = 0 mod p^M, M the ring's precision, for a
+    constant matrix X over the ring; each power is cut at p^M as a product
+    of series matrices is."""
+    X = SeriesMatrix.from_scalars(ring, X)
     power = X
-    for e in range(1, n + 2):
-        if _vanishes((((), c.val) for row in power for c in row), M):
+    for e in range(1, X.nrows + 2):
+        if power.is_zero_at_precision():
             return e
-        power = _scalar_matmul(power, X, p)
+        power = power.mul(X)
     raise BadCertificateError("extracted matrix is not nilpotent at precision")
 
 
@@ -246,5 +234,4 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
         0: DegreeData(len(kernel), tuple(kernel), len(kernel)),
         1: DegreeData(len(coker), tuple(coker), len(coker)),
     }
-    return CohomologyReport("unipotent-h0-h1", degrees,
-                            snf.certification_gap() - shift)
+    return CohomologyReport(degrees, snf.certification_gap() - shift)

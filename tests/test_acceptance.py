@@ -11,6 +11,6 @@ from ovc.acceptance import CRITERIA
 def test_criterion(criterion):
     result = criterion()
     status = "PASS" if result.passed else "FAIL"
-    print(f"criterion {result.number:02d} [{status}] {result.name}: "
+    print(f"criterion {result.number:02d} [{status}] {criterion.__name__}: "
           f"{result.detail}")
     assert result.passed, f"criterion {result.number}: {result.detail}"

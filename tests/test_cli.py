@@ -175,10 +175,10 @@ def test_failing_selftest_prints_its_report_then_exits_1(monkeypatch,
     from ovc.cli import main
 
     def passing():
-        return acceptance.CriterionResult(1, "stub", True, "fine")
+        return acceptance.CriterionResult(1, True, "fine")
 
     def failing():
-        return acceptance.CriterionResult(2, "stub", False, "broken")
+        return acceptance.CriterionResult(2, False, "broken")
 
     monkeypatch.setattr(acceptance, "CRITERIA", [passing, failing])
     code = main(["selftest", str(PROBLEMS / "selftest.ovc"),

@@ -121,6 +121,10 @@ CONSTANT_ALLOWED = {
     "rho_leading_term(D)": "the stabilization tests of test_groebner.py and "
                            "test_series.py compare stabilization_decay with "
                            "it at D >= D0",
+    "bounddenom(verify)": "criterion 6 and the problems-batch workload both "
+                          "pass True; the workload passes it by keyword "
+                          "beside *args, and the benchmark's files change "
+                          "only with the benchmark",
 }
 
 # Parameters that their function never reads, kept on purpose.
@@ -262,13 +266,14 @@ def _unpassed(def_paths, code_paths):
 
 def _passed(call, name, pos, default):
     """The expression a call passes to a parameter, its default when the
-    call omits it, or None when * or ** unpacking hides it."""
-    if any(k.arg is None for k in call.keywords) or any(
-            isinstance(x, ast.Starred) for x in call.args):
-        return None
+    call omits it, or None when * or ** unpacking hides it.  A keyword
+    names its parameter even beside unpacking."""
     for k in call.keywords:
         if k.arg == name:
             return k.value
+    if any(k.arg is None for k in call.keywords) or any(
+            isinstance(x, ast.Starred) for x in call.args):
+        return None
     return call.args[pos] if pos is not None and len(call.args) > pos \
         else default
 
@@ -371,6 +376,46 @@ def test_parameter_and_field_allowlists_name_live_items():
     assert set(UNREAD_FIELDS_ALLOWED) <= fields
 
 
+def _unused_imports(paths):
+    """Names a module imports, at any depth, and never loads; a ``from
+    __future__`` import is exempt."""
+    out = []
+    for path, tree in _trees(paths).items():
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(
+                    node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_import_is_used():
+    assert _unused_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def test_import_guard_sees_each_form(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import copy\n"
+                    "import os.path\n"
+                    "from dataclasses import dataclass, field\n"
+                    "from fractions import Fraction as F\n"
+                    "from .padics import PadicApprox as Approx\n"
+                    "def f(x: F) -> None:\n"
+                    "    import json\n"
+                    "    Approx = 0\n"
+                    "    return os.path.join(x)\n"
+                    "@dataclass\n"
+                    "class Box: pass\n")
+    assert _unused_imports([path]) == [
+        "sample.py:2 copy", "sample.py:4 field", "sample.py:6 Approx",
+        "sample.py:8 json"]
+
+
 def test_parameter_guards_see_each_way_of_passing(tmp_path):
     defs = tmp_path / "defs.py"
     defs.write_text(
@@ -412,6 +457,7 @@ def test_constant_guard_needs_one_literal_from_every_call(tmp_path):
         "def mixed(a): return a\n"
         "def built(a=()): return a\n"
         "def uncalled(a=0): return a\n"
+        "def keyed(a, b=False): return a\n"
         "@dataclass\n"
         "class Box:\n"
         "    size: int = 3\n"
@@ -421,10 +467,12 @@ def test_constant_guard_needs_one_literal_from_every_call(tmp_path):
         "same(1, 2); same(1, b=2, c=None); same(1, 2, d=True)\n"
         "varied(1); varied(2, b=1); unpacked(1); unpacked(*args)\n"
         "mixed(1); mixed(True); built()\n"
+        "keyed(*args, b=True); keyed(1, **opts, b=True)\n"
         "Box(); Box(size=3, kind='y')\n")
     assert _constant([defs], [defs, calls]) == [
         "defs.py:2 same(a)", "defs.py:2 same(b)", "defs.py:2 same(c)",
-        "defs.py:2 same(d)", "defs.py:10 Box.__init__(size)"]
+        "defs.py:2 same(d)", "defs.py:8 keyed(b)",
+        "defs.py:11 Box.__init__(size)"]
 
 
 def test_parameter_guard_sees_dataclass_fields(tmp_path):

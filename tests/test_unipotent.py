@@ -13,6 +13,7 @@ from ovc.modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
 from ovc.padics import int_valuation, make_scalar
 from ovc.series import ROBBA, RingDescriptor, Series
 from ovc.unipotent import (
+    _nilpotency_index,
     bounddenom,
     h0_h1_unipotent,
     horizontal_iterate,
@@ -64,6 +65,24 @@ def test_rejects_non_unipotent():
     with pytest.raises(BadCertificateError):
         strongly_unipotent_basis(
             SigmaNablaModule(R, 1, connection=SeriesMatrix.make(R, [[a]])))
+
+
+def _constants(rows):
+    """A constant matrix of integers as the PadicApprox entries of X."""
+    return tuple(tuple(make_scalar(c, P, R.precision) for c in row)
+                 for row in rows)
+
+
+def test_nilpotency_index_of_constant_matrices():
+    shift = [[1 if j == i + 1 else 0 for j in range(3)] for i in range(3)]
+    assert _nilpotency_index(_constants([[0, 0], [0, 0]]), R) == 1
+    assert _nilpotency_index(_constants([[0, 1], [0, 0]]), R) == 2
+    assert _nilpotency_index(_constants(shift), R) == 3
+    # an entry of valuation >= M is zero at the working precision
+    assert _nilpotency_index(_constants([[0, P ** 40], [0, 0]]), R) == 1
+    assert _nilpotency_index(_constants([[0, P ** 39], [0, 0]]), R) == 2
+    with pytest.raises(BadCertificateError):
+        _nilpotency_index(_constants([[0, 1], [1, 0]]), R)
 
 
 def test_bounddenom_examples():
