@@ -10,7 +10,8 @@ exempt, since Python calls them itself.
 The same holds one level down: every optional parameter is passed by some
 call, no parameter gets the same literal from every call, every parameter is
 read by its function, and every dataclass field is read as an attribute, so
-a value nothing sets or reads does not stay."""
+a value nothing sets or reads does not stay.  Every name a module of
+``src/ovc`` imports is used in that module."""
 
 import ast
 import re
