@@ -1,6 +1,8 @@
 """Monomial-order calculus: order laws, leading terms, completion, division,
 and the three-circles interpolation."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,3 +202,78 @@ def test_completion_closes_s_pairs_mod_p():
                 s[e] = (s.get(e, 0) - c) % P
             s = {e: c for e, c in s.items() if c}
             assert _fp_divmod(s, red, P) == {}
+
+
+# -- pinned output ---------------------------------------------------------------
+#
+# Completed bases and reduced elements of seeded ideal pairs, drawn as
+# criterion 10 draws them.  A change to the completion's bookkeeping must
+# leave every basis element, its leading data and the reduction unchanged.
+
+def _series_data(s):
+    return (tuple((e, c.serialize()) for e, c in s.terms), s.loss)
+
+
+def _completion_digest(basis, u) -> str:
+    payload = ([(_series_data(d.element), d.leading_index,
+                 d.leading_coeff.serialize(), d.rho_D) for d in basis],
+               _series_data(u))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def _pinned_completions():
+    p, M = 3, 14
+    ring = RingDescriptor(DAGGER, ("x", "y"), ((0, 14), (0, 14)), p, M,
+                          decay=1)
+    rng = random.Random(7)
+
+    def rand_series(maxdeg=2, terms=3, unit=False):
+        data = {}
+        for _ in range(terms):
+            e = (rng.randint(0, maxdeg), rng.randint(0, maxdeg))
+            data[e] = make_scalar(rng.randint(1, 8) * p ** rng.randint(0, 1),
+                                  p, M)
+        if unit:
+            data[(0, 0)] = make_scalar(1, p, M)
+        return Series.make(ring, data)
+
+    out = []
+    while len(out) < 20:
+        g1, g2 = rand_series(), rand_series()
+        if g1.is_zero() or g2.is_zero():
+            continue
+        basis = complete_leading_basis([g1, g2])
+        y = g1.mul(rand_series(1, 2, unit=True)).add(g2.mul(rand_series(1, 2)))
+        if y.is_zero():
+            continue
+        z = y.add(g1.mul(rand_series(1, 1)))
+        out.append(_completion_digest(basis, reduce_element(y, z, basis)))
+    return out
+
+
+PINNED_COMPLETION_DIGESTS = [
+    "34ea003dbe7fe498aad33f362fe2ab258521c6e2be2f71ff54934adfef6d4d37",
+    "3d1c349ee43bee1ffe4df00d53bc451a6cf1a436686ebfd9e0811d97d579b79b",
+    "ecf19f69258ffb8d9174e30efd8f466a227c524110cf8205f5ba6b795713c4e7",
+    "1b551cf118167edf9bff48dcb74255a092aec9d1e6824676b1d59d559549903b",
+    "7d5ec5d748cb5c112492b0d915008f2a212600c9cff882881517b517bf58bb03",
+    "467469b440b296f07c91760a4e85ad4fadfbed3ee0dc60ce952abb2726acc6e2",
+    "44439d987635dce76c346e5874b0d228e0a7a6604f6627012265e5643226d916",
+    "a4cac885e5ba54b0432c9f4e9981b124af7926c505d5b2aa144e953424b1bf97",
+    "b885fca39af654681f43ceab80eaf3ec6c42bd5e819041e5959debe2dda41065",
+    "78d73e99e97e10b954d2aa8e26863f54873a5876827d2b21c708d0382389762a",
+    "7c66d24b6794cff437272d5613c91022a8200c6083a8df45191883fc3ca6010f",
+    "74090bc60463c09fed5649841ebcbe3cbbd7f9428a40be6e539b1769eb3b721f",
+    "0dac68f4d4b0b9de95dc23344887044bac12e0406c05b37ae98823aca222937d",
+    "93fd0433eba934d1f689ee2980c6dc7b1ae8d39fbff27b3fa0dc5d99697e9c89",
+    "c90a2ef43cbb99754bc1aa595cc7f8e773d746be70c786cb779f744c4f650553",
+    "76e0ab3ae9da6ea631fd7d383b827fed6c3b870b9f75da20f1e423870ceb77a9",
+    "12cdb211fab95396498df3ac44f6fd1f746a89a69555eb2f10efbddf68c2e60a",
+    "aa868cfa61e236081c1eb896394d101b8abf44a960496536b059d90b29b9acea",
+    "003f778dd156b2873275d223862e61de1449218700730033da50cdc6ca062f43",
+    "1b459c6689de47ae920fc8364e99b8a1e2e2c6261961318dbd1efc0c35a8c7f0",
+]
+
+
+def test_pinned_completion_output():
+    assert _pinned_completions() == PINNED_COMPLETION_DIGESTS
