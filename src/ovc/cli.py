@@ -141,7 +141,7 @@ def run_command(pf: ProblemFile) -> RunReport:
         _matrix_records(report, "V", res.V)
         _matrix_records(report, "W", res.W)
         report.add("det-valuations", ",".join(str(d) for d in res.det_valuations))
-        report.add("certificate-ops", len(res.certificate))
+        report.add("certificate-ops", res.ops)
     elif name == "unipotent-basis":
         data = strongly_unipotent_basis(*args)
         for i, row in enumerate(data.nilpotent_X):

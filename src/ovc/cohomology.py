@@ -17,8 +17,8 @@ at the box edge:
                          exponents computing compact supports of affine space
                          (written in inverted coordinates, dx gauge);
 * ``local_complex``    - the dlog operator D on a one-variable Robba window;
-* ``pushforward.quotient_complex`` - the local complex of the annulus modulo
-                         the line side, in pushforward bundles.
+* ``quotient_complex`` - the local complex of the annulus modulo the line
+                         side, in pushforward bundles.
 
 ``complex_cohomology`` reads dimensions off p-adic Smith normal form ranks
 in three passes:
@@ -384,6 +384,16 @@ def local_complex(module: SigmaNablaModule) -> ComplexData:
     lo, hi = ring.window[0]
     return _assemble(ring, module.rank, [((lo,), (hi,))] * 2, (0,),
                      {0: _terms(module.connection)}, D_LOG, False)
+
+
+def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
+    """The induced map on (annulus)/(line side): source on strictly positive
+    exponents, target on nonnegative dlog exponents; components falling to
+    the line side are killed by the quotient (exactly)."""
+    hi = loc_module.ring.window[0][1]
+    return _assemble(loc_module.ring, loc_module.rank,
+                     [((1,), (hi,)), ((0,), (hi,))], (0,),
+                     {0: _terms(loc_module.connection)}, D_LOG, True)
 
 
 # -- the engine -----------------------------------------------------------------

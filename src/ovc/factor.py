@@ -23,8 +23,8 @@ from .series import Series, _vanishes, invert_series
 class ElementaryOp:
     kind: str            # "scale" | "add"
     i: int
-    j: int = -1
-    factor: Series | None = None   # unit for scale; any ring element for add
+    j: int               # -1 for scale
+    factor: Series       # unit for scale; any ring element for add
 
 
 def apply_elementary(mat: SeriesMatrix, op: ElementaryOp,
@@ -100,16 +100,15 @@ def _laurent_mulsub(dst: dict, q: dict, src: dict, p: int,
     return {e: c for e, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class ModpReduction:
-    ops: tuple            # ElementaryOp row operations, factors as F_p polys
-    zero_row: int
-
-
-def reduce_modp_elementary(ubar: list, p: int, window: tuple) -> ModpReduction:
+def reduce_modp_elementary(ubar: list, p: int, window: tuple
+                           ) -> tuple[list, int]:
     """Row operations over k[[t]] driving one row of a rank-deficient matrix
     over k((t)) to zero: per column, the minimal-valuation entry clears the
-    others by exact series division, then its row is struck."""
+    others by exact series division, then its row is struck.
+
+    Returns (ops, zero_row): each op (i, j, lam), lam an F_p polynomial
+    {exponent: coefficient}, adds lam times row i to row j, in order.
+    """
     n = len(ubar)
     lo, hi = window
     width = hi - lo
@@ -122,13 +121,13 @@ def reduce_modp_elementary(ubar: list, p: int, window: tuple) -> ModpReduction:
             continue
         pivot = min(rows_with, key=lambda r: (_laurent_val(work[r][col]), r))
         pv = _laurent_val(work[pivot][col])
+        inv_unit = _laurent_inv_unitpart(work[pivot][col], p, width)
         for r in rows_with:
             if r == pivot:
                 continue
             f = work[r][col]
             q = {}
             # q = f / pivot-entry, an element of k[[t]] (val(f) >= pv)
-            inv_unit = _laurent_inv_unitpart(work[pivot][col], p, width)
             for e1, c1 in f.items():
                 for e2, c2 in inv_unit.items():
                     e = e1 - pv + e2
@@ -141,12 +140,11 @@ def reduce_modp_elementary(ubar: list, p: int, window: tuple) -> ModpReduction:
                 work[r][cc] = _laurent_mulsub(
                     work[r][cc], q, work[pivot][cc], p, lo, hi)
             # performed: row_r -= q * row_pivot, recorded with its own sign
-            ops.append(ElementaryOp("add", pivot, r,
-                                    {e: (-c) % p for e, c in q.items()}))
+            ops.append((pivot, r, {e: (-c) % p for e, c in q.items()}))
         active.remove(pivot)
     for r in active:
         if all(not work[r][c] for c in range(n)):
-            return ModpReduction(tuple(ops), r)
+            return ops, r
     raise FullRankError("mod-p reduction has full rank over k((t))")
 
 
@@ -157,7 +155,7 @@ class FactorResult:
     V: SeriesMatrix          # integral entries, invertible over the integral subring
     W: SeriesMatrix          # plus part, with explicit inverse
     W_inv: SeriesMatrix
-    certificate: tuple       # op log, column side
+    ops: int                 # column operations performed, the rescaling included
     det_valuations: tuple    # content of det at each induction step
 
 
@@ -165,82 +163,74 @@ def factor_plus(u: SeriesMatrix, max_det_valuation: int | None = None
                 ) -> FactorResult:
     """Write U = V W with V integral-invertible and W plus-part invertible.
 
-    U must be invertible over the integral subring with p inverted: after the
-    logged scalar rescaling to integral entries, the determinant must have
-    finite content.  Inputs outside that shape need external conditioning and
-    are rejected.
+    U must be invertible over the integral subring with p inverted: after a
+    scalar rescaling to integral entries, the determinant must have finite
+    content.  Inputs outside that shape need external conditioning and are
+    rejected.
     """
     ring = u.descriptor
     p, M = ring.prime, ring.precision
     n = u.nrows
     lo, hi = ring.window[0]
 
-    cert = []
-    det_vals = []
-    # scalar rescaling to integral entries (logged)
+    # scalar rescaling to integral entries, counted as one operation
     c = u.max_defect_value()
     if c is None:
         raise UnsupportedShapeError("zero matrix cannot be factored")
-    scale_back = None
     if c < 0:
         u = u.scale(PadicApprox(p, 1, -c, M))
-        scale_back = c
-        cert.append(ElementaryOp(
-            "scale", -1, -1, Series.make(ring, {(0,): PadicApprox(p, 1, -c, M)})))
+    ops = int(c < 0)
 
-    d0 = u.det().gauss_value()
-    if d0 is None:
+    d = u.det().gauss_value()
+    if d is None:
         raise UnsupportedShapeError(
             "determinant vanishes at working precision; the input is not "
             "certified invertible over the integral subring with p inverted")
-    budget = d0 if max_det_valuation is None else max_det_valuation
-    if d0 > budget:
+    budget = d if max_det_valuation is None else max_det_valuation
+    if d > budget:
         raise UnsupportedShapeError(
-            f"det content {d0} exceeds the caller bound {budget}")
+            f"det content {d} exceeds the caller bound {budget}")
 
+    pinv = Series.make(ring, {(0,): PadicApprox(p, 1, -1, M)})
+    pser = Series.make(ring, {(0,): PadicApprox(p, 1, 1, M)})
     w_inv = SeriesMatrix.identity(ring, n)   # accumulated right product
     w = SeriesMatrix.identity(ring, n)       # its inverse, built op by op
     cur = u
-    guard = 0
+    det_vals = []
     while True:
-        d = cur.det().gauss_value()
         det_vals.append(d)
         if d is None:
             raise PrecisionError("determinant content lost during reduction")
         if d == 0:
             break
-        guard += 1
-        if guard > budget + 1:
+        if len(det_vals) > budget + 1:
             raise UnsupportedShapeError(
                 "induction exceeded the determinant-valuation bound; input "
                 "likely needs pre-conditioning")
         # transpose so the rowwise mod-p reduction yields column operations
         ubar_t = [list(col) for col in zip(*modp_matrix(cur))]
-        red = reduce_modp_elementary(ubar_t, p, (lo, hi))
-        for op in red.ops:
-            lam = Series.from_ints(ring, {(e,): c for e, c in (op.factor or {}).items()})
-            colop = ElementaryOp("add", op.i, op.j, lam)
+        red_ops, j = reduce_modp_elementary(ubar_t, p, (lo, hi))
+        for a, b, poly in red_ops:
+            lam = Series.from_ints(ring, {(e,): x for e, x in poly.items()})
+            colop = ElementaryOp("add", a, b, lam)
             cur = apply_elementary(cur, colop, side="col")
             w_inv = apply_elementary(w_inv, colop, side="col")
-            # prepend the inverse: left-multiply by I - lam E_{ij}
+            # prepend the inverse: left-multiply by I - lam E_{ab}
             w = apply_elementary(
-                w, ElementaryOp("add", op.j, op.i, lam.neg()), side="row")
-            cert.append(colop)
+                w, ElementaryOp("add", b, a, lam.neg()), side="row")
         # the zero column mod p: divide by p
-        j = red.zero_row
-        if not _vanishes(((e, c.val) for row in cur.rows
-                          for e, c in row[j].terms), 1):
+        if not _vanishes(((e, x.val) for row in cur.rows
+                          for e, x in row[j].terms), 1):
             raise PrecisionError(
                 "column reduction left a unit entry; precision exhausted")
-        pinv = Series.make(ring, {(0,): PadicApprox(p, 1, -1, M)})
-        pser = Series.make(ring, {(0,): PadicApprox(p, 1, 1, M)})
         colop = ElementaryOp("scale", j, -1, pinv)
         cur = apply_elementary(cur, colop, side="col")
         w_inv = apply_elementary(w_inv, colop, side="col")
         w = apply_elementary(w, ElementaryOp("scale", j, -1, pser), side="row")
-        cert.append(colop)
+        ops += len(red_ops) + 1
+        d = cur.det().gauss_value()
 
-    if scale_back is not None:
-        w = w.scale(PadicApprox(p, 1, scale_back, M))
-        w_inv = w_inv.scale(PadicApprox(p, 1, -scale_back, M))
-    return FactorResult(cur, w, w_inv, tuple(cert), tuple(det_vals))
+    if c < 0:
+        w = w.scale(PadicApprox(p, 1, c, M))
+        w_inv = w_inv.scale(PadicApprox(p, 1, -c, M))
+    return FactorResult(cur, w, w_inv, ops, tuple(det_vals))

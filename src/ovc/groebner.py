@@ -8,7 +8,7 @@ interpolation check between fringe levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import MembershipError, PrecisionError
@@ -74,71 +74,50 @@ def _fp_sub_mul(f: dict, coeff: int, mono: Exp, g: dict, p: int) -> dict:
     return out
 
 
-def _fp_scale_shift(f: dict, coeff: int, mono: Exp, p: int) -> dict:
-    return {tuple(a + b for a, b in zip(e, mono)): coeff * c % p
-            for e, c in f.items()}
-
-
-def _cof_combine(cof: dict, coeff: int, mono: Exp, other: dict, p: int) -> dict:
-    """cof - coeff * x^mono * other, on cofactor maps gen_index -> F_p poly."""
-    out = {i: dict(f) for i, f in cof.items()}
-    for i, f in other.items():
-        tgt = out.setdefault(i, {})
-        for e, c in f.items():
-            ne = tuple(a + b for a, b in zip(e, mono))
-            tgt[ne] = (tgt.get(ne, 0) - coeff * c) % p
-            if not tgt[ne]:
-                del tgt[ne]
-    return {i: f for i, f in out.items() if f}
-
-
-def _fp_buchberger(gens: list[dict], p: int):
+def _fp_buchberger(gens: list[dict], p: int) -> list[tuple[dict, dict]]:
     """Buchberger completion over F_p with cofactor tracking.
 
-    Returns (basis, cofactors): basis[k] = sum_i cofactors[k][i] * gens[i].
+    Each element is one row (g, cof), cof a map gen_index -> F_p polynomial
+    with g = sum_i cof[i] * gens[i]: the generators first, then the completed
+    elements in the order they were found.
     """
-    nvars = len(next(iter(gens[0])))
-    zero_exp = (0,) * nvars
-    basis = [dict(g) for g in gens]
-    cof = [{i: {zero_exp: 1}} for i in range(len(gens))]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    one = {(0,) * len(next(iter(gens[0]))): 1}
+    rows = [(dict(g), {i: one}) for i, g in enumerate(gens)]
+
+    def sub_mul(row, coeff, mono, other):
+        """row - coeff * x^mono * other, on the polynomial and its cofactors."""
+        cof = dict(row[1])
+        for i, f in other[1].items():
+            cof[i] = _fp_sub_mul(cof.get(i, {}), coeff, mono, f, p)
+        return (_fp_sub_mul(row[0], coeff, mono, other[0], p),
+                {i: f for i, f in cof.items() if f})
+
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i)]
     while pairs:
         i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
+        f, g = rows[i][0], rows[j][0]
         lf, lg = _fp_lt(f), _fp_lt(g)
         lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-        mf = tuple(l - a for l, a in zip(lcm, lf))
-        mg = tuple(l - a for l, a in zip(lcm, lg))
-        cf = pow(f[lf], -1, p)
-        cg = pow(g[lg], -1, p)
-        s = {}
-        for e, c in _fp_scale_shift(f, cf, mf, p).items():
-            s[e] = c
-        for e, c in _fp_scale_shift(g, cg, mg, p).items():
-            s[e] = (s.get(e, 0) - c) % p
-        s = {e: c for e, c in s.items() if c}
-        scof = _cof_combine({}, (-cf) % p, mf, cof[i], p)
-        scof = _cof_combine(scof, cg, mg, cof[j], p)
-        # divide s by the basis, updating the cofactor alongside
-        work, wcof = s, scof
-        rem, rcof = {}, wcof
-        while work:
-            lt = _fp_lt(work)
-            for k, b in enumerate(basis):
-                blt = _fp_lt(b)
+        s = sub_mul(({}, {}), -pow(f[lf], -1, p),
+                    tuple(l - a for l, a in zip(lcm, lf)), rows[i])
+        s = sub_mul(s, pow(g[lg], -1, p),
+                    tuple(l - a for l, a in zip(lcm, lg)), rows[j])
+        # divide s by the basis, updating the cofactors alongside
+        rem = {}
+        while s[0]:
+            lt = _fp_lt(s[0])
+            for b in rows:
+                blt = _fp_lt(b[0])
                 if all(a <= c for a, c in zip(blt, lt)):
-                    mono = tuple(c - a for a, c in zip(blt, lt))
-                    q = work[lt] * pow(b[blt], -1, p) % p
-                    work = _fp_sub_mul(work, q, mono, b, p)
-                    rcof = _cof_combine(rcof, q, mono, cof[k], p)
+                    q = s[0][lt] * pow(b[0][blt], -1, p) % p
+                    s = sub_mul(s, q, tuple(c - a for a, c in zip(blt, lt)), b)
                     break
             else:
-                rem[lt] = work.pop(lt)
+                rem[lt] = s[0].pop(lt)
         if rem:
-            basis.append(rem)
-            cof.append(rcof)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    return basis, cof
+            rows.append((rem, s[1]))
+            pairs.extend((len(rows) - 1, k) for k in range(len(rows) - 1))
+    return rows
 
 
 # -- completion and division --------------------------------------------------
@@ -170,19 +149,16 @@ def complete_leading_basis(gens: list[Series]) -> list[LeadingDatum]:
     reductions = [_modp_reduce(g) for g in work]
     if any(not r for r in reductions):
         raise PrecisionError("a generator reduced to zero mod p after scaling")
-    basis_bar, cofactors = _fp_buchberger(reductions, p)
     out = list(work)
-    for k in range(len(reductions), len(basis_bar)):
+    for _, cof in _fp_buchberger(reductions, p)[len(reductions):]:
         lifted = Series.zero(desc)
-        for i, poly in cofactors[k].items():
+        for i, poly in cof.items():
             lifted = lifted.add(work[i].mul(Series.from_ints(desc, poly)))
         if lifted.gauss_value() is None:
             continue
         out.append(lifted)
     stab = max(stabilization_decay(g) for g in out)
-    return [LeadingDatum(g, stab, rho_leading_term(g, None).leading_index,
-                         rho_leading_term(g, None).leading_coeff)
-            for g in out]
+    return [replace(rho_leading_term(g, None), rho_D=stab) for g in out]
 
 
 def stabilization_decay(a: Series) -> int:

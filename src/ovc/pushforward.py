@@ -29,15 +29,13 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cohomology import (
-    D_LOG,
     ChainVector,
     ComplexData,
-    _assemble,
-    _terms,
     complex_cohomology,
     local_complex,
     mw_complex,
     mw_cohomology,
+    quotient_complex,
 )
 from .errors import BadCertificateError, DescriptorMismatchError, WindowError
 from .linalg import Entries, sparse_snf
@@ -136,16 +134,6 @@ def robba_side_module(module: SigmaNablaModule,
         rows.append(tuple(row))
     return SigmaNablaModule(robba_ring, module.rank,
                             connection=SeriesMatrix.make(robba_ring, rows))
-
-
-def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
-    """The induced map on (annulus)/(line side): source on strictly positive
-    exponents, target on nonnegative dlog exponents; components falling to
-    the line side are killed by the quotient (exactly)."""
-    hi = loc_module.ring.window[0][1]
-    return _assemble(loc_module.ring, loc_module.rank,
-                     [((1,), (hi,)), ((0,), (hi,))], (0,),
-                     {0: _terms(loc_module.connection)}, D_LOG, True)
 
 
 def pushforward_complex(module: SigmaNablaModule,

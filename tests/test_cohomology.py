@@ -667,7 +667,6 @@ def test_pinned_builder_output():
 def _shipped_complexes(monkeypatch):
     """Every complex ``_assemble`` builds while the shipped problems run,
     the acceptance battery (selftest) left out."""
-    from ovc import pushforward
     from ovc.cli import run_command
     from ovc.problems import parse_problem
 
@@ -677,8 +676,7 @@ def _shipped_complexes(monkeypatch):
         built.append(assemble(*args))
         return built[-1]
 
-    for module in (cohomology, pushforward):
-        monkeypatch.setattr(module, "_assemble", spy)
+    monkeypatch.setattr(cohomology, "_assemble", spy)
     root = Path(__file__).resolve().parent.parent / "problems"
     for path in sorted(root.glob("*.ovc")):
         text = path.read_text(encoding="utf-8")
@@ -753,8 +751,6 @@ def _loss_oracle(ring, rank, boxes, acting, terms, deriv, kill_below):
 def test_loss_matches_the_cell_by_cell_oracle(monkeypatch):
     # the builder records each term's loss at its first drop; the oracle
     # takes every drop, so the two agree only if the first is the least
-    from ovc import pushforward
-
     seen = []
     original = cohomology._assemble
 
@@ -764,7 +760,6 @@ def test_loss_matches_the_cell_by_cell_oracle(monkeypatch):
         return cdata
 
     monkeypatch.setattr(cohomology, "_assemble", recording)
-    monkeypatch.setattr(pushforward, "_assemble", recording)
     tate = _tate_modules() + [
         _tate_module(seed, window, 2, pool, forced)
         for seed, window in ((20, (3, 3)), (21, (4, 2)), (22, (2, 2, 2)))

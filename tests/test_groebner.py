@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovc.groebner import (
+    _fp_buchberger,
     _fp_lt,
-    _fp_scale_shift,
     _fp_sub_mul,
     _modp_reduce,
     complete_leading_basis,
@@ -191,17 +191,33 @@ def test_completion_closes_s_pairs_mod_p():
             f, g = red[i], red[j]
             lf, lg = _fp_lt(f), _fp_lt(g)
             lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-            s = {}
-            for e, c in _fp_scale_shift(f, pow(f[lf], -1, P),
-                                        tuple(l - a for l, a in zip(lcm, lf)),
-                                        P).items():
-                s[e] = c
-            for e, c in _fp_scale_shift(g, pow(g[lg], -1, P),
-                                        tuple(l - a for l, a in zip(lcm, lg)),
-                                        P).items():
-                s[e] = (s.get(e, 0) - c) % P
-            s = {e: c for e, c in s.items() if c}
+            s = _fp_sub_mul({}, -pow(f[lf], -1, P),
+                            tuple(l - a for l, a in zip(lcm, lf)), f, P)
+            s = _fp_sub_mul(s, pow(g[lg], -1, P),
+                            tuple(l - a for l, a in zip(lcm, lg)), g, P)
             assert _fp_divmod(s, red, P) == {}
+
+
+def test_completion_cofactors_combine_the_generators():
+    # every completed row (g, cof) satisfies g = sum_i cof[i] * gens[i] over
+    # F_p: the lift in complete_leading_basis rests on this identity
+    rng = random.Random(3)
+    completed = 0
+    for p in (3, 5):
+        for _ in range(12):
+            gens = [{(rng.randint(0, 3), rng.randint(0, 3)):
+                     rng.randrange(1, p) for _ in range(rng.randint(2, 4))}
+                    for _ in range(rng.randint(2, 3))]
+            rows = _fp_buchberger(gens, p)
+            assert [g for g, _ in rows[:len(gens)]] == gens
+            completed += len(rows) - len(gens)
+            for g, cof in rows:
+                combo = {}
+                for i, poly in cof.items():
+                    for e, c in poly.items():
+                        combo = _fp_sub_mul(combo, -c, e, gens[i], p)
+                assert combo == g
+    assert completed >= 20
 
 
 # -- pinned output ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every engine speedup must leave the reports byte-identical.  The digests in
 report_goldens.json are sha256 of `ovc <command> <problem> --format
 structured` for each shipped problem except the acceptance battery
-(selftest), whose report carries timing-dependent details.
+(selftest), which runs every criterion of ``tests/test_acceptance.py`` and
+whose verdicts on criteria 1 and 6 hang on wall-clock gates.
 """
 
 import hashlib
