@@ -120,7 +120,8 @@ def run_command(pf: ProblemFile) -> RunReport:
                                      unipotent=opts.get("unipotent", False))
         for k, v in bundle.dims().items():
             report.add(f"{k}.dim", v)
-        report.add("r1prim.dim", bundle.r1prim_dim)
+        report.add("r1prim.dim", "FAIL" if bundle.r1prim_dim is None
+                   else bundle.r1prim_dim)
         _verdict_records(report, "snake", snake_check(bundle))
         report.add("note", bundle.note)
         report.add("precision-floor", pf.M)
@@ -167,7 +168,7 @@ def run_command(pf: ProblemFile) -> RunReport:
             report.add(f"{key}.dims", f"{b.dim_c}x{b.dim_mw}")
             report.add(f"{key}.rank", b.rank)
             report.add(f"{key}.nondegenerate",
-                       "pass" if (b.left_injects and b.right_injects) else "FAIL")
+                       "pass" if b.rank == b.dim_c == b.dim_mw else "FAIL")
         report.add("nondegenerate", "pass" if rep.nondegenerate else "FAIL")
     elif name == "groebner-reduce":
         y, z = opts["y"], opts["z"]

@@ -126,9 +126,10 @@ class ComplexData:
         return list(zip(m.rows[lo:hi], m.vals[lo:hi]))
 
 
-def _insert_sign(i: int, J: tuple) -> int:
-    """dx_i wedged onto dx_J, reordered into sorted position."""
-    return -1 if sum(1 for k in J if k < i) % 2 else 1
+def _shuffle_sign(J: tuple, Jp: tuple) -> int:
+    """Sign of dx_J wedge dx_Jp against the full ordered top form."""
+    inversions = sum(1 for a in J for b in Jp if a > b)
+    return -1 if inversions % 2 else 1
 
 
 def _terms(matrix):
@@ -266,7 +267,7 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
             for i in acting:
                 if i in J:
                     continue
-                sign = _insert_sign(i, J)
+                sign = _shuffle_sign((i,), J)
                 roff = dst_form[tuple(sorted(J + (i,)))] * rank
                 dk = sign * coeff_sign * ps
                 lo, hi = boxes[j][0][i], boxes[j][1][i]
@@ -471,39 +472,30 @@ def _reduce(cdata: ComplexData):
     return snfs, min(gaps)
 
 
+def _near_edge(I: tuple, cdata: ComplexData, band: tuple) -> bool:
+    """True when the exponent sits within ``band`` (per variable) of the
+    window top, or of its bottom on a two-sided window."""
+    return any(x > hi - b or (cdata.two_sided and x < lo + b)
+               for x, lo, hi, b in zip(I, cdata.window_lo, cdata.window_hi,
+                                       band))
+
+
 def _edge_supported(vec: dict, space: ChainSpace, cdata: ComplexData) -> bool:
     """True when every term of the vector sits within the band of the window
     edge in some variable: a window artifact, not a certified class."""
-    for idx in vec:
-        a, J, I = space.label(idx)
-        near = False
-        for v, x in enumerate(I):
-            if x > cdata.window_hi[v] - cdata.band[v]:
-                near = True
-            if cdata.two_sided and x < cdata.window_lo[v] + cdata.band[v]:
-                near = True
-        if not near:
-            return False
-    return True
+    return all(_near_edge(space.label(idx)[2], cdata, cdata.band)
+               for idx in vec)
 
 
 def _slope_edge_limited(vec: dict, space: ChainSpace,
                         cdata: ComplexData) -> bool:
     """Divergence suspect on an annulus window: every slope-minimizing term
     of the representative sits at a window edge, so the trend says the
-    defining series keeps losing value beyond the cut."""
+    defining series keeps losing value beyond the cut.  Every exponent lies
+    inside the window, so band 1 means on the edge itself."""
     _, argmin = _lowest(((space.label(idx)[2], int_valuation(x, cdata.p))
                          for idx, x in vec.items()), cdata.slope)
-
-    def at_edge(I):
-        for e, lo, hi in zip(I, cdata.window_lo, cdata.window_hi):
-            if e == hi:
-                return True
-            if cdata.two_sided and e == lo:
-                return True
-        return False
-
-    return all(at_edge(I) for I in argmin)
+    return all(_near_edge(I, cdata, (1,) * len(I)) for I in argmin)
 
 
 # The rules that exclude a class as a window artifact, in the order tried.

@@ -71,21 +71,13 @@ class SeriesMatrix:
             for ra, rb in zip(self.rows, other.rows)))
 
     def sub(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix(self.descriptor, tuple(
-            tuple(a.sub(b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return self.add(other.map(Series.neg))
 
     def mul(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = Series.zero(self.descriptor)
-                for k in range(self.ncols):
-                    acc = acc.add(self.rows[i][k].mul(other.rows[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return SeriesMatrix(self.descriptor, tuple(out))
+        cols = other.transpose().rows
+        return SeriesMatrix(self.descriptor, tuple(
+            tuple(_dot(row, col, self.descriptor) for col in cols)
+            for row in self.rows))
 
     def scale(self, c) -> "SeriesMatrix":
         return self.map(lambda s: s.scale(c))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .cohomology import (
     ChainVector,
     ComplexCohomology,
+    _shuffle_sign,
     compact_support_cohomology,
     mw_cohomology,
 )
@@ -23,12 +24,6 @@ from .errors import DescriptorMismatchError
 from .linalg import Entries, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import PadicApprox, from_residue, integral_shift
-
-
-def _shuffle_sign(J: tuple, Jp: tuple) -> int:
-    """Sign of dx_J wedge dx_Jp against the full ordered top form."""
-    inversions = sum(1 for a in J for b in Jp if a > b)
-    return -1 if inversions % 2 else 1
 
 
 def residue_pairing(v: ChainVector, w: ChainVector, n: int) -> PadicApprox:
@@ -85,8 +80,6 @@ class PairingBlock:
     dim_c: int
     dim_mw: int
     rank: int
-    left_injects: bool
-    right_injects: bool
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,6 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
     cc = compact_support_cohomology(module)
     mw = mw_cohomology(module.dual())
     blocks = []
-    ok = True
     for i in range(0, n + 1):
         cgens = cc.report.generators(n + i)
         wgens = mw.report.generators(n - i)
@@ -116,9 +108,7 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
              if not x.is_zero()} for row in vals)
         rank = sparse_snf(len(wgens), len(cgens), entries, p, M + shift,
                           track=False).rank() if entries else 0
-        left = rank == len(cgens)
-        right = rank == len(wgens)
-        ok = ok and left and right
         blocks.append(PairingBlock(n + i, n - i, len(cgens), len(wgens),
-                                   rank, left, right))
-    return NondegeneracyReport(tuple(blocks), ok)
+                                   rank))
+    return NondegeneracyReport(tuple(blocks), all(
+        b.rank == b.dim_c == b.dim_mw for b in blocks))

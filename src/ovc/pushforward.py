@@ -107,7 +107,7 @@ class PushforwardBundle:
     module: SigmaNablaModule
     nodes: dict               # name -> ClassSpace
     maps: dict                # name -> small int matrix as list of columns
-    r1prim_dim: int           # rank of maps["delta"]; zero padding keeps it
+    r1prim_dim: int | None    # rank of maps["delta"] if it landed, else None
     note: str
 
     def dims(self) -> dict:
@@ -156,30 +156,33 @@ def pushforward_complex(module: SigmaNablaModule,
 
     mwc = complex_cohomology(mw_complex(module))
     loc_mod = robba_side_module(module, robba_ring)
-    locc = complex_cohomology(local_complex(loc_mod))
-    quc = complex_cohomology(quotient_complex(loc_mod))
+    loc = local_complex(loc_mod)
 
     if unipotent:
         urep = h0_h1_unipotent(strongly_unipotent_basis(loc_mod))
         note = "local terms from a unipotent certificate"
-        loc_gens = [_unipotent_chain_gens(urep, j, locc.cdata.spaces[j])
+        loc_gens = [_unipotent_chain_gens(urep, j, loc.spaces[j])
                     for j in (0, 1)]
     else:
         note = "local terms from window linear algebra (no certificate)"
+        locc = complex_cohomology(loc)
         loc_gens = [list(locc.report.generators(j)) for j in (0, 1)]
+    quc = complex_cohomology(quotient_complex(loc_mod))
 
     # degree 1 of each complex is taken modulo the image of degree 0
     nodes = {}
-    for cc, gens, names in (
-            (mwc, [mwc.report.generators(j) for j in (0, 1)], ("r0f", "r1f")),
-            (locc, loc_gens, ("r0loc", "r1loc")),
-            (quc, [quc.report.generators(j) for j in (0, 1)],
+    for cdata, gens, names in (
+            (mwc.cdata, [mwc.report.generators(j) for j in (0, 1)],
+             ("r0f", "r1f")),
+            (loc, loc_gens, ("r0loc", "r1loc")),
+            (quc.cdata, [quc.report.generators(j) for j in (0, 1)],
              ("r1shriek", "r2shriek"))):
         for j in (0, 1):
-            nodes[names[j]] = _class_space(gens[j], cc.cdata.spaces[j], p, M,
-                                           cc.cdata if j else None)
-    maps = _snake_maps(mwc, locc, quc, nodes)
-    r1prim = _matrix_rank(maps["delta"], p, M)
+            nodes[names[j]] = _class_space(gens[j], cdata.spaces[j], p, M,
+                                           cdata if j else None)
+    maps = _snake_maps(mwc.cdata, loc, quc.cdata, nodes)
+    delta = maps["delta"]
+    r1prim = None if delta is None else _matrix_rank(delta, p, M)
     return PushforwardBundle(module, nodes, maps, r1prim, note)
 
 
@@ -191,14 +194,14 @@ def _unipotent_chain_gens(urep, degree, space):
             for mv in urep.generators(degree)]
 
 
-def _snake_maps(mwc, locc, quc, nodes):
+def _snake_maps(line, loc, quot, nodes):
     """The five maps of the six-term sequence as small class matrices.  Each
     sends the integer coordinates of its source node's generators to target
     labels, times a sign (and p^shift for the local lift), mod p^N."""
-    p = mwc.cdata.p
-    x0, x1 = mwc.cdata.spaces
-    loc0, loc1 = locc.cdata.spaces
-    qu0, qu1 = quc.cdata.spaces
+    p = line.p
+    x0, x1 = line.spaces
+    loc0, loc1 = loc.spaces
+    qu0, qu1 = quot.spaces
 
     def relabel(src, dst, to, scale=1):
         """Coordinate at (a, J, (i,)) of src goes to label to(a, i) of dst,
@@ -215,7 +218,7 @@ def _snake_maps(mwc, locc, quc, nodes):
 
     # delta: lift a quotient kernel class, apply the local operator, read the
     # result on the line side (t^j dt/t = -x^(-j-1) dx for j <= -1)
-    Nl, shiftl = locc.cdata.scalings[0]
+    Nl, shiftl = loc.scalings[0]
     lift = relabel(qu0, loc0, lambda a, i: (a, (), (i,)), p ** shiftl)
     read = relabel(loc1, x1, lambda a, j: (a, (0,), (-j - 1,)) if j < 0
                    else None, -1)
@@ -223,7 +226,7 @@ def _snake_maps(mwc, locc, quc, nodes):
     def delta(vec, N):
         image: dict[int, int] = {}
         for idx, x in lift(vec, Nl).items():
-            for r, y in locc.cdata.column(0, idx):
+            for r, y in loc.column(0, idx):
                 image[r] = (image.get(r, 0) + x * y) % p ** Nl
         return read(image, N)
 

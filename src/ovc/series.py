@@ -390,10 +390,10 @@ def invert_series(u: Series) -> Series:
 
 # -- calculus ----------------------------------------------------------------
 
-def d_dt(x: Series, var: str | int = 0) -> Series:
+def d_dt(x: Series, var: str) -> Series:
     """Termwise derivative: i * x_i * t^(i-1) in the named variable."""
     d = x.descriptor
-    j = d.var_index(var) if isinstance(var, str) else var
+    j = d.var_index(var)
     out = {}
     for e, c in x.terms:
         if e[j] == 0:

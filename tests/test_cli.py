@@ -339,6 +339,31 @@ def test_pushforward_unipotent_no_uses_window_linear_algebra():
         "no": ["local terms from window linear algebra (no certificate)"]}
 
 
+# a rank-1 line whose connecting map delta does not land in its target
+# classes; ranking delta anyway used to end as engine.internal
+DELTA_UNLANDED = "\n".join([
+    "version 1", "p 3", "M 8",
+    "ring W tate vars x window 0:5",
+    "ring R robba vars t window -16:16 slope 1",
+    "series g W", "  term 1 1/3", "end",
+    "matrix G W 1 1", "  entry 1 1 g", "end",
+    "module M1 ring W rank 1 gamma x G",
+    "command pushforward M1 robba R"]) + "\n"
+
+
+def test_pushforward_with_unlanded_delta_reports_fail(tmp_path):
+    prob = tmp_path / "delta.ovc"
+    prob.write_text(DELTA_UNLANDED)
+    proc = _run(["pushforward", str(prob), "--format", "structured"])
+    assert proc.returncode == 0, proc.stderr
+    data = dict(line.split("=", 1)
+                for line in proc.stdout.decode().splitlines())
+    assert data["r1prim.dim"] == "FAIL"
+    assert [v for k, v in data.items() if k.startswith("snake.")] == [
+        "FAIL (a chain map failed to land in its target classes at "
+        "precision)"] * 6
+
+
 def test_shipped_problems_run():
     for name, cmd in (("mw_line_trivial.ovc", "cohomology"),
                       ("compact_plane_trivial.ovc", "compact-supports"),
@@ -609,6 +634,7 @@ def _sweep_problems():
                 "matrix Gy W 1 1", "  entry 1 1 fy", "end",
                 "module M1 ring W rank 1 gamma x Gx gamma y Gy",
                 "command leray M1 x y"]
+    yield "pushforward-delta-unlanded", DELTA_UNLANDED.splitlines()
 
 
 @pytest.mark.parametrize("text", [

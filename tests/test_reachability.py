@@ -9,9 +9,9 @@ exempt, since Python calls them itself.
 
 The same holds one level down: every optional parameter is passed by some
 call, no parameter gets the same literal from every call, every parameter is
-read by its function, and every dataclass field is read as an attribute, so
-a value nothing sets or reads does not stay.  Every name a module of
-``src/ovc`` imports is used in that module."""
+read by its function, and every field of a dataclass or ``NamedTuple`` class
+is read as an attribute, so a value nothing sets or reads does not stay.
+Every name a module of ``src/ovc`` imports is used in that module."""
 
 import ast
 import re
@@ -137,6 +137,15 @@ UNREAD_FIELDS_ALLOWED = {
                           "floor-limited certification of ROADMAP item 2",
     "NormResult.uncertain": "the flag that a norm rests on a limited zero",
 }
+
+
+# Field names that several classes share.  The field guard matches attribute
+# names, so a read of one class's field counts for every class with a field
+# of that name and can hide an unread one; a reviewer checks a new shared
+# name before it joins this list.
+SHARED_FIELDS = {"M", "N", "command", "descriptor", "detail", "generators",
+                 "kind", "loss", "matrices", "module", "p", "passed", "prime",
+                 "q", "rank", "slope"}
 
 
 def _trees(paths):
@@ -315,10 +324,17 @@ def _is_dataclass(node):
                for d in node.decorator_list)
 
 
+def _is_record(node):
+    """A dataclass or a ``NamedTuple`` class: its fields are attributes."""
+    return _is_dataclass(node) or any(_name(b) == "NamedTuple"
+                                      for b in node.bases)
+
+
 def _fields(tree):
-    """(class name, field, line) of every field of a dataclass."""
+    """(class name, field, line) of every field of a dataclass or of a
+    ``NamedTuple`` class."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(
                         item.target, ast.Name):
@@ -342,6 +358,15 @@ def _unread_fields(def_paths, code_paths):
             for cls, name, line in _fields(tree) if name not in read]
 
 
+def _shared_fields(paths):
+    """Field names that more than one class of ``_fields`` defines."""
+    owners: dict[str, set] = {}
+    for path, tree in _trees(paths).items():
+        for cls, name, _ in _fields(tree):
+            owners.setdefault(name, set()).add((path, cls))
+    return {name for name, classes in owners.items() if len(classes) > 1}
+
+
 def _allowed(found, allowed):
     return [f for f in found if f.split()[1] not in allowed]
 
@@ -363,6 +388,10 @@ def test_every_parameter_is_read():
 def test_every_dataclass_field_is_read():
     assert _allowed(_unread_fields(sorted(SRC.glob("*.py")), _code_paths()),
                     UNREAD_FIELDS_ALLOWED) == []
+
+
+def test_shared_field_names_are_listed():
+    assert _shared_fields(sorted(SRC.glob("*.py"))) == SHARED_FIELDS
 
 
 def test_parameter_and_field_allowlists_name_live_items():
@@ -512,3 +541,21 @@ def test_field_guard_counts_only_reads(tmp_path):
                     "box.written = 1\n")
     assert _unread_fields([path], [path]) == [
         "sample.py:6 Box.written", "sample.py:7 Box.unread"]
+
+
+def test_field_guards_see_named_tuples(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from dataclasses import dataclass\n"
+                    "from typing import NamedTuple\n"
+                    "@dataclass\n"
+                    "class Box:\n"
+                    "    size: int\n"
+                    "    kind: str\n"
+                    "class Pair(NamedTuple):\n"
+                    "    kind: str\n"
+                    "    spare: int\n"
+                    "class Plain:\n"
+                    "    size: int\n"
+                    "box.size + pair.kind\n")
+    assert _unread_fields([path], [path]) == ["sample.py:9 Pair.spare"]
+    assert _shared_fields([path]) == {"kind"}

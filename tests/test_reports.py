@@ -1,14 +1,15 @@
 """Structured reports of the shipped problems against golden digests.
 
 Every engine speedup must leave the reports byte-identical.  The digests in
-report_goldens.json are sha256 of `ovc <command> <problem> --format
-structured` for each shipped problem except the acceptance battery
-(selftest), which runs every criterion of ``tests/test_acceptance.py`` and
-whose verdicts on criteria 1 and 6 hang on wall-clock gates.
+``perfbench/goldens.json``, the benchmark's one golden file, read here and
+never written, are sha256 of `ovc <command> <problem> --format structured`
+for each shipped problem except the acceptance battery (selftest), which
+runs every criterion of ``tests/test_acceptance.py``.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,21 +17,13 @@ import pytest
 from ovc.cli import emit_report, run_command
 from ovc.problems import parse_problem
 
-HERE = Path(__file__).resolve().parent
-PROBLEMS = HERE.parent / "problems"
-GOLDENS = json.loads((HERE / "report_goldens.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:       # the benchmark package, run from anywhere
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import HERE as BENCH, shipped_problems  # noqa: E402
 
-
-def _shipped():
-    out = {}
-    for path in sorted(PROBLEMS.glob("*.ovc")):
-        text = path.read_text(encoding="utf-8")
-        if "\ncommand selftest" not in "\n" + text:
-            out[path.name] = text
-    return out
-
-
-SHIPPED = _shipped()
+GOLDENS = json.loads((BENCH / "goldens.json").read_text())
+SHIPPED = shipped_problems(ROOT)
 
 
 def test_goldens_cover_the_shipped_problems():

@@ -125,9 +125,9 @@ def test_not_a_unit():
 
 
 def test_derivative_examples():
-    assert scalars(d_dt(Series.monomial(R, (2,)))) == {(1,): (0, 2)}
-    assert d_dt(Series.one(R)).is_zero()
-    assert scalars(d_dt(Series.monomial(R, (-1,)))) == {(-2,): (0, P ** M - 1)}
+    assert scalars(d_dt(Series.monomial(R, (2,)), "t")) == {(1,): (0, 2)}
+    assert d_dt(Series.one(R), "t").is_zero()
+    assert scalars(d_dt(Series.monomial(R, (-1,)), "t")) == {(-2,): (0, P ** M - 1)}
 
 
 def test_antiderivative_examples():
@@ -147,7 +147,7 @@ def test_antiderivative_examples():
 def test_residue_examples():
     assert Series.monomial(R, (-1,)).coeff((-1,)).unit == 1
     y = S(R, {(-3,): 2, (0,): 5, (4,): 1})
-    assert d_dt(y).coeff((-1,)).is_exact_zero()
+    assert d_dt(y, "t").coeff((-1,)).is_exact_zero()
     r = S(R, {(0,): 3, (-1,): 2, (1,): 1}).coeff((-1,))
     assert (r.val, r.unit) == (0, 2)
 
@@ -197,7 +197,7 @@ def test_gauss_ultrametric_and_w_superadditive(a, b):
 @given(windowed_series())
 @settings(max_examples=60)
 def test_residue_of_derivative_vanishes(a):
-    r = d_dt(a).coeff((-1,))
+    r = d_dt(a, "t").coeff((-1,))
     assert r.is_zero() or r.val is None
 
 
