@@ -127,7 +127,8 @@ def test_not_a_unit():
 def test_derivative_examples():
     assert scalars(d_dt(Series.monomial(R, (2,)), "t")) == {(1,): (0, 2)}
     assert d_dt(Series.one(R), "t").is_zero()
-    assert scalars(d_dt(Series.monomial(R, (-1,)), "t")) == {(-2,): (0, P ** M - 1)}
+    assert scalars(d_dt(Series.monomial(R, (-1,)), "t")) == {
+        (-2,): (0, P ** M - 1)}
 
 
 def test_antiderivative_examples():
