@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cohomology import (
@@ -70,17 +70,21 @@ def trivial_module(nvars: int, p: int, M: int, window: int) -> SigmaNablaModule:
 
 
 def dwork_module(p: int, M: int, window: int, nvars: int = 1) -> SigmaNablaModule:
-    names = tuple("xyzw"[:nvars])
-    ring = RingDescriptor(TATE, names, ((0, window),) * nvars, p, M)
-    gam = [(names[0], SeriesMatrix.identity(ring, 1))]
-    for v in names[1:]:
-        gam.append((v, SeriesMatrix.zero(ring, 1)))
-    return SigmaNablaModule(ring, 1, gammas=tuple(gam))
+    """The trivial module with Gamma_x = 1."""
+    module = trivial_module(nvars, p, M, window)
+    (x, _), *rest = module.gammas
+    return replace(module, gammas=(
+        (x, SeriesMatrix.identity(module.ring, 1)), *rest))
+
+
+def robba_line(p: int, M: int, window: int) -> RingDescriptor:
+    """The Robba window -window..window in t, slope 1."""
+    return RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
+                          slope=Fraction(1))
 
 
 def kummer_module(a, p: int, M: int, window: int) -> SigmaNablaModule:
-    ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
-                          slope=Fraction(1))
+    ring = robba_line(p, M, window)
     conn = SeriesMatrix.make(ring, [[Series.monomial(ring, (0,), Fraction(a))]])
     return SigmaNablaModule(ring, 1, connection=conn)
 
@@ -222,8 +226,7 @@ def criterion_7() -> CriterionResult:
     """Horizontal iteration: exactness on the worked example and positive
     convergence slopes on random instances."""
     p, M, window = 3, 60, 10
-    ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
-                          slope=Fraction(1))
+    ring = robba_line(p, M, window)
     N = SeriesMatrix.from_scalars(ring, [[0, 1], [0, 0]])
     mod = SigmaNablaModule(ring, 2, connection=N)
     data = strongly_unipotent_basis(mod)
@@ -260,8 +263,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """Strongly unipotent basis extraction and span invariance."""
     p, M, window = 3, 24, 10
-    ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
-                          slope=Fraction(1))
+    ring = robba_line(p, M, window)
     t = Series.monomial(ring, (1,))
     N = SeriesMatrix.make(ring, [[Series.zero(ring), t],
                                  [Series.zero(ring), Series.zero(ring)]])
@@ -291,8 +293,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Factorization of random integral-invertible matrices."""
     p, M, window = 3, 14, 16
-    ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
-                          slope=Fraction(1))
+    ring = robba_line(p, M, window)
     rng = random.Random(99)
 
     def rand_plus_unit():
@@ -404,7 +405,7 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     """Snake exactness for the test bundles, with a failing negative control."""
     p, M = 3, 12
-    ring = RingDescriptor(ROBBA, ("t",), ((-16, 16),), p, M, slope=Fraction(1))
+    ring = robba_line(p, M, 16)
     bundles = {name: pushforward_complex(mod, ring)
                for name, mod in (("trivial", trivial_module(1, p, M, 12)),
                                  ("twisted", dwork_module(p, M, 12)))}
@@ -423,8 +424,7 @@ def criterion_12() -> CriterionResult:
     """Trace after pullback is multiplication by the degree, and the
     normalized composite fixes cohomology classes."""
     p, M, window = 5, 12, 18
-    ring = RingDescriptor(ROBBA, ("t",), ((-window, window),), p, M,
-                          slope=Fraction(1))
+    ring = robba_line(p, M, window)
     mod = SigmaNablaModule(ring, 1, connection=SeriesMatrix.zero(ring, 1))
     data = strongly_unipotent_basis(mod)
     rep = h0_h1_unipotent(data)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import OvcError, ParseError
 from .cohomology import (
+    CohomologyReport,
     compact_support_cohomology,
     local_cohomology,
     mw_cohomology,
@@ -29,7 +30,6 @@ from .groebner import complete_leading_basis, reduce_element
 from .pairing import pairing_nondegeneracy_check
 from .problems import COMMANDS, ProblemFile, parse_problem
 from .pushforward import leray_assemble, pushforward_complex, snake_check
-from .report import CohomologyReport
 from .series import gauss_norm
 from .unipotent import h0_h1_unipotent, horizontal_iterate, \
     strongly_unipotent_basis
@@ -57,19 +57,15 @@ def emit_report(report: RunReport, fmt: str = "structured") -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _series_records(report: RunReport, prefix: str, s):
+def _term_records(report: RunReport, prefix: str, s):
     for exp, c in s.terms:
-        report.add(f"{prefix}.term.{','.join(str(e) for e in exp)}",
-                   c.serialize())
+        report.add(f"{prefix}.{','.join(str(e) for e in exp)}", c.serialize())
 
 
 def _matrix_records(report: RunReport, prefix: str, mat):
     for i, row in enumerate(mat.rows):
         for j, s in enumerate(row):
-            for exp, c in s.terms:
-                report.add(
-                    f"{prefix}[{i + 1},{j + 1}].{','.join(str(e) for e in exp)}",
-                    c.serialize())
+            _term_records(report, f"{prefix}[{i + 1},{j + 1}]", s)
 
 
 def _cohomology_records(report: RunReport, rep: CohomologyReport):
@@ -88,10 +84,7 @@ def _cohomology_records(report: RunReport, rep: CohomologyReport):
                         f"{','.join(str(e) for e in I)}", val)
             else:  # module vectors from the unipotent route
                 for a, comp in enumerate(gen.coords):
-                    for exp, c in comp.terms:
-                        report.add(
-                            f"h{deg}.gen{gi}.c{a}."
-                            f"{','.join(str(e) for e in exp)}", c.serialize())
+                    _term_records(report, f"h{deg}.gen{gi}.c{a}", comp)
     report.add("precision-floor", rep.precision_gap)
     report.add("truncation-loss",
                "none" if rep.truncation is None else rep.truncation)
@@ -129,12 +122,10 @@ def run_command(pf: ProblemFile) -> RunReport:
         rep = leray_assemble(*args)
         report.add("fiber-kernel-rank", rep.fiber_kernel_rank)
         report.add("fiber-coker-rank", rep.fiber_coker_rank)
-        for d, v in sorted(rep.dims_P.items()):
-            report.add(f"P.h{d}.dim", v)
-        for d, v in sorted(rep.dims_Q.items()):
-            report.add(f"Q.h{d}.dim", v)
-        for d, v in sorted(rep.dims_M.items()):
-            report.add(f"M.h{d}.dim", v)
+        for side, dims in (("P", rep.dims_P), ("Q", rep.dims_Q),
+                           ("M", rep.dims_M)):
+            for d, v in sorted(dims.items()):
+                report.add(f"{side}.h{d}.dim", v)
         report.add("euler-identity", "pass" if rep.euler_ok else "FAIL")
         _verdict_records(report, "node", rep.node_verdicts)
     elif name == "factor":
@@ -157,7 +148,7 @@ def run_command(pf: ProblemFile) -> RunReport:
         data = strongly_unipotent_basis(args[0])
         log = horizontal_iterate(data, opts["w"], opts.get("L", 8))
         for i, c in enumerate(log.result.coords):
-            _series_records(report, f"result.c{i}", c)
+            _term_records(report, f"result.c{i}.term", c)
         report.add("headroom-used", log.headroom_used)
         report.add("slope-log", ",".join(
             "inf" if v is None else str(v) for v in log.steps))
@@ -174,7 +165,7 @@ def run_command(pf: ProblemFile) -> RunReport:
         y, z = opts["y"], opts["z"]
         basis = complete_leading_basis(opts["basis"])
         u = reduce_element(y, z, basis)
-        _series_records(report, "u", u)
+        _term_records(report, "u.term", u)
         report.add("gauss-value.u", gauss_norm(u).value)
         report.add("gauss-value.y", gauss_norm(y).value)
         report.add("leading-decay", basis[0].rho_D)

@@ -54,7 +54,6 @@ from .errors import DescriptorMismatchError
 from .linalg import Entries, digit_precision, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import from_residue, int_valuation, integral_shift
-from .report import CohomologyReport, DegreeData
 from .series import _loss_min, _lowest
 
 Label = tuple  # (component, forms J as sorted tuple of var indices, exponent I)
@@ -399,6 +398,32 @@ def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
 
 # -- the engine -----------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DegreeData:
+    generators: tuple        # engine-specific representatives
+    raw_dim: int             # before window-artifact exclusion
+    edge_excluded: int = 0   # classes whose every representative hugs the edge
+
+    @property
+    def dim(self) -> int:
+        """The certified dimension."""
+        return self.raw_dim - self.edge_excluded
+
+
+@dataclass(frozen=True)
+class CohomologyReport:
+    degrees: dict            # degree -> DegreeData
+    precision_gap: int       # distance of the largest divisor to the ceiling
+    truncation: Fraction | None = None
+
+    def dims(self) -> dict:
+        return {d: dd.dim for d, dd in sorted(self.degrees.items())}
+
+    def generators(self, degree: int):
+        dd = self.degrees.get(degree)
+        return dd.generators if dd else ()
+
+
 @dataclass
 class ComplexCohomology:
     """The report of a complex together with the complex it was read from."""
@@ -575,7 +600,7 @@ def complex_cohomology(cdata: ComplexData) -> ComplexCohomology:
             excluded = len(vecs) - len(kept)
             gens = tuple(_int_vec_to_chain(v, space, cdata, N, shift)
                          for v in kept)
-        degrees[j] = DegreeData(raw - excluded, gens, raw, excluded)
+        degrees[j] = DegreeData(gens, raw, excluded)
     report = CohomologyReport(degrees, gap, cdata.loss)
     return ComplexCohomology(report, cdata)
 

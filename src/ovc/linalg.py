@@ -101,36 +101,29 @@ class SnfResult:
             raise ValueError("a rank-only SnfResult has no transforms; "
                              "reduce with track=True to read vectors")
 
-    def apply_U(self, vec: dict) -> dict:
-        """U @ vec for the accumulated row transform (D = U A V)."""
+    def _replay_rows(self, vec: dict, inverse: bool) -> dict:
+        """U @ vec, or Uinv @ vec by undoing the row-op log in reverse."""
         self._require_tracked()
         v = dict(vec)
         mod = self.p ** self.N
-        for op in self.row_ops:
+        sign = -1 if inverse else 1
+        for op in reversed(self.row_ops) if inverse else self.row_ops:
             if op[0] == "rs":
                 _, r, u = op
                 if r in v:
-                    v[r] = v[r] * u % mod
+                    v[r] = v[r] * pow(u, sign, mod) % mod
             else:
                 _, src, dst, m = op
                 if src in v:
-                    v[dst] = (v.get(dst, 0) + m * v[src]) % mod
+                    v[dst] = (v.get(dst, 0) + sign * m * v[src]) % mod
         return {k: x for k, x in v.items() if x}
 
+    def apply_U(self, vec: dict) -> dict:
+        """U @ vec for the accumulated row transform (D = U A V)."""
+        return self._replay_rows(vec, inverse=False)
+
     def apply_Uinv(self, vec: dict) -> dict:
-        self._require_tracked()
-        v = dict(vec)
-        mod = self.p ** self.N
-        for op in reversed(self.row_ops):
-            if op[0] == "rs":
-                _, r, u = op
-                if r in v:
-                    v[r] = v[r] * pow(u, -1, mod) % mod
-            else:
-                _, src, dst, m = op
-                if src in v:
-                    v[dst] = (v.get(dst, 0) - m * v[src]) % mod
-        return {k: x for k, x in v.items() if x}
+        return self._replay_rows(vec, inverse=True)
 
     def apply_V(self, vec: dict) -> dict:
         """V @ vec; feed unit vectors to read off kernel combinations."""

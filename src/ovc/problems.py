@@ -252,16 +252,16 @@ def parse_problem(text: str) -> ProblemFile:
             if (toks := raw.split("#", 1)[0].split())]
     if not recs:
         raise ParseError("empty problem file", 1)
-    header: dict = {}
+    header, at = {}, {}        # field -> value, field -> its line
     k = 0
     while k < len(recs) and recs[k][1][0] in ("version", "p", "M", "q") \
             and recs[k][1][0] not in header:
         ln, toks = recs[k]
         if len(toks) != 2:
             raise ParseError(f"malformed header line {' '.join(toks)!r}", ln)
-        header[toks[0]] = _int(toks[1], toks[0], ln)
+        header[toks[0]], at[toks[0]] = _int(toks[1], toks[0], ln), ln
         k += 1
-    pf = _problem_file(header, recs[k][0] if k < len(recs) else len(lines))
+    pf = _problem_file(header, at, recs[k][0] if k < len(recs) else len(lines))
     command = None
     while k < len(recs):
         ln, toks = recs[k]
@@ -298,23 +298,24 @@ def parse_problem(text: str) -> ProblemFile:
     return pf
 
 
-def _problem_file(header: dict, ln: int) -> ProblemFile:
+def _problem_file(header: dict, at: dict, ln: int) -> ProblemFile:
+    """The header: a missing field fails at ``ln``, a bad one at its line."""
     for key in ("version", "p", "M"):
         if key not in header:
             raise ParseError(f"missing header field {key}", ln)
     p, M = header["p"], header["M"]
     if header["version"] != 1:
-        raise RangeError(f"unsupported version {header['version']}", ln)
+        raise RangeError(f"unsupported version {header['version']}", at["version"])
     if not is_prime(p):
-        raise RangeError(f"p = {p} is not prime", ln)
+        raise RangeError(f"p = {p} is not prime", at["p"])
     if not 1 <= M <= MAX_PRECISION:
-        raise RangeError(f"M = {M} out of [1, {MAX_PRECISION}]", ln)
-    q = header.get("q") or p
+        raise RangeError(f"M = {M} out of [1, {MAX_PRECISION}]", at["M"])
+    q = header.get("q", p)
     qq = q
     while qq > 1 and qq % p == 0:
         qq //= p
-    if qq != 1:
-        raise RangeError(f"q = {q} is not a power of p", ln)
+    if q < p or qq != 1:
+        raise RangeError(f"q = {q} is not p^f with f >= 1", at["q"])
     return ProblemFile(p, M, q)
 
 

@@ -373,24 +373,19 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     line_module = SigmaNablaModule(fiber_ring, module.rank,
                                    gammas=((fiber, gam_line),))
     fib = mw_cohomology(line_module)
-    P_gens = list(fib.report.generators(0))
-    Q_gens = list(fib.report.generators(1))
 
+    # P (j = 0) and Q (j = 1), both built before either is reduced
     base_ring = replace(ring, variables=(base,), window=((0, hy),))
-    P_mod = _induced_base_module(module, fi, bi, fib, P_gens, base_ring,
-                                 kernel_side=True)
-    Q_mod = _induced_base_module(module, fi, bi, fib, Q_gens, base_ring,
-                                 kernel_side=False)
+    induced = [_induced_base_module(module, fi, bi, fib, j, base_ring)
+               for j in (0, 1)]
+    dims_P, dims_Q = [mw_cohomology(m).report.dims() if m else {0: 0, 1: 0}
+                      for m in induced]
+    dims_M = mw_cohomology(module).report.dims()
 
-    dims_P = mw_cohomology(P_mod).report.dims() if P_mod else {0: 0, 1: 0}
-    dims_Q = mw_cohomology(Q_mod).report.dims() if Q_mod else {0: 0, 1: 0}
-    Mrep = mw_cohomology(module).report
-    dims_M = Mrep.dims()
+    def chi(dims):
+        return sum((-1) ** i * d for i, d in dims.items())
 
-    chi_M = sum((-1) ** i * d for i, d in dims_M.items())
-    chi_P = sum((-1) ** i * d for i, d in dims_P.items())
-    chi_Q = sum((-1) ** i * d for i, d in dims_Q.items())
-    euler_ok = chi_M == chi_P - chi_Q
+    euler_ok = chi(dims_M) == chi(dims_P) - chi(dims_Q)
 
     # long exact sequence 0 -> H0(P) -> H0(M) -> 0 -> H1(P) -> H1(M)
     #                        -> H0(Q) -> 0 -> H2(M) -> H1(Q) -> 0
@@ -409,18 +404,20 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
                             f"H1(M)={h1M}, H1(P)={h1P}, H0(Q)={h0Q}"))
     verdicts.append(Verdict("H2(M) ~ H1(Q)", h2M == h1Q, f"{h2M} vs {h1Q}"))
 
-    return LerayReport(len(P_gens), len(Q_gens), dims_P, dims_Q, dims_M,
-                       euler_ok, tuple(verdicts))
+    return LerayReport(*(len(fib.report.generators(j)) for j in (0, 1)),
+                       dims_P, dims_Q, dims_M, euler_ok, tuple(verdicts))
 
 
-def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
-    """Connection of the base module induced on fiber kernel/cokernel
-    generators: apply the horizontal part and re-express in the generators."""
+def _induced_base_module(module, fi, bi, fib, j, base_ring):
+    """Connection of the base module induced on the fiber's degree-j
+    generators (j = 0 the kernel P, j = 1 the cokernel Q): apply the
+    horizontal part and re-express in the generators."""
+    gens = fib.report.generators(j)
     if not gens:
         return None
     ring = module.ring
     gam_b = module.gamma(ring.variables[bi])
-    J_target = () if kernel_side else (0,)
+    J_target = (0,) if j else ()
 
     # horizontal action: d/dy contributes nothing on y-free generators;
     # Gamma_y multiplies componentwise, split by its y-degree
@@ -443,12 +440,12 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
     # solve each y-degree slice against the generator classes
     cdata = fib.cdata
     p, M = cdata.p, cdata.M
-    space = cdata.spaces[0 if kernel_side else 1]
-    cs = _class_space(gens, space, p, M, None if kernel_side else cdata)
+    space = cdata.spaces[j]
+    cs = _class_space(gens, space, p, M, cdata if j else None)
     rank_g = len(gens)
     conn_terms = [[dict() for _ in range(rank_g)] for _ in range(rank_g)]
     for k, img in enumerate(cols):
-        for j, vec in img.items():
+        for ydeg, vec in img.items():
             # the image is encoded at t >= shift: a coordinate x then
             # stands for x / p^(t - shift) against the generators
             t = integral_shift(vec.values(), cs.shift)
@@ -459,7 +456,7 @@ def _induced_base_module(module, fi, bi, fib, gens, base_ring, kernel_side):
                 raise BadCertificateError(
                     "horizontal action leaves the generator span at precision")
             for l, x in enumerate(coords):
-                conn_terms[l][k][(j,)] = from_residue(x, p, cs.N,
+                conn_terms[l][k][(ydeg,)] = from_residue(x, p, cs.N,
                                                       t - cs.shift, M)
     rows = [tuple(Series.make(base_ring, conn_terms[l][k])
                   for k in range(rank_g)) for l in range(rank_g)]

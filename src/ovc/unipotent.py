@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cohomology import CohomologyReport, DegreeData
 from .errors import BadCertificateError, PrecisionError
 from .linalg import Entries, sparse_snf
 from .modules import ModuleVector, SeriesMatrix, SigmaNablaModule, apply_D
 from .padics import from_residue, int_valuation, integral_shift, make_scalar
-from .report import CohomologyReport, DegreeData
 from .series import Series, _vanishes, dlog_antiderivative, t_d_dt, \
     w_slope
 
@@ -231,7 +231,7 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     kernel = to_vectors(snf.kernel_basis())
     coker = to_vectors(snf.coker_reps())
     degrees = {
-        0: DegreeData(len(kernel), tuple(kernel), len(kernel)),
-        1: DegreeData(len(coker), tuple(coker), len(coker)),
+        0: DegreeData(tuple(kernel), len(kernel)),
+        1: DegreeData(tuple(coker), len(coker)),
     }
     return CohomologyReport(degrees, snf.certification_gap() - shift)

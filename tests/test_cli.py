@@ -35,10 +35,16 @@ def test_parse_minimal():
 def test_parse_range_errors():
     with pytest.raises(RangeError):
         parse_problem(MINIMAL.replace("window 0:10", "window 0:1000000"))
+    # each header field's error names its own line
+    for old, new, line in (("M 10", "M 400", 3), ("p 3", "p 6", 2),
+                           ("M 10", "M 10\nq 0", 4), ("M 10", "M 10\nq 1", 4)):
+        with pytest.raises(RangeError) as exc:
+            parse_problem(MINIMAL.replace(old, new))
+        assert exc.value.line == line
+    # q = 1 = p^0 is refused also when no ring line would read it
     with pytest.raises(RangeError):
-        parse_problem(MINIMAL.replace("M 10", "M 400"))
-    with pytest.raises(RangeError):
-        parse_problem(MINIMAL.replace("p 3", "p 6"))
+        parse_problem("version 1\np 3\nM 10\nq 1\ncommand selftest\n")
+    assert parse_problem(MINIMAL.replace("M 10", "M 10\nq 9")).q == 9
 
 
 def test_parse_undefined_name():
@@ -148,6 +154,12 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.ovc"
     bad.write_text(MINIMAL.replace("window 0:10", "window 0:99999"))
     assert _run(["cohomology", str(bad)]).returncode == 2
+
+    for q in (0, 1):
+        bad.write_text(MINIMAL.replace("M 10", f"M 10\nq {q}"))
+        proc = _run(["cohomology", str(bad)])
+        assert proc.returncode == 2
+        assert b"parse error [cli.range]: line 4:" in proc.stderr
 
     mismatch = _run(["factor", str(good)])
     assert mismatch.returncode == 2

@@ -201,3 +201,16 @@ def test_seeded_generators_are_independent_cycles():
     assert all(counts[-4:])
     assert any(n and "vars x,y" in t for n, t in zip(counts, texts))
     assert any(n and "compact-supports" in t for n, t in zip(counts, texts))
+
+
+# ROADMAP item 17's family: connections that raise the exponent, whose
+# certified dims flip with the parity of W
+EXPONENT_RAISING = ({(1,): 1}, {(1,): 3}, {(2,): 9}, {(0,): 1, (1,): 1},
+                    {(0,): 3, (2,): 9})
+
+
+def test_exponent_raising_generators_are_independent_cycles():
+    counts = [_check(_text(3, 8, _tate("x", W, {"x": [[poly]]}), cmd))
+              for poly in EXPONENT_RAISING for W in range(10, 14)
+              for cmd in ("cohomology", "compact-supports")]
+    assert len(counts) == 40 and sum(counts) >= 15

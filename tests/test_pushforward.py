@@ -314,14 +314,14 @@ def _induced_Q_connection(monkeypatch, module):
     induced = {}
     real = pushforward._induced_base_module
 
-    def spy(*args, kernel_side):
-        out = real(*args, kernel_side=kernel_side)
-        induced[kernel_side] = out
+    def spy(mod, fi, bi, fib, j, base_ring):
+        out = real(mod, fi, bi, fib, j, base_ring)
+        induced[j] = out
         return out
 
     monkeypatch.setattr(pushforward, "_induced_base_module", spy)
     leray_assemble(module, "x", "y")
-    Q = induced[False]
+    Q = induced[1]
     assert Q.rank == 1
     return {E: c.serialize() for E, c in Q.gamma("y").rows[0][0].terms}
 
