@@ -4,8 +4,8 @@
 * trivial coefficients on n-space: h^0 = 1 and h_c^(2n) = 1, all others 0;
 * d/dx + c on the line with v_p(c) > 1/(p - 1): e^(cx) is overconvergent,
   so the module is trivial, (h^0, h^1) = (1, 0) and (h_c^1, h_c^2) = (0, 1);
-  the same holds for d/dx + sum a_k x^k when every v_p(a_k/(k + 1)) >
-  1/(p - 1), and for c_1 dx + c_2 dy on the plane when every v_p(c_i) is;
+  so is d/dx + sum a_k x^k when every v_p(a_k/(k + 1)) > 1/(p - 1), and
+  c_1 dx + c_2 dy on the plane when every v_p(c_i) > 1/(p - 1);
 * d/dx + a + bx with b a unit and a in Z_p: h^0 = 0 and h^1 >= 1 (item 17);
 * t d/dt + a over the Robba ring, a rational with its denominator prime to
   p: (1, 1) when a is an integer, (0, 0) otherwise.  This is the ring's
