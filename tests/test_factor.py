@@ -161,26 +161,26 @@ def _pinned_factor_inputs():
 
 
 PINNED_FACTOR_DIGESTS = [
-    "1a347dac3147a3d1a176e8a9448b7ad575c984c940437388771e8b841ea28819",
-    "8ca7ccfdce6d6c59d653d3350e3562453d8f3510ce5f6bd250ae1b3ff0d77f58",
-    "de402fab062b48627bd0ac397482eb2c0aa95df23970e45eaf7d4fb6110e5261",
-    "026e8be1696caaa8d3762b19273f65d79ee169227e999a15f354a78ac683645b",
-    "00737bb44083597087de9aa40dc8a643dc1341de8a957fd82eb0b8c8fe65968c",
-    "23e4f4509369636d56afe57a4ea3898b18acf9a2498c48fcb71534a653951f49",
-    "c04d74fca763b98baf484a4ba3ac64a63fbaa463b6eb437da4efdaba126e3865",
-    "f9f7a5664633530505c3248bcc891c2525dc6ef93ba9f1b43959c69f7800025a",
-    "902b085ef22fed4329fd22020bf7c5c1f9b230b6be0746d81d26753feaaeb5e9",
-    "80f468cad4cd8f6673c1322e34b9d1e747d13f4b7a5d7e5e26fab368d00e2633",
-    "992c389af756303de078ab5c309fdebd3dba37111462a57f501ee931d164cabc",
-    "bacb2de6b3b61e97b96ce04b79e63317fed148c9485573b6eb68c2741887bb50",
-    "e68d78f72601a2e19f981032d4e692ae86fa8f30b34ab932fd7149bb1f7f401a",
-    "7ced3ead0cea05a8127b82d9177b79fefdc21aff3efa43c3f2dc248d354312d0",
-    "0088981448ed2217f4bbf768aac04a0d94b0f3c888b3a48e45cb0b634d59425f",
-    "0cbe81d99a78217bd5c603803efedf50c911756c7565b0b522b5f0b0bf790eac",
-    "42fde71344c6ea34053d034a287a3a69edaec5a8b80b0423b66e5644b8cbfcd3",
-    "d47576a8b99e0a5b91b22c35ce2f85b8e5cd6cac0f256b91f138d06d9084b17f",
-    "4d4756349bc61b840f4cf207c6fb8eded2e84d872d3c902e93f8e95f7745c3bd",
-    "7fcba3187d445af5cc10ef08116c10e5c2bb13b3540d4994cf54ec68e358901e",
+    "fdc3a96df1e85b3e772317dd69604d21729c76813c4f168b42c4c811dfb1c210",
+    "041dacf8b67298d9ecefd7093c2f0c9fde0389de22e17603b4877acac1977677",
+    "965de9feeeadf43536db419c878a22b3ca36972a5e47f44c49d4cc948aeb111e",
+    "80d754e70f67e6c68bb7a4898341c915a1fe2593a94d47329b482a6517f7a870",
+    "f7c98a952bc05d95fb4e7de1eac799f3ef1e56754785cbccd17b667920edb38e",
+    "4e241abcfb4d6f765c5281a2ca7097d67d5c755edaab10d6f13f28d073cf49d4",
+    "a268b69402ee182e91899bc53d6e7f2d7f1959aa98b011a96c665a1c6e72ca6c",
+    "c2243c66e128e35c4fa8134c04c75eb5a002cb319860deaa3e0991e8034f9324",
+    "bee4b741ddc9dc51002621cdd7b3c228945537f01f7b2f90d09b977d9254cf69",
+    "93c2348d684a009d70996eb9f33a23caf97522a1e8d77895f0fa50b7eb0e47c3",
+    "5a645aee683a231f872a3109d1096a755cda0c2c35423245ae3a277dff926709",
+    "edabc1f5a6e92d2a04075031bd48171a44a4305fcf1b433503faa623ebfdcce6",
+    "62f461727871d7b9a7caef4aa2e83f8b0fdea2de1e97b011810ec885d36a0c75",
+    "6514bdb69ff21208054a0a8da27222b491a35a7f3c4fd56c6f835fe38b44d61f",
+    "2189482cf49e37b0a998cb28fe4c7b41de1b76f37063a647224a1f9b9e78aba9",
+    "ba6e22fce7bf22bbc00ef8bd3d0d8e4976a6bb199e93d4434c72fa26d6e5c64f",
+    "ec6f84cbdb98f6e781a18c7b2b42818af1bd3584b3fc0ee6050ce851f07ed866",
+    "da2936a52bb2555cca2719577323c4cfc2d483b87744d25efc0ffa7499662951",
+    "260055a9dac618a26c1f2effc06034227b89e66916923de125fc7b470e51a8b8",
+    "016f608ab8d8861262f9be6d7e26664bacc58dbe4b3a73c3db08e096194fef5b",
 ]
 
 

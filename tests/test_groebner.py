@@ -227,7 +227,7 @@ def test_completion_cofactors_combine_the_generators():
 # leave every basis element, its leading data and the reduction unchanged.
 
 def _series_data(s):
-    return (tuple((e, c.serialize()) for e, c in s.terms), s.loss)
+    return tuple((e, c.serialize()) for e, c in s.terms)
 
 
 def _completion_digest(basis, u) -> str:
@@ -268,26 +268,26 @@ def _pinned_completions():
 
 
 PINNED_COMPLETION_DIGESTS = [
-    "34ea003dbe7fe498aad33f362fe2ab258521c6e2be2f71ff54934adfef6d4d37",
-    "3d1c349ee43bee1ffe4df00d53bc451a6cf1a436686ebfd9e0811d97d579b79b",
-    "ecf19f69258ffb8d9174e30efd8f466a227c524110cf8205f5ba6b795713c4e7",
-    "1b551cf118167edf9bff48dcb74255a092aec9d1e6824676b1d59d559549903b",
-    "7d5ec5d748cb5c112492b0d915008f2a212600c9cff882881517b517bf58bb03",
-    "467469b440b296f07c91760a4e85ad4fadfbed3ee0dc60ce952abb2726acc6e2",
-    "44439d987635dce76c346e5874b0d228e0a7a6604f6627012265e5643226d916",
-    "a4cac885e5ba54b0432c9f4e9981b124af7926c505d5b2aa144e953424b1bf97",
-    "b885fca39af654681f43ceab80eaf3ec6c42bd5e819041e5959debe2dda41065",
-    "78d73e99e97e10b954d2aa8e26863f54873a5876827d2b21c708d0382389762a",
-    "7c66d24b6794cff437272d5613c91022a8200c6083a8df45191883fc3ca6010f",
-    "74090bc60463c09fed5649841ebcbe3cbbd7f9428a40be6e539b1769eb3b721f",
-    "0dac68f4d4b0b9de95dc23344887044bac12e0406c05b37ae98823aca222937d",
-    "93fd0433eba934d1f689ee2980c6dc7b1ae8d39fbff27b3fa0dc5d99697e9c89",
-    "c90a2ef43cbb99754bc1aa595cc7f8e773d746be70c786cb779f744c4f650553",
-    "76e0ab3ae9da6ea631fd7d383b827fed6c3b870b9f75da20f1e423870ceb77a9",
-    "12cdb211fab95396498df3ac44f6fd1f746a89a69555eb2f10efbddf68c2e60a",
-    "aa868cfa61e236081c1eb896394d101b8abf44a960496536b059d90b29b9acea",
-    "003f778dd156b2873275d223862e61de1449218700730033da50cdc6ca062f43",
-    "1b459c6689de47ae920fc8364e99b8a1e2e2c6261961318dbd1efc0c35a8c7f0",
+    "e366e840baa42f4ed3506e35b7e9f8edadbf49eb11af7a87425bc93340b5e422",
+    "1ecd5bc5f6cd907c18e183f98e0f40c90d28f909d2c6acd1bf836ecb87fd4ed1",
+    "007406a574f5ac90838711f2f11f4386a7d0b4b722392d7c7a402f70098cced4",
+    "b576af92fd25d35ea41779aaab9035438ac6582f98f019fd84f21b85bbc93404",
+    "52342f7fe7c576cbfbb36f8eecfea9fd35f06d51b2a1518abb0807f9a5272089",
+    "d7c0b9de4061d7ffcdd258d517e78e96a03d5f0dea783d1bdb680ac867639042",
+    "2d83328a6aeb4e09a51ff782b0d15bc9645e0d2f37f3cb0a31b7234e1e40e184",
+    "b9945b41a1eee721a1b259dca03418da97b73891f4c07c938d84fa9a4b37f809",
+    "e2cbb853c09a9bf4d92001193110524f7e382a73995c1c55f568f02cb2e05f9b",
+    "40b572c68114bbaa06f08424bd46a742bb936ae98acde2b8ae8cf0cd9d11fad2",
+    "af6d8a3fff0baf89fad296d2306c6a024789f0845115f63e5b2532638d342f2c",
+    "43e80b15bd18626eadd7a9b51c9820fc7c12cd30519d35490e5310b6cb993d65",
+    "3269676a0225b1314c21b360009eed91cfce4c98bae991881d89922a91817d1b",
+    "da8118fb0aadd56abc178e27103e29c483e4813d6f6e99a12708bba7e5a395c2",
+    "670f3c81c43711724a10c5c3767c21b19bda7ac8f7f255228251aa3295084efa",
+    "36beaa3b0f31e0ad91f6555663ec0fbd76c35e2a6796bc2e75c697d8d3a7dbab",
+    "631644a5a2228ff7ec98252944c8ea24691bc36a7233ed3dbf9d2a510def10d3",
+    "dc298d256af3e828046ff5c7220db409a5b6e0d55bd105ea59cac832e368143e",
+    "b56c761e3dc0d708ebf969f2ec17ceda2982d8b6943e8b8e3fd8cb4ebad8875c",
+    "dad6025125aa3a71c9a8f87e069800c0bea99f6b66d1c381d58a85fb783bcb67",
 ]
 
 
