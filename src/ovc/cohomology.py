@@ -54,7 +54,7 @@ from .errors import DescriptorMismatchError
 from .linalg import Entries, digit_precision, sparse_snf
 from .modules import SigmaNablaModule
 from .padics import from_residue, int_valuation, integral_shift
-from .series import _loss_min, _lowest
+from .series import _lowest
 
 Label = tuple  # (component, forms J as sorted tuple of var indices, exponent I)
 
@@ -160,6 +160,15 @@ def _box_layout(lo, hi, frame_lo, widths, strides):
     for r, c in enumerate(codes):
         where[c] = r
     return tuple(exps), codes, where
+
+
+def _loss_min(a, b):
+    """The least of two values, None being +infinity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 def _lands(E, exp_sign, src, dst) -> bool:

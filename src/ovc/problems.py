@@ -31,7 +31,9 @@ with ``slope r`` and a window from 0, as for ``tate`` and ``dagger``.
 Coefficients are p-adic scalars: a ring has no coefficient ring.
 
 Scalars serialize as "u*p^v@M" (plain integers and fractions n/d accepted);
-a series is a list of term records (exponents then the scalar).  Every name
+a series is a list of term records (exponents then the scalar).  A term
+outside its ring's window, or a constant entry of a ring whose window leaves
+out exponent 0, is a range error, not a silent drop.  Every name
 must be defined before use, command arguments included, and an undefined one
 is reported with its line number; ``COMMANDS`` holds each command's
 arguments.  Header parameters are range-checked so reports stay
@@ -159,9 +161,12 @@ def _element(pf: ProblemFile, ring: RingDescriptor, tok: str, ln: int):
             raise ParseError(f"series {tok!r} lives in another ring", ln)
         return pf.series[tok]
     try:
-        return Series.make(ring, {ring.zero_exp(): _scalar(pf, tok, ln)})
+        scalar = _scalar(pf, tok, ln)
     except ParseError:
         raise UndefinedNameError(f"series {tok!r}", ln) from None
+    if not ring.in_window(ring.zero_exp()):
+        raise RangeError(f"constant {tok} outside its ring's window", ln)
+    return Series.make(ring, {ring.zero_exp(): scalar})
 
 
 def _value(pf: ProblemFile, kind, tok: str, what: str, ln: int):
@@ -372,6 +377,9 @@ def _series(pf: ProblemFile, ring: RingDescriptor, body: list) -> Series:
     terms: dict = {}
     for ln, ops in body:
         exp = tuple(_int(t, "exponent", ln) for t in ops[:-1])
+        if not ring.in_window(exp):
+            raise RangeError(f"term exponent {' '.join(ops[:-1])} outside "
+                             "its ring's window", ln)
         scalar = _scalar(pf, ops[-1], ln)
         terms[exp] = terms[exp].add(scalar) if exp in terms else scalar
     return Series.make(ring, terms)

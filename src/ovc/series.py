@@ -1,23 +1,23 @@
 """Finite-precision arithmetic in Tate/dagger algebras and windowed Robba rings.
 
 Elements are finite sums of monomials over an exponent window.  Exponent mass
-that escapes the window during an operation is dropped and the best (smallest)
-slope/Gauss value of the dropped mass is recorded in ``loss``, so every report
-downstream can state what the hard window cost.  Coefficients below the
+that escapes the window during an operation is dropped; what the window costs
+a cohomology computation is the complex's truncation loss, which the
+cohomology builder records from the connection terms.  Coefficients below the
 working absolute precision p^M are dropped likewise; coefficients that became
 zero by cancellation inside the known range survive as flagged limited zeros.
 
 ``_lowest`` is the one place where term values are weighted: the value of a
 term a_e t^e at weight w is v_p(a_e) + w.|e|, and every Gauss value, slope
-value, rho value, window loss, leading term and zero-at-precision test in
-ovc is the least such value over some terms, or the exponents attaining it.
-A ring's own weight (``RingDescriptor.weight``) is its slope on robba kinds
-and 0 otherwise.
+value, rho value, leading term and zero-at-precision test in ovc is the
+least such value over some terms, or the exponents attaining it.  A ring's
+own weight (``RingDescriptor.weight``) is its slope on robba kinds and 0
+otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -134,45 +134,31 @@ def _vanishes(pairs, digits: int) -> bool:
     return least is None or least >= digits
 
 
-def _loss_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 @dataclass(frozen=True)
 class NormResult:
     value: Fraction | int | None   # None encodes +infinity
-    uncertain: bool = False        # a dropped/limited zero could dominate
+    uncertain: bool = False        # a limited zero could dominate
 
 
 @dataclass(frozen=True)
 class Series:
-    """A windowed series: finite map exponent -> PadicApprox coefficient.
-
-    ``loss`` is the best slope/Gauss value among all terms dropped at the
-    window edge during the history of this element (None: nothing was
-    dropped).
-    """
+    """A windowed series: finite map exponent -> PadicApprox coefficient."""
 
     descriptor: RingDescriptor
     terms: tuple  # sorted tuple of (Exp, PadicApprox)
-    loss: Fraction | None = None
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def make(descriptor: RingDescriptor, entries, loss=None) -> "Series":
+    def make(descriptor: RingDescriptor, entries) -> "Series":
         """Normalize a {exp: coeff} dict, exponents as tuples, into a
         Series; the dict is only read.
 
-        Out-of-window terms are dropped into the loss indicator; coefficients
-        with valuation at or above the working precision are dropped;
-        limited zeros within range are kept.
+        Out-of-window terms are dropped; coefficients with valuation at or
+        above the working precision are dropped; limited zeros within range
+        are kept.
         """
-        kept, dropped = {}, []
+        kept = {}
         M = descriptor.precision
         for exp, c in entries.items():
             if c.is_exact_zero():
@@ -184,14 +170,10 @@ class Series:
                 continue
             elif c.val + c.prec > M:
                 c = c.with_abs_prec(M)
-            if not descriptor.in_window(exp):
-                dropped.append((exp, c.val))
-                continue
-            kept[exp] = c
-        if dropped:
-            loss = _loss_min(loss, _lowest(dropped, descriptor.weight)[0])
+            if descriptor.in_window(exp):
+                kept[exp] = c
         # exponents are distinct, so the pairs sort by exponent alone
-        return Series(descriptor, tuple(sorted(kept.items())), loss)
+        return Series(descriptor, tuple(sorted(kept.items())))
 
     @staticmethod
     def zero(descriptor: RingDescriptor) -> "Series":
@@ -233,7 +215,7 @@ class Series:
 
     def map_coeffs(self, f) -> "Series":
         return Series.make(self.descriptor,
-                           {e: f(c) for e, c in self.terms}, loss=self.loss)
+                           {e: f(c) for e, c in self.terms})
 
     # -- ring operations ---------------------------------------------------
 
@@ -248,11 +230,11 @@ class Series:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc[e].add(c) if e in acc else c
-        return Series.make(self.descriptor, acc, loss=_loss_min(self.loss, other.loss))
+        return Series.make(self.descriptor, acc)
 
     def neg(self) -> "Series":
         return Series(self.descriptor,
-                      tuple((e, c.neg()) for e, c in self.terms), self.loss)
+                      tuple((e, c.neg()) for e, c in self.terms))
 
     def sub(self, other: "Series") -> "Series":
         return self.add(other.neg())
@@ -265,23 +247,21 @@ class Series:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 c = c1.mul(c2)
                 acc[e] = acc[e].add(c) if e in acc else c
-        return Series.make(self.descriptor, acc, loss=_loss_min(self.loss, other.loss))
+        return Series.make(self.descriptor, acc)
 
     def scale(self, c) -> "Series":
         """Multiply by a scalar (int, Fraction, or PadicApprox)."""
         if isinstance(c, (int, Fraction)):
             c = make_scalar(c, self.descriptor.prime, self.descriptor.precision)
         return Series.make(self.descriptor,
-                           {e: x.mul(c) for e, x in self.terms},
-                           loss=self.loss)
+                           {e: x.mul(c) for e, x in self.terms})
 
     def shift(self, exp) -> "Series":
         """Multiply by the monomial t^exp."""
         exp = tuple(exp)
         return Series.make(
             self.descriptor,
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms},
-            loss=self.loss)
+            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms})
 
     __add__ = add
     __sub__ = sub
@@ -299,8 +279,8 @@ class Series:
 def gauss_norm(a: Series) -> NormResult:
     """min over stored terms of vp(a_I); the norm is p^(-value).
 
-    Flags when a precision-limited zero coefficient (or dropped window mass)
-    could dominate the reported value.
+    Flags when a precision-limited zero coefficient could dominate the
+    reported value.
     """
     value = a.gauss_value()
     floor = _lowest((e, c.prec) for e, c in a.terms
@@ -384,8 +364,7 @@ def invert_series(u: Series) -> Series:
         steps += 1
         if steps > max_terms:
             raise NotARecognizedUnitError("geometric series did not terminate")
-    result = acc.map_coeffs(lambda x: x.mul(c_inv)).shift(neg_k)
-    return replace(result, loss=_loss_min(result.loss, u.loss))
+    return acc.map_coeffs(lambda x: x.mul(c_inv)).shift(neg_k)
 
 
 # -- calculus ----------------------------------------------------------------
@@ -400,7 +379,7 @@ def d_dt(x: Series, var: str) -> Series:
             continue
         ne = e[:j] + (e[j] - 1,) + e[j + 1:]
         out[ne] = c.mul(make_scalar(e[j], d.prime, d.precision))
-    return Series.make(d, out, loss=x.loss)
+    return Series.make(d, out)
 
 
 def t_d_dt(x: Series) -> Series:
@@ -412,7 +391,7 @@ def t_d_dt(x: Series) -> Series:
         if e[0] == 0:
             continue
         out[e] = c.mul(make_scalar(e[0], d.prime, d.precision))
-    return Series.make(d, out, loss=x.loss)
+    return Series.make(d, out)
 
 
 def dlog_antiderivative(x: Series) -> Series:
@@ -430,17 +409,17 @@ def dlog_antiderivative(x: Series) -> Series:
             raise ResidueObstructionError("nonzero t^0 coefficient")
         inv = make_scalar(e[0], d.prime, d.precision).invert()
         out[e] = c.mul(inv)
-    return Series.make(d, out, loss=x.loss)
+    return Series.make(d, out)
 
 
 def frobenius_substitute(x: Series) -> Series:
     """Standard Frobenius lift: every exponent multiplied by the ring's q;
-    sigma fixes the Q_p coefficients.  Window overflow becomes tracked
-    loss."""
+    sigma fixes the Q_p coefficients.  Images above the window are
+    dropped."""
     d = x.descriptor
     q = d.qeff
     out = {tuple(q * ei for ei in e): c for e, c in x.terms}
-    return Series.make(d, out, loss=x.loss)
+    return Series.make(d, out)
 
 
 def kummer_substitute(x: Series, e: int) -> Series:
@@ -448,4 +427,4 @@ def kummer_substitute(x: Series, e: int) -> Series:
     if e < 1:
         raise ValueError("cover degree must be >= 1")
     out = {(exp[0] * e,) + exp[1:]: c for exp, c in x.terms}
-    return Series.make(x.descriptor, out, loss=x.loss)
+    return Series.make(x.descriptor, out)

@@ -40,10 +40,9 @@ class UnipotentData:
 
 
 def _nonconstant_part(s: Series) -> Series:
-    """The terms other than t^0, with the entry's loss."""
+    """The terms other than t^0."""
     zero = s.descriptor.zero_exp()
-    return Series(s.descriptor, tuple(t for t in s.terms if t[0] != zero),
-                  s.loss)
+    return Series(s.descriptor, tuple(t for t in s.terms if t[0] != zero))
 
 
 def _is_strictly_upper(N: SeriesMatrix, digits: int) -> bool:

@@ -25,6 +25,34 @@ command cohomology M1
 """
 
 
+# d/dx + x^9 on a window that stops at x^6: the term cannot be kept
+OUT_OF_WINDOW = """version 1
+p 3
+M 10
+ring W tate vars x window 0:6
+series f W
+  term 9 1
+end
+matrix G W 1 1
+  entry 1 1 f
+end
+module M1 ring W rank 1 gamma x G
+command cohomology M1
+"""
+
+# a constant entry of a robba ring whose window leaves out exponent 0
+CONSTANT_OUT_OF_WINDOW = """version 1
+p 3
+M 10
+ring R robba vars t window 2:6 slope 1
+matrix N R 1 1
+  entry 1 1 5
+end
+module M1 ring R rank 1 connection N
+command cohomology M1
+"""
+
+
 def test_parse_minimal():
     pf = parse_problem(MINIMAL)
     assert pf.p == 3 and pf.M == 10 and pf.q == 3
@@ -45,6 +73,13 @@ def test_parse_range_errors():
     with pytest.raises(RangeError):
         parse_problem("version 1\np 3\nM 10\nq 1\ncommand selftest\n")
     assert parse_problem(MINIMAL.replace("M 10", "M 10\nq 9")).q == 9
+    # an input term or constant outside its ring's window is refused on its
+    # own line, not dropped
+    for text in (OUT_OF_WINDOW, CONSTANT_OUT_OF_WINDOW):
+        with pytest.raises(RangeError) as exc:
+            parse_problem(text)
+        assert exc.value.line == 6
+    assert parse_problem(OUT_OF_WINDOW.replace("term 9 1", "term 6 1"))
 
 
 def test_parse_undefined_name():
@@ -160,6 +195,12 @@ def test_cli_exit_codes(tmp_path):
         proc = _run(["cohomology", str(bad)])
         assert proc.returncode == 2
         assert b"parse error [cli.range]: line 4:" in proc.stderr
+
+    for text in (OUT_OF_WINDOW, CONSTANT_OUT_OF_WINDOW):
+        bad.write_text(text)
+        proc = _run(["cohomology", str(bad)])
+        assert proc.returncode == 2
+        assert b"parse error [cli.range]: line 6:" in proc.stderr
 
     mismatch = _run(["factor", str(good)])
     assert mismatch.returncode == 2

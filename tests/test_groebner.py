@@ -142,6 +142,48 @@ def test_reduce_element_examples():
     assert u0.is_zero()
 
 
+def test_division_takes_steps_when_z_outweighs_y():
+    # criterion 10 draws y and z of one size, so its division returns z at
+    # once; here y is divisible by p and z = y + g1 * (a unit), so |z| > |y|
+    # as a rule and the division has to cancel terms to reach |u| <= |y|
+    p, M = 3, 14
+    ring = RingDescriptor(DAGGER, ("x", "y"), ((0, 14), (0, 14)), p, M,
+                          decay=1)
+    rng = random.Random(11)
+
+    def rand_series(maxdeg=2, terms=3, unit=False):
+        data = {}
+        for _ in range(terms):
+            e = (rng.randint(0, maxdeg), rng.randint(0, maxdeg))
+            data[e] = make_scalar(rng.randint(1, 8) * p ** rng.randint(0, 1),
+                                  p, M)
+        if unit:
+            data[(0, 0)] = make_scalar(1, p, M)
+        return Series.make(ring, data)
+
+    draws = divided = 0
+    while draws < 400:
+        g1, g2 = rand_series(), rand_series()
+        if g1.is_zero() or g2.is_zero():
+            continue
+        basis = complete_leading_basis([g1, g2])
+        y = g1.mul(rand_series(1, 2, unit=True)).add(
+            g2.mul(rand_series(1, 2))).scale(p)
+        if y.is_zero():
+            continue
+        z = y.add(g1.mul(rand_series(1, 2, unit=True)))
+        u = reduce_element(y, z, basis)
+        draws += 1
+        divided += u.terms != z.terms
+        gy, gu = gauss_norm(y).value, gauss_norm(u).value
+        assert gu is None or gu >= gy
+        D = basis[0].rho_D
+        ru, rz = rho_value(u, D), rho_value(z, D)
+        assert ru is None or rz is not None and ru >= rz
+        assert reduces_to_zero(u.sub(z), basis)
+    assert divided >= 320
+
+
 def test_hadamard_examples():
     mono = Series.monomial(W2, (2, 1), 9)
     r = hadamard_check(mono, 2, Fraction(1, 2))

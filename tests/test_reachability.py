@@ -108,7 +108,9 @@ def test_names_come_from_code_not_prose(tmp_path):
 # name: a call to ``f`` or ``x.f`` counts for every def named ``f``, and a
 # call to a class, or to one of its subclasses, for its ``__init__``.  A def
 # does not count as its own caller.  Name collisions can only hide a
-# finding, so each guard is a lower bound.
+# finding, so each guard is a lower bound, with one exception: the field
+# guard takes ``replace`` on an object of no clear class for a copy of the
+# read's own class (``_field_reads``), so it may flag a field that is read.
 
 # Optional parameters that no call passes, kept on purpose.
 UNPASSED_ALLOWED = {
@@ -140,12 +142,13 @@ UNREAD_FIELDS_ALLOWED = {
 
 
 # Field names that several classes share.  The field guard matches attribute
-# names, so a read of one class's field counts for every class with a field
-# of that name and can hide an unread one; a reviewer checks a new shared
-# name before it joins this list.
+# names where the receiver's class is not clear, so such a read of one
+# class's field counts for every class with a field of that name and can
+# hide an unread one; a reviewer checks a new shared name before it joins
+# this list.
 SHARED_FIELDS = {"M", "N", "command", "descriptor", "detail", "generators",
-                 "kind", "loss", "matrices", "module", "p", "passed", "prime",
-                 "q", "rank", "slope"}
+                 "kind", "matrices", "module", "p", "passed", "prime", "q",
+                 "rank", "slope"}
 
 
 def _trees(paths):
@@ -341,21 +344,128 @@ def _fields(tree):
                     yield node.name, item.target.id, item.lineno
 
 
+def _read(node):
+    """(receiver, field) of an attribute load or of ``getattr`` with a
+    literal name, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.value, node.attr
+    if isinstance(node, ast.Call) and _name(node.func) == "getattr" \
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+        return node.args[0], node.args[1].value
+    return None
+
+
+def _scope(fn, clear, cls, family):
+    """The receivers whose class is clear inside a def, as {name: class}:
+    ``self`` (the bound first parameter of a method of ``cls``) and the
+    parameters annotated with a class of ``family``.  A name the def binds
+    anywhere else is not clear."""
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [
+        x for x in (a.vararg, a.kwarg) if x]
+    stored = {n.id for n in ast.walk(fn)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    out = {k: v for k, v in clear.items()
+           if k not in stored and k not in {x.arg for x in params}}
+    static = isinstance(fn, ast.Lambda) or any(
+        _name(d) in ("staticmethod", "classmethod") for d in fn.decorator_list)
+    for k, arg in enumerate(params):
+        if k == 0 and cls and not static:
+            owner = cls
+        else:
+            ann = arg.annotation
+            owner = ann.id if isinstance(ann, ast.Name) else \
+                ann.value if isinstance(ann, ast.Constant) else None
+        if owner in family and arg.arg not in stored:
+            out[arg.arg] = owner
+    return out
+
+
+def _field_reads(tree, owners, family, positions):
+    """(class, field) of every read of a tree that counts.  A read counts
+    for the classes its receiver may have: those of ``_scope`` when its
+    class is clear, else every class with a field of that name.  It does
+    not count for class C when it lies inside the argument that a call of
+    C, of ``C.make`` or of ``replace`` on a C passes to the field of its
+    name, by keyword or by position in the signature ``_signatures``
+    gives; ``replace`` on an object whose class is not clear counts as
+    replace on each class with that field."""
+    def classes(receiver, clear, field):
+        if isinstance(receiver, ast.Name) and receiver.id in clear:
+            return {c for c in family[clear[receiver.id]]
+                    if c in owners.get(field, ())}
+        return owners.get(field, set())
+
+    def into(call, clear):
+        """{id of an argument or keyword: (field, classes)} of the fields
+        a creating call fills."""
+        f, made = call.func, None
+        if _name(f) in family:
+            made = _name(f)
+            order = positions.get(f"{made}.__init__", [])
+        elif isinstance(f, ast.Attribute) and f.attr == "make" \
+                and _name(f.value) in family:
+            made = _name(f.value)
+            order = positions.get(f"{made}.make", [])
+        elif _name(f) == "replace" and call.args:
+            order = []
+        else:
+            return {}
+        out = {}
+        for k in call.keywords:
+            if k.arg:
+                out[id(k)] = k.arg, {made} if made else classes(
+                    call.args[0], clear, k.arg)
+        for x, name in zip(call.args, order):
+            if isinstance(x, ast.Starred):
+                break
+            out[id(x)] = name, {made}
+        return out
+
+    found = set()
+
+    def visit(node, clear, cls, filled):
+        hit = _read(node)
+        if hit:
+            receiver, field = hit
+            found.update((c, field) for c in classes(receiver, clear, field)
+                         - filled.get(field, set()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            clear = _scope(node, clear, cls, family)
+        args = into(node, clear) if isinstance(node, ast.Call) else {}
+        inner = node.name if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            sub = filled
+            if id(child) in args:
+                field, made = args[id(child)]
+                sub = {**filled, field: filled.get(field, set()) | made}
+            visit(child, clear, inner, sub)
+
+    visit(tree, {}, None, {})
+    return found
+
+
 def _unread_fields(def_paths, code_paths):
-    """Dataclass fields that no code loads as an attribute, directly or by
-    ``getattr`` with a literal name."""
+    """Dataclass fields that no code reads as an attribute, directly or by
+    ``getattr`` with a literal name, by the rules of ``_field_reads``."""
+    defs = _trees(def_paths)
+    owners: dict[str, set] = {}
+    for tree in defs.values():
+        for cls, name, _ in _fields(tree):
+            owners.setdefault(name, set()).add(cls)
+    family = _subclasses(defs)
+    positions = {}
+    for tree in defs.values():
+        for qual, _, _, params in _signatures(tree, family):
+            positions[qual] = [name for name, pos, _, _ in params
+                               if pos is not None]
     read = set()
     for tree in _trees(code_paths).values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-                read.add(n.attr)
-            elif isinstance(n, ast.Call) and _name(n.func) == "getattr" \
-                    and len(n.args) > 1 \
-                    and isinstance(n.args[1], ast.Constant):
-                read.add(n.args[1].value)
+        read |= _field_reads(tree, owners, family, positions)
     return [f"{path.name}:{line} {cls}.{name}"
-            for path, tree in _trees(def_paths).items()
-            for cls, name, line in _fields(tree) if name not in read]
+            for path, tree in defs.items()
+            for cls, name, line in _fields(tree) if (cls, name) not in read]
 
 
 def _shared_fields(paths):
@@ -559,3 +669,43 @@ def test_field_guards_see_named_tuples(tmp_path):
                     "box.size + pair.kind\n")
     assert _unread_fields([path], [path]) == ["sample.py:9 Pair.spare"]
     assert _shared_fields([path]) == {"kind"}
+
+
+def test_field_guard_reads_by_receiver_and_destination(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass\n"
+        "class Ring:\n"
+        "    q: int\n"
+        "    size: int\n"
+        "    def grown(self, by): return replace(self, size=self.size + by)\n"
+        "@dataclass\n"
+        "class Elem:\n"
+        "    loss: int\n"
+        "    size: int\n"
+        "    @staticmethod\n"
+        "    def make(size, loss=None): return Elem(loss, size)\n"
+        "    def neg(self): return Elem(self.loss, -self.size)\n"
+        "    def add(self, other: 'Elem'):\n"
+        "        return Elem.make(self.size, loss=min(self.loss, other.loss))\n"
+        "@dataclass\n"
+        "class Complex:\n"
+        "    loss: int\n"
+        "    kind: str\n"
+        "@dataclass\n"
+        "class File:\n"
+        "    q: int\n"
+        "def report(c: Complex, e: Elem): return c.kind, e.size\n"
+        "def summary(c: Complex): return c.loss\n"
+        "def ring(pf): return Ring(q=pf.q, size=1)\n")
+    # Ring.size is read only into a copy of itself, Elem.loss only into new
+    # Elems and through a receiver of another class with a loss field; Ring.q
+    # is never read, while pf.q counts for File though it lands in a Ring
+    assert _unread_fields([path], [path]) == [
+        "sample.py:4 Ring.q", "sample.py:5 Ring.size", "sample.py:9 Elem.loss"]
+    # the same read through a receiver of no clear class counts for both
+    path.write_text(path.read_text().replace("c: Complex): return c.loss",
+                                             "c): return c.loss"))
+    assert _unread_fields([path], [path]) == [
+        "sample.py:4 Ring.q", "sample.py:5 Ring.size"]

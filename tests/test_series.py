@@ -85,9 +85,9 @@ def test_mul_examples():
     a = S(R, {(0,): 1, (1,): 1})
     b = S(R, {(0,): 1, (1,): -1})
     assert scalars(a.mul(b)) == {(0,): (0, 1), (2,): (0, P ** M - 1)}
-    # window edge: t^hi * t drops out with a recorded loss
+    # window edge: t^hi * t drops out
     edge = Series.monomial(R, (12,)).mul(Series.monomial(R, (1,)))
-    assert edge.is_zero() and edge.loss == 13
+    assert edge.is_zero()
     # completed tensor product of two one-variable rings
     t1 = S(W2, {(0, 0): 1, (1, 0): 1}).mul(S(W2, {(0, 0): 1, (0, 1): 1}))
     assert sorted(t1.support()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -191,7 +191,7 @@ def test_gauss_ultrametric_and_w_superadditive(a, b):
     prod = a.mul(b)
     wa, wb = w_slope(a, 1), w_slope(b, 1)
     wp = w_slope(prod, 1)
-    if None not in (wa, wb, wp) and prod.loss is None:
+    if None not in (wa, wb, wp):
         assert wp >= wa + wb
 
 
@@ -220,14 +220,13 @@ def test_antiderivative_sections(a):
 def test_frobenius_is_multiplicative_without_truncation(a, b):
     wide = RingDescriptor(ROBBA, ("t",), ((-40, 40),), P, M,
                           slope=Fraction(1))
-    aa = Series(wide, a.terms, None)
-    bb = Series(wide, b.terms, None)
+    aa = Series(wide, a.terms)
+    bb = Series(wide, b.terms)
     lhs = frobenius_substitute(aa.mul(bb))
     rhs = frobenius_substitute(aa).mul(frobenius_substitute(bb))
-    if lhs.loss is None and rhs.loss is None:
-        diff = lhs.sub(rhs)
-        assert diff.is_zero() or all(c.val is None or c.val >= M - 1
-                                     for _, c in diff.terms)
+    diff = lhs.sub(rhs)
+    assert diff.is_zero() or all(c.val is None or c.val >= M - 1
+                                 for _, c in diff.terms)
 
 
 def test_dlog_antiderivative():
@@ -276,12 +275,6 @@ def ring_entries(draw):
 def test_term_values_match_brute_force(case):
     desc, entries = case
     a = Series.make(desc, entries)
-    weight = desc.slope if desc.is_robba() else 0
-    # the loss: least weighted value of the dropped terms above the floor
-    dropped = [Fraction(c.val) + weight * sum(e) for e, c in entries.items()
-               if not desc.in_window(e) and c.val is not None and c.val < M]
-    assert a.loss == (min(dropped) if dropped else None)
-    assert a.loss is None or type(a.loss) is Fraction
     finite = {e: c.val for e, c in a.terms if c.val is not None}
     g = a.gauss_value()
     assert g == min(finite.values(), default=None)
