@@ -51,6 +51,7 @@ from .unipotent import (
     bounddenom,
     h0_h1_unipotent,
     horizontal_iterate,
+    nonconstant_part,
     strongly_unipotent_basis,
 )
 
@@ -278,13 +279,8 @@ def criterion_8() -> CriterionResult:
     d2 = strongly_unipotent_basis(mod, filt)
     ok = ok and d2.verify()
     U1, U2 = d1.change_of_basis, d2.change_of_basis
-    T = U1.inverse().mul(U2)
-    const = True
-    for row in T.rows:
-        for s in row:
-            for exp, c in s.terms:
-                if any(exp) and c.val is not None and c.val < M - 2:
-                    const = False
+    const = U1.inverse().mul(U2).map(
+        nonconstant_part).is_zero_at_precision(M - 2)
     return CriterionResult(
         8, ok and const,
         f"X=0 {x_zero}, gauge verified, transition constant {const}")
@@ -337,11 +333,9 @@ def criterion_9() -> CriterionResult:
         vdet = res.V.det().gauss_value()
         if vdet != 0:
             return CriterionResult(9, False, f"V det content {vdet}")
-        for mat in (res.W, res.W_inv):
-            for row in mat.rows:
-                for s in row:
-                    if any(e[0] < 0 for e in s.support()):
-                        return CriterionResult(9, False, "W not plus-part")
+        if any(e[0] < 0 for mat in (res.W, res.W_inv) for row in mat.rows
+               for s in row for e in s.support()):
+            return CriterionResult(9, False, "W not plus-part")
         ident = res.W.mul(res.W_inv).sub(SeriesMatrix.identity(ring, n))
         if not ident.is_zero_at_precision(digits):
             return CriterionResult(9, False, "W inverse fails")

@@ -49,13 +49,9 @@ class SeriesMatrix:
 
     @staticmethod
     def from_scalars(descriptor: RingDescriptor, rows) -> "SeriesMatrix":
-        out = []
-        for r in rows:
-            out.append(tuple(
-                x if isinstance(x, Series)
-                else Series.monomial(descriptor, descriptor.zero_exp(), x)
-                for x in r))
-        return SeriesMatrix(descriptor, tuple(out))
+        return SeriesMatrix.make(descriptor, (
+            (Series.monomial(descriptor, descriptor.zero_exp(), x) for x in r)
+            for r in rows))
 
     @property
     def nrows(self) -> int:
@@ -114,8 +110,6 @@ class SeriesMatrix:
         recognized unit of the ring."""
         n = self.nrows
         det_inv = invert_series(self.det())
-        if n == 1:
-            return SeriesMatrix(self.descriptor, ((det_inv,),))
         adj = []
         for i in range(n):
             row = []

@@ -33,7 +33,6 @@ from .cohomology import (
     ComplexData,
     complex_cohomology,
     local_complex,
-    mw_complex,
     mw_cohomology,
     quotient_complex,
 )
@@ -122,18 +121,10 @@ def robba_side_module(module: SigmaNablaModule,
     ring = module.ring
     if ring.is_robba() or len(ring.variables) != 1:
         raise DescriptorMismatchError("need a one-variable tate/dagger module")
-    gam = module.gamma(ring.variables[0])
-    rows = []
-    for i in range(module.rank):
-        row = []
-        for j in range(module.rank):
-            terms = {}
-            for (k,), c in gam.rows[i][j].terms:
-                terms[(-k - 1,)] = c.neg()
-            row.append(Series.make(robba_ring, terms))
-        rows.append(tuple(row))
+    gam = module.gamma(ring.variables[0]).map(lambda s: Series.make(
+        robba_ring, {(-k - 1,): c.neg() for (k,), c in s.terms}))
     return SigmaNablaModule(robba_ring, module.rank,
-                            connection=SeriesMatrix.make(robba_ring, rows))
+                            connection=SeriesMatrix(robba_ring, gam.rows))
 
 
 def pushforward_complex(module: SigmaNablaModule,
@@ -154,7 +145,7 @@ def pushforward_complex(module: SigmaNablaModule,
     if lo > -hx or hi < 1:
         raise WindowError("annulus window must cover the inverted line window")
 
-    mwc = complex_cohomology(mw_complex(module))
+    mwc = mw_cohomology(module)
     loc_mod = robba_side_module(module, robba_ring)
     loc = local_complex(loc_mod)
 
@@ -351,13 +342,10 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     fi = ring.var_index(fiber)
     bi = ring.var_index(base)
     gam_f = module.gamma(fiber)
-    for row in gam_f.rows:
-        for s in row:
-            for E, _ in s.terms:
-                if E[bi] != 0:
-                    raise BadCertificateError(
-                        "vertical connection involves the base variable; "
-                        "the fiber-slice splitting does not apply")
+    if any(E[bi] for row in gam_f.rows for s in row for E in s.support()):
+        raise BadCertificateError(
+            "vertical connection involves the base variable; "
+            "the fiber-slice splitting does not apply")
 
     # fiber-line module over the base field
     hx = ring.window[fi][1]
@@ -368,8 +356,7 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
         return Series.make(fiber_ring,
                            {(E[fi],): c for E, c in s.terms})
 
-    gam_line = SeriesMatrix.make(fiber_ring, tuple(
-        tuple(restrict(x) for x in row) for row in gam_f.rows))
+    gam_line = SeriesMatrix(fiber_ring, gam_f.map(restrict).rows)
     line_module = SigmaNablaModule(fiber_ring, module.rank,
                                    gammas=((fiber, gam_line),))
     fib = mw_cohomology(line_module)
@@ -419,22 +406,19 @@ def _induced_base_module(module, fi, bi, fib, j, base_ring):
     gam_b = module.gamma(ring.variables[bi])
     J_target = (0,) if j else ()
 
-    # horizontal action: d/dy contributes nothing on y-free generators;
-    # Gamma_y multiplies componentwise, split by its y-degree
+    # horizontal action: d/dy contributes nothing on y-free generators, so
+    # the image is Gamma_y applied to the generator lifted into the plane,
+    # split by its y-degree
     cols = []
     for g in gens:
+        coords = [{} for _ in range(module.rank)]
+        for (a, _J, (i,)), c in g.data.items():
+            coords[a][(i, 0) if fi == 0 else (0, i)] = c
         img_by_ydeg: dict[int, dict] = {}
-        for (a, _J, I), c in g.data.items():
-            for b in range(module.rank):
-                for E, cc in gam_b.rows[b][a].terms:
-                    i2 = I[0] + E[fi]
-                    j2 = E[bi]
-                    if i2 < 0 or i2 > ring.window[fi][1]:
-                        continue
-                    tgt = img_by_ydeg.setdefault(j2, {})
-                    lbl = (b, J_target, (i2,))
-                    tgt[lbl] = tgt[lbl].add(c.mul(cc)) if lbl in tgt \
-                        else c.mul(cc)
+        image = gam_b.apply([Series.make(ring, v) for v in coords])
+        for b, s in enumerate(image):
+            for E, c in s.terms:
+                img_by_ydeg.setdefault(E[bi], {})[(b, J_target, (E[fi],))] = c
         cols.append(img_by_ydeg)
 
     # solve each y-degree slice against the generator classes

@@ -7,12 +7,14 @@ cohomology builder records from the connection terms.  Coefficients below the
 working absolute precision p^M are dropped likewise; coefficients that became
 zero by cancellation inside the known range survive as flagged limited zeros.
 
-``_lowest`` is the one place where term values are weighted: the value of a
-term a_e t^e at weight w is v_p(a_e) + w.|e|, and every Gauss value, slope
-value, rho value, leading term and zero-at-precision test in ovc is the
-least such value over some terms, or the exponents attaining it.  A ring's
-own weight (``RingDescriptor.weight``) is its slope on robba kinds and 0
-otherwise.
+``_lowest`` weights term values: the value of a term a_e t^e at weight w is
+v_p(a_e) + w.|e|, and every Gauss value, slope value, rho value, leading
+term and zero-at-precision test in ovc is the least such value over some
+terms, or the exponents attaining it.  A ring's own weight
+(``RingDescriptor.weight``) is its slope on robba kinds and 0 otherwise.
+The one other place that weights a term is ``cohomology._assemble``: it
+values each connection term it drops at ``c.val + slope * sum(I2)`` for the
+complex's truncation loss.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class UnipotentData:
         return lhs.sub(U.mul(X)).is_zero_at_precision()
 
 
-def _nonconstant_part(s: Series) -> Series:
+def nonconstant_part(s: Series) -> Series:
     """The terms other than t^0."""
     zero = s.descriptor.zero_exp()
     return Series(s.descriptor, tuple(t for t in s.terms if t[0] != zero))
@@ -81,7 +81,7 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
     urows = [list(r) for r in U.rows]
     for i in range(n):
         for l in range(i - 1, -1, -1):
-            rest = _nonconstant_part(rows[l][i])
+            rest = nonconstant_part(rows[l][i])
             if rest.is_zero():
                 continue
             e = dlog_antiderivative(rest)
@@ -94,8 +94,8 @@ def strongly_unipotent_basis(module: SigmaNablaModule,
             for r in range(n):
                 urows[r][i] = urows[r][i].sub(e.mul(urows[r][l]))
 
-    if not _vanishes(((e, c.val) for row in rows for x in row
-                      for e, c in x.terms if any(e)), M):
+    if not SeriesMatrix.make(ring, rows).map(
+            nonconstant_part).is_zero_at_precision():
         raise PrecisionError("non-constant residue survived basis extraction")
     X = tuple(tuple(x.coeff(ring.zero_exp()) for x in row) for row in rows)
 

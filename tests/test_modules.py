@@ -1,6 +1,7 @@
 """Modules with connection: operator actions, compatibility checks,
 pullbacks, and traces along cyclic covers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from ovc.series import (
     RingDescriptor,
     Series,
     frobenius_substitute,
+    invert_series,
     kummer_substitute,
     t_d_dt,
 )
@@ -204,3 +206,44 @@ def test_dual_module():
     dual = mod.dual()
     assert dual.gamma("x").rows[0][0].coeff((0, 0)).sub(
         make_scalar(-2, P, M)).is_zero()
+
+
+def _unit_det_matrix(ring, n, rng):
+    """U D L: D diagonal of units c t^k (1 + p t), U and L unitriangular
+    with small integral entries, so the determinant is the product of D's
+    diagonal."""
+    def small(lo, hi):
+        return Series.from_ints(ring, {(rng.randint(lo, hi),):
+                                       rng.randint(-4, 4) or 1})
+
+    one, zero = Series.one(ring), Series.zero(ring)
+    D = SeriesMatrix.make(ring, [[
+        Series.from_ints(ring, {(k,): rng.choice((1, 2, 4, 5)),
+                                (k + 1,): P})
+        if i == j else zero for j in range(n)]
+        for i, k in ((i, rng.randint(-1, 1)) for i in range(n))])
+    U = SeriesMatrix.make(ring, [[small(-1, 1) if j > i else
+                                  (one if i == j else zero)
+                                  for j in range(n)] for i in range(n)])
+    L = SeriesMatrix.make(ring, [[small(-1, 1) if j < i else
+                                  (one if i == j else zero)
+                                  for j in range(n)] for i in range(n)])
+    return U.mul(D).mul(L)
+
+
+def test_inverse_of_unit_determinant_matrices():
+    """A A^-1 is the identity to M - 4 digits, the tolerance criterion 9
+    asks of W W^-1, on seeded 1x1, 2x2 and 3x3 matrices; a 1x1 inverse is
+    the series inverse of its entry, term for term."""
+    ring = RingDescriptor(ROBBA, ("t",), ((-10, 10),), P, M,
+                          slope=Fraction(1))
+    rng = random.Random(33)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            A = _unit_det_matrix(ring, n, rng)
+            inv = A.inverse()
+            assert A.mul(inv).sub(SeriesMatrix.identity(ring, n)) \
+                .is_zero_at_precision(M - 4)
+            if n == 1:
+                assert inv.rows[0][0].terms == \
+                    invert_series(A.rows[0][0]).terms
