@@ -212,23 +212,21 @@ def _unit_det_matrix(ring, n, rng):
     """U D L: D diagonal of units c t^k (1 + p t), U and L unitriangular
     with small integral entries, so the determinant is the product of D's
     diagonal."""
-    def small(lo, hi):
-        return Series.from_ints(ring, {(rng.randint(lo, hi),):
-                                       rng.randint(-4, 4) or 1})
-
     one, zero = Series.one(ring), Series.zero(ring)
+
+    def unitriangular(upper):
+        return SeriesMatrix.make(ring, [[
+            one if i == j else
+            Series.from_ints(ring, {(rng.randint(-1, 1),):
+                                    rng.randint(-4, 4) or 1})
+            if (j > i) == upper else zero
+            for j in range(n)] for i in range(n)])
+
     D = SeriesMatrix.make(ring, [[
-        Series.from_ints(ring, {(k,): rng.choice((1, 2, 4, 5)),
-                                (k + 1,): P})
+        Series.from_ints(ring, {(k,): rng.choice((1, 2, 4, 5)), (k + 1,): P})
         if i == j else zero for j in range(n)]
         for i, k in ((i, rng.randint(-1, 1)) for i in range(n))])
-    U = SeriesMatrix.make(ring, [[small(-1, 1) if j > i else
-                                  (one if i == j else zero)
-                                  for j in range(n)] for i in range(n)])
-    L = SeriesMatrix.make(ring, [[small(-1, 1) if j < i else
-                                  (one if i == j else zero)
-                                  for j in range(n)] for i in range(n)])
-    return U.mul(D).mul(L)
+    return unitriangular(True).mul(D).mul(unitriangular(False))
 
 
 def test_inverse_of_unit_determinant_matrices():
