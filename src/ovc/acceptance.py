@@ -14,7 +14,6 @@ from .cohomology import (
     compact_support_cohomology,
     local_cohomology,
     mw_cohomology,
-    twisted_diagonal_cohomology,
 )
 from .factor import ElementaryOp, apply_elementary, factor_plus
 from .groebner import (
@@ -136,16 +135,14 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    """The rank-one dlog family over the annulus, against the diagonal
-    oracle."""
+    """The rank-one dlog family over the annulus, against the Robba ring's
+    answer: (1, 1) for an integer exponent, (0, 0) otherwise."""
     window, p, M = 30, 3, 16
     ok, details = True, []
     for a, expect in ((0, (1, 1)), (Fraction(1, 2), (0, 0))):
         dims = local_cohomology(kummer_module(a, p, M, window)).report.dims()
-        orc = twisted_diagonal_cohomology(a, 1, -window, window)
-        good = dims == {0: expect[0], 1: expect[1]} and orc == dims
-        ok = ok and good
-        details.append(f"a={a}: {dims} (oracle {orc})")
+        ok = ok and dims == {0: expect[0], 1: expect[1]}
+        details.append(f"a={a}: {dims}")
     return CriterionResult(3, ok, "; ".join(details))
 
 
@@ -185,21 +182,13 @@ def criterion_4() -> CriterionResult:
 
 
 def criterion_5() -> CriterionResult:
-    """Pairing nondegeneracy for the trivial and dlog-twist test modules."""
+    """Pairing nondegeneracy for the trivial test modules."""
     ok, details = True, []
     for n, window in ((1, 30), (2, 12)):
         rep = pairing_nondegeneracy_check(trivial_module(n, 3, 14, window))
         ok = ok and rep.nondegenerate
         details.append(f"trivial n={n}: "
                        + ("full rank" if rep.nondegenerate else "FAIL"))
-    for n in (1, 2):
-        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 1, 20)
-        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 0, 20)
-        vacuous = all(v == 0 for v in c.values()) and \
-            all(v == 0 for v in w.values())
-        ok = ok and vacuous
-        details.append(f"twist 1/2 n={n}: "
-                       + ("vacuous" if vacuous else "FAIL"))
     return CriterionResult(5, ok, "; ".join(details))
 
 
@@ -360,18 +349,21 @@ def criterion_10() -> CriterionResult:
             data[(0, 0)] = make_scalar(1, p, M)
         return Series.make(ring, data)
 
-    count = 0
+    count = divided = 0
     for trial in range(100):
         g1, g2 = rand_series(), rand_series()
         if g1.is_zero() or g2.is_zero():
             continue
         basis = complete_leading_basis([g1, g2])
-        # y in the ideal, z = y + another ideal element
-        y = g1.mul(rand_series(1, 2, unit=True)).add(g2.mul(rand_series(1, 2)))
+        # y in the ideal and divisible by p, z = y + g1 * (a unit), so that
+        # |z| > |y| as a rule and the division has to cancel terms
+        y = g1.mul(rand_series(1, 2, unit=True)).add(
+            g2.mul(rand_series(1, 2))).scale(p)
         if y.is_zero():
             continue
-        z = y.add(g1.mul(rand_series(1, 1)))
+        z = y.add(g1.mul(rand_series(1, 2, unit=True)))
         u = reduce_element(y, z, basis)
+        divided += u.terms != z.terms
         gy, gu = gauss_norm(y).value, gauss_norm(u).value
         if gu is not None and gy is not None and gu < gy:
             return CriterionResult(10, False, f"|u| > |y| at trial {trial}")
@@ -392,8 +384,9 @@ def criterion_10() -> CriterionResult:
     mono = Series.monomial(ring, (3, 1), 9)
     h = hadamard_check(mono, 3, Fraction(2, 3))
     eq = h.value_C == (1 - Fraction(2, 3)) * h.value_A + Fraction(2, 3) * h.value_B
-    return CriterionResult(10, count >= 60 and eq,
-                           f"{count} instances; monomial equality {eq}")
+    return CriterionResult(10, count >= 60 and 2 * divided >= count and eq,
+                           f"{count} instances, {divided} divided; "
+                           f"monomial equality {eq}")
 
 
 def criterion_11() -> CriterionResult:

@@ -634,28 +634,3 @@ def compact_support_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
 def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     """H^0/H^1 of D on a one-variable Robba window."""
     return complex_cohomology(local_complex(module))
-
-
-# -- the dlog-diagonal twisted family ---------------------------------------------
-
-def twisted_diagonal_cohomology(a: Fraction, n: int, lo: int,
-                                hi: int) -> dict:
-    """Diagonal model for the rank-one dlog twist by a on n-space, the
-    dims of its cohomology over the modes with every exponent in [lo, hi].
-
-    In the dlog form basis the differential is mode-by-mode multiplication by
-    I_i + a, so cohomology is carried by modes where every factor vanishes:
-    each such mode contributes a full exterior algebra.  The compact-supports
-    side runs over strictly positive modes (lo = 1) and an annulus over
-    lo < 0.  This doubles as the independent oracle for the windowed engines
-    on the twist family."""
-    from math import comb
-
-    a = Fraction(a)
-    dims = {j: 0 for j in range(n + 1)}
-    for I in product(*(range(lo, hi + 1) for _ in range(n))):
-        if any(Fraction(I[i]) + a != 0 for i in range(n)):
-            continue
-        for j in range(n + 1):
-            dims[j] += comb(n, j)
-    return dims

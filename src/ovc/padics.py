@@ -52,6 +52,11 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+def is_power(q: int, p: int) -> bool:
+    """True when q = p^f with f >= 1."""
+    return q >= p and p ** int_valuation(q, p) == q
+
+
 @dataclass(frozen=True)
 class PadicApprox:
     prime: int

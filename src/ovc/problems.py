@@ -54,7 +54,7 @@ from .modules import (
     check_frobenius_compat,
     check_integrability,
 )
-from .padics import is_prime, parse_scalar
+from .padics import is_power, is_prime, parse_scalar
 from .series import (
     DAGGER,
     ROBBA,
@@ -316,10 +316,7 @@ def _problem_file(header: dict, at: dict, ln: int) -> ProblemFile:
     if not 1 <= M <= MAX_PRECISION:
         raise RangeError(f"M = {M} out of [1, {MAX_PRECISION}]", at["M"])
     q = header.get("q", p)
-    qq = q
-    while qq > 1 and qq % p == 0:
-        qq //= p
-    if q < p or qq != 1:
+    if not is_power(q, p):
         raise RangeError(f"q = {q} is not p^f with f >= 1", at["q"])
     return ProblemFile(p, M, q)
 

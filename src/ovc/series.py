@@ -28,7 +28,7 @@ from .errors import (
     NotARecognizedUnitError,
     ResidueObstructionError,
 )
-from .padics import PadicApprox, is_prime, make_scalar
+from .padics import PadicApprox, is_power, is_prime, make_scalar
 
 Exp = tuple[int, ...]
 
@@ -86,7 +86,7 @@ class RingDescriptor:
                 raise ValueError(f"a {self.kind} ring has no decay")
             if self.decay < 1:
                 raise ValueError("decay must be >= 1")
-        if self.q and self.q % self.prime:
+        if self.q and not is_power(self.q, self.prime):
             raise ValueError("q must be a power of p")
 
     @property

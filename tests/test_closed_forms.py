@@ -92,9 +92,10 @@ for c, M, W in ((3, 8, 12), (6, 8, 12), (9, 8, 12), (9, 12, 20)):
              _dx_plus({0: c}, M, W)),
          {1: 0, 2: 1}),
     ]
-for a, W, M in [(Fraction(1, 2), 20, 12), (Fraction(3, 2), 20, 12),
-                (Fraction(5, 4), 20, 12), (Fraction(2), 20, 12)] \
-        + _kummer_draws():
+for a, W, M in [(Fraction(0), 20, 12), (Fraction(1), 20, 12),
+                (Fraction(1, 2), 20, 12), (Fraction(3, 2), 20, 12),
+                (Fraction(-3, 2), 20, 12), (Fraction(5, 4), 20, 12),
+                (Fraction(2), 20, 12)] + _kummer_draws():
     want = {0: 1, 1: 1} if a.denominator == 1 else {0: 0, 1: 0}
     CASES.append((f"tdt+{a}-M{M}-W{W}",
                   lambda a=a, W=W, M=M: local_cohomology(

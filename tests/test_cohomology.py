@@ -17,57 +17,17 @@ from ovc.cohomology import (
     local_complex,
     mw_cohomology,
     mw_complex,
-    twisted_diagonal_cohomology,
 )
-from ovc.acceptance import dwork_module, kummer_module, trivial_module
+from ovc.acceptance import dwork_module, trivial_module
 from ovc.linalg import digit_precision, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
-from ovc.padics import int_valuation, make_scalar, parse_scalar
+from ovc.padics import make_scalar, parse_scalar
 from ovc.pairing import apply_complex_map
 from ovc.pushforward import quotient_complex, robba_side_module
 from ovc.series import ROBBA, TATE, RingDescriptor, Series
-from test_linalg import triples
+from test_linalg import dense_divisors, triples
 
 P = 3
-
-
-def dense_rank(entries, p, N):
-    """Independent oracle: dense elimination over Z/p^N."""
-    if not entries:
-        return 0
-    nr = 1 + max(entries.rows)
-    nc = 1 + max(entries.cols)
-    A = [[0] * nc for _ in range(nr)]
-    for r, c, x in zip(entries.rows, entries.cols, entries.vals):
-        A[r][c] = x % p ** N
-    mod = p ** N
-    rank = 0
-    rows, cols = list(range(nr)), list(range(nc))
-    while rows and cols:
-        best = None
-        for i in rows:
-            for j in cols:
-                if A[i][j]:
-                    v = int_valuation(A[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None or best[0] >= N:
-            break
-        v, i, j = best
-        rank += 1
-        u = pow(A[i][j] // p ** v, -1, mod)
-        for jj in cols:
-            A[i][jj] = A[i][jj] * u % mod
-        for ii in rows:
-            if ii == i:
-                continue
-            f = (A[ii][j] % mod) // p ** v
-            if f:
-                for jj in cols:
-                    A[ii][jj] = (A[ii][jj] - f * A[i][jj]) % mod
-        rows.remove(i)
-        cols.remove(j)
-    return rank
 
 
 def test_mw_dims_match_dense_oracle_small():
@@ -77,7 +37,10 @@ def test_mw_dims_match_dense_oracle_small():
         dims = mw_cohomology(mod).report
         ranks = []
         for ints, (N, _) in zip(cdata.matrices, cdata.scalings):
-            ranks.append(dense_rank(ints, P, N))
+            A = [[0] * (1 + max(ints.cols)) for _ in range(1 + max(ints.rows))]
+            for r, c, x in zip(ints.rows, ints.cols, ints.vals):
+                A[r][c] = x
+            ranks.append(sum(d < N for d in dense_divisors(A, P, N)))
         for j, space in enumerate(cdata.spaces):
             r_out = ranks[j] if j < len(ranks) else 0
             r_in = ranks[j - 1] if j >= 1 else 0
@@ -363,15 +326,6 @@ def test_compact_berthelot_shape():
         assert dims == {n + j: (1 if j == n else 0) for j in range(n + 1)}
 
 
-def test_local_family_against_diagonal_oracle():
-    window = 20
-    for a in (0, Fraction(1, 2), 1, Fraction(-3, 2)):
-        dims = local_cohomology(kummer_module(a, P, 12, window)).report.dims()
-        zero_modes = sum(1 for i in range(-window, window + 1)
-                         if Fraction(i) + Fraction(a) == 0)
-        assert dims == {0: zero_modes, 1: zero_modes}, (a, dims)
-
-
 def test_local_divergent_solution_not_certified():
     # t d/dt - 1/t has the divergent formal solution exp(-1/t): it fills the
     # window but its slope trend keeps falling at the edge, so the class is
@@ -434,19 +388,6 @@ def test_slope_rule_on_hand_built_vectors():
     assert limited(lvec({(-6,): 1, (0,): 1}), lsp, loc)
     assert not limited(lvec({(-6,): 3 ** 3, (-5,): 1}), lsp, loc)
     assert not limited(lvec({(6,): 1, (0,): 3 ** 6}), lsp, loc)
-
-def test_twisted_diagonal_model():
-    assert twisted_diagonal_cohomology(0, 1, 0, 10) == {0: 1, 1: 1}
-    assert twisted_diagonal_cohomology(Fraction(1, 2), 1, 0, 10) == \
-        {0: 0, 1: 0}
-    # strictly positive modes exclude the zero mode: the twisted model is
-    # vacuous at a = 0 too (the genuine engine carries the honest a = 0 case)
-    assert twisted_diagonal_cohomology(0, 2, 1, 8) == {0: 0, 1: 0, 2: 0}
-    assert twisted_diagonal_cohomology(-3, 2, 1, 8) == {0: 1, 1: 2, 2: 1}
-    # an annulus window reaches negative modes
-    assert twisted_diagonal_cohomology(3, 1, -5, 5) == {0: 1, 1: 1}
-    assert twisted_diagonal_cohomology(7, 1, -5, 5) == {0: 0, 1: 0}
-
 
 def test_rank_one_gamma_module():
     # Gamma = x: kernel empty, cokernel empty on the window at precision

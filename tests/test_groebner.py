@@ -143,9 +143,9 @@ def test_reduce_element_examples():
 
 
 def test_division_takes_steps_when_z_outweighs_y():
-    # criterion 10 draws y and z of one size, so its division returns z at
-    # once; here y is divisible by p and z = y + g1 * (a unit), so |z| > |y|
-    # as a rule and the division has to cancel terms to reach |u| <= |y|
+    # y is divisible by p and z = y + g1 * (a unit), as in criterion 10, so
+    # |z| > |y| as a rule and the division has to cancel terms to reach
+    # |u| <= |y|
     p, M = 3, 14
     ring = RingDescriptor(DAGGER, ("x", "y"), ((0, 14), (0, 14)), p, M,
                           decay=1)

@@ -10,7 +10,6 @@ from ovc.cohomology import (
     ChainVector,
     compact_support_cohomology,
     mw_cohomology,
-    twisted_diagonal_cohomology,
 )
 from ovc.errors import DescriptorMismatchError
 from ovc.pairing import (
@@ -84,13 +83,6 @@ def test_nondegeneracy_trivial():
         assert rep.nondegenerate
         top = [b for b in rep.blocks if b.degree_c == 2 * n][0]
         assert (top.dim_c, top.dim_mw, top.rank) == (1, 1, 1)
-
-
-def test_nondegeneracy_vacuous_twist():
-    for n in (1, 2):
-        c = twisted_diagonal_cohomology(Fraction(1, 2), n, 1, 16)
-        w = twisted_diagonal_cohomology(Fraction(-1, 2), n, 0, 16)
-        assert c.get(n, 0) == w.get(0, 0) == 0
 
 
 def test_top_pairing_value_is_unit():

@@ -81,6 +81,14 @@ def test_ring_without_variables_is_rejected():
     with pytest.raises(ValueError, match="at least one variable"):
         RingDescriptor(TATE, (), (), P, M)
 
+
+def test_q_must_be_a_power_of_p():
+    for q in (6, -3, 1):
+        with pytest.raises(ValueError, match="q must be a power of p"):
+            RingDescriptor(TATE, ("x",), ((0, 5),), 3, 8, q=q)
+    assert RingDescriptor(TATE, ("x",), ((0, 5),), 3, 8, q=9).qeff == 9
+
+
 def test_mul_examples():
     a = S(R, {(0,): 1, (1,): 1})
     b = S(R, {(0,): 1, (1,): -1})
