@@ -18,8 +18,9 @@ is still timed over many replays, and each side prints its median CPU time
 per replay over all its rounds.
 
 The calls replayed are the ones this checkout makes, each input copied and
-pickled as an ``ovc.linalg.Entries``, so the other checkout's kernel must
-take that layout.  A change that alters what the engine hands the kernel,
+pickled as an ``ovc.linalg.Entries`` and each keyword (``track``, ``logs``)
+kept, so the other checkout's kernel must take that layout and those
+keywords.  A change that alters what the engine hands the kernel,
 rather than how the kernel reduces it, does not show here: measure it with
 ``scripts/bench_pairs.py`` and the traced ``linalg.snf_nnz``.
 

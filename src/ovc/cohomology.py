@@ -33,7 +33,9 @@ in three passes:
   classes, from a tracked reduction.  With incoming boundaries they are the
   free rows of d_(j-1), whose unit vectors U^-1 fixes and which span the
   quotient by the image up to torsion, cut down to the kernel of d_j; no
-  transform is materialized;
+  transform is materialized.  Only kernels are read through a transform,
+  so the row log is never kept, and the column log only for map 0, a map
+  whose map below has rank 0 (``_kernel_read``) and the restricted map;
 * certify: hard windows create boundary artifacts (classes that exist only
   because the window cut the complex), so a generator is excluded when a
   rule of ``RULES`` flags it: its support hugs the window edge within the
@@ -459,6 +461,14 @@ def _paired_columns(below) -> set:
     return {r for r, _, e in below.pivots if e == 0}
 
 
+def _kernel_read(snfs, j: int) -> bool:
+    """Whether map j's kernel can be read for degree j's generators: j is 0
+    or the map below has rank 0, the source rule of
+    ``_extract_generators``.  A tracked run of map j keeps its column log
+    only then."""
+    return j == 0 or snfs[j - 1].rank() == 0
+
+
 def _reduce(cdata: ComplexData):
     """The SNF of every map and the certification gap of the complex.
 
@@ -474,13 +484,16 @@ def _reduce(cdata: ComplexData):
     below, as the full map's cokernel is then a quotient of the pruned one's
     of the same rank at a max pivot level no higher.  A cut result that does
     not stand is replaced by the map reduced tracked, in full, mod p^N; an
-    uncut one is exact."""
+    uncut one is exact.  A tracked run keeps the column log when
+    ``_kernel_read`` says the map's kernel can be read, and no log
+    otherwise."""
     p = cdata.p
     tracked = _has_structural_class(cdata)
     last = len(cdata.matrices) - 1
     snfs, gaps = [], []
     for j, whole in enumerate(cdata.matrices):
         N, shift = cdata.scalings[j]
+        logs = "V" if _kernel_read(snfs, j) else ""
         entries, K, pruned = whole, N, False
         if not tracked and j in (0, last):
             K = digit_precision(p, N)
@@ -494,13 +507,13 @@ def _reduce(cdata: ComplexData):
                     <= min(len(set(cut.rows)), len(set(cut.cols)))
                 entries = cut if pruned else whole
         res = sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                         entries, p, K, track=tracked)
+                         entries, p, K, track=tracked, logs=logs)
         if K < N or pruned:
             res.N = N
             if len(res.pivots) < min(res.nrows, res.ncols) or (
                     pruned and res.certification_gap() - shift < min(gaps)):
                 res = sparse_snf(res.nrows, res.ncols, whole, p, N,
-                                 track=True)
+                                 logs=logs)
         snfs.append(res)
         gaps.append(res.certification_gap() - shift)
     return snfs, min(gaps)
@@ -540,10 +553,11 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     """Representatives of ker(d_j)/im(d_(j-1)) as sparse integer vectors,
     plus the scaling (N, shift) they are expressed under.
 
-    They are read from the incoming map when its rank is positive or j is
-    the top degree, else from the outgoing one.  A rank-only result of the
-    map read from is replaced in ``snfs`` by the map reduced tracked, in
-    full, mod p^N.
+    They are read from the kernel of the outgoing map when
+    ``_kernel_read`` says so and j is below the top degree, else from the
+    incoming map.  A rank-only result of the map read from is replaced in
+    ``snfs`` by the map reduced tracked, in full, mod p^N, keeping the
+    column log only when its kernel is read.
 
     With incoming boundaries, the quotient is spanned by the columns of
     U^-1 (from U d_(j-1) V = D) at the free rows of d_(j-1).  Every logged
@@ -554,14 +568,16 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     coordinate.  ``_assemble`` stores every map column by column, in
     increasing column order, so one keep-mask over d_j's entries hands those
     columns to ``sparse_snf`` in column order, each column's entries in
-    their stored order."""
+    their stored order.  Only the kernels are read through a transform, so
+    every SNF here keeps the column log alone, or no log."""
     top = len(cdata.spaces) - 1
-    src = j - 1 if j == top or (j and snfs[j - 1].rank() > 0) else j
+    src = j if j < top and _kernel_read(snfs, j) else j - 1
     res = snfs[src]
     if not res.tracked:
         res = snfs[src] = sparse_snf(res.nrows, res.ncols,
                                      cdata.matrices[src], cdata.p,
-                                     cdata.scalings[src][0], track=True)
+                                     cdata.scalings[src][0],
+                                     logs="V" if src == j else "")
     if src == j:
         return res.kernel_basis()[: count], cdata.scalings[j]
     if j == top:
@@ -575,7 +591,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
                    [qis[q] for q in compress(dj.cols, keep)],
                    list(compress(dj.vals, keep)))
     bsnf = sparse_snf(cdata.spaces[j + 1].dim, len(free), bent, cdata.p,
-                      cdata.scalings[j][0])
+                      cdata.scalings[j][0], logs="V")
     return [{free[qi]: x for qi, x in k.items()}
             for k in bsnf.kernel_basis()[: count]], cdata.scalings[src]
 

@@ -2,9 +2,14 @@
 
 Kernel and cokernel computations throughout the engine reduce to this module.
 Pivots are chosen at minimal valuation (so elimination never loses absolute
-precision).  A tracked reduction logs the transforms that generators are
-read from and takes each level's columns in increasing order, each on its
-lowest row, so that reported generators pivot on the lowest total exponent.
+precision).  A tracked reduction takes each level's columns in increasing
+order, each on its lowest row, so that reported generators pivot on the
+lowest total exponent, and logs the transforms its caller names in
+``logs``: the row log "U" serves ``apply_U``, ``apply_Uinv`` and
+``materialize_Uinv``, the column log "V" serves ``apply_V``,
+``kernel_basis`` and ``materialize_V_cols``, and ``solve`` reads both.  The
+pivots, the free lists and ``coker_reps`` need no log, and a log left out
+changes none of them.
 A rank-only (untracked) reduction pivots on the row with the fewest entries
 and always reduces the transpose, taking its columns in decreasing order:
 of the orientations and orders measured, this one fills in least on both
@@ -77,7 +82,8 @@ class SnfResult:
     col_ops: list          # applied right, in order
     free_cols: list        # columns never pivoted (divisor N)
     free_rows: list        # rows never pivoted
-    tracked: bool          # op logs kept; the transforms below need them
+    tracked: bool          # pivots of the tracked rule; transforms need them
+    logs: str              # the op logs kept: "U" rows, "V" columns
 
     # -- certified quantities ---------------------------------------------
 
@@ -101,9 +107,16 @@ class SnfResult:
             raise ValueError("a rank-only SnfResult has no transforms; "
                              "reduce with track=True to read vectors")
 
+    def _require_log(self, log: str):
+        self._require_tracked()
+        if log not in self.logs:
+            name = "row" if log == "U" else "column"
+            raise ValueError(f"this SnfResult kept no {name} log; reduce "
+                             f"with {log!r} in logs to read it")
+
     def _replay_rows(self, vec: dict, inverse: bool) -> dict:
         """U @ vec, or Uinv @ vec by undoing the row-op log in reverse."""
-        self._require_tracked()
+        self._require_log("U")
         v = dict(vec)
         mod = self.p ** self.N
         sign = -1 if inverse else 1
@@ -127,7 +140,7 @@ class SnfResult:
 
     def apply_V(self, vec: dict) -> dict:
         """V @ vec; feed unit vectors to read off kernel combinations."""
-        self._require_tracked()
+        self._require_log("V")
         v = dict(vec)
         mod = self.p ** self.N
         for _, src, dst, m in reversed(self.col_ops):
@@ -140,7 +153,7 @@ class SnfResult:
 
     def materialize_Uinv(self) -> dict:
         """Uinv as {row: {col: value}}, read off its columns."""
-        self._require_tracked()
+        self._require_log("U")
         rows: dict[int, dict[int, int]] = {}
         for c in range(self.nrows):
             for r, x in self.apply_Uinv({c: 1}).items():
@@ -149,7 +162,7 @@ class SnfResult:
 
     def materialize_V_cols(self) -> dict:
         """V as {col: {row: value}} (column-major)."""
-        self._require_tracked()
+        self._require_log("V")
         return {c: self.apply_V({c: 1}) for c in range(self.ncols)}
 
     # -- derived spaces ------------------------------------------------------
@@ -157,7 +170,7 @@ class SnfResult:
     def kernel_basis(self) -> list[dict]:
         """Columns of V above the zero (at precision) divisors: every pivot
         sits below the ceiling, so these are the free columns."""
-        self._require_tracked()
+        self._require_log("V")
         return [self.apply_V({c: 1}) for c in self.free_cols]
 
     def coker_reps(self) -> list[dict]:
@@ -192,7 +205,7 @@ def digit_precision(p: int, N: int) -> int:
 
 
 def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
-               track: bool = True) -> SnfResult:
+               track: bool = True, logs: str = "UV") -> SnfResult:
     """Reduce a sparse integer matrix mod p^N to diagonal form.
 
     ``entries`` holds no (row, col) pair twice: a repeat would overwrite the
@@ -225,14 +238,22 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     order included, are part of the contract: generators and report digests
     are read off them, and tests/test_linalg.py pins them exactly.  Every
     logged row op reads a pivot row (it scales one, or adds a multiple of one
-    to another row), so U^-1 fixes the unit vector of every free row.  With
-    ``track=False`` the op logs stay empty and the pivot row is the row of
-    valuation e with the fewest entries (the lowest on a tie), since its
+    to another row), so U^-1 fixes the unit vector of every free row.
+
+    ``logs`` names the op logs a tracked run keeps: "U" the row log, which
+    ``apply_U``, ``apply_Uinv``, ``solve`` and ``materialize_Uinv`` read,
+    and "V" the column log, which ``apply_V``, ``kernel_basis``, ``solve``
+    and ``materialize_V_cols`` read; the default keeps both.  A log left out
+    is never built, and the pivots, the free lists and the other log are
+    those of a run that keeps it, as the logs steer no choice.
+
+    With ``track=False`` the op logs stay empty and the pivot row is the row
+    of valuation e with the fewest entries (the lowest on a tie), since its
     length is the fill it spreads into every other row of its column.  In
     both modes a column with a single entry is handled first and has no
     other row: its pivot row is unlinked from the columns it meets and
-    dropped, with no scaling and no update (the tracked run still logs the
-    scaling and the column ops, in row order).
+    dropped, with no scaling and no update (a tracked run still logs the
+    scaling and the column ops it keeps, in row order).
 
     Untracked, every matrix is reduced as its transpose (``by_row`` and
     ``by_col`` trade places), its columns taken from the last down and its
@@ -261,6 +282,7 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     flip = not track
     if flip:
         by_row, by_col = by_col, by_row
+    log_u, log_v = track and "U" in logs, track and "V" in logs
 
     buckets = [list(by_col)] + [[] for _ in range(N - 1)]
     inverses: dict[int, int] = {}
@@ -280,12 +302,13 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                 del by_col[c]
                 pivot_row = by_row.pop(r)
                 del pivot_row[c]
-                if track:
+                if log_u or log_v:
                     u = x // pe
                     uinv = inverses.get(u) or inverses.setdefault(
                         u, pow(u, -1, mod))
-                    if u != 1:
+                    if log_u and u != 1:
                         row_ops.append(("rs", r, uinv))
+                if log_v:
                     for cc, y in pivot_row.items():
                         del by_col[cc][r]
                         col_ops.append(("ca", c, cc,
@@ -317,7 +340,7 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
             # log the column ops that clear it and take it out of its columns
             u = col.pop(r) // pe
             uinv = inverses.get(u) or inverses.setdefault(u, pow(u, -1, mod))
-            if u != 1 and track:
+            if u != 1 and log_u:
                 row_ops.append(("rs", r, uinv))
             pivot_row = by_row.pop(r)
             del pivot_row[c]
@@ -327,7 +350,7 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                 ccol = by_col[cc]
                 del ccol[r]
                 prow.append((cc, y, ccol))
-                if track:
+                if log_v:
                     col_ops.append(("ca", c, cc, -(y // pe) % mod))
             # clear the pivot column: row rr -= m * (pivot row)
             for rr, x in col.items():
@@ -342,7 +365,7 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                     elif cc in row:
                         del row[cc]
                         del ccol[rr]
-                if track:
+                if log_u:
                     row_ops.append(("ra", r, rr, -m % mod))
             pivots.append((r, c, level))
 
@@ -353,4 +376,5 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
         free_rows[r] = free_cols[c] = 0
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
                      list(compress(range(ncols), free_cols)),
-                     list(compress(range(nrows), free_rows)), track)
+                     list(compress(range(nrows), free_rows)), track,
+                     "U" * log_u + "V" * log_v)

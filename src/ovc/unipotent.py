@@ -215,7 +215,7 @@ def h0_h1_unipotent(data: UnipotentData) -> CohomologyReport:
     entries = Entries.of_columns(
         {i: X[i][j].residue(N, shift) for i in range(n)
          if X[i][j].val is not None} for j in range(n))
-    snf = sparse_snf(n, n, entries, p, N)
+    snf = sparse_snf(n, n, entries, p, N, logs="V")
     U = data.change_of_basis
 
     def to_vectors(int_vecs):

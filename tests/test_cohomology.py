@@ -63,14 +63,16 @@ def test_mw_h0_generator_is_constant():
 
 
 def _snf_calls(monkeypatch, force_track=False, entries=None,
-               precisions=None, shapes=None):
+               precisions=None, shapes=None, logs=None, all_logs=False):
     """Record the track flag of every SNF the engine runs, into ``entries``
-    its entry count, into ``precisions`` its N and into ``shapes`` its
-    (rows, columns); with ``force_track`` every map is reduced tracked, in
-    full and mod p^N, as when some degree has a structural class."""
+    its entry count, into ``precisions`` its N, into ``shapes`` its (rows,
+    columns) and into ``logs`` the op logs its result keeps; with
+    ``force_track`` every map is reduced tracked, in full and mod p^N, as
+    when some degree has a structural class, and with ``all_logs`` every
+    tracked run keeps both op logs."""
     calls, snf = [], cohomology.sparse_snf
 
-    def spy(*args, track=True):
+    def spy(*args, track=True, **kwargs):
         calls.append(track)
         if entries is not None:
             entries.append(len(args[2]))
@@ -78,13 +80,46 @@ def _snf_calls(monkeypatch, force_track=False, entries=None,
             precisions.append(args[4])
         if shapes is not None:
             shapes.append(args[:2])
-        return snf(*args, track=track)
+        if all_logs:
+            kwargs["logs"] = "UV"
+        res = snf(*args, track=track, **kwargs)
+        if logs is not None:
+            logs.append(res.logs)
+        return res
 
     monkeypatch.setattr(cohomology, "sparse_snf", spy)
     if force_track:
         monkeypatch.setattr(cohomology, "_has_structural_class",
                             lambda _: True)
     return calls
+
+
+def test_tracked_runs_keep_only_the_logs_generators_read(monkeypatch):
+    # generators are read through the column log of map 0 and of the
+    # restricted maps alone: the maps above map 0 have an incoming map of
+    # positive rank, so their kernels are never read, and no reader in the
+    # engine takes a row log.  Keeping every log changes no report
+    for engine, build, nvars, window in (
+            (mw_cohomology, mw_complex, 2, 12),
+            (mw_cohomology, mw_complex, 3, 5),
+            (compact_support_cohomology, compact_complex, 2, 8)):
+        mod = trivial_module(nvars, P, 20, window)
+        cdata = build(mod)
+        maps = [(cdata.spaces[j + 1].dim, cdata.spaces[j].dim)
+                for j in range(len(cdata.matrices))]
+        kept, shapes = [], []
+        calls = _snf_calls(monkeypatch, logs=kept, shapes=shapes)
+        got = repr(engine(mod).report)
+        monkeypatch.undo()
+        _snf_calls(monkeypatch, all_logs=True)
+        want = repr(engine(mod).report)
+        monkeypatch.undo()
+        assert got == want
+        # every map once, tracked, in order, then the restricted maps
+        assert all(calls) and shapes[:len(maps)] == maps
+        assert kept[:len(maps)] == ["V"] + [""] * (len(maps) - 1)
+        assert len(kept) > len(maps)
+        assert kept[len(maps):] == ["V"] * (len(kept) - len(maps))
 
 
 def _line_with_precision_class():

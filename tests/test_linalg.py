@@ -426,7 +426,7 @@ def test_untracked_result_has_no_transforms():
     A = triples({(0, 0): 1, (0, 1): 1})
     assert sparse_snf(1, 2, A, p, N).kernel_basis() == [{1: 1, 0: 80}]
     bare = sparse_snf(1, 2, A, p, N, track=False)
-    assert not bare.tracked and bare.rank() == 1
+    assert not bare.tracked and bare.logs == "" and bare.rank() == 1
     for read in (lambda: bare.apply_U({0: 1}), lambda: bare.apply_Uinv({0: 1}),
                  lambda: bare.apply_V({0: 1}), bare.materialize_Uinv,
                  bare.materialize_V_cols, bare.kernel_basis, bare.coker_reps,
@@ -589,6 +589,40 @@ def test_pinned_path_output():
 def test_pinned_trivial_output():
     assert [_snf_digest(sparse_snf(*args))
             for args in _trivial_differentials()] == PINNED_TRIVIAL_DIGESTS
+
+
+@pytest.mark.parametrize("args", _pinned_matrices() + _plane_differentials()
+                         + _path_inputs() + _trivial_differentials(),
+                         ids=lambda a: f"{a[0]}x{a[1]}-p{a[3]}")
+def test_logs_left_out_change_no_pivot(args):
+    # the op logs steer no choice: a run that keeps fewer of them has the
+    # pivots and free lists of one that keeps both, the logs it keeps are
+    # theirs, and a reader of a log it lacks raises, naming that log
+    full = sparse_snf(*args)
+    readers = {"row": ("U", lambda res: res.apply_U({0: 1}),
+                       lambda res: res.apply_Uinv({0: 1}),
+                       lambda res: res.materialize_Uinv()),
+               "column": ("V", lambda res: res.apply_V({0: 1}),
+                          lambda res: res.kernel_basis(),
+                          lambda res: res.materialize_V_cols())}
+    for logs in ("V", "", "U"):
+        res = sparse_snf(*args, logs=logs)
+        assert res.tracked and res.logs == logs
+        assert (res.pivots, res.free_cols, res.free_rows) \
+            == (full.pivots, full.free_cols, full.free_rows)
+        assert res.row_ops == (full.row_ops if "U" in logs else [])
+        assert res.col_ops == (full.col_ops if "V" in logs else [])
+        assert res.coker_reps() == full.coker_reps()
+        for name, (log, *reads) in readers.items():
+            if log in logs:
+                continue
+            for read in reads:
+                with pytest.raises(ValueError, match=f"no {name} log"):
+                    read(res)
+        # solve reads the row log, then the column log
+        with pytest.raises(ValueError, match="no row log" if "U" not in logs
+                           else "no column log"):
+            res.solve({})
 
 
 def test_row_ops_read_only_pivot_rows():

@@ -24,7 +24,6 @@ from ovc.pairing import apply_complex_map
 from ovc.series import (
     DAGGER,
     ROBBA,
-    TATE,
     RingDescriptor,
     Series,
     frobenius_substitute,

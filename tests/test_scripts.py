@@ -115,6 +115,26 @@ def test_snf_replay_pickles_captured_entries(monkeypatch):
     assert replay.replay(src, loaded)[1] == replay.replay(src, calls)[1]
 
 
+def test_snf_replay_replays_the_logs_keyword(monkeypatch):
+    # a call that keeps the column log alone is captured with its keyword
+    # and replayed with it: the replayed result has no row log, and its
+    # other tracked fields are those of the run that keeps both logs
+    replay = _load("snf_replay")
+    monkeypatch.setattr(replay, "ROUND_SECONDS", 0.0)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    calls = [(args, kwargs) for args, kwargs in
+             replay.capture("grid-generators", 1)
+             if kwargs == {"logs": "V"}]
+    assert calls
+    src = SCRIPTS.parent / "src"
+    head = replay.replay(src, calls)[1]
+    full = replay.replay(src, [(args, {}) for args, _ in calls])[1]
+    assert any(f[2] for f in full)
+    assert all(h[0] == "tracked" and h[2] == [] for h in head)
+    assert replay.mismatches(head, full) == [
+        (i, "row_ops") for i, f in enumerate(full) if f[2]]
+
+
 def test_snf_replay_exits_1_on_a_mismatch(monkeypatch, capsys):
     replay = _load("snf_replay")
     run_side = replay.run_side
