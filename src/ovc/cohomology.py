@@ -556,8 +556,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     They are read from the kernel of the outgoing map when
     ``_kernel_read`` says so and j is below the top degree, else from the
     incoming map.  A rank-only result of the map read from is replaced in
-    ``snfs`` by the map reduced tracked, in full, mod p^N, keeping the
-    column log only when its kernel is read.
+    ``snfs`` by the map reduced tracked, in full, mod p^N.
 
     With incoming boundaries, the quotient is spanned by the columns of
     U^-1 (from U d_(j-1) V = D) at the free rows of d_(j-1).  Every logged
