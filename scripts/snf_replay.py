@@ -20,9 +20,12 @@ per replay over all its rounds.
 The calls replayed are the ones this checkout makes, each input copied and
 pickled as an ``ovc.linalg.Entries`` and each keyword (``track``, ``logs``)
 kept, so the other checkout's kernel must take that layout and those
-keywords.  A change that alters what the engine hands the kernel,
-rather than how the kernel reduces it, does not show here: measure it with
-``scripts/bench_pairs.py`` and the traced ``linalg.snf_nnz``.
+keywords: before any replay, each side's ``sparse_snf`` signature is
+checked, and a kernel that lacks a keyword the calls pass ends the script
+with one line naming it (exit 2).  A change that alters what the engine
+hands the kernel, rather than how the kernel reduces it, does not show
+here: measure it with ``scripts/bench_pairs.py`` and the traced
+``linalg.snf_nnz``.
 
 With two sides, tracked results must agree field by field (pivots, row and
 column op logs, free lists), and rank-only results on the invariants a
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import pickle
 import statistics
 import subprocess
@@ -92,15 +96,29 @@ def summarize(res) -> tuple:
             res.certification_gap(), len(res.free_cols), len(res.free_rows))
 
 
-def replay(src: Path, calls: list) -> tuple[list, list]:
-    """CPU seconds of each replay of the calls through the kernel under
-    ``src``, replayed until ``ROUND_SECONDS`` have passed, and the summaries
-    of their results."""
+def load_kernel(src: Path):
+    """The ``ovc.linalg`` module under ``src``."""
     sys.path.insert(0, str(src))
     linalg = importlib.import_module("ovc.linalg")
     if not Path(linalg.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"ovc.linalg imported from {linalg.__file__}, "
                          f"not {src}")
+    return linalg
+
+
+def missing_keywords(kernel, calls: list) -> list:
+    """The keywords the calls pass that ``kernel`` does not take, in the
+    order of their first use."""
+    names = inspect.signature(kernel).parameters
+    return list(dict.fromkeys(k for _, kwargs in calls for k in kwargs
+                              if k not in names))
+
+
+def replay(src: Path, calls: list) -> tuple[list, list]:
+    """CPU seconds of each replay of the calls through the kernel under
+    ``src``, replayed until ``ROUND_SECONDS`` have passed, and the summaries
+    of their results."""
+    linalg = load_kernel(src)
     times, stop = [], time.process_time() + ROUND_SECONDS
     while not times or time.process_time() < stop:
         t0 = time.process_time()
@@ -108,6 +126,15 @@ def replay(src: Path, calls: list) -> tuple[list, list]:
                    for args, kwargs in calls]
         times.append(time.process_time() - t0)
     return times, [summarize(r) for r in results]
+
+
+def check_side(side: str, checkout: Path, calls_file: Path) -> int:
+    """Whether the side's kernel takes every keyword the calls pass, checked
+    in a fresh interpreter: 0, or 2 once the child has printed the line
+    that names the missing keywords."""
+    return subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                           "--replay", str(calls_file), "--src",
+                           str(checkout / "src"), "--check", side]).returncode
 
 
 def run_side(side: str, checkout: Path, calls_file: Path) -> tuple:
@@ -144,13 +171,23 @@ def main(argv=None) -> int:
     ap.add_argument("--replay", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--src", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--out", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--check", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    if args.replay:     # the child of run_side
+    if args.replay:     # the child of check_side or run_side
         # the inputs unpickle as the Entries of the kernel under --src
         sys.path.insert(0, str(args.src))
         with open(args.replay, "rb") as fh:
             calls = pickle.load(fh)
+        if args.check:
+            missing = missing_keywords(load_kernel(args.src).sparse_snf,
+                                       calls)
+            if missing:
+                print(f"{args.check} {args.src.parent}: sparse_snf takes no "
+                      f"keyword {', '.join(map(repr, missing))}, which the "
+                      f"captured calls pass", file=sys.stderr)
+                return 2
+            return 0
         with open(args.out, "wb") as fh:
             pickle.dump(replay(args.src, calls), fh)
         return 0
@@ -176,6 +213,10 @@ def main(argv=None) -> int:
         calls_file = Path(tmp) / "calls.pickle"
         with open(calls_file, "wb") as fh:
             pickle.dump(calls, fh)
+        for side, checkout in sides:
+            status = check_side(side, checkout, calls_file)
+            if status:
+                return status
         times, got = {side: [] for side, _ in sides}, {}
         for i in range(args.repeat):
             for side, checkout in sides[i % 2:] + sides[:i % 2]:

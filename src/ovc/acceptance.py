@@ -69,8 +69,11 @@ def trivial_module(nvars: int, p: int, M: int, window: int) -> SigmaNablaModule:
     return SigmaNablaModule(ring, 1, gammas=tuple((v, z) for v in names))
 
 
-def dwork_module(p: int, M: int, window: int, nvars: int = 1) -> SigmaNablaModule:
-    """The trivial module with Gamma_x = 1."""
+def unit_constant_module(p: int, M: int, window: int,
+                         nvars: int = 1) -> SigmaNablaModule:
+    """The trivial module with Gamma_x = 1, that is d/dx + 1.  It is not
+    Dwork's module d + pi dx: |1| > |pi|, so its solution e^(-x) does not
+    converge on the closed unit disc."""
     module = trivial_module(nvars, p, M, window)
     (x, _), *rest = module.gammas
     return replace(module, gammas=(
@@ -395,7 +398,7 @@ def criterion_11() -> CriterionResult:
     ring = robba_line(p, M, 16)
     bundles = {name: pushforward_complex(mod, ring)
                for name, mod in (("trivial", trivial_module(1, p, M, 12)),
-                                 ("twisted", dwork_module(p, M, 12)))}
+                                 ("twisted", unit_constant_module(p, M, 12)))}
     results = [(name, all(v.passed for v in snake_check(bundle)))
                for name, bundle in bundles.items()]
     bad = snake_check(perturb_r1f(bundles["trivial"]))
@@ -428,7 +431,8 @@ def criterion_13() -> CriterionResult:
     p, M, window = 3, 12, 10
     ok, details = True, []
     for name, mod in (("trivial", trivial_module(2, p, M, window)),
-                      ("twisted-x", dwork_module(p, M, window, nvars=2))):
+                      ("twisted-x",
+                       unit_constant_module(p, M, window, nvars=2))):
         rep = leray_assemble(mod, "x", "y")
         direct = mw_cohomology(mod).report.dims()
         good = rep.euler_ok and all(v for _, v, _ in rep.node_verdicts) \

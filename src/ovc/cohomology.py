@@ -154,10 +154,12 @@ def _box_layout(lo, hi, frame_lo, widths, strides):
     codes = [0]
     for l, h, f, s in zip(lo, hi, frame_lo, strides):
         codes = [c + (x - f) * s for c in codes for x in range(l, h + 1)]
-    # the order of groebner.deglex_key: total degree, then descending lex
-    order = sorted(zip(map(sum, exps), range(len(exps), 0, -1), exps, codes))
-    exps = [t[2] for t in order]
-    codes = [t[3] for t in order]
+    # the order of groebner.deglex_key: total degree, then descending lex,
+    # the reverse of product's order, which a stable sort keeps on a tie
+    degree = list(map(sum, exps))
+    order = sorted(range(len(exps) - 1, -1, -1), key=degree.__getitem__)
+    exps = [exps[k] for k in order]
+    codes = [codes[k] for k in order]
     where = [-1] * (strides[0] * widths[0])
     for r, c in enumerate(codes):
         where[c] = r
@@ -202,9 +204,14 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
     Each map is emitted once, as ``Entries`` of ints mod p^N with N = M +
     shift, shift the ``integral_shift`` of the terms that land.  Entries go
     column by column, columns in increasing order; no (row, col) pair
-    repeats and no value is zero.  A cell emits the derivative's entry, then
-    its connection terms in order.  The derivative's entry is read from a
-    table k -> dk * k mod p^N per (form, variable, component), dk = ±p^shift.
+    repeats and no value is zero.  Each map's emission plan is built once,
+    as one list per (source form J, component a) in label order, so a cell
+    (a, J, I) reads only its own list: one item per acting variable i
+    outside J, holding the derivative's frame offset, its row base within a
+    target exponent, its table and floor digits, and component a's
+    connection terms.  An item emits the derivative's entry, then its
+    connection terms in order.  The derivative's entry is read from a table
+    k -> dk * k mod p^N per (form, variable, component), dk = ±p^shift.
     A connection term that lands on that entry (only t d/dt + c does) is
     folded in: k -> (dk * k + c p^shift) mod p^min(abs_prec(c) + shift, N),
     the digits PadicApprox addition keeps for a sum whose k is exact, and a
@@ -265,10 +272,12 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         N = M + shift
         mod, ps = p ** N, p ** shift
 
-        # per source form, per acting variable outside it: the frame and row
-        # offsets of the derivative's target, then per source component the
-        # table k -> integer of its entry and the floor a vanished entry
-        # records, and the other connection terms with their integers
+        # per source form J and component a, in the order of the labels, one
+        # item per acting variable i outside J: the frame offset of the
+        # derivative's target, its row base within a target exponent, the
+        # table k -> integer of its entry, the floor a vanished entry
+        # records, and component a's other connection terms with their
+        # integers
         dst_form = {J: f for f, J in enumerate(dst.forms)}
         plan = []
         unrecorded = []     # per connection term: its loss is still open
@@ -305,7 +314,9 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
                                     len(unrecorded)))
                     unrecorded.append(c.val is not None)
                 fplan.append((i, step * strides[i], roff, tabs, by_a))
-            plan.append(fplan)
+            plan += [[(i, doff, roff + a, *tabs[a], by_a[a])
+                      for i, doff, roff, tabs, by_a in fplan]
+                     for a in range(rank)]
 
         rows, cols, vals = [], [], []
         add_row, add_col, add_val = rows.append, cols.append, vals.append
@@ -314,38 +325,36 @@ def _assemble(ring, rank: int, boxes: list, acting: tuple, terms: dict,
         W2 = len(dst.forms) * rank
         col = 0
         for I, code in zip(src.exps, codes):
-            for fplan in plan:
-                for a in range(rank):
-                    for i, doff, roff, tabs, by_a in fplan:
-                        tab, digits = tabs[a]
-                        r = where[code + doff]
+            for items in plan:
+                for i, doff, rbase, tab, digits, conn in items:
+                    r = where[code + doff]
+                    if r >= 0:
+                        x = tab[I[i]]
+                        if x:
+                            add_row(r * W2 + rbase)
+                            add_col(col)
+                            add_val(x)
+                        elif digits is not None:
+                            floor = _loss_min(floor, digits)
+                    elif I[i]:  # above the box: dropped at value 0
+                        above = True
+                    for off, radd, x, c, E, tk in conn:
+                        r = where[code + off]
                         if r >= 0:
-                            x = tab[I[i]]
-                            if x:
-                                add_row(r * W2 + roff + a)
+                            if x is None:
+                                floor = _loss_min(floor, c.prec)
+                            else:
+                                add_row(r * W2 + radd)
                                 add_col(col)
                                 add_val(x)
-                            elif digits is not None:
-                                floor = _loss_min(floor, digits)
-                        elif I[i]:  # above the box: dropped at value 0
-                            above = True
-                        for off, radd, x, c, E, tk in by_a[a]:
-                            r = where[code + off]
-                            if r >= 0:
-                                if x is None:
-                                    floor = _loss_min(floor, c.prec)
-                                else:
-                                    add_row(r * W2 + radd)
-                                    add_col(col)
-                                    add_val(x)
-                            elif unrecorded[tk]:
-                                I2 = [x + exp_sign * e for x, e in zip(I, E)]
-                                if not (kill_below and any(
-                                        x < l for x, l in zip(I2, dst_lo))):
-                                    loss = _loss_min(
-                                        loss, c.val + slope * sum(I2))
-                                    unrecorded[tk] = False
-                    col += 1
+                        elif unrecorded[tk]:
+                            I2 = [x + exp_sign * e for x, e in zip(I, E)]
+                            if not (kill_below and any(
+                                    x < l for x, l in zip(I2, dst_lo))):
+                                loss = _loss_min(
+                                    loss, c.val + slope * sum(I2))
+                                unrecorded[tk] = False
+                col += 1
         if above:
             loss = _loss_min(loss, Fraction(0))
         matrices.append(Entries(rows, cols, vals))

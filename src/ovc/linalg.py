@@ -18,6 +18,9 @@ promises only the SNF invariants.
 In either mode a column left with one entry clears no other row, so its
 pivot row is only taken out of its other columns, never copied, and only a
 column with no entry at its level takes a gcd, to find the level it moves to.
+The reduction holds the matrix twice, as a list of rows and a list of
+columns indexed by position, each a sparse ``{index: value}`` map made when
+it gets its first entry and released when it pivots.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from math import gcd
 
 from .padics import int_valuation
@@ -214,7 +217,10 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     p^N is skipped.  The maps of ``cohomology._assemble`` also hold no zero
     and list their column indices in nondecreasing order, so each column's
     map is looked up once per run of its entries.  Row/column indices are
-    ints; the pivoting order prefers small indices, so callers should
+    positions, 0 <= row < ``nrows`` and 0 <= col < ``ncols``: the maps are
+    held in lists indexed by them, so a negative index would file its entry
+    silently at the other end, and the kernel pays for no scan to refuse
+    one.  The pivoting order prefers small indices, so callers should
     pre-order their bases (lowest total exponent first, deglex tiebreak).
 
     Levels run from 0 to N-1.  At level e every active entry has valuation
@@ -267,15 +273,21 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     cutoff, the gap and the sizes of the free lists.
     """
     mod = p ** N
-    by_row: dict[int, dict[int, int]] = {}
-    by_col: dict[int, dict[int, int]] = {}
+    by_row: list[dict[int, int] | None] = [None] * nrows
+    by_col: list[dict[int, int] | None] = [None] * ncols
     last = None
     for r, c, x in zip(entries.rows, entries.cols, entries.vals):
         x %= mod
         if x:
-            by_row.setdefault(r, {})[c] = x
+            row = by_row[r]
+            if row is None:
+                by_row[r] = {c: x}
+            else:
+                row[c] = x
             if c != last:
-                col = by_col.setdefault(c, {})
+                col = by_col[c]
+                if col is None:
+                    col = by_col[c] = {}
                 last = c
             col[r] = x
     # untracked, the transpose is eliminated
@@ -284,7 +296,7 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
         by_row, by_col = by_col, by_row
     log_u, log_v = track and "U" in logs, track and "V" in logs
 
-    buckets = [list(by_col)] + [[] for _ in range(N - 1)]
+    buckets = [list(compress(count(), by_col))] + [[] for _ in range(N - 1)]
     inverses: dict[int, int] = {}
     row_ops, col_ops, pivots = [], [], []
 
@@ -299,8 +311,9 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                     buckets[int_valuation(x, p)].append(c)
                     continue
                 # no other row to clear: unlink the pivot row, log its ops
-                del by_col[c]
-                pivot_row = by_row.pop(r)
+                by_col[c] = None
+                pivot_row = by_row[r]
+                by_row[r] = None
                 del pivot_row[c]
                 if log_u or log_v:
                     u = x // pe
@@ -335,14 +348,15 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
             if r is None:
                 buckets[int_valuation(gcd(*col.values()), p)].append(c)
                 continue
-            del by_col[c]
+            by_col[c] = None
             # normalize the pivot row so the pivot becomes exactly p^level,
             # log the column ops that clear it and take it out of its columns
             u = col.pop(r) // pe
             uinv = inverses.get(u) or inverses.setdefault(u, pow(u, -1, mod))
             if u != 1 and log_u:
                 row_ops.append(("rs", r, uinv))
-            pivot_row = by_row.pop(r)
+            pivot_row = by_row[r]
+            by_row[r] = None
             del pivot_row[c]
             prow = []
             for cc, y in pivot_row.items():

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -18,7 +20,8 @@ from ovc.cohomology import (
     mw_cohomology,
     mw_complex,
 )
-from ovc.acceptance import dwork_module, trivial_module
+from ovc.acceptance import trivial_module, unit_constant_module
+from ovc.groebner import deglex_key
 from ovc.linalg import digit_precision, sparse_snf
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import make_scalar, parse_scalar
@@ -52,7 +55,7 @@ def test_mw_known_answers():
         {0: 1, 1: 0}
     assert mw_cohomology(trivial_module(2, P, 10, 9)).report.dims() == \
         {0: 1, 1: 0, 2: 0}
-    assert mw_cohomology(dwork_module(P, 10, 30)).report.dims() == \
+    assert mw_cohomology(unit_constant_module(P, 10, 30)).report.dims() == \
         {0: 0, 1: 0}
 
 
@@ -640,12 +643,21 @@ def test_pinned_builder_output():
     assert _builder_digests() == PINNED_BUILDER_DIGESTS
 
 
-def _shipped_complexes(monkeypatch):
-    """Every complex ``_assemble`` builds while the shipped problems run,
-    the acceptance battery (selftest) left out."""
+def _run_shipped():
+    """Run every shipped problem, the acceptance battery (selftest) left
+    out."""
     from ovc.cli import run_command
     from ovc.problems import parse_problem
 
+    root = Path(__file__).resolve().parent.parent / "problems"
+    for path in sorted(root.glob("*.ovc")):
+        text = path.read_text(encoding="utf-8")
+        if "\ncommand selftest" not in "\n" + text:
+            run_command(parse_problem(text))
+
+
+def _shipped_complexes(monkeypatch):
+    """Every complex ``_assemble`` builds while the shipped problems run."""
     built, assemble = [], cohomology._assemble
 
     def spy(*args):
@@ -653,20 +665,17 @@ def _shipped_complexes(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cohomology, "_assemble", spy)
-    root = Path(__file__).resolve().parent.parent / "problems"
-    for path in sorted(root.glob("*.ovc")):
-        text = path.read_text(encoding="utf-8")
-        if "\ncommand selftest" not in "\n" + text:
-            run_command(parse_problem(text))
+    _run_shipped()
     monkeypatch.undo()
     return built
 
 
 def test_assembled_maps_meet_the_snf_precondition(monkeypatch):
     # sparse_snf files the entries in list order, and a repeated (row, col)
-    # pair would overwrite the earlier value there; the maps also hold no
-    # zero and go column by column, so the kernel looks each column up once
-    # and ComplexData.column reads a column as a slice
+    # pair would overwrite the earlier value there; it files them in lists
+    # indexed by position, where a negative index would wrap silently; the
+    # maps also hold no zero and go column by column, so the kernel looks
+    # each column up once and ComplexData.column reads a column as a slice
     shipped = _shipped_complexes(monkeypatch)
     tate, robba, line = _tate_modules(), _robba_modules(), _line_side_modules()
     complexes = shipped + [build(m) for m in tate
@@ -682,10 +691,79 @@ def test_assembled_maps_meet_the_snf_precondition(monkeypatch):
             assert all(m.vals)
             assert all(a <= b for a, b in zip(m.cols, m.cols[1:]))
         for j, m in enumerate(cdata.matrices):
-            for c in range(cdata.spaces[j].dim):
+            nrows, ncols = cdata.spaces[j + 1].dim, cdata.spaces[j].dim
+            assert all(0 <= r < nrows for r in m.rows)
+            assert all(0 <= c < ncols for c in m.cols)
+            for c in range(ncols):
                 assert cdata.column(j, c) == [
                     (r, x) for r, cc, x in zip(m.rows, m.cols, m.vals)
                     if cc == c]
+
+
+def test_every_engine_snf_call_meets_the_index_precondition(monkeypatch):
+    # sparse_snf does not scan its indices, so every caller must keep 0 <=
+    # row < nrows and 0 <= col < ncols.  The spy sits in every module that
+    # holds the kernel, while the shipped problems run, together with seeded
+    # modules whose top map is reduced pruned of its paired columns and a
+    # line whose rank-only map 0 is reduced again for its generators
+    snf, sites, bad = sparse_snf, Counter(), []
+
+    def spy(nrows, ncols, entries, *args, **kwargs):
+        caller = sys._getframe(1)
+        site = caller.f_code.co_name
+        if entries is caller.f_locals.get("cut"):
+            site = "pruned cut"
+        elif entries is caller.f_locals.get("bent"):
+            site = "free-row restriction"
+        sites[site] += 1
+        if not (all(0 <= r < nrows for r in entries.rows)
+                and all(0 <= c < ncols for c in entries.cols)):
+            bad.append(site)
+        return snf(nrows, ncols, entries, *args, **kwargs)
+
+    holders = [m for name, m in sys.modules.items()
+               if name.startswith("ovc.") and
+               getattr(m, "sparse_snf", None) is snf]
+    for module in holders:
+        monkeypatch.setattr(module, "sparse_snf", spy)
+    _run_shipped()
+    for seed in range(12):
+        mod, _ = _pruning_module(seed)
+        mw_cohomology(mod)
+        compact_support_cohomology(mod)
+    mw_cohomology(_line_with_precision_class())
+    assert {m.__name__ for m in holders} >= {
+        "ovc.cohomology", "ovc.pairing", "ovc.pushforward", "ovc.unipotent"}
+    assert set(sites) >= {"_reduce", "pruned cut", "_extract_generators",
+                          "free-row restriction", "_solver", "_matrix_rank",
+                          "pairing_nondegeneracy_check", "h0_h1_unipotent"}
+    assert bad == []
+
+
+def test_box_layout_orders_a_box_by_deglex():
+    # seeded boxes of 1 to 3 variables, with negative (Robba) lows, inside a
+    # padded frame: the exponents come out in deglex order, and the map from
+    # frame code to rank inverts the codes and is -1 on every other cell
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        lo = [rng.randint(-4, 3) for _ in range(n)]
+        hi = [l + rng.randint(0, 4) for l in lo]
+        pad = [rng.randint(0, 2) for _ in range(n)]
+        frame_lo = [l - d for l, d in zip(lo, pad)]
+        widths = [h - l + 1 + 2 * d for l, h, d in zip(lo, hi, pad)]
+        strides = [1] * n
+        for v in range(n - 2, -1, -1):
+            strides[v] = strides[v + 1] * widths[v + 1]
+        exps, codes, where = cohomology._box_layout(
+            tuple(lo), tuple(hi), frame_lo, widths, strides)
+        box = list(product(*(range(l, h + 1) for l, h in zip(lo, hi))))
+        assert list(exps) == sorted(box, key=deglex_key)
+        assert codes == [sum((x - f) * w for x, f, w in
+                             zip(I, frame_lo, strides)) for I in exps]
+        assert len(where) == strides[0] * widths[0]
+        assert all(where[c] == r for r, c in enumerate(codes))
+        assert sum(1 for r in where if r != -1) == len(codes)
 
 
 # -- the truncation loss, cell by cell -----------------------------------------
@@ -805,7 +883,7 @@ def _split_plane(f, g, M=12, window=6):
 
 
 FLAT = (trivial_module(2, P, 20, 8), trivial_module(3, P, 20, 4),
-        dwork_module(P, 20, 8, nvars=2),
+        unit_constant_module(P, 20, 8, nvars=2),
         _split_plane({0: 1, 1: "1/3"}, {0: 2, 2: "1/9"}))
 ONE_VAR = st.dictionaries(st.integers(0, 2),
                           st.sampled_from((1, 2, -1, 5, "1/3", "-2/3", "1/9")),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_cohomology import _vertical_ranks
 
-from ovc.acceptance import dwork_module, trivial_module
+from ovc.acceptance import trivial_module, unit_constant_module
 from ovc.cohomology import mw_cohomology, mw_complex
 from ovc.errors import BadCertificateError, WindowError
 from ovc.modules import SeriesMatrix, SigmaNablaModule
@@ -51,7 +51,7 @@ def test_fallback_note_without_certificate():
 
 
 def test_twisted_bundle_all_zero():
-    bundle = pushforward_complex(dwork_module(P, M, 12), R)
+    bundle = pushforward_complex(unit_constant_module(P, M, 12), R)
     assert all(v == 0 for v in bundle.dims().values())
     assert all(v.passed for v in snake_check(bundle))
 
@@ -91,7 +91,7 @@ def test_window_compatibility_enforced():
 
 
 def test_robba_side_transport():
-    mod = dwork_module(P, M, 8)
+    mod = unit_constant_module(P, M, 8)
     loc = robba_side_module(mod, R)
     # Gamma = 1 transports to -t^(-1) in the dlog gauge
     ((e, c),) = loc.connection.rows[0][0].terms
@@ -114,14 +114,15 @@ def test_leray_trivial():
 
 
 def test_leray_twisted_fiber():
-    rep = leray_assemble(dwork_module(P, M, 10, nvars=2), "x", "y")
+    rep = leray_assemble(unit_constant_module(P, M, 10, nvars=2), "x", "y")
     assert rep.fiber_kernel_rank == 0 and rep.fiber_coker_rank == 0
     assert rep.dims_M == {0: 0, 1: 0, 2: 0}
     assert rep.euler_ok and all(ok for _, ok, _ in rep.node_verdicts)
 
 
 def test_leray_matches_direct():
-    for mod in (trivial_module(2, P, M, 8), dwork_module(P, M, 8, nvars=2)):
+    for mod in (trivial_module(2, P, M, 8),
+                unit_constant_module(P, M, 8, nvars=2)):
         rep = leray_assemble(mod, "x", "y")
         assert rep.dims_M == mw_cohomology(mod).report.dims()
 
@@ -165,7 +166,7 @@ def _bundle_modules(M):
     third = Fraction(1, 3)
     return {
         "trivial": trivial_module(1, P, M, 12),
-        "dwork": dwork_module(P, M, 12),
+        "unit-constant": unit_constant_module(P, M, 12),
         "rank2": _line_rank2(M, {(0, 0): {1: third}, (0, 1): {0: 2}}),
         "rank2-diag": _line_rank2(M, {(0, 0): {1: third}, (1, 1): {1: third},
                                       (0, 1): {0: 2}}),
@@ -197,7 +198,7 @@ PINNED_BUNDLE_DIGESTS = {
         "8d5fa957734b99f6b3d3d70eba8bd68dbbf989e6306ad1bcf7037ac93d8f984e",
     "trivial-M8-unipotent":
         "21616d6ef09a9ffe04cce9004b80c7e3da18ba7ee117bffcc79278870958c80f",
-    "dwork-M8":
+    "unit-constant-M8":
         "70fe9eb39fd274a589c061409fb298b1b5a8546c5835e107dd5d79cbc48c10bf",
     "rank2-M8":
         "9e433ffd4e51bd13eb92bb51e6cd503f0290b17f3d4a42a57c0c89ca2686d03a",
@@ -211,7 +212,7 @@ PINNED_BUNDLE_DIGESTS = {
         "98ca4c2c7cb965ed2cc439faaf262f450e7a2143fc966948b8ec0508c33cfc67",
     "trivial-M12-unipotent":
         "d005881a435a6c88686ee4a80dbf9e5e84dddc295d45a72e407bbf36f26dfd64",
-    "dwork-M12":
+    "unit-constant-M12":
         "e02af528fcaf18d53edc6ad9abc1d7eee0e12a84109f28cb4d8b1253fb8971fe",
     "rank2-M12":
         "b9a046761891cda4ae050231d3f73d1d2ad680a3248853b7098ffd9a41e5a1fc",

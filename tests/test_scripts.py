@@ -152,3 +152,30 @@ def test_snf_replay_exits_1_on_a_mismatch(monkeypatch, capsys):
                         "--base", str(SCRIPTS.parent), "--repeat", "1"]) == 1
     err = capsys.readouterr().err
     assert "call 0:" in err and "1 mismatched fields" in err
+
+
+STUB_LINALG = '''
+class Entries:
+    __slots__ = ("rows", "cols", "vals")
+
+
+def sparse_snf(nrows, ncols, entries, p, N, track=True):
+    raise AssertionError("a kernel that lacks a keyword is never replayed")
+'''
+
+
+def test_snf_replay_names_a_keyword_the_base_kernel_lacks(tmp_path, capfd):
+    # a base checkout whose sparse_snf takes no logs keyword: the script
+    # checks its signature before replaying anything and stops on one line
+    replay = _load("snf_replay")
+    ovc = tmp_path / "src" / "ovc"
+    ovc.mkdir(parents=True)
+    (ovc / "__init__.py").write_text("")
+    (ovc / "linalg.py").write_text(STUB_LINALG)
+    assert replay.main(["--workload", "problems-batch", "--seed", "1",
+                        "--base", str(tmp_path), "--repeat", "1"]) == 2
+    captured = capfd.readouterr()
+    assert "median" not in captured.out
+    assert captured.err.splitlines() == [
+        f"base {tmp_path}: sparse_snf takes no keyword 'logs', which the "
+        f"captured calls pass"]
