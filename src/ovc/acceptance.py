@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohomology import (
     ChainVector,
@@ -55,8 +55,7 @@ from .unipotent import (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     passed: bool
     detail: str
@@ -76,7 +75,7 @@ def unit_constant_module(p: int, M: int, window: int,
     converge on the closed unit disc."""
     module = trivial_module(nvars, p, M, window)
     (x, _), *rest = module.gammas
-    return replace(module, gammas=(
+    return module._replace(gammas=(
         (x, SeriesMatrix.identity(module.ring, 1)), *rest))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import OvcError, ParseError
@@ -34,10 +33,12 @@ from .series import gauss_norm
 from .unipotent import h0_h1_unipotent, horizontal_iterate, \
     strongly_unipotent_basis
 
-@dataclass
 class RunReport:
-    command: str
-    records: list            # ordered (key, value-string) pairs
+    __slots__ = ("command", "records")
+
+    def __init__(self, command: str, records: list):
+        self.command = command
+        self.records = records   # ordered (key, value-string) pairs
 
     def add(self, key, value):
         self.records.append((str(key), str(value)))

@@ -47,10 +47,10 @@ in three passes:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, product
+from typing import NamedTuple
 
 from .errors import DescriptorMismatchError
 from .linalg import Entries, digit_precision, sparse_snf
@@ -61,13 +61,34 @@ from .series import _lowest
 Label = tuple  # (component, forms J as sorted tuple of var indices, exponent I)
 
 
-@dataclass(frozen=True)
 class ChainSpace:
     """Labels (a, J, I) ordered by exponent I (in the order of ``exps``),
-    then by form J (in combinations order), then by component a."""
-    exps: tuple
-    forms: tuple
-    rank: int
+    then by form J (in combinations order), then by component a.  Its three
+    fields are frozen; the cached properties fill the instance dict."""
+
+    def __init__(self, exps: tuple, forms: tuple, rank: int):
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ChainSpace is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ChainSpace is frozen: cannot delete {name!r}")
+
+    def __repr__(self):
+        return (f"ChainSpace(exps={self.exps!r}, forms={self.forms!r}, "
+                f"rank={self.rank!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not ChainSpace:
+            return NotImplemented
+        return (self.exps, self.forms, self.rank) == (other.exps, other.forms,
+                                                      other.rank)
+
+    def __hash__(self):
+        return hash((self.exps, self.forms, self.rank))
 
     @property
     def dim(self) -> int:
@@ -93,8 +114,7 @@ class ChainSpace:
         return {I: e for e, I in enumerate(self.exps)}
 
 
-@dataclass(frozen=True)
-class ChainVector:
+class ChainVector(NamedTuple):
     """Sparse vector in a chain space: label -> PadicApprox."""
     space: ChainSpace
     data: dict
@@ -104,20 +124,28 @@ class ChainVector:
                      for l in sorted(self.data, key=self.space.index))
 
 
-@dataclass
 class ComplexData:
-    spaces: list            # ChainSpace per degree
-    matrices: list          # per map, Entries of ints mod p^N, column by column
-    scalings: list          # (N, shift) per map: entries are values * p^shift
-    floors: list            # per map: least precision of a vanished entry
-    loss: Fraction | None   # least value of the terms the window dropped
-    p: int
-    M: int
-    band: tuple             # per-variable edge-band width
-    window_hi: tuple        # per-variable top (for edge detection)
-    window_lo: tuple
-    two_sided: bool         # robba windows get bands at both ends
-    slope: Fraction         # annulus slope (0 off the robba kinds)
+    """A truncated complex as ``sparse_snf`` reads it, with the window data
+    that edge exclusion needs."""
+    __slots__ = ("spaces", "matrices", "scalings", "floors", "loss", "p", "M",
+                 "band", "window_hi", "window_lo", "two_sided", "slope")
+
+    def __init__(self, spaces: list, matrices: list, scalings: list,
+                 floors: list, loss: Fraction | None, p: int, M: int,
+                 band: tuple, window_hi: tuple, window_lo: tuple,
+                 two_sided: bool, slope: Fraction):
+        self.spaces = spaces  # ChainSpace per degree
+        self.matrices = matrices  # per map: Entries of ints mod p^N, by column
+        self.scalings = scalings  # per map (N, shift): entry = value * p^shift
+        self.floors = floors  # per map: least precision of a vanished entry
+        self.loss = loss  # least value of the terms the window dropped
+        self.p = p
+        self.M = M
+        self.band = band  # per-variable edge-band width
+        self.window_hi = window_hi  # per-variable top (for edge detection)
+        self.window_lo = window_lo
+        self.two_sided = two_sided  # robba windows get bands at both ends
+        self.slope = slope  # annulus slope (0 off the robba kinds)
 
     def column(self, j: int, c: int) -> list:
         """Column c of map j as (row, int) pairs in stored order: a slice of
@@ -418,8 +446,7 @@ def quotient_complex(loc_module: SigmaNablaModule) -> ComplexData:
 
 # -- the engine -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(NamedTuple):
     generators: tuple        # engine-specific representatives
     raw_dim: int             # before window-artifact exclusion
     edge_excluded: int = 0   # classes whose every representative hugs the edge
@@ -430,8 +457,7 @@ class DegreeData:
         return self.raw_dim - self.edge_excluded
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     degrees: dict            # degree -> DegreeData
     precision_gap: int       # distance of the largest divisor to the ceiling
     truncation: Fraction | None = None
@@ -444,11 +470,12 @@ class CohomologyReport:
         return dd.generators if dd else ()
 
 
-@dataclass
 class ComplexCohomology:
     """The report of a complex together with the complex it was read from."""
-    report: CohomologyReport
-    cdata: ComplexData
+    __slots__ = ("report", "cdata")
+
+    def __init__(self, report: CohomologyReport, cdata: ComplexData):
+        self.report, self.cdata = report, cdata
 
 
 def _has_structural_class(cdata: ComplexData) -> bool:
@@ -652,7 +679,7 @@ def compact_support_cohomology(module: SigmaNablaModule) -> ComplexCohomology:
     cc = complex_cohomology(compact_complex(module))
     n = len(module.ring.variables)
     shifted = {n + j: dd for j, dd in cc.report.degrees.items()}
-    return ComplexCohomology(replace(cc.report, degrees=shifted), cc.cdata)
+    return ComplexCohomology(cc.report._replace(degrees=shifted), cc.cdata)
 
 
 def local_cohomology(module: SigmaNablaModule) -> ComplexCohomology:

@@ -11,7 +11,7 @@ inverse explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FullRankError, PrecisionError, UnsupportedShapeError
 from .modules import SeriesMatrix
@@ -19,8 +19,7 @@ from .padics import PadicApprox
 from .series import Series, _vanishes, invert_series
 
 
-@dataclass(frozen=True)
-class ElementaryOp:
+class ElementaryOp(NamedTuple):
     kind: str            # "scale" | "add"
     i: int
     j: int               # -1 for scale
@@ -150,8 +149,7 @@ def reduce_modp_elementary(ubar: list, p: int, window: tuple
 
 # -- the factorization -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(NamedTuple):
     V: SeriesMatrix          # integral entries, invertible over the integral subring
     W: SeriesMatrix          # plus part, with explicit inverse
     W_inv: SeriesMatrix

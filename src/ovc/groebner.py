@@ -8,8 +8,8 @@ interpolation check between fringe levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MembershipError, PrecisionError
 from .padics import PadicApprox
@@ -27,8 +27,7 @@ def deglex_key(I) -> tuple:
     return (sum(I), tuple(-a for a in I))
 
 
-@dataclass(frozen=True)
-class LeadingDatum:
+class LeadingDatum(NamedTuple):
     element: Series
     rho_D: int | None       # None encodes the Gauss (1-leading) case
     leading_index: Exp
@@ -158,7 +157,7 @@ def complete_leading_basis(gens: list[Series]) -> list[LeadingDatum]:
             continue
         out.append(lifted)
     stab = max(stabilization_decay(g) for g in out)
-    return [replace(rho_leading_term(g, None), rho_D=stab) for g in out]
+    return [rho_leading_term(g, None)._replace(rho_D=stab) for g in out]
 
 
 def stabilization_decay(a: Series) -> int:
@@ -233,8 +232,7 @@ def _cancellation(r: Series, basis: list[LeadingDatum]) -> Series | None:
 
 # -- three circles -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HadamardResult:
+class HadamardResult(NamedTuple):
     passed: bool
     value_A: Fraction | None
     value_B: Fraction | None

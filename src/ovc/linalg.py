@@ -38,7 +38,6 @@ is dropped there.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd
 
@@ -70,23 +69,26 @@ class Entries:
         return cls(rows, cols, vals)
 
 
-@dataclass
 class SnfResult:
     """A reduction mod p^N.  ``sparse_snf`` appends the pivots level by
     level, so their levels never decrease, and every level is below N, also
     after a rank-only caller raises N from the K it reduced at: the divisors
     read the pivot list in order, and the largest level is the last one's."""
-    nrows: int
-    ncols: int
-    p: int
-    N: int
-    pivots: list           # list of (row, col, e) in pivoting order
-    row_ops: list          # applied left, in order
-    col_ops: list          # applied right, in order
-    free_cols: list        # columns never pivoted (divisor N)
-    free_rows: list        # rows never pivoted
-    tracked: bool          # pivots of the tracked rule; transforms need them
-    logs: str              # the op logs kept: "U" rows, "V" columns
+    __slots__ = ("nrows", "ncols", "p", "N", "pivots", "row_ops", "col_ops",
+                 "free_cols", "free_rows", "tracked", "logs")
+
+    def __init__(self, nrows: int, ncols: int, p: int, N: int, pivots: list,
+                 row_ops: list, col_ops: list, free_cols: list,
+                 free_rows: list, tracked: bool, logs: str):
+        self.nrows, self.ncols, self.p, self.N = nrows, ncols, p, N
+        self.pivots = pivots        # list of (row, col, e) in pivoting order
+        self.row_ops = row_ops      # applied left, in order
+        self.col_ops = col_ops      # applied right, in order
+        self.free_cols = free_cols  # columns never pivoted (divisor N)
+        self.free_rows = free_rows  # rows never pivoted
+        # pivots of the tracked rule; transforms need them
+        self.tracked = tracked
+        self.logs = logs            # the op logs kept: "U" rows, "V" columns
 
     # -- certified quantities ---------------------------------------------
 

@@ -8,7 +8,7 @@ gauge.  All checks are pure and modules are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DescriptorMismatchError
 from .padics import make_scalar
@@ -27,8 +27,7 @@ from .series import (
 
 # -- matrices over a series ring ----------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesMatrix:
+class SeriesMatrix(NamedTuple):
     descriptor: RingDescriptor
     rows: tuple  # tuple of tuples of Series
 
@@ -144,45 +143,54 @@ def _dot(row, vec, descriptor):
 
 # -- modules -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaNablaModule:
-    """rank-n free module with connection.
+class _ModuleFields(NamedTuple):
+    ring: RingDescriptor
+    rank: int
+    connection: SeriesMatrix | None
+    gammas: tuple           # tuple of (varname, SeriesMatrix)
+    frobenius: SeriesMatrix | None
+
+
+class SigmaNablaModule(_ModuleFields):
+    """rank-n free module with connection: an immutable tuple of the fields
+    of ``_ModuleFields``, checked on every construction, ``_replace``
+    included.
 
     robba kinds: ``connection`` is the dlog-gauge matrix N (D = t d/dt + N).
     tate/dagger kinds: ``gammas`` maps variable name -> matrix Gamma_i in the
     dx_i gauge (nabla = d + sum Gamma_i dx_i).
     ``frobenius`` (optional) gives F on the basis for the standard lift t->t^q.
     """
+    __slots__ = ()
 
-    ring: RingDescriptor
-    rank: int
-    connection: SeriesMatrix | None = None
-    gammas: tuple = ()              # tuple of (varname, SeriesMatrix)
-    frobenius: SeriesMatrix | None = None
-
-    def __post_init__(self):
-        named = [("connection", self.connection),
-                 ("frobenius", self.frobenius)]
-        named += [(f"gamma {v}", g) for v, g in self.gammas]
+    def __new__(cls, ring: RingDescriptor, rank: int,
+                connection: SeriesMatrix | None = None, gammas: tuple = (),
+                frobenius: SeriesMatrix | None = None):
+        named = [("connection", connection), ("frobenius", frobenius)]
+        named += [(f"gamma {v}", g) for v, g in gammas]
         for what, m in named:
-            if m is not None and (m.nrows, m.ncols) != (self.rank, self.rank):
+            if m is not None and (m.nrows, m.ncols) != (rank, rank):
                 raise ValueError(f"{what} is {m.nrows}x{m.ncols}, "
-                                 f"not {self.rank}x{self.rank}")
-        if self.ring.is_robba():
-            if self.connection is None:
+                                 f"not {rank}x{rank}")
+        if ring.is_robba():
+            if connection is None:
                 raise ValueError("robba-kind module needs the dlog matrix N")
-            if self.gammas:
+            if gammas:
                 raise ValueError("a robba-kind module takes no gamma")
         else:
-            if self.connection is not None:
-                raise ValueError(f"a {self.ring.kind} module takes no "
+            if connection is not None:
+                raise ValueError(f"a {ring.kind} module takes no "
                                  "connection")
-            for v, _ in self.gammas:
-                if v not in self.ring.variables:
+            for v, _ in gammas:
+                if v not in ring.variables:
                     raise ValueError(f"unknown variable {v}")
-        if self.frobenius is not None:
+        if frobenius is not None:
             # the induced map sigma* M -> M must be invertible at precision
-            invert_series(self.frobenius.det())
+            invert_series(frobenius.det())
+        return tuple.__new__(cls, (ring, rank, connection, gammas, frobenius))
+
+    def _replace(self, **changes) -> "SigmaNablaModule":
+        return SigmaNablaModule(**{**self._asdict(), **changes})
 
     def gamma(self, var: str) -> SeriesMatrix:
         for v, g in self.gammas:
@@ -192,15 +200,15 @@ class SigmaNablaModule:
 
     def dual(self) -> "SigmaNablaModule":
         if self.ring.is_robba():
-            return replace(self, connection=self.connection.transpose().map(Series.neg),
-                           frobenius=None)
-        return replace(self, gammas=tuple(
+            return self._replace(
+                connection=self.connection.transpose().map(Series.neg),
+                frobenius=None)
+        return self._replace(gammas=tuple(
             (v, g.transpose().map(Series.neg)) for v, g in self.gammas),
             frobenius=None)
 
 
-@dataclass(frozen=True)
-class ModuleVector:
+class ModuleVector(NamedTuple):
     module: SigmaNablaModule
     coords: tuple  # length-rank tuple of Series
 

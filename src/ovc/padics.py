@@ -10,8 +10,8 @@ precision", so the flag is never silently dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonUnitError, PrimeError
 
@@ -57,25 +57,35 @@ def is_power(q: int, p: int) -> bool:
     return q >= p and p ** int_valuation(q, p) == q
 
 
-@dataclass(frozen=True)
-class PadicApprox:
+class _PadicFields(NamedTuple):
     prime: int
     unit: int          # in [0, p^prec), coprime to p; 0 only for zeros
     val: int | None    # None encodes +infinity
     prec: int          # digits of the unit known; for limited zeros, the floor
-    limited: bool = False
+    limited: bool
 
-    def __post_init__(self):
-        if self.val is None:
-            if self.unit != 0:
+
+class PadicApprox(_PadicFields):
+    """An immutable tuple of the fields of ``_PadicFields``; every
+    construction, ``_replace`` included, checks them."""
+    __slots__ = ()
+
+    def __new__(cls, prime: int, unit: int, val: int | None, prec: int,
+                limited: bool = False):
+        if val is None:
+            if unit != 0:
                 raise ValueError("zero element must have unit 0")
         else:
-            if self.prec < 1:
+            if prec < 1:
                 raise ValueError("precision must be >= 1")
-            if self.unit % self.prime == 0:
+            if unit % prime == 0:
                 raise ValueError("unit residue divisible by p")
-            if not 0 < self.unit < self.prime ** self.prec:
+            if not 0 < unit < prime ** prec:
                 raise ValueError("unit residue out of range")
+        return tuple.__new__(cls, (prime, unit, val, prec, limited))
+
+    def _replace(self, **changes) -> "PadicApprox":
+        return PadicApprox(**{**self._asdict(), **changes})
 
     # -- constructors ------------------------------------------------------
 

@@ -11,7 +11,7 @@ factor -t^(-2), so the pairing reduces to matching the exponent vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import (
     ChainVector,
@@ -73,8 +73,7 @@ def apply_complex_map(cc: ComplexCohomology, degree: int,
     return ChainVector(dst, {l: c for l, c in out.items() if not c.is_exact_zero()})
 
 
-@dataclass(frozen=True)
-class PairingBlock:
+class PairingBlock(NamedTuple):
     degree_c: int            # compact-support degree n+i
     degree_mw: int           # line-side degree n-i
     dim_c: int
@@ -82,8 +81,7 @@ class PairingBlock:
     rank: int
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     blocks: tuple
     nondegenerate: bool
 

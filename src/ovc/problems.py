@@ -42,7 +42,6 @@ reproducible.  Malformed input raises ParseError carrying the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -116,17 +115,17 @@ COMMANDS = {
 }
 
 
-@dataclass
 class ProblemFile:
-    p: int
-    M: int
-    q: int
-    rings: dict = field(default_factory=dict)
-    series: dict = field(default_factory=dict)
-    matrices: dict = field(default_factory=dict)
-    modules: dict = field(default_factory=dict)
-    vectors: dict = field(default_factory=dict)
-    command: tuple = ()          # (name, resolved args, resolved options)
+    """The header values and, filled in by the parser, the name tables and
+    the command."""
+    __slots__ = ("p", "M", "q", "rings", "series", "matrices", "modules",
+                 "vectors", "command")
+
+    def __init__(self, p: int, M: int, q: int):
+        self.p, self.M, self.q = p, M, q
+        self.rings, self.series, self.matrices = {}, {}, {}
+        self.modules, self.vectors = {}, {}
+        self.command = ()       # (name, resolved args, resolved options)
 
 
 # -- token readers ------------------------------------------------------------

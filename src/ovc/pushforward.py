@@ -24,7 +24,6 @@ original as it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -46,17 +45,18 @@ from .unipotent import h0_h1_unipotent, strongly_unipotent_basis
 
 # -- class spaces: generators + boundary solver -----------------------------------
 
-@dataclass
 class ClassSpace:
     """A computed cohomology node: generator vectors in ambient coordinates
     plus the incoming boundary matrix, packaged so that arbitrary ambient
     vectors can be expressed as classes."""
-    ambient_dim: int
-    generators: list          # sparse int vectors {row: value * p^shift}
-    p: int
-    N: int
-    shift: int
-    boundary_cols: Entries    # the incoming map as stored, column by column
+
+    def __init__(self, ambient_dim: int, generators: list, p: int, N: int,
+                 shift: int, boundary_cols: Entries):
+        self.ambient_dim = ambient_dim
+        self.generators = generators  # sparse int vectors {row: value * p^shift}
+        self.p, self.N, self.shift = p, N, shift
+        # the incoming map as stored, column by column
+        self.boundary_cols = boundary_cols
 
     @cached_property
     def _solver(self):
@@ -101,13 +101,17 @@ def _class_space(gens: list, space, p: int, M: int,
 
 # -- the bundle --------------------------------------------------------------------
 
-@dataclass
 class PushforwardBundle:
-    module: SigmaNablaModule
-    nodes: dict               # name -> ClassSpace
-    maps: dict                # name -> small int matrix as list of columns
-    r1prim_dim: int | None    # rank of maps["delta"] if it landed, else None
-    note: str
+    __slots__ = ("module", "nodes", "maps", "r1prim_dim", "note")
+
+    def __init__(self, module: SigmaNablaModule, nodes: dict, maps: dict,
+                 r1prim_dim: int | None, note: str):
+        self.module = module
+        self.nodes = nodes    # name -> ClassSpace
+        self.maps = maps      # name -> small int matrix as list of columns
+        # rank of maps["delta"] if it landed, else None
+        self.r1prim_dim = r1prim_dim
+        self.note = note
 
     def dims(self) -> dict:
         order = ("r0f", "r1f", "r0loc", "r1loc", "r1shriek", "r2shriek")
@@ -262,14 +266,16 @@ def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:
     it was."""
     r1f = bundle.nodes["r1f"]
     # ambient index of the top-degree monomial form on the last component
-    nodes = dict(bundle.nodes, r1f=replace(
-        r1f, generators=r1f.generators + [{r1f.ambient_dim - 1: 1}]))
+    nodes = dict(bundle.nodes, r1f=ClassSpace(
+        r1f.ambient_dim, r1f.generators + [{r1f.ambient_dim - 1: 1}], r1f.p,
+        r1f.N, r1f.shift, r1f.boundary_cols))
     maps = dict(bundle.maps)
     if maps["delta"] is not None:
         maps["delta"] = [tuple(col) + (0,) for col in maps["delta"]]
     if maps["to_loc1"] is not None:
         maps["to_loc1"] = maps["to_loc1"] + [(0,) * nodes["r1loc"].dim]
-    return replace(bundle, nodes=nodes, maps=maps)
+    return PushforwardBundle(bundle.module, nodes, maps, bundle.r1prim_dim,
+                             bundle.note)
 
 
 class Verdict(NamedTuple):
@@ -311,8 +317,7 @@ def snake_check(bundle: PushforwardBundle) -> list[Verdict]:
 
 # -- Leray assembly over a one-variable base -----------------------------------
 
-@dataclass(frozen=True)
-class LerayReport:
+class LerayReport(NamedTuple):
     fiber_kernel_rank: int        # rank of P over the base
     fiber_coker_rank: int         # rank of Q over the base
     dims_P: dict
@@ -350,7 +355,7 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     # fiber-line module over the base field
     hx = ring.window[fi][1]
     hy = ring.window[bi][1]
-    fiber_ring = replace(ring, variables=(fiber,), window=((0, hx),))
+    fiber_ring = ring._replace(variables=(fiber,), window=((0, hx),))
 
     def restrict(s: Series) -> Series:
         return Series.make(fiber_ring,
@@ -362,7 +367,7 @@ def leray_assemble(module: SigmaNablaModule, fiber: str, base: str
     fib = mw_cohomology(line_module)
 
     # P (j = 0) and Q (j = 1), both built before either is reduced
-    base_ring = replace(ring, variables=(base,), window=((0, hy),))
+    base_ring = ring._replace(variables=(base,), window=((0, hy),))
     induced = [_induced_base_module(module, fi, bi, fib, j, base_ring)
                for j in (0, 1)]
     dims_P, dims_Q = [mw_cohomology(m).report.dims() if m else {0: 0, 1: 0}

@@ -19,8 +19,8 @@ complex's truncation loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousResidueError,
@@ -41,53 +41,63 @@ _KINDS = (TATE, DAGGER, ROBBA, ROBBA_PLUS)
 _ROBBA_KINDS = (ROBBA, ROBBA_PLUS)
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
-    """Shape of a windowed series ring.
-
-    ``variables`` are the ring's own variables (Tate variables for tate /
-    dagger kinds, the annulus variables for robba kinds).
-    """
-
+class _RingFields(NamedTuple):
     kind: str
     variables: tuple[str, ...]
     window: tuple[tuple[int, int], ...]
     prime: int
     precision: int
-    q: int = 0                      # Frobenius parameter; 0 means "= p"
-    decay: int | None = None        # fringe decay D, rho = p^(1/D); dagger
-    slope: Fraction | None = None   # robba kinds
+    q: int                  # Frobenius parameter; 0 means "= p"
+    decay: int | None       # fringe decay D, rho = p^(1/D); dagger
+    slope: Fraction | None  # robba kinds
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if not self.variables:
+
+class RingDescriptor(_RingFields):
+    """Shape of a windowed series ring: an immutable tuple of the fields of
+    ``_RingFields``, checked on every construction, ``_replace`` included.
+
+    ``variables`` are the ring's own variables (Tate variables for tate /
+    dagger kinds, the annulus variables for robba kinds).
+    """
+    __slots__ = ()
+
+    def __new__(cls, kind: str, variables: tuple, window: tuple, prime: int,
+                precision: int, q: int = 0, decay: int | None = None,
+                slope: Fraction | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if not variables:
             raise ValueError("a ring needs at least one variable")
-        if len(self.window) != len(self.variables):
+        if len(window) != len(variables):
             raise ValueError("window/variable arity mismatch")
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.precision < 1:
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if precision < 1:
             raise ValueError("precision must be >= 1")
-        for lo, hi in self.window:
+        for lo, hi in window:
             if lo > hi:
                 raise ValueError("empty window")
-        if self.kind in (TATE, DAGGER, ROBBA_PLUS):
-            for lo, hi in self.window:
+        if kind in (TATE, DAGGER, ROBBA_PLUS):
+            for lo, hi in window:
                 if lo != 0:
-                    raise ValueError(f"{self.kind} window must start at 0")
-        if self.kind in _ROBBA_KINDS:
-            if self.slope is None or self.slope <= 0:
+                    raise ValueError(f"{kind} window must start at 0")
+        if kind in _ROBBA_KINDS:
+            if slope is None or slope <= 0:
                 raise ValueError("robba kinds need a positive slope")
-        elif self.slope is not None:
-            raise ValueError(f"a {self.kind} ring has no slope")
-        if self.decay is not None:
-            if self.kind != DAGGER:
-                raise ValueError(f"a {self.kind} ring has no decay")
-            if self.decay < 1:
+        elif slope is not None:
+            raise ValueError(f"a {kind} ring has no slope")
+        if decay is not None:
+            if kind != DAGGER:
+                raise ValueError(f"a {kind} ring has no decay")
+            if decay < 1:
                 raise ValueError("decay must be >= 1")
-        if self.q and not is_power(self.q, self.prime):
+        if q and not is_power(q, prime):
             raise ValueError("q must be a power of p")
+        return tuple.__new__(cls, (kind, variables, window, prime, precision,
+                                   q, decay, slope))
+
+    def _replace(self, **changes) -> "RingDescriptor":
+        return RingDescriptor(**{**self._asdict(), **changes})
 
     @property
     def qeff(self) -> int:
@@ -136,14 +146,12 @@ def _vanishes(pairs, digits: int) -> bool:
     return least is None or least >= digits
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(NamedTuple):
     value: Fraction | int | None   # None encodes +infinity
     uncertain: bool = False        # a limited zero could dominate
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """A windowed series: finite map exponent -> PadicApprox coefficient."""
 
     descriptor: RingDescriptor

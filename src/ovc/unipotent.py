@@ -10,8 +10,8 @@ H^0/H^1 from the kernel and cokernel of X on constant vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cohomology import CohomologyReport, DegreeData
 from .errors import BadCertificateError, PrecisionError
@@ -22,8 +22,7 @@ from .series import Series, _vanishes, dlog_antiderivative, t_d_dt, \
     w_slope
 
 
-@dataclass(frozen=True)
-class UnipotentData:
+class UnipotentData(NamedTuple):
     module: SigmaNablaModule
     change_of_basis: SeriesMatrix     # U: new basis = old basis * U
     nilpotent_X: tuple                # rank x rank PadicApprox constants
@@ -154,8 +153,7 @@ def bounddenom(m: int, l: int, e: int, p: int, verify: bool = False):
 
 # -- horizontal sections --------------------------------------------------------
 
-@dataclass(frozen=True)
-class IterationLog:
+class IterationLog(NamedTuple):
     steps: list                     # w_slope values of successive differences
     headroom_used: int
     result: ModuleVector

@@ -1,7 +1,6 @@
 """Pushforward bundles, the six-term sequence, and the Leray assembly."""
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -299,8 +298,8 @@ def test_pinned_leray_output():
     assert all(rep.fiber_coker_rank == 1 for rep in outcomes.values()
                if isinstance(rep, LerayReport))
     # the pins were taken with each verdict a plain (node, passed, detail)
-    plain = {key: replace(rep, node_verdicts=tuple(map(tuple,
-                                                       rep.node_verdicts)))
+    plain = {key: rep._replace(node_verdicts=tuple(map(tuple,
+                                                      rep.node_verdicts)))
              if isinstance(rep, LerayReport) else rep
              for key, rep in outcomes.items()}
     assert {key: _digest(rep) for key, rep in plain.items()} \

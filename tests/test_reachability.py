@@ -9,7 +9,8 @@ exempt, since Python calls them itself.
 
 The same holds one level down: every optional parameter is passed by some
 call, no parameter gets the same literal from every call, every parameter is
-read by its function, and every field of a dataclass or ``NamedTuple`` class
+read by its function, and every field of a record class (a dataclass, a
+``NamedTuple`` class or a plain class with slots or ``__init__`` attributes)
 is read as an attribute, so a value nothing sets or reads does not stay.
 Every name a module of ``src/ovc``, ``tests`` or ``scripts`` imports is used
 in that module."""
@@ -114,11 +115,7 @@ def test_names_come_from_code_not_prose(tmp_path):
 # read's own class (``_field_reads``), so it may flag a field that is read.
 
 # Optional parameters that no call passes, kept on purpose.
-UNPASSED_ALLOWED = {
-    **{f"ProblemFile.__init__({name})": "filled by the parser after "
-       "construction" for name in ("rings", "series", "matrices", "modules",
-                                   "vectors", "command")},
-}
+UNPASSED_ALLOWED: dict[str, str] = {}
 
 # Parameters that every call passes the same literal to, kept on purpose.
 CONSTANT_ALLOWED = {
@@ -132,13 +129,20 @@ CONSTANT_ALLOWED = {
 }
 
 # Parameters that their function never reads, kept on purpose.
-UNREAD_ALLOWED: dict[str, str] = {}
+UNREAD_ALLOWED = {
+    "ChainSpace.__setattr__(value)": "a frozen record refuses every value "
+                                     "Python passes it",
+}
 
-# Dataclass fields read only by tests, kept on purpose.
+# Record fields read only by tests, kept on purpose.
 UNREAD_FIELDS_ALLOWED = {
     "ComplexData.floors": "precision floor of a vanished entry, for the "
                           "floor-limited certification of ROADMAP item 2",
     "NormResult.uncertain": "the flag that a norm rests on a limited zero",
+    "ParseError.line": "the line tests check; the message carries it too",
+    "_RingFields.decay": "checked on construction and compared with the "
+                         "ring; nothing reads the fringe decay yet (ROADMAP "
+                         "item 7)",
 }
 
 
@@ -149,7 +153,7 @@ UNREAD_FIELDS_ALLOWED = {
 # this list.
 SHARED_FIELDS = {"M", "N", "command", "descriptor", "detail", "generators",
                  "kind", "matrices", "module", "p", "passed", "prime", "q",
-                 "rank", "slope"}
+                 "rank", "rows", "slope"}
 
 
 def _trees(paths):
@@ -215,15 +219,26 @@ def _field_param(item):
     return True, v
 
 
+def _constructs(node):
+    """Whether a class writes its own ``__init__`` or ``__new__``."""
+    return any(isinstance(item, ast.FunctionDef)
+               and item.name in ("__init__", "__new__") for item in node.body)
+
+
 def _signatures(tree, family):
     """(qualified name, names a call goes by, lines of its own body,
     parameters as (name, position or None for keyword-only, line, default
     or None)) of every def of a tree and of the ``__init__`` each dataclass
-    without a written one generates: its fields are its parameters in
-    order, those with a default optional."""
+    or ``NamedTuple`` class without a written ``__init__`` or ``__new__``
+    generates: its fields are its parameters in order, those with a default
+    optional.  A call of a class goes by a written ``__init__`` or
+    ``__new__`` of it or of a base, and by the generated one of it or of a
+    base unless the class writes its own."""
+    written = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and _constructs(node)}
     for qual, fn, bound in _defs(tree):
         names = {fn.name}
-        if fn.name == "__init__" and "." in qual:
+        if fn.name in ("__init__", "__new__") and "." in qual:
             names |= family.get(qual.split(".")[-2], set())
         a = fn.args
         positional = a.posonlyargs + a.args
@@ -234,18 +249,18 @@ def _signatures(tree, family):
                    for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
         yield qual, names, (fn.lineno, fn.end_lineno), params
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)) or \
-                any(isinstance(item, ast.FunctionDef)
-                    and item.name == "__init__" for item in node.body):
+        if not (isinstance(node, ast.ClassDef) and _is_annotated(node)) \
+                or node.name in written:
             continue
         fields = [(item.target.id, item.lineno, *_field_param(item))
                   for item in node.body if isinstance(item, ast.AnnAssign)
                   and isinstance(item.target, ast.Name)]
         params = [(name, line, default)
                   for name, line, init, default in fields if init]
-        yield (f"{node.name}.__init__", family.get(node.name, {node.name}),
-               (0, -1), [(name, k, line, default) for k, (name, line, default)
-                         in enumerate(params)])
+        names = {node.name} | (family.get(node.name, set()) - written)
+        yield (f"{node.name}.__init__", names, (0, -1),
+               [(name, k, line, default) for k, (name, line, default)
+                in enumerate(params)])
 
 
 def _parameter_calls(def_paths, code_paths):
@@ -328,21 +343,69 @@ def _is_dataclass(node):
                for d in node.decorator_list)
 
 
-def _is_record(node):
-    """A dataclass or a ``NamedTuple`` class: its fields are attributes."""
+def _is_annotated(node):
+    """A dataclass or a ``NamedTuple`` class: its annotated names are its
+    fields."""
     return _is_dataclass(node) or any(_name(b) == "NamedTuple"
                                       for b in node.bases)
 
 
+def _set_on(node, me):
+    """The attribute an AST node sets on the name ``me``: an assignment to
+    ``me.attr``, or ``object.__setattr__(me, "attr", ...)``; else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+            and isinstance(node.value, ast.Name) and node.value.id == me:
+        return node.attr
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "__setattr__" \
+            and _name(node.func.value) == "object" and len(node.args) > 1 \
+            and isinstance(node.args[0], ast.Name) and node.args[0].id == me \
+            and isinstance(node.args[1], ast.Constant):
+        return node.args[1].value
+    return None
+
+
+def _plain_fields(node):
+    """(field, line) of the names a plain class lists in ``__slots__`` and
+    of those its ``__init__`` sets on its first parameter (``_set_on``)."""
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(
+                _name(t) == "__slots__" for t in item.targets):
+            v = item.value
+            for x in v.elts if isinstance(v, (ast.Tuple, ast.List)) else [v]:
+                if isinstance(x, ast.Constant) and isinstance(x.value, str) \
+                        and not x.value.startswith("__"):
+                    yield x.value, x.lineno
+        elif isinstance(item, ast.FunctionDef) and item.name == "__init__" \
+                and item.args.args:
+            me = item.args.args[0].arg
+            for n in ast.walk(item):
+                attr = _set_on(n, me)
+                if attr:
+                    yield attr, n.lineno
+
+
 def _fields(tree):
-    """(class name, field, line) of every field of a dataclass or of a
-    ``NamedTuple`` class."""
+    """(class name, field, line) of every field of a record class: the
+    annotated names of a dataclass or of a ``NamedTuple`` class, the slots
+    and ``__init__`` attributes of any other class (``_plain_fields``).  A
+    class derived from a record class holds its base's fields too; they
+    are listed once, on the base, and ``_field_reads`` counts a read
+    through the derived class for the base."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and _is_record(node):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(
-                        item.target, ast.Name):
-                    yield node.name, item.target.id, item.lineno
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_annotated(node):
+            found = [(item.target.id, item.lineno) for item in node.body
+                     if isinstance(item, ast.AnnAssign)
+                     and isinstance(item.target, ast.Name)]
+        else:
+            found = sorted(_plain_fields(node), key=lambda f: f[1])
+        seen = set()
+        for name, line in found:
+            if name not in seen:
+                seen.add(name)
+                yield node.name, name, line
 
 
 def _read(node):
@@ -385,42 +448,49 @@ def _scope(fn, clear, cls, family):
 def _field_reads(tree, owners, family, positions):
     """(class, field) of every read of a tree that counts.  A read counts
     for the classes its receiver may have: those of ``_scope`` when its
-    class is clear, else every class with a field of that name.  It does
-    not count for class C when it lies inside the argument that a call of
-    C, of ``C.make`` or of ``replace`` on a C passes to the field of its
-    name, by keyword or by position in the signature ``_signatures``
-    gives; ``replace`` on an object whose class is not clear counts as
-    replace on each class with that field."""
+    class is clear, with their bases and derived classes, else every class
+    with a field of that name.  It does not count for class C when it lies
+    inside the argument that a call of C or of a class derived from C, of
+    ``C.make``, or of ``replace`` or ``_replace`` on a C passes to the
+    field of its name, by keyword or by position in the signature
+    ``_signatures`` gives; ``replace`` on an object whose class is not
+    clear counts as replace on each class with that field."""
+    bases = {c: {b for b, kin in family.items() if c in kin} for c in family}
+
     def classes(receiver, clear, field):
         if isinstance(receiver, ast.Name) and receiver.id in clear:
-            return {c for c in family[clear[receiver.id]]
+            kin = clear[receiver.id]
+            return {c for c in family[kin] | bases[kin]
                     if c in owners.get(field, ())}
         return owners.get(field, set())
 
     def into(call, clear):
         """{id of an argument or keyword: (field, classes)} of the fields
         a creating call fills."""
-        f, made = call.func, None
+        f, made, copied = call.func, None, None
         if _name(f) in family:
             made = _name(f)
-            order = positions.get(f"{made}.__init__", [])
+            order = positions.get(f"{made}.__init__") \
+                or positions.get(f"{made}.__new__", [])
         elif isinstance(f, ast.Attribute) and f.attr == "make" \
                 and _name(f.value) in family:
             made = _name(f.value)
             order = positions.get(f"{made}.make", [])
         elif _name(f) == "replace" and call.args:
-            order = []
+            order, copied = [], call.args[0]
+        elif isinstance(f, ast.Attribute) and f.attr == "_replace":
+            order, copied = [], f.value
         else:
             return {}
         out = {}
         for k in call.keywords:
             if k.arg:
-                out[id(k)] = k.arg, {made} if made else classes(
-                    call.args[0], clear, k.arg)
+                out[id(k)] = k.arg, bases[made] if made else classes(
+                    copied, clear, k.arg)
         for x, name in zip(call.args, order):
             if isinstance(x, ast.Starred):
                 break
-            out[id(x)] = name, {made}
+            out[id(x)] = name, bases[made]
         return out
 
     found = set()
@@ -448,7 +518,7 @@ def _field_reads(tree, owners, family, positions):
 
 
 def _unread_fields(def_paths, code_paths):
-    """Dataclass fields that no code reads as an attribute, directly or by
+    """Record fields that no code reads as an attribute, directly or by
     ``getattr`` with a literal name, by the rules of ``_field_reads``."""
     defs = _trees(def_paths)
     owners: dict[str, set] = {}
@@ -712,3 +782,62 @@ def test_field_guard_reads_by_receiver_and_destination(tmp_path):
                                              "c): return c.loss"))
     assert _unread_fields([path], [path]) == [
         "sample.py:4 Ring.q", "sample.py:5 Ring.size"]
+
+
+def test_field_guard_sees_plain_records(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Slotted:\n"
+        "    __slots__ = ('read', 'unread')\n"
+        "    def __init__(self, read): self.read = read\n"
+        "class Plain:\n"
+        "    def __init__(self, a, b):\n"
+        "        self.a, self.spare = a, b\n"
+        "        self.cache: dict = {}\n"
+        "    def size(self): return len(self.cache)\n"
+        "class Frozen:\n"
+        "    def __init__(self, x, unset):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "        object.__setattr__(self, 'unset', unset)\n"
+        "    def __setattr__(self, name, value): raise AttributeError(name)\n"
+        "def use(s: Slotted, p: Plain, f: Frozen):\n"
+        "    return s.read, p.a, f.x, Frozen(0, f.unset)\n")
+    # Frozen.unset is read only into a new Frozen's field of that name
+    assert _unread_fields([path], [path]) == [
+        "sample.py:2 Slotted.unread", "sample.py:6 Plain.spare",
+        "sample.py:12 Frozen.unset"]
+    assert _shared_fields([path]) == set()
+
+
+def test_field_guards_see_named_tuple_subclasses(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from typing import NamedTuple\n"
+        "class _Fields(NamedTuple):\n"
+        "    size: int\n"
+        "    kind: str\n"
+        "    spare: int\n"
+        "class Checked(_Fields):\n"
+        "    __slots__ = ()\n"
+        "    def __new__(cls, size, kind, spare=0):\n"
+        "        return tuple.__new__(cls, (size, kind, spare))\n"
+        "    def grown(self): return self._replace(size=self.size + 1)\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int = 0\n"
+        "def relabel(c: Checked): return Checked(c.size, c.kind)\n"
+        "def kind(c: Checked, p: Pair): return c.kind, p.left, p.right\n"
+        "Checked(1, 'a', spare=2); Pair(1)\n")
+    # the fields sit on the base: a read through the derived class counts
+    # for it, a read into a copy of the derived class does not
+    assert _unread_fields([path], [path]) == [
+        "sample.py:3 _Fields.size", "sample.py:5 _Fields.spare"]
+    # a call of the derived class binds its __new__, and a NamedTuple class
+    # generates a constructor of its fields
+    assert _unpassed([path], [path]) == ["sample.py:13 Pair.__init__(right)"]
+    path.write_text(path.read_text().replace("spare=2", "2"))
+    assert _unpassed([path], [path]) == ["sample.py:13 Pair.__init__(right)"]
+    path.write_text(path.read_text().replace("'a', 2)", "'a')"))
+    assert _unpassed([path], [path]) == [
+        "sample.py:8 Checked.__new__(spare)",
+        "sample.py:13 Pair.__init__(right)"]
