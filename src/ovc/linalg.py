@@ -21,6 +21,13 @@ column with no entry at its level takes a gcd, to find the level it moves to.
 The reduction holds the matrix twice, as a list of rows and a list of
 columns indexed by position, each a sparse ``{index: value}`` map made when
 it gets its first entry and released when it pivots.
+A matrix to eliminate whose every row holds at most one entry (shape R), or
+every column (shape C), cannot fill, so it is reduced in one pass over its
+entries and no map is built.  Its columns pivot in (level, column) order:
+in shape R each at its least valuation on its lowest row of that
+valuation, in shape C each on its one row unless an earlier column took
+it.  Row ops then clear a shape-R pivot's column and column ops a shape-C
+pivot's row, in the line's stored order, as the loop logs them.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
@@ -40,6 +47,7 @@ from __future__ import annotations
 import sys
 from itertools import compress, count
 from math import gcd
+from operator import itemgetter
 
 from .padics import int_valuation
 
@@ -273,7 +281,100 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     transposed first first).  A and A^T have the same Smith divisors, so
     only the SNF invariants are promised: the divisors, the rank at every
     cutoff, the gap and the sizes of the free lists.
+
+    Before any map is built, one pass over the entries checks whether every
+    row of the matrix to eliminate (the caller's, or its transpose when
+    untracked) holds at most one nonzero entry (shape R) or every column
+    does (shape C); it stops at the first row and the first column met
+    twice.  Such a matrix cannot fill.  In shape R a pivot row has no other
+    entry, so clearing a column only deletes entries; in shape C no column
+    ever gains one.  So no column changes before its turn, the columns
+    pivot in (level, column) order, and the result, logs and their order
+    included, is read off the entry lists as the loop would build it:
+
+    - shape R: column c pivots at its least valuation v, on its lowest row
+      r of that valuation, with x_r = u p^v.  The row log gets ("rs", r,
+      u^-1) when u != 1, then ("ra", r, rr, -x_rr/p^v mod p^N) for each
+      other entry of the column, in stored order; there are no column ops;
+    - shape C: column c pivots on its one row r unless a column earlier in
+      that order took it, and the row's other columns are then emptied.
+      The row log gets the scaling as in shape R; the column log gets
+      ("ca", c, cc, -(y u^-1 mod p^N)/p^v mod p^N) for each other entry
+      (cc, y) of row r, in stored order.
     """
+    return (_one_pass(nrows, ncols, entries, p, N, track, logs)
+            or _eliminate(nrows, ncols, entries, p, N, track, logs))
+
+
+def _one_pass(nrows: int, ncols: int, entries: Entries, p: int, N: int,
+              track: bool, logs: str) -> SnfResult | None:
+    """``sparse_snf`` read straight off the entry lists, when every row or
+    every column of the matrix it eliminates holds at most one entry; None,
+    at the first row and the first column met twice, when neither holds."""
+    mod = p ** N
+    level = {p ** e: e for e in range(N)}
+    rows, cols, m, n = entries.rows, entries.cols, nrows, ncols
+    if not track:
+        rows, cols, m, n = cols, rows, n, m
+    seen = bytearray(m)
+    best: list = [None] * n     # a column's pivot: its least (level, row)
+    one_per_row = one_per_col = True
+    for r, c, x in zip(rows, cols, entries.vals):
+        e = 0 if x % p else level.get(gcd(x, mod))
+        if e is None:           # x vanishes mod p^N
+            continue
+        if seen[r]:
+            if not one_per_col:
+                return None
+            one_per_row = False
+        seen[r] = 1
+        there = best[c]
+        if there is None:
+            best[c] = (r, c, e)
+        elif not one_per_row:
+            return None
+        else:
+            one_per_col = False
+            if e < there[2] or e == there[2] and r < there[0]:
+                best[c] = (r, c, e)
+    # columns in (level, column) order, each on its row unless taken
+    pivots = list(filter(None, best if track else reversed(best)))
+    pivots.sort(key=itemgetter(2))
+    if not one_per_row:
+        first: dict = {}
+        for pivot in pivots:
+            first.setdefault(pivot[0], pivot)
+        pivots = list(first.values())
+    # one entry per row: row ops clear the pivot's column; one per column:
+    # column ops clear its row; either way in the line's stored order
+    log_u, log_v = track and "U" in logs, track and "V" in logs
+    row_ops, col_ops = [], []
+    if log_u or log_v and not one_per_row:
+        lines: dict = {}
+        for r, c, x in zip(rows, cols, entries.vals):
+            if x % mod:
+                key, own = (c, r) if one_per_row else (r, c)
+                lines.setdefault(key, []).append((own, x % mod))
+        for r, c, e in pivots:
+            pe = p ** e
+            own, line = (r, lines[c]) if one_per_row else (c, lines[r])
+            u = dict(line)[own] // pe
+            uinv = pow(u, -1, mod)
+            if log_u and u != 1:
+                row_ops.append(("rs", r, uinv))
+            if one_per_row and log_u:
+                row_ops += [("ra", r, rr, -(y // pe) % mod)
+                            for rr, y in line if rr != r]
+            elif not one_per_row and log_v:
+                col_ops += [("ca", c, cc, -(y * uinv % mod // pe) % mod)
+                            for cc, y in line if cc != c]
+    return _result(nrows, ncols, p, N, pivots, row_ops, col_ops, track,
+                   "U" * log_u + "V" * log_v)
+
+
+def _eliminate(nrows: int, ncols: int, entries: Entries, p: int, N: int,
+               track: bool, logs: str) -> SnfResult:
+    """``sparse_snf`` by the level loop on row and column maps."""
     mod = p ** N
     by_row: list[dict[int, int] | None] = [None] * nrows
     by_col: list[dict[int, int] | None] = [None] * ncols
@@ -385,12 +486,20 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                     row_ops.append(("ra", r, rr, -m % mod))
             pivots.append((r, c, level))
 
-    if flip:
+    return _result(nrows, ncols, p, N, pivots, row_ops, col_ops, track,
+                   "U" * log_u + "V" * log_v)
+
+
+def _result(nrows: int, ncols: int, p: int, N: int, pivots: list,
+            row_ops: list, col_ops: list, track: bool,
+            logs: str) -> SnfResult:
+    """The result of reducing an ``nrows`` x ``ncols`` matrix, or untracked
+    its transpose, at ``pivots``."""
+    if not track:
         pivots = [(r, c, e) for c, r, e in pivots]
     free_rows, free_cols = bytearray([1]) * nrows, bytearray([1]) * ncols
     for r, c, _ in pivots:
         free_rows[r] = free_cols[c] = 0
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
                      list(compress(range(ncols), free_cols)),
-                     list(compress(range(nrows), free_rows)), track,
-                     "U" * log_u + "V" * log_v)
+                     list(compress(range(nrows), free_rows)), track, logs)

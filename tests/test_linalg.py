@@ -8,9 +8,12 @@ from math import gcd
 
 import pytest
 
+from ovc import cohomology, linalg
 from ovc.acceptance import TATE, trivial_module
-from ovc.cohomology import _paired_columns, compact_complex, mw_complex
-from ovc.linalg import Entries, digit_precision, sparse_snf
+from ovc.cohomology import (_paired_columns, compact_complex,
+                            complex_cohomology, mw_complex)
+from ovc.linalg import (Entries, SnfResult, _eliminate, _one_pass,
+                        digit_precision, sparse_snf)
 from ovc.modules import SeriesMatrix, SigmaNablaModule
 from ovc.padics import int_valuation
 from ovc.series import RingDescriptor, Series
@@ -465,20 +468,24 @@ def _pinned_matrices():
     return out
 
 
-def _plane_differentials(seed=5, window=8, p=3, M=20, g1=None):
-    """Both differentials of a seeded f(x)dx + g(y)dy plane module, as the
-    cohomology engine hands them to sparse_snf; ``g1``, when given, is the
-    coefficient of y in g."""
+def _plane_module(seed=5, window=8, p=3, M=20, g1=None):
+    """A seeded f(x)dx + g(y)dy plane module, the shape of the plane-fillin
+    benchmark's; ``g1``, when given, is the coefficient of y in g."""
     rng = random.Random(seed)
     ring = RingDescriptor(TATE, ("x", "y"), ((0, window),) * 2, p, M)
     f = {(i, 0): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
     g = {(0, i): rng.choice([1, 2, 4, 5, 7, 8]) for i in range(3)}
     if g1 is not None:
         g[(0, 1)] = g1
-    module = SigmaNablaModule(ring, 1, gammas=tuple(
+    return SigmaNablaModule(ring, 1, gammas=tuple(
         (v, SeriesMatrix.make(ring, [[Series.from_ints(ring, c)]]))
         for v, c in (("x", f), ("y", g))))
-    cdata = mw_complex(module)
+
+
+def _plane_differentials(seed=5, window=8, p=3, M=20, g1=None):
+    """Both differentials of ``_plane_module``, as the cohomology engine
+    hands them to sparse_snf."""
+    cdata = mw_complex(_plane_module(seed, window, p, M, g1))
     return [(cdata.spaces[idx + 1].dim, cdata.spaces[idx].dim, ints, p, N)
             for idx, (ints, (N, _)) in enumerate(zip(cdata.matrices,
                                                      cdata.scalings))]
@@ -669,3 +676,142 @@ def test_untracked_matches_tracked(args):
             == list(range(case[0]))
         assert sorted([c for _, c, _ in bare.pivots] + bare.free_cols) \
             == list(range(case[1]))
+
+
+# -- the one-pass path ---------------------------------------------------------
+#
+# A matrix to eliminate whose every row (shape R) or every column (shape C)
+# holds at most one entry is read off its entry lists by ``_one_pass``.  Its
+# result must be the elimination loop's in every field, op-log order
+# included, and ``_one_pass`` must decline every other matrix.
+
+RUNS = [(False, "UV")] + [(True, logs) for logs in ("UV", "U", "V", "")]
+
+
+def _fields(res) -> dict:
+    return {name: getattr(res, name) for name in SnfResult.__slots__}
+
+
+def lined_matrix(rng, p, N, m, n, shape) -> Entries:
+    """A seeded m x n matrix with at most one entry in each row (``shape``
+    "R"), in each column ("C"), or with no such bound ("U").  Values carry valuations
+    0..3 and may be zero, vanish mod p^N, be negative or unreduced; the
+    entries come in column order or shuffled."""
+    mod = p ** N
+
+    def value():
+        kind = rng.random()
+        if kind < 0.08:
+            return 0
+        if kind < 0.16:
+            return mod * rng.randint(-2, 2)
+        return (rng.randint(1, mod - 1) * p ** rng.choice([0, 0, 1, 2, 3])
+                + mod * rng.choice([0, 0, -1, -2, 1, 2]))
+
+    if shape == "R":
+        ent = {(r, rng.randrange(n)): value() for r in range(m)
+               if rng.random() < 0.8}
+    elif shape == "C":
+        ent = {(rng.randrange(m), c): value() for c in range(n)
+               if rng.random() < 0.8}
+    else:
+        ent = {(r, c): value() for r in range(m) for c in range(n)
+               if rng.random() < 0.3}
+    items = list(ent.items())
+    if rng.random() < 0.5:
+        items.sort(key=lambda item: item[0][::-1])
+    else:
+        rng.shuffle(items)
+    return triples(dict(items))
+
+
+def _lined_inputs():
+    """(m, n, entries, p, N): 90 matrices of each shape at p = 2, 3 and 5,
+    up to 10 x 10."""
+    rng = random.Random(43)
+    for p, N in ((2, 6), (3, 5), (5, 3)):
+        for shape in "RCU":
+            for _ in range(30):
+                m, n = rng.randint(1, 10), rng.randint(1, 10)
+                yield m, n, lined_matrix(rng, p, N, m, n, shape), p, N
+
+
+def _one_line_per_entry(entries, p, N, track) -> bool:
+    """Whether every row or every column of the matrix ``sparse_snf``
+    eliminates, the transpose when untracked, holds at most one entry."""
+    live = [(r, c) for r, c, x in zip(entries.rows, entries.cols,
+                                      entries.vals) if x % p ** N]
+    return len(live) in (len({r for r, _ in live}), len({c for _, c in live}))
+
+
+def test_one_pass_matches_the_loop():
+    taken = 0
+    for nrows, ncols, ent, p, N in _lined_inputs():
+        for track, logs in RUNS:
+            fast = _one_pass(nrows, ncols, ent, p, N, track, logs)
+            assert (fast is not None) \
+                == _one_line_per_entry(ent, p, N, track)
+            if fast is not None:
+                taken += 1
+                assert _fields(fast) == _fields(
+                    _eliminate(nrows, ncols, ent, p, N, track, logs))
+    # every run of the 180 matrices of shapes R and C is taken
+    assert taken >= 900
+
+
+def test_one_pass_matches_the_loop_on_trivial_maps():
+    for args in _trivial_differentials():
+        for track, logs in RUNS:
+            fast = _one_pass(*args, track, logs)
+            if fast is not None:
+                assert _fields(fast) == _fields(_eliminate(*args, track,
+                                                           logs))
+
+
+def _spied_calls(monkeypatch, cdata) -> list:
+    """(call, taken) for every sparse_snf call of ``complex_cohomology``:
+    call is ("map", j) for map j, ("restriction", j) for map j restricted to
+    the free rows of the map below, None for any other matrix.  Each result
+    of the one-pass path is checked against the loop's."""
+    calls, degrees = [], []
+    one_pass, extract = linalg._one_pass, cohomology._extract_generators
+
+    def spy(nrows, ncols, entries, p, N, track, logs):
+        res = one_pass(nrows, ncols, entries, p, N, track, logs)
+        if res is not None:
+            assert _fields(res) == _fields(_eliminate(nrows, ncols, entries,
+                                                      p, N, track, logs))
+        maps = [j for j, d in enumerate(cdata.matrices) if d is entries]
+        call = (("map", maps[0]) if maps else
+                ("restriction", degrees[-1]) if degrees else None)
+        calls.append((call, res is not None))
+        return res
+
+    def extracting(cdata, snfs, j, count):
+        degrees.append(j)
+        return extract(cdata, snfs, j, count)
+
+    monkeypatch.setattr(linalg, "_one_pass", spy)
+    monkeypatch.setattr(cohomology, "_extract_generators", extracting)
+    complex_cohomology(cdata)
+    monkeypatch.undo()
+    return calls
+
+
+def test_one_pass_reach(monkeypatch):
+    # trivial coefficients: every map and free-row restriction is taken in
+    # one pass but 3-space's middle map and its restriction, which fill
+    for build, nvars, window in ((mw_complex, 2, 12), (mw_complex, 3, 5),
+                                 (compact_complex, 2, 8)):
+        cdata = build(trivial_module(nvars, 3, 20, window))
+        calls = _spied_calls(monkeypatch, cdata)
+        fills = {("map", 1), ("restriction", 1)} if nvars == 3 else set()
+        assert {call for call, _ in calls} >= {("map", j) for j in
+                                               range(nvars)} | fills
+        assert any(call[0] == "restriction" for call, _ in calls)
+        assert all(taken == (call not in fills) for call, taken in calls)
+    # f(x)dx + g(y)dy planes, as plane-fillin reduces them: never taken
+    for seed in (1, 2, 3):
+        calls = _spied_calls(monkeypatch, mw_complex(
+            _plane_module(seed, 10, 3, 12)))
+        assert calls and not any(taken for _, taken in calls)
