@@ -694,9 +694,9 @@ def _fields(res) -> dict:
 
 def lined_matrix(rng, p, N, m, n, shape) -> Entries:
     """A seeded m x n matrix with at most one entry in each row (``shape``
-    "R"), in each column ("C"), or with no such bound ("U").  Values carry valuations
-    0..3 and may be zero, vanish mod p^N, be negative or unreduced; the
-    entries come in column order or shuffled."""
+    "R"), in each column ("C"), or with no such bound ("U").  Values carry
+    valuations 0..3 and may be zero, vanish mod p^N, be negative or
+    unreduced; the entries come in column order or shuffled."""
     mod = p ** N
 
     def value():
@@ -736,9 +736,9 @@ def _lined_inputs():
                 yield m, n, lined_matrix(rng, p, N, m, n, shape), p, N
 
 
-def _one_line_per_entry(entries, p, N, track) -> bool:
-    """Whether every row or every column of the matrix ``sparse_snf``
-    eliminates, the transpose when untracked, holds at most one entry."""
+def _one_line_per_entry(entries, p, N) -> bool:
+    """Whether every row or every column holds at most one entry that does
+    not vanish mod p^N, which does not change under transposition."""
     live = [(r, c) for r, c, x in zip(entries.rows, entries.cols,
                                       entries.vals) if x % p ** N]
     return len(live) in (len({r for r, _ in live}), len({c for _, c in live}))
@@ -750,7 +750,7 @@ def test_one_pass_matches_the_loop():
         for track, logs in RUNS:
             fast = _one_pass(nrows, ncols, ent, p, N, track, logs)
             assert (fast is not None) \
-                == _one_line_per_entry(ent, p, N, track)
+                == _one_line_per_entry(ent, p, N)
             if fast is not None:
                 taken += 1
                 assert _fields(fast) == _fields(
