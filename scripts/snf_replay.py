@@ -18,19 +18,21 @@ is still timed over many replays, and each side prints its median CPU time
 per replay over all its rounds.
 
 The calls replayed are the ones this checkout makes, each input copied and
-pickled as an ``ovc.linalg.Entries`` and each keyword (``track``, ``logs``)
-kept, so the other checkout's kernel must take that layout and those
-keywords: before any replay, each side's ``sparse_snf`` signature is
-checked, and a kernel that lacks a keyword the calls pass ends the script
-with one line naming it (exit 2).  A change that alters what the engine
-hands the kernel, rather than how the kernel reduces it, does not show
-here: measure it with ``scripts/bench_pairs.py`` and the traced
+pickled as an ``ovc.linalg.Entries`` and each keyword (``logs``) kept, so
+the other checkout's kernel must take that layout and those keywords:
+before any replay, each side's ``sparse_snf`` signature is checked, and a
+kernel that lacks a keyword the calls pass ends the script with one line
+naming it (exit 2).  So does a kernel that still takes ``track``: there
+``logs=None`` does not make a run rank-only.  A change that alters what the
+engine hands the kernel, rather than how the kernel reduces it, does not
+show here: measure it with ``scripts/bench_pairs.py`` and the traced
 ``linalg.snf_nnz``.
 
-With two sides, tracked results must agree field by field (pivots, row and
-column op logs, free lists), and rank-only results on the invariants a
-rank-only reduction promises: the divisors, the rank at every cutoff, the
-certification gap and the sizes of the free lists.  Exits 1 on any
+With two sides, tracked results (``logs`` not None) must agree field by
+field (pivots, row and column op logs, free lists), and rank-only results
+(``logs`` None) on the invariants a rank-only reduction promises: the
+divisors, the rank at every cutoff, the certification gap and the sizes of
+the free lists.  Exits 1 on any
 mismatch, or when the pass made no call at all.
 """
 
@@ -88,7 +90,7 @@ def capture(workload_name: str, seed: int) -> list:
 def summarize(res) -> tuple:
     """What two kernels must agree on: every field of a tracked result, the
     promised invariants of a rank-only one."""
-    if res.tracked:
+    if res.logs is not None:
         return ("tracked", res.pivots, res.row_ops, res.col_ops,
                 res.free_cols, res.free_rows)
     return ("rank-only", res.divisors(),
@@ -129,9 +131,9 @@ def replay(src: Path, calls: list) -> tuple[list, list]:
 
 
 def check_side(side: str, checkout: Path, calls_file: Path) -> int:
-    """Whether the side's kernel takes every keyword the calls pass, checked
-    in a fresh interpreter: 0, or 2 once the child has printed the line
-    that names the missing keywords."""
+    """Whether the side's kernel takes every keyword the calls pass and no
+    ``track``, checked in a fresh interpreter: 0, or 2 once the child has
+    printed the line that says which fails."""
     return subprocess.run([sys.executable, str(Path(__file__).resolve()),
                            "--replay", str(calls_file), "--src",
                            str(checkout / "src"), "--check", side]).returncode
@@ -180,12 +182,17 @@ def main(argv=None) -> int:
         with open(args.replay, "rb") as fh:
             calls = pickle.load(fh)
         if args.check:
-            missing = missing_keywords(load_kernel(args.src).sparse_snf,
-                                       calls)
+            kernel = load_kernel(args.src).sparse_snf
+            missing = missing_keywords(kernel, calls)
             if missing:
                 print(f"{args.check} {args.src.parent}: sparse_snf takes no "
                       f"keyword {', '.join(map(repr, missing))}, which the "
                       f"captured calls pass", file=sys.stderr)
+                return 2
+            if "track" in inspect.signature(kernel).parameters:
+                print(f"{args.check} {args.src.parent}: sparse_snf still "
+                      f"takes 'track', so logs=None is no rank-only run "
+                      f"there", file=sys.stderr)
                 return 2
             return 0
         with open(args.out, "wb") as fh:
@@ -202,7 +209,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     tracked = sum(1 for a, kw in calls
-                  if kw.get("track", a[5] if len(a) > 5 else True))
+                  if kw.get("logs", a[5] if len(a) > 5 else "UV") is not None)
     nnz = sum(len(a[2]) for a, _ in calls)
     print(f"{args.workload} seed {args.seed}: {len(calls)} calls "
           f"({tracked} tracked), {nnz} entries")

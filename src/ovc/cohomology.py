@@ -409,7 +409,9 @@ def _tate_complex(module, compact: bool):
 
 
 def mw_complex(module: SigmaNablaModule) -> ComplexData:
-    """The de Rham complex of a module over a Tate/dagger window, dx gauge."""
+    """The de Rham complex of a module over a Tate/dagger window, dx gauge.
+    Both kinds assemble this same complex, so its certified dims are claims
+    about the weakly complete (dagger) algebra, not the Tate algebra."""
     return _tate_complex(module, False)
 
 
@@ -515,14 +517,14 @@ def _reduce(cdata: ComplexData):
     columns the map below pairs off (``_paired_columns``) when the rest still
     meet as many rows and columns as it has rows.  Mod p^K the divisors are
     min(e_i, K), so a cut result with a pivot in every row or every column
-    has the divisors, ranks and gap of the map mod p^N, and stands with N
-    restored; a pruned one also needs a gap term no lower than the maps'
-    below, as the full map's cokernel is then a quotient of the pruned one's
-    of the same rank at a max pivot level no higher.  A cut result that does
-    not stand is replaced by the map reduced tracked, in full, mod p^N; an
-    uncut one is exact.  A tracked run keeps the column log when
-    ``_kernel_read`` says the map's kernel can be read, and no log
-    otherwise."""
+    has the pivot levels and ranks of the map mod p^N, and stands, its gap
+    read N - K above its own; a pruned one also needs a gap term no lower
+    than the maps' below, as the full map's cokernel is then a quotient of
+    the pruned one's of the same rank at a max pivot level no higher.  A
+    cut result that does not stand is replaced by the map reduced tracked,
+    in full, mod p^N; an uncut one is exact.  A tracked run keeps the
+    column log when ``_kernel_read`` says the map's kernel can be read, and
+    no log otherwise."""
     p = cdata.p
     tracked = _has_structural_class(cdata)
     last = len(cdata.matrices) - 1
@@ -543,15 +545,13 @@ def _reduce(cdata: ComplexData):
                     <= min(len(set(cut.rows)), len(set(cut.cols)))
                 entries = cut if pruned else whole
         res = sparse_snf(cdata.spaces[j + 1].dim, cdata.spaces[j].dim,
-                         entries, p, K, track=tracked, logs=logs)
-        if K < N or pruned:
-            res.N = N
-            if len(res.pivots) < min(res.nrows, res.ncols) or (
-                    pruned and res.certification_gap() - shift < min(gaps)):
-                res = sparse_snf(res.nrows, res.ncols, whole, p, N,
-                                 logs=logs)
+                         entries, p, K, logs=logs if tracked else None)
+        if (K < N or pruned) and (
+                len(res.pivots) < min(res.nrows, res.ncols) or pruned
+                and res.certification_gap() + N - K - shift < min(gaps)):
+            res = sparse_snf(res.nrows, res.ncols, whole, p, N, logs=logs)
         snfs.append(res)
-        gaps.append(res.certification_gap() - shift)
+        gaps.append(res.certification_gap() + N - res.N - shift)
     return snfs, min(gaps)
 
 
@@ -608,7 +608,7 @@ def _extract_generators(cdata: ComplexData, snfs, j: int, count: int):
     top = len(cdata.spaces) - 1
     src = j if j < top and _kernel_read(snfs, j) else j - 1
     res = snfs[src]
-    if not res.tracked:
+    if res.logs is None:
         res = snfs[src] = sparse_snf(res.nrows, res.ncols,
                                      cdata.matrices[src], cdata.p,
                                      cdata.scalings[src][0],

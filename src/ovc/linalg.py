@@ -10,7 +10,7 @@ lowest total exponent, and logs the transforms its caller names in
 ``kernel_basis`` and ``materialize_V_cols``, and ``solve`` reads both.  The
 pivots, the free lists and ``coker_reps`` need no log, and a log left out
 changes none of them.
-A rank-only (untracked) reduction pivots on the row with the fewest entries
+A rank-only reduction (``logs=None``) pivots on the row with the fewest entries
 and always reduces the transpose, taking its columns in decreasing order:
 of the orientations and orders measured, this one fills in least on both
 the tall maps 0 and the wide top maps pruned of their paired columns.  It
@@ -22,12 +22,12 @@ The reduction holds the matrix twice, as a list of rows and a list of
 columns indexed by position, each a sparse ``{index: value}`` map made when
 it gets its first entry and released when it pivots.
 A matrix to eliminate whose every row holds at most one entry (shape R), or
-every column (shape C), cannot fill, so it is reduced in one pass over its
-entries and no map is built.  Its columns pivot in (level, column) order:
-in shape R each at its least valuation on its lowest row of that
-valuation, in shape C each on its one row unless an earlier column took
-it.  Row ops then clear a shape-R pivot's column and column ops a shape-C
-pivot's row, in the line's stored order, as the loop logs them.
+every column (shape C), cannot fill, so a run that writes no op on it reads
+its pivots in one pass over its entries and builds no map.  Its columns
+pivot in (level, column) order: in shape R each at its least valuation on
+its lowest row of that valuation, in shape C each on its one row unless an
+earlier column took it.  A run that keeps the row log, or the column log on
+a matrix not of shape R, goes to the loop, the one writer of op logs.
 Elementary divisors at or above the working precision are reported as "zero
 at precision"; a dimension claim is certified by the gap between the largest
 surviving divisor and the precision ceiling.
@@ -35,11 +35,10 @@ surviving divisor and the precision ceiling.
 ``digit_precision`` gives the precision K at which a residue fits one
 CPython digit.  A matrix has the divisors min(e_i, K) mod p^K, so a
 reduction there that pivots every row or every column has all its divisors
-below K, and they are the divisors mod p^N.  A rank-only caller may keep
-such a result with ``N`` set back to its own precision: the divisors, the
-rank at every cutoff and the gap are then those of a reduction mod p^N,
-though the pivot positions may differ, since an entry that vanishes mod p^K
-is dropped there.
+below K, and they are the divisors mod p^N: the rank at every cutoff is that
+of a reduction mod p^N, and its gap is the result's gap plus N - K, though
+the pivot positions may differ, since an entry that vanishes mod p^K is
+dropped there.
 """
 
 from __future__ import annotations
@@ -78,25 +77,25 @@ class Entries:
 
 
 class SnfResult:
-    """A reduction mod p^N.  ``sparse_snf`` appends the pivots level by
-    level, so their levels never decrease, and every level is below N, also
-    after a rank-only caller raises N from the K it reduced at: the divisors
-    read the pivot list in order, and the largest level is the last one's."""
+    """A reduction mod p^N, N the precision ``sparse_snf`` reduced at.  It
+    appends the pivots level by level, so their levels never decrease and
+    every level is below N: the divisors read the pivot list in order, and
+    the largest level is the last one's."""
     __slots__ = ("nrows", "ncols", "p", "N", "pivots", "row_ops", "col_ops",
-                 "free_cols", "free_rows", "tracked", "logs")
+                 "free_cols", "free_rows", "logs")
 
     def __init__(self, nrows: int, ncols: int, p: int, N: int, pivots: list,
                  row_ops: list, col_ops: list, free_cols: list,
-                 free_rows: list, tracked: bool, logs: str):
+                 free_rows: list, logs: str | None):
         self.nrows, self.ncols, self.p, self.N = nrows, ncols, p, N
         self.pivots = pivots        # list of (row, col, e) in pivoting order
         self.row_ops = row_ops      # applied left, in order
         self.col_ops = col_ops      # applied right, in order
         self.free_cols = free_cols  # columns never pivoted (divisor N)
         self.free_rows = free_rows  # rows never pivoted
-        # pivots of the tracked rule; transforms need them
-        self.tracked = tracked
-        self.logs = logs            # the op logs kept: "U" rows, "V" columns
+        # the op logs kept, "U" rows and "V" columns; None when rank-only,
+        # whose pivots are not the tracked rule's and serve no transform
+        self.logs = logs
 
     # -- certified quantities ---------------------------------------------
 
@@ -116,9 +115,10 @@ class SnfResult:
     # -- transform application ---------------------------------------------
 
     def _require_tracked(self):
-        if not self.tracked:
+        if self.logs is None:
             raise ValueError("a rank-only SnfResult has no transforms; "
-                             "reduce with track=True to read vectors")
+                             "reduce with logs other than None to read "
+                             "vectors")
 
     def _require_log(self, log: str):
         self._require_tracked()
@@ -218,7 +218,7 @@ def digit_precision(p: int, N: int) -> int:
 
 
 def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
-               track: bool = True, logs: str = "UV") -> SnfResult:
+               logs: str | None = "UV") -> SnfResult:
     """Reduce a sparse integer matrix mod p^N to diagonal form.
 
     ``entries`` holds no (row, col) pair twice: a repeat would overwrite the
@@ -256,22 +256,23 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
     logged row op reads a pivot row (it scales one, or adds a multiple of one
     to another row), so U^-1 fixes the unit vector of every free row.
 
-    ``logs`` names the op logs a tracked run keeps: "U" the row log, which
-    ``apply_U``, ``apply_Uinv``, ``solve`` and ``materialize_Uinv`` read,
-    and "V" the column log, which ``apply_V``, ``kernel_basis``, ``solve``
-    and ``materialize_V_cols`` read; the default keeps both.  A log left out
-    is never built, and the pivots, the free lists and the other log are
-    those of a run that keeps it, as the logs steer no choice.
+    ``logs`` is the one knob.  A string makes the run tracked and names the
+    op logs it keeps: "U" the row log, which ``apply_U``, ``apply_Uinv``,
+    ``solve`` and ``materialize_Uinv`` read, and "V" the column log, which
+    ``apply_V``, ``kernel_basis``, ``solve`` and ``materialize_V_cols``
+    read; the default keeps both.  A log left out is never built, and the
+    pivots, the free lists and the other log are those of a run that keeps
+    it, as the logs steer no choice.
 
-    With ``track=False`` the op logs stay empty and the pivot row is the row
-    of valuation e with the fewest entries (the lowest on a tie), since its
-    length is the fill it spreads into every other row of its column.  In
-    both modes a column with a single entry is handled first and has no
-    other row: its pivot row is unlinked from the columns it meets and
-    dropped, with no scaling and no update (a tracked run still logs the
-    scaling and the column ops it keeps, in row order).
+    With ``logs=None`` the run is rank-only: no op is logged and the pivot
+    row is the row of valuation e with the fewest entries (the lowest on a
+    tie), since its length is the fill it spreads into every other row of
+    its column.  In both modes a column with a single entry is handled
+    first and has no other row: its pivot row is unlinked from the columns
+    it meets and dropped, with no scaling and no update (a tracked run
+    still logs the scaling and the column ops it keeps, in row order).
 
-    Untracked, every matrix is reduced as its transpose (``by_row`` and
+    Rank-only, every matrix is reduced as its transpose (``by_row`` and
     ``by_col`` trade places), its columns taken from the last down and its
     pivots turned back to the caller's orientation at the end.  On a seed-1
     pass of the plane-fillin benchmark this takes the 48 tall maps 0 in
@@ -284,37 +285,33 @@ def sparse_snf(nrows: int, ncols: int, entries: Entries, p: int, N: int,
 
     Before any map is built, one pass over the entries checks whether every
     row of the matrix to eliminate (the caller's, or its transpose when
-    untracked) holds at most one nonzero entry (shape R) or every column
+    rank-only) holds at most one nonzero entry (shape R) or every column
     does (shape C); it stops at the first row and the first column met
     twice.  Such a matrix cannot fill.  In shape R a pivot row has no other
     entry, so clearing a column only deletes entries; in shape C no column
     ever gains one.  So no column changes before its turn, the columns
-    pivot in (level, column) order, and the result, logs and their order
-    included, is read off the entry lists as the loop would build it:
-
-    - shape R: column c pivots at its least valuation v, on its lowest row
-      r of that valuation, with x_r = u p^v.  The row log gets ("rs", r,
-      u^-1) when u != 1, then ("ra", r, rr, -x_rr/p^v mod p^N) for each
-      other entry of the column, in stored order; there are no column ops;
-    - shape C: column c pivots on its one row r unless a column earlier in
-      that order took it, and the row's other columns are then emptied.
-      The row log gets the scaling as in shape R; the column log gets
-      ("ca", c, cc, -(y u^-1 mod p^N)/p^v mod p^N) for each other entry
-      (cc, y) of row r, in stored order.
+    pivot in (level, column) order, and the pivots are read off the entry
+    lists as the loop would take them.  A run that keeps the row log skips
+    the pass, and one that keeps the column log takes it only in shape R,
+    where the column log is empty: every op is logged by the loop.
     """
-    return (_one_pass(nrows, ncols, entries, p, N, track, logs)
-            or _eliminate(nrows, ncols, entries, p, N, track, logs))
+    return (_one_pass(nrows, ncols, entries, p, N, logs)
+            or _eliminate(nrows, ncols, entries, p, N, logs))
 
 
 def _one_pass(nrows: int, ncols: int, entries: Entries, p: int, N: int,
-              track: bool, logs: str) -> SnfResult | None:
+              logs: str | None) -> SnfResult | None:
     """``sparse_snf`` read straight off the entry lists, when every row or
-    every column of the matrix it eliminates holds at most one entry; None,
-    at the first row and the first column met twice, when neither holds."""
+    every column of the matrix it eliminates holds at most one entry and the
+    run writes no op; None, at the first row and the first column met twice,
+    when neither holds, at once when the run keeps the row log, and after
+    the scan when it keeps the column log and some row holds two entries."""
+    if logs and "U" in logs:
+        return None
     mod = p ** N
     level = {p ** e: e for e in range(N)}
     rows, cols, m, n = entries.rows, entries.cols, nrows, ncols
-    if not track:
+    if logs is None:
         rows, cols, m, n = cols, rows, n, m
     seen = bytearray(m)
     best: list = [None] * n     # a column's pivot: its least (level, row)
@@ -337,43 +334,21 @@ def _one_pass(nrows: int, ncols: int, entries: Entries, p: int, N: int,
             one_per_col = False
             if e < there[2] or e == there[2] and r < there[0]:
                 best[c] = (r, c, e)
+    if logs and not one_per_row:
+        return None             # "V" in logs, and shape C writes column ops
     # columns in (level, column) order, each on its row unless taken
-    pivots = list(filter(None, best if track else reversed(best)))
+    pivots = list(filter(None, reversed(best) if logs is None else best))
     pivots.sort(key=itemgetter(2))
     if not one_per_row:
         first: dict = {}
         for pivot in pivots:
             first.setdefault(pivot[0], pivot)
         pivots = list(first.values())
-    # one entry per row: row ops clear the pivot's column; one per column:
-    # column ops clear its row; either way in the line's stored order
-    log_u, log_v = track and "U" in logs, track and "V" in logs
-    row_ops, col_ops = [], []
-    if log_u or log_v and not one_per_row:
-        lines: dict = {}
-        for r, c, x in zip(rows, cols, entries.vals):
-            if x % mod:
-                key, own = (c, r) if one_per_row else (r, c)
-                lines.setdefault(key, []).append((own, x % mod))
-        for r, c, e in pivots:
-            pe = p ** e
-            own, line = (r, lines[c]) if one_per_row else (c, lines[r])
-            u = dict(line)[own] // pe
-            uinv = pow(u, -1, mod)
-            if log_u and u != 1:
-                row_ops.append(("rs", r, uinv))
-            if one_per_row and log_u:
-                row_ops += [("ra", r, rr, -(y // pe) % mod)
-                            for rr, y in line if rr != r]
-            elif not one_per_row and log_v:
-                col_ops += [("ca", c, cc, -(y * uinv % mod // pe) % mod)
-                            for cc, y in line if cc != c]
-    return _result(nrows, ncols, p, N, pivots, row_ops, col_ops, track,
-                   "U" * log_u + "V" * log_v)
+    return _result(nrows, ncols, p, N, pivots, [], [], logs)
 
 
 def _eliminate(nrows: int, ncols: int, entries: Entries, p: int, N: int,
-               track: bool, logs: str) -> SnfResult:
+               logs: str | None) -> SnfResult:
     """``sparse_snf`` by the level loop on row and column maps."""
     mod = p ** N
     by_row: list[dict[int, int] | None] = [None] * nrows
@@ -393,11 +368,11 @@ def _eliminate(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                     col = by_col[c] = {}
                 last = c
             col[r] = x
-    # untracked, the transpose is eliminated
-    flip = not track
+    # rank-only, the transpose is eliminated
+    flip = logs is None
     if flip:
         by_row, by_col = by_col, by_row
-    log_u, log_v = track and "U" in logs, track and "V" in logs
+    log_u, log_v = not flip and "U" in logs, not flip and "V" in logs
 
     buckets = [list(compress(count(), by_col))] + [[] for _ in range(N - 1)]
     inverses: dict[int, int] = {}
@@ -437,7 +412,7 @@ def _eliminate(nrows: int, ncols: int, entries: Entries, p: int, N: int,
             if not col:
                 continue
             r = best = None
-            if track:
+            if not flip:
                 for rr, x in col.items():
                     if x % above and (r is None or rr < r):
                         r = rr
@@ -486,20 +461,18 @@ def _eliminate(nrows: int, ncols: int, entries: Entries, p: int, N: int,
                     row_ops.append(("ra", r, rr, -m % mod))
             pivots.append((r, c, level))
 
-    return _result(nrows, ncols, p, N, pivots, row_ops, col_ops, track,
-                   "U" * log_u + "V" * log_v)
+    return _result(nrows, ncols, p, N, pivots, row_ops, col_ops, logs)
 
 
 def _result(nrows: int, ncols: int, p: int, N: int, pivots: list,
-            row_ops: list, col_ops: list, track: bool,
-            logs: str) -> SnfResult:
-    """The result of reducing an ``nrows`` x ``ncols`` matrix, or untracked
+            row_ops: list, col_ops: list, logs: str | None) -> SnfResult:
+    """The result of reducing an ``nrows`` x ``ncols`` matrix, or rank-only
     its transpose, at ``pivots``."""
-    if not track:
+    if logs is None:
         pivots = [(r, c, e) for c, r, e in pivots]
     free_rows, free_cols = bytearray([1]) * nrows, bytearray([1]) * ncols
     for r, c, _ in pivots:
         free_rows[r] = free_cols[c] = 0
     return SnfResult(nrows, ncols, p, N, pivots, row_ops, col_ops,
                      list(compress(range(ncols), free_cols)),
-                     list(compress(range(nrows), free_rows)), track, logs)
+                     list(compress(range(nrows), free_rows)), logs)

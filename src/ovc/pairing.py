@@ -105,7 +105,7 @@ def pairing_nondegeneracy_check(module: SigmaNablaModule) -> NondegeneracyReport
             {c: x.residue(M + shift, shift) for c, x in enumerate(row)
              if not x.is_zero()} for row in vals)
         rank = sparse_snf(len(wgens), len(cgens), entries, p, M + shift,
-                          track=False).rank() if entries else 0
+                          logs=None).rank() if entries else 0
         blocks.append(PairingBlock(n + i, n - i, len(cgens), len(wgens),
                                    rank))
     return NondegeneracyReport(tuple(blocks), all(

@@ -27,7 +27,10 @@ A ring line reads ``ring <name> <kind> vars <v,...> window <lo:hi,...>``
 plus the options of its kind and no others: ``tate``; ``dagger`` or
 ``dagger-fringe`` (two spellings of one kind) with ``decay D``; ``robba`` or
 ``multi-robba`` (two spellings of one kind) with ``slope r``; ``robba-plus``
-with ``slope r`` and a window from 0, as for ``tate`` and ``dagger``.
+with ``slope r`` and a window from 0, as for ``tate`` and ``dagger``.  A
+``tate`` and a ``dagger`` window assemble the same complex, so a dim
+certified on a ``tate`` ring is a claim about the weakly complete (dagger)
+algebra, not the Tate algebra.
 Coefficients are p-adic scalars: a ring has no coefficient ring.
 
 Scalars serialize as "u*p^v@M" (plain integers and fractions n/d accepted);

@@ -255,7 +255,7 @@ def _matrix_rank(cols, p, M) -> int:
     if not entries:
         return 0
     return sparse_snf(1 + max(entries.rows), len(cols), entries, p, M,
-                      track=False).rank()
+                      logs=None).rank()
 
 
 def perturb_r1f(bundle: PushforwardBundle) -> PushforwardBundle:

@@ -9,7 +9,13 @@
 * d/dx + a + bx with b a unit and a in Z_p: h^0 = 0 and h^1 >= 1 (item 17);
 * t d/dt + a over the Robba ring, a rational with its denominator prime to
   p: (1, 1) when a is an integer, (0, 0) otherwise.  This is the ring's
-  answer, not the window's, so an integer a counts only inside the window.
+  answer, not the window's, so an integer a counts only inside the window;
+* Dwork's exponential module d + pi df at p = 2, where pi = -2 (pi^(p-1) =
+  -p), for f = x^d with d odd (item 20): h^0 = 0, since the solution
+  e^(2f) has coefficients 2^n/n! at x^(dn), of valuation s_2(n), which
+  does not grow, and h^1 = d - 1 (Dwork; Robba's index with irregularity
+  d).  A ``tate`` window assembles the same complex as a ``dagger`` one
+  (item 22), so both answer for the dagger algebra.
 
 Every printed dim counts as certified until a report can leave a degree
 uncertified (item 8).  A known miss is a strict xfail naming its item, so
@@ -23,12 +29,14 @@ from itertools import product
 import pytest
 
 from ovc.acceptance import kummer_module, trivial_module
+from ovc.cli import emit_report, run_command
 from ovc.cohomology import (
     compact_support_cohomology,
     local_cohomology,
     mw_cohomology,
 )
 from ovc.modules import SeriesMatrix, SigmaNablaModule
+from ovc.problems import parse_problem
 from ovc.series import TATE, RingDescriptor, Series
 
 P = 3
@@ -201,3 +209,43 @@ def test_known_misses(run, want):
 def test_exponent_raising_lines_have_a_class_and_no_section(poly, M, W):
     dims = mw_cohomology(_dx_plus(poly, M, W)).report.dims()
     assert dims[0] == 0 and dims[1] >= 1
+
+
+# Dwork's exponential modules at p = 2: f = x^d, under both ring kinds.
+DWORK_RUNS = list(product((8, 12), (8, 10, 13, 16, 20)))
+
+
+def dwork_text(kind, d, M, W, command="cohomology"):
+    """The problem text of d + pi d(x^d) at p = 2, pi = -2: Gamma_x is
+    -2 d x^(d-1), on a ``kind`` ring with window 0:W."""
+    return "\n".join(["version 1", "p 2", f"M {M}",
+                      f"ring W {kind} vars x window 0:{W}",
+                      "series G W", f"  term {d - 1} {-2 * d}", "end",
+                      "matrix G W 1 1", "  entry 1 1 G", "end",
+                      "module M1 ring W rank 1 gamma x G",
+                      f"command {command} M1"]) + "\n"
+
+
+DWORK = [
+    pytest.param(kind, d, M, W, id=f"dwork-x^{d}-{kind}-M{M}-W{W}",
+                 marks=() if d == 1 else pytest.mark.xfail(
+                     strict=True, reason="ROADMAP items 17 and 1: the box "
+                     "drops the exponent-raising term, so h^1 = d - 1 is "
+                     "out of reach, and a false h^0 = 1 can be certified"))
+    for d in (1, 3, 5) for kind in ("tate", "dagger") for M, W in DWORK_RUNS]
+
+
+@pytest.mark.parametrize("kind,d,M,W", DWORK)
+def test_dwork_exponential_modules(kind, d, M, W):
+    module = parse_problem(dwork_text(kind, d, M, W)).command[1][0]
+    assert mw_cohomology(module).report.dims() == {0: 0, 1: d - 1}
+
+
+def test_dwork_reports_do_not_tell_tate_from_dagger():
+    # both kinds assemble the same complex, so a certificate on a tate
+    # window is one about the dagger algebra
+    for d in (1, 3, 5):
+        for M, W in DWORK_RUNS:
+            tate, dagger = (emit_report(run_command(parse_problem(
+                dwork_text(kind, d, M, W)))) for kind in ("tate", "dagger"))
+            assert tate == dagger, (d, M, W)

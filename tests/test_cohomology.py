@@ -67,25 +67,26 @@ def test_mw_h0_generator_is_constant():
 
 def _snf_calls(monkeypatch, force_track=False, entries=None,
                precisions=None, shapes=None, logs=None, all_logs=False):
-    """Record the track flag of every SNF the engine runs, into ``entries``
-    its entry count, into ``precisions`` its N, into ``shapes`` its (rows,
-    columns) and into ``logs`` the op logs its result keeps; with
-    ``force_track`` every map is reduced tracked, in full and mod p^N, as
-    when some degree has a structural class, and with ``all_logs`` every
-    tracked run keeps both op logs."""
+    """Record whether every SNF the engine runs is tracked (its ``logs``
+    not None), into ``entries`` its entry count, into ``precisions`` its N,
+    into ``shapes`` its (rows, columns) and into ``logs`` the op logs its
+    result keeps; with ``force_track`` every map is reduced tracked, in full
+    and mod p^N, as when some degree has a structural class, and with
+    ``all_logs`` every tracked run keeps both op logs."""
     calls, snf = [], cohomology.sparse_snf
 
-    def spy(*args, track=True, **kwargs):
-        calls.append(track)
+    def spy(*args, **kwargs):
+        tracked = kwargs.get("logs", "UV") is not None
+        calls.append(tracked)
         if entries is not None:
             entries.append(len(args[2]))
         if precisions is not None:
             precisions.append(args[4])
         if shapes is not None:
             shapes.append(args[:2])
-        if all_logs:
+        if all_logs and tracked:
             kwargs["logs"] = "UV"
-        res = snf(*args, track=track, **kwargs)
+        res = snf(*args, **kwargs)
         if logs is not None:
             logs.append(res.logs)
         return res
@@ -273,14 +274,14 @@ def _top_map_outcome(cdata):
     if len(maps) < 2:
         return "whole"
     exact = [sparse_snf(spaces[j + 1].dim, spaces[j].dim, maps[j], p, N,
-                        track=False)
+                        logs=None)
              for j, (N, _) in enumerate(cdata.scalings[:-1])]
     gap = min(s.certification_gap() - shift
               for s, (_, shift) in zip(exact, cdata.scalings))
     if len(exact) == 1:
         N = cdata.scalings[0][0]
         first = sparse_snf(spaces[1].dim, spaces[0].dim, maps[0], p,
-                           digit_precision(p, N), track=False)
+                           digit_precision(p, N), logs=None)
         if len(first.pivots) == min(spaces[1].dim, spaces[0].dim):
             exact[0] = first
         else:
@@ -297,12 +298,13 @@ def _top_map_outcome(cdata):
             < target:
         return "precheck"
     N, shift = cdata.scalings[-1]
-    pruned = sparse_snf(target, spaces[-2].dim, triples(kept), p,
-                        digit_precision(p, N), track=False)
+    K = digit_precision(p, N)
+    pruned = sparse_snf(target, spaces[-2].dim, triples(kept), p, K,
+                        logs=None)
     if pruned.rank() < target:
         return "rank"
-    pruned.N = N
-    return "gap" if pruned.certification_gap() - shift < gap else "pruned"
+    return "gap" if pruned.certification_gap() + N - K - shift < gap \
+        else "pruned"
 
 
 def test_pruned_top_map_gives_the_reports_of_full_reductions(monkeypatch):
@@ -623,7 +625,7 @@ def _vertical_ranks(module, fi):
         cohomology.D_X, False)
     src, dst = cdata.spaces
     r = sparse_snf(dst.dim, src.dim, cdata.matrices[0], cdata.p,
-                   cdata.scalings[0][0], track=False).rank()
+                   cdata.scalings[0][0], logs=None).rank()
     return r, src.dim - r, src.dim, dst.dim
 
 

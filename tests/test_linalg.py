@@ -152,7 +152,7 @@ def _tall_repeating_matrices():
 
 def test_untracked_divisors_match_dense_oracle():
     for A, ent, p, N in (*_oracle_matrices(), *_tall_repeating_matrices()):
-        res = sparse_snf(len(A), len(A[0]), triples(ent), p, N, track=False)
+        res = sparse_snf(len(A), len(A[0]), triples(ent), p, N, logs=None)
         assert res.divisors() == dense_divisors(A, p, N)
 
 
@@ -180,9 +180,9 @@ def test_p_times_a_reduces_as_a_one_level_up():
     for m, n, ent, p, N in _scalable_inputs():
         mod = p ** N
         scaled = {k: p * x for k, x in ent.items()}
-        for track in (True, False):
-            base = sparse_snf(m, n, triples(ent), p, N, track=track)
-            up = sparse_snf(m, n, triples(scaled), p, N + 1, track=track)
+        for logs in ("UV", None):
+            base = sparse_snf(m, n, triples(ent), p, N, logs=logs)
+            up = sparse_snf(m, n, triples(scaled), p, N + 1, logs=logs)
             assert up.pivots == [(r, c, e + 1) for r, c, e in base.pivots]
             assert up.free_rows == base.free_rows
             assert up.free_cols == base.free_cols
@@ -239,7 +239,7 @@ def test_single_entry_columns_match_the_oracle_and_the_tracked_run():
                             ((n, m, Entries(ent.cols, ent.rows, ent.vals)),
                              At)):
             full = sparse_snf(*case, p, N)
-            bare = sparse_snf(*case, p, N, track=False)
+            bare = sparse_snf(*case, p, N, logs=None)
             assert bare.divisors() == full.divisors() \
                 == dense_divisors(dense, p, N)
             assert [bare.rank(c) for c in range(N + 1)] \
@@ -277,9 +277,9 @@ def test_full_row_rank_of_a_column_subset_certifies_the_whole():
     for A, ent, kept, p, N in _pruned_inputs():
         m, n = len(A), len(A[0])
         B = [[kept.get((i, j), 0) for j in range(n)] for i in range(m)]
-        for track in (True, False):
-            whole = sparse_snf(m, n, triples(ent), p, N, track=track)
-            pruned = sparse_snf(m, n, triples(kept), p, N, track=track)
+        for logs in ("UV", None):
+            whole = sparse_snf(m, n, triples(ent), p, N, logs=logs)
+            pruned = sparse_snf(m, n, triples(kept), p, N, logs=logs)
             assert whole.divisors() == dense_divisors(A, p, N)
             assert pruned.divisors() == dense_divisors(B, p, N)
             if pruned.rank() < m:
@@ -354,15 +354,16 @@ def _planted_inputs():
 def test_one_digit_reduction_stands_for_full_precision_at_full_rank():
     # mod p^K the divisors are min(e, K): the reduction there pivots every
     # row or every column exactly when every planted divisor is below K,
-    # and it then has the divisors, ranks and gap of the reduction mod p^N
+    # and it then has the pivot levels and ranks of the reduction mod p^N,
+    # and its gap N - K below that one's
     full = short = 0
     for A, levels, p, N, K in _planted_inputs():
         m, n = len(A), len(A[0])
         ent = triples({(i, j): x for i, row in enumerate(A)
                        for j, x in enumerate(row) if x})
         assert digit_precision(p, N) == K
-        at_n = sparse_snf(m, n, ent, p, N, track=False)
-        at_k = sparse_snf(m, n, ent, p, K, track=False)
+        at_n = sparse_snf(m, n, ent, p, N, logs=None)
+        at_k = sparse_snf(m, n, ent, p, K, logs=None)
         for res, ceiling in ((at_n, N), (at_k, K)):
             kept = sorted(e for e in levels if e < ceiling)
             assert res.divisors() == kept + [ceiling] * (n - len(kept))
@@ -372,11 +373,10 @@ def test_one_digit_reduction_stands_for_full_precision_at_full_rank():
             short += 1
             continue
         full += 1
-        at_k.N = N
-        assert at_k.divisors() == at_n.divisors()
+        assert at_k.divisors() == [min(e, K) for e in at_n.divisors()]
         assert [at_k.rank(c) for c in range(N + 2)] \
             == [at_n.rank(c) for c in range(N + 2)]
-        assert at_k.certification_gap() == at_n.certification_gap()
+        assert at_k.certification_gap() + N - K == at_n.certification_gap()
     assert full >= 30 and short >= 30, (full, short)
 
 
@@ -428,13 +428,13 @@ def test_untracked_result_has_no_transforms():
     p, N = 3, 4
     A = triples({(0, 0): 1, (0, 1): 1})
     assert sparse_snf(1, 2, A, p, N).kernel_basis() == [{1: 1, 0: 80}]
-    bare = sparse_snf(1, 2, A, p, N, track=False)
-    assert not bare.tracked and bare.logs == "" and bare.rank() == 1
+    bare = sparse_snf(1, 2, A, p, N, logs=None)
+    assert bare.logs is None and bare.rank() == 1
     for read in (lambda: bare.apply_U({0: 1}), lambda: bare.apply_Uinv({0: 1}),
                  lambda: bare.apply_V({0: 1}), bare.materialize_Uinv,
                  bare.materialize_V_cols, bare.kernel_basis, bare.coker_reps,
                  lambda: bare.solve({0: 1})):
-        with pytest.raises(ValueError, match="track=True"):
+        with pytest.raises(ValueError, match="logs other than None"):
             read()
 
 
@@ -496,7 +496,7 @@ def _pruned_top_map(differentials):
     rank-only kernel: mod p^K, K = ``digit_precision(p, N)``, without the
     columns that the rank-only reduction of map 0 mod p^K pairs off."""
     (m0, n0, ent0, p, N), (m1, n1, ent1, _, N1) = differentials
-    below = sparse_snf(m0, n0, ent0, p, digit_precision(p, N), track=False)
+    below = sparse_snf(m0, n0, ent0, p, digit_precision(p, N), logs=None)
     paired = _paired_columns(below)
     keep = [(r, c, x) for r, c, x in zip(ent1.rows, ent1.cols, ent1.vals)
             if c not in paired]
@@ -614,7 +614,7 @@ def test_logs_left_out_change_no_pivot(args):
                           lambda res: res.materialize_V_cols())}
     for logs in ("V", "", "U"):
         res = sparse_snf(*args, logs=logs)
-        assert res.tracked and res.logs == logs
+        assert res.logs == logs
         assert (res.pivots, res.free_cols, res.free_rows) \
             == (full.pivots, full.free_cols, full.free_rows)
         assert res.row_ops == (full.row_ops if "U" in logs else [])
@@ -663,7 +663,7 @@ def test_untracked_matches_tracked(args):
                   Entries(entries.cols, entries.rows, entries.vals), p, N)
     for case in (args, transposed):
         full = sparse_snf(*case)
-        bare = sparse_snf(*case, track=False)
+        bare = sparse_snf(*case, logs=None)
         assert bare.divisors() == full.divisors()
         assert [bare.rank(c) for c in range(N + 1)] \
             == [full.rank(c) for c in range(N + 1)]
@@ -681,11 +681,13 @@ def test_untracked_matches_tracked(args):
 # -- the one-pass path ---------------------------------------------------------
 #
 # A matrix to eliminate whose every row (shape R) or every column (shape C)
-# holds at most one entry is read off its entry lists by ``_one_pass``.  Its
-# result must be the elimination loop's in every field, op-log order
-# included, and ``_one_pass`` must decline every other matrix.
+# holds at most one entry has its pivots read off its entry lists by
+# ``_one_pass``, when the run writes no op.  Its result must be the
+# elimination loop's in every field, and ``_one_pass`` must decline every
+# other matrix, every run that keeps the row log and every run that keeps
+# the column log on a matrix not of shape R.
 
-RUNS = [(False, "UV")] + [(True, logs) for logs in ("UV", "U", "V", "")]
+RUNS = (None, "UV", "U", "V", "")
 
 
 def _fields(res) -> dict:
@@ -736,36 +738,50 @@ def _lined_inputs():
                 yield m, n, lined_matrix(rng, p, N, m, n, shape), p, N
 
 
-def _one_line_per_entry(entries, p, N) -> bool:
-    """Whether every row or every column holds at most one entry that does
-    not vanish mod p^N, which does not change under transposition."""
+def _one_per_line(entries, p, N) -> tuple:
+    """Whether every row, and whether every column, holds at most one entry
+    that does not vanish mod p^N."""
     live = [(r, c) for r, c, x in zip(entries.rows, entries.cols,
                                       entries.vals) if x % p ** N]
-    return len(live) in (len({r for r, _ in live}), len({c for _, c in live}))
+    return (len(live) == len({r for r, _ in live}),
+            len(live) == len({c for _, c in live}))
+
+
+def _one_pass_rule(entries, p, N, logs) -> bool:
+    """Whether ``_one_pass`` reads the run: the matrix it eliminates, the
+    transpose when rank-only, has shape R or C, and the run keeps no row
+    log and keeps the column log only in shape R."""
+    per_row, per_col = _one_per_line(entries, p, N)
+    if logs is None:
+        per_row, per_col = per_col, per_row
+    else:
+        per_col = per_col and "V" not in logs
+    return (per_row or per_col) and "U" not in (logs or "")
 
 
 def test_one_pass_matches_the_loop():
-    taken = 0
+    taken = {logs: 0 for logs in RUNS}
     for nrows, ncols, ent, p, N in _lined_inputs():
-        for track, logs in RUNS:
-            fast = _one_pass(nrows, ncols, ent, p, N, track, logs)
-            assert (fast is not None) \
-                == _one_line_per_entry(ent, p, N)
+        for logs in RUNS:
+            fast = _one_pass(nrows, ncols, ent, p, N, logs)
+            assert (fast is not None) == _one_pass_rule(ent, p, N, logs)
             if fast is not None:
-                taken += 1
+                taken[logs] += 1
+                assert fast.row_ops == fast.col_ops == []
                 assert _fields(fast) == _fields(
-                    _eliminate(nrows, ncols, ent, p, N, track, logs))
-    # every run of the 180 matrices of shapes R and C is taken
-    assert taken >= 900
+                    _eliminate(nrows, ncols, ent, p, N, logs))
+    # the 180 matrices of shapes R and C are all taken rank-only and with
+    # no log, the 90 of shape R with the column log alone
+    assert taken["UV"] == taken["U"] == 0
+    assert taken[None] >= 180 and taken[""] >= 180 and taken["V"] >= 90
 
 
 def test_one_pass_matches_the_loop_on_trivial_maps():
     for args in _trivial_differentials():
-        for track, logs in RUNS:
-            fast = _one_pass(*args, track, logs)
+        for logs in RUNS:
+            fast = _one_pass(*args, logs)
             if fast is not None:
-                assert _fields(fast) == _fields(_eliminate(*args, track,
-                                                           logs))
+                assert _fields(fast) == _fields(_eliminate(*args, logs))
 
 
 def _spied_calls(monkeypatch, cdata) -> list:
@@ -776,11 +792,11 @@ def _spied_calls(monkeypatch, cdata) -> list:
     calls, degrees = [], []
     one_pass, extract = linalg._one_pass, cohomology._extract_generators
 
-    def spy(nrows, ncols, entries, p, N, track, logs):
-        res = one_pass(nrows, ncols, entries, p, N, track, logs)
+    def spy(nrows, ncols, entries, p, N, logs):
+        res = one_pass(nrows, ncols, entries, p, N, logs)
         if res is not None:
             assert _fields(res) == _fields(_eliminate(nrows, ncols, entries,
-                                                      p, N, track, logs))
+                                                      p, N, logs))
         maps = [j for j, d in enumerate(cdata.matrices) if d is entries]
         call = (("map", maps[0]) if maps else
                 ("restriction", degrees[-1]) if degrees else None)

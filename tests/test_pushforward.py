@@ -379,7 +379,7 @@ def _assert_plane_is_copies_of_fiber(module):
     fiber = mw_complex(line)
     (src, dst), (N, _) = fiber.spaces, fiber.scalings[0]
     rank = sparse_snf(dst.dim, src.dim, fiber.matrices[0], fiber.p, N,
-                      track=False).rank()
+                      logs=None).rank()
     raw = mw_cohomology(line).report.degrees
     vrank, vker, _, vdim1 = _vertical_ranks(module, 0)
     assert vrank == (hy + 1) * rank

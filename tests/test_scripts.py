@@ -73,7 +73,8 @@ def test_snf_replay_agrees_with_its_own_checkout(capsys):
     assert replay.main(["--workload", "problems-batch", "--seed", "1",
                         "--base", root, "--repeat", "1"]) == 0
     out = capsys.readouterr().out
-    assert "problems-batch seed 1: 26 calls" in out
+    # 4 of the calls pass logs=None, rank-only
+    assert "problems-batch seed 1: 26 calls (22 tracked)" in out
     assert "s CPU per replay" in out and "replays in 1 rounds" in out
     assert "all 26 results agree" in out
 
@@ -85,7 +86,7 @@ def test_snf_replay_replays_until_the_round_is_spent(monkeypatch):
     monkeypatch.setattr(replay, "ROUND_SECONDS", 0.2)
     monkeypatch.setattr(sys, "path", sys.path[:])
     calls = [((3, 4, triples({(0, 0): 1, (1, 1): 3, (2, 0): 2, (2, 3): 9}),
-               3, 4), {"track": False})]
+               3, 4), {"logs": None})]
     start = time.process_time()
     times, summaries = replay.replay(SCRIPTS.parent / "src", calls)
     assert time.process_time() - start >= 0.2
@@ -164,14 +165,18 @@ def sparse_snf(nrows, ncols, entries, p, N, track=True):
 '''
 
 
+def _stub_checkout(root, linalg):
+    ovc = root / "src" / "ovc"
+    ovc.mkdir(parents=True)
+    (ovc / "__init__.py").write_text("")
+    (ovc / "linalg.py").write_text(linalg)
+
+
 def test_snf_replay_names_a_keyword_the_base_kernel_lacks(tmp_path, capfd):
     # a base checkout whose sparse_snf takes no logs keyword: the script
     # checks its signature before replaying anything and stops on one line
     replay = _load("snf_replay")
-    ovc = tmp_path / "src" / "ovc"
-    ovc.mkdir(parents=True)
-    (ovc / "__init__.py").write_text("")
-    (ovc / "linalg.py").write_text(STUB_LINALG)
+    _stub_checkout(tmp_path, STUB_LINALG)
     assert replay.main(["--workload", "problems-batch", "--seed", "1",
                         "--base", str(tmp_path), "--repeat", "1"]) == 2
     captured = capfd.readouterr()
@@ -179,3 +184,19 @@ def test_snf_replay_names_a_keyword_the_base_kernel_lacks(tmp_path, capfd):
     assert captured.err.splitlines() == [
         f"base {tmp_path}: sparse_snf takes no keyword 'logs', which the "
         f"captured calls pass"]
+
+
+def test_snf_replay_stops_on_a_base_kernel_that_takes_track(tmp_path,
+                                                           capfd):
+    # a kernel that takes both track and logs would run a logs=None call
+    # tracked, so its results cannot be compared: one line, nothing replayed
+    replay = _load("snf_replay")
+    _stub_checkout(tmp_path, STUB_LINALG.replace(
+        "track=True)", 'track=True, logs="UV")'))
+    assert replay.main(["--workload", "problems-batch", "--seed", "1",
+                        "--base", str(tmp_path), "--repeat", "1"]) == 2
+    captured = capfd.readouterr()
+    assert "median" not in captured.out
+    assert captured.err.splitlines() == [
+        f"base {tmp_path}: sparse_snf still takes 'track', so logs=None is "
+        f"no rank-only run there"]
